@@ -11,7 +11,7 @@ from .availability import (
     structure_series,
 )
 from .dcycles import DCycle, DCycleSet
-from .dsbpss import BackupPath, BackupRegistry, ShareGroup
+from .dsbpss import BackupPath, BackupRegistry
 from .metrics import (
     MetricsReport,
     bandwidth_blocking_probability,

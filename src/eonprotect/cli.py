@@ -204,7 +204,10 @@ def _parse_sweep_config(path: str, args: argparse.Namespace) -> SweepSpec:
     grid = cp["grid"]
 
     template = dict(
-        n_requests=args.requests or int(sc.get("requests", 100_000)),
+        n_requests=(
+            args.requests if args.requests is not None
+            else int(sc.get("requests", 100_000))
+        ),
         mean_holding_s=float(sc.get("mean_holding_s", 10.0)),
         b_max_gbps=float(sc.get("b_max_gbps", 100.0)),
         slot_ghz=float(sc.get("slot_ghz", 12.5)),
@@ -228,7 +231,7 @@ def _parse_sweep_config(path: str, args: argparse.Namespace) -> SweepSpec:
         loads=floats("load"),
         modes=grid["modes"].split(),
         repetitions=int(grid.get("repetitions", 1)),
-        base_seed=args.seed or int(grid.get("seed", 1)),
+        base_seed=args.seed if args.seed is not None else int(grid.get("seed", 1)),
         workers=args.workers,
     )
 

@@ -1,21 +1,28 @@
 """Shared backup path protection with slot sharing.
 
-A working path whose availability misses the threshold gets one or more
-link-disjoint backup paths.  Backup slots reserved on a link may be shared
-by several backup paths as long as every working path protected by those
-slots is pairwise link-disjoint: a single link failure then affects at most
-one of them, so the shared slots are never claimed twice.
+A working path (WP) whose availability misses the threshold gets one or more
+backup paths that avoid its links.  Backup slots reserved on a link may be
+shared by several WPs as long as those WPs are pairwise link-disjoint: a
+single link failure then hits at most one of them, so a shared slot is never
+needed twice at once.
 
-Sharing is tracked per ShareGroup: one contiguous slot run on one link plus
-the set of working paths it protects.  When a new reservation partially
-overlaps an existing group, the group is split at the overlap boundaries so
-that every group keeps a single well-defined member set.
+The registry keeps failure claims: ``claims[b][f]`` is the int bitmap of the
+slots on backup link ``b`` held for the live WP that crosses link ``f``, that
+is, the slots a failure of ``f`` would put to use on ``b``.  Sharers are
+pairwise disjoint, so for each (b, f, slot) at most one WP crosses ``f``, and
+one integer per (b, f) pair records every claim without loss.  A second claim
+on a set (b, f, slot) bit is a sharing conflict.  From the claims:
+
+- the backup slots reserved on ``b`` are the OR of ``claims[b]``;
+- a newcomer with links ``W`` may share those outside ``OR_{f in W} claims[b][f]``;
+- releasing a backup clears its WP's claims and frees the slots no claim
+  still holds.  Rolling back a failed protection attempt is the same release.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .rsa import CandidatePath, LightpathRequest, candidate_paths, select_best
 from .spectrum import SlotBlock, first_fit, is_feasible, SpectrumBitmap
@@ -25,6 +32,10 @@ from .topology import Link, NetworkGraph, remove_links
 
 class UnknownWorkingPathError(Exception):
     pass
+
+
+class SharingConflictError(Exception):
+    """A backup slot would be claimed for two WPs that one failure hits together."""
 
 
 @dataclass(frozen=True)
@@ -40,181 +51,78 @@ class BackupPath:
         return frozenset(link.id for link in self.links)
 
 
-@dataclass
-class ShareGroup:
-    id: int
-    backup_link: str
-    block: SlotBlock
-    protected_wps: set[str] = field(default_factory=set)
-    owner_backups: set[str] = field(default_factory=set)
-
-    def copy(self) -> "ShareGroup":
-        return ShareGroup(
-            self.id, self.backup_link, self.block,
-            set(self.protected_wps), set(self.owner_backups),
-        )
-
-
 class BackupRegistry:
-    """All live shared-backup state: groups per link and backups per working path."""
+    """All live shared-backup state: failure claims per link and backups per WP."""
 
     def __init__(self) -> None:
-        self.groups: dict[int, ShareGroup] = {}
-        self.by_link: dict[str, list[int]] = {}
+        self.claims: dict[str, dict[str, int]] = {}
         self.by_wp: dict[str, list[BackupPath]] = {}
         self.wp_links: dict[str, frozenset[str]] = {}
-        self.wp_groups: dict[str, set[int]] = {}
-        self._gid = itertools.count(1)
         self._bpid = itertools.count(1)
 
     def is_empty(self) -> bool:
-        return not self.groups and not self.by_wp
+        return not self.claims and not self.by_wp
 
-    def register_wp(self, wp_id: str, links: frozenset[str]) -> None:
-        self.wp_links[wp_id] = links
-        self.by_wp.setdefault(wp_id, [])
-        self.wp_groups.setdefault(wp_id, set())
+    def shareable(self, link_id: str, wp_links: frozenset[str]) -> int:
+        """Reserved slots on the link that a WP over ``wp_links`` may share."""
+        held = blocked = 0
+        for failed, bits in self.claims.get(link_id, {}).items():
+            held |= bits
+            if failed in wp_links:
+                blocked |= bits
+        return held & ~blocked
 
-    def groups_on(self, link_id: str) -> list[ShareGroup]:
-        return sorted(
-            (self.groups[gid] for gid in self.by_link.get(link_id, [])),
-            key=lambda grp: grp.block.start,
-        )
-
-    def conflicting_wps(self, new_wp_links: frozenset[str]) -> frozenset[str]:
-        """Working paths that share a link with the newcomer (Cond. I/IV)."""
-        return frozenset(
-            wp for wp, links in self.wp_links.items() if links & new_wp_links
-        )
-
-    def can_share(self, group: ShareGroup, new_wp_links: frozenset[str]) -> bool:
-        """Shareable iff the newcomer is link-disjoint from every protected WP."""
-        return group.protected_wps.isdisjoint(self.conflicting_wps(new_wp_links))
-
-    def join(self, group: ShareGroup, wp_id: str, bp_id: str) -> None:
-        group.protected_wps.add(wp_id)
-        group.owner_backups.add(bp_id)
-        self.wp_groups.setdefault(wp_id, set()).add(group.id)
-
-    def leave(self, group: ShareGroup, wp_id: str, bp_id: str | None = None) -> None:
-        group.protected_wps.discard(wp_id)
-        if bp_id is None:
-            group.owner_backups = {
-                bp for bp in group.owner_backups if not bp.startswith(f"{wp_id}/")
-            }
-        else:
-            group.owner_backups.discard(bp_id)
-        self.wp_groups.get(wp_id, set()).discard(group.id)
-
-    def _add_group(self, group: ShareGroup) -> None:
-        self.groups[group.id] = group
-        self.by_link.setdefault(group.backup_link, []).append(group.id)
-        for wp in group.protected_wps:
-            self.wp_groups.setdefault(wp, set()).add(group.id)
-
-    def _drop_group(self, group: ShareGroup) -> None:
-        del self.groups[group.id]
-        self.by_link[group.backup_link].remove(group.id)
-        for wp in group.protected_wps:
-            self.wp_groups.get(wp, set()).discard(group.id)
-
-    def new_group(self, link_id: str, block: SlotBlock) -> ShareGroup:
-        group = ShareGroup(next(self._gid), link_id, block)
-        self._add_group(group)
-        return group
-
-    def split_group(self, group: ShareGroup, at: list[int]) -> list[ShareGroup]:
-        """Split a group at the given interior slot boundaries, keeping members."""
-        bounds = sorted({group.block.start, group.block.end, *at})
-        pieces = []
-        for lo, hi in zip(bounds, bounds[1:]):
-            piece = ShareGroup(
-                next(self._gid), group.backup_link, SlotBlock(lo, hi - lo),
-                set(group.protected_wps), set(group.owner_backups),
+    def claim(self, link_id: str, wp_links: frozenset[str], mask: int) -> None:
+        """Hold ``mask`` on the link for a failure of any of ``wp_links``."""
+        on_link = self.claims.get(link_id, {})
+        clash = sorted(f for f in wp_links if on_link.get(f, 0) & mask)
+        if clash:
+            raise SharingConflictError(
+                f"slots {mask:#x} on {link_id} already claimed for failures of {clash}"
             )
-            pieces.append(piece)
-        self._drop_group(group)
-        for piece in pieces:
-            self._add_group(piece)
-        return pieces
+        for failed in wp_links:
+            on_link[failed] = on_link.get(failed, 0) | mask
+        self.claims[link_id] = on_link
+
+    def unclaim(self, link_id: str, wp_links: frozenset[str], mask: int) -> int:
+        """Drop a claim; returns the bits of ``mask`` no other claim holds."""
+        on_link = self.claims[link_id]
+        for failed in wp_links:
+            left = on_link[failed] & ~mask
+            if left:
+                on_link[failed] = left
+            else:
+                del on_link[failed]
+        held = 0
+        for bits in on_link.values():
+            held |= bits
+        if not on_link:
+            del self.claims[link_id]
+        return mask & ~held
 
 
 def free_backup_slots(
     g_pruned: NetworkGraph,
     reg: BackupRegistry,
     new_wp_links: frozenset[str],
-) -> NetworkGraph:
-    """Search copy of the pruned graph with shareable backup slots marked free."""
-    g = g_pruned.copy()
-    conflicts = reg.conflicting_wps(new_wp_links)
-    for lid, link in g.links.items():
-        for gid in reg.by_link.get(lid, ()):
-            group = reg.groups[gid]
-            if group.protected_wps.isdisjoint(conflicts):
-                link.bitmap.set_free(group.block)
-    return g
-
-
-def _reserve_on_link(
-    reg: BackupRegistry,
-    link: Link,
-    block: SlotBlock,
-    wp_id: str,
-    bp_id: str,
-    undo: list,
 ) -> None:
-    """Claim ``block`` on one real link: join shareable groups, allocate the rest."""
-    claimed = 0
-    for group in reg.groups_on(link.id):
-        if not group.block.overlaps(block):
-            continue
-        # The search bitmap only exposed shareable slots, so any overlap
-        # must come from a shareable group.
-        assert reg.can_share(group, reg.wp_links[wp_id])
-        cuts = [b for b in (block.start, block.end)
-                if group.block.start < b < group.block.end]
-        pieces = [group]
-        if cuts:
-            snapshot = group.copy()
-            pieces = reg.split_group(group, cuts)
-            undo.append(("split", snapshot, [p.id for p in pieces]))
-        for piece in pieces:
-            if piece.block.overlaps(block):
-                reg.join(piece, wp_id, bp_id)
-                undo.append(("join", piece.id, wp_id, bp_id))
-                claimed += piece.block.length
-    if claimed == block.length:
-        return
-    # Remaining slots were genuinely free: mark busy, one new group per run.
-    free_mask = block.mask() & link.bitmap.bits
-    while free_mask:
-        start = (free_mask & -free_mask).bit_length() - 1
-        end = start
-        while free_mask >> end & 1:
-            end += 1
-        run = SlotBlock(start, end - start)
-        link.bitmap.set_busy(run)
-        group = reg.new_group(link.id, run)
-        reg.join(group, wp_id, bp_id)
-        undo.append(("alloc", link, run, group.id))
-        free_mask &= ~run.mask()
+    """Mark the slots a newcomer over ``new_wp_links`` may share free, in place."""
+    for lid in reg.claims:
+        link = g_pruned.links.get(lid)
+        if link is not None:
+            link.bitmap.bits |= reg.shareable(lid, new_wp_links)
 
 
-def _rollback(reg: BackupRegistry, undo: list) -> None:
-    for entry in reversed(undo):
-        tag = entry[0]
-        if tag == "alloc":
-            _, link, run, gid = entry
-            link.bitmap.set_free(run)
-            reg._drop_group(reg.groups[gid])
-        elif tag == "join":
-            _, gid, wp_id, bp_id = entry
-            reg.leave(reg.groups[gid], wp_id, bp_id)
-        elif tag == "split":
-            _, snapshot, piece_ids = entry
-            for pid in piece_ids:
-                reg._drop_group(reg.groups[pid])
-            reg._add_group(snapshot)
+def _release(
+    reg: BackupRegistry,
+    g: NetworkGraph,
+    wp_links: frozenset[str],
+    backups: list[BackupPath],
+) -> None:
+    for bp in backups:
+        mask = bp.block.mask()
+        for link in bp.links:
+            g.links[link.id].bitmap.bits |= reg.unclaim(link.id, wp_links, mask)
 
 
 def provision_backups(
@@ -233,18 +141,15 @@ def provision_backups(
     availability) is returned.
     """
     wp_links = best_path.link_ids()
-    reg.register_wp(wp_id, wp_links)
-    search_g = free_backup_slots(remove_links(g, list(best_path.links)), reg, wp_links)
+    search_g = remove_links(g, list(best_path.links))
+    free_backup_slots(search_g, reg, wp_links)
     candidates = candidate_paths(search_g, lr.s, lr.d, lr.slots_needed, lr.k)
 
     a_pp = a_pp_max
-    undo: list = []
     backups: list[BackupPath] = []
     while a_pp < a_th:
         if not candidates:
-            _rollback(reg, undo)
-            if not reg.by_wp.get(wp_id):
-                release_wp(reg, wp_id, g)
+            _release(reg, g, wp_links, backups)
             return [], a_pp_max
         chosen = select_best(candidates)
         candidates.remove(chosen)
@@ -258,35 +163,27 @@ def provision_backups(
         if not is_feasible(live, lr.slots_needed):
             continue
         block = first_fit(live, lr.slots_needed)
-        bp_id = f"{wp_id}/bp{next(reg._bpid)}"
+        mask = block.mask()
         for link in chosen.links:
-            _reserve_on_link(reg, g.links[link.id], block, wp_id, bp_id, undo)
+            reg.claim(link.id, wp_links, mask)
+            # Shared slots are busy already; the rest were free until now.
+            g.links[link.id].bitmap.set_busy(block)
             # Own reservations are not shareable with this same WP.
             search_g.links[link.id].bitmap.set_busy(block)
         bp = BackupPath(
-            bp_id, wp_id, chosen.vertices,
+            f"{wp_id}/bp{next(reg._bpid)}", wp_id, chosen.vertices,
             tuple(g.links[link.id] for link in chosen.links),
             block, chosen.availability,
         )
         backups.append(bp)
         a_pp = ava_dsbpss_update(a_pp, chosen.availability)
+    reg.wp_links[wp_id] = wp_links
     reg.by_wp[wp_id] = backups
     return backups, a_pp
 
 
 def release_wp(reg: BackupRegistry, wp_id: str, g: NetworkGraph) -> None:
-    """Remove a departed working path from all its share groups.
-
-    Groups left without protected working paths free their slots.
-    """
+    """Drop a departed working path's claims and free the slots left unclaimed."""
     if wp_id not in reg.wp_links:
         raise UnknownWorkingPathError(wp_id)
-    for gid in list(reg.wp_groups.get(wp_id, ())):
-        group = reg.groups[gid]
-        reg.leave(group, wp_id)
-        if not group.protected_wps:
-            g.links[group.backup_link].bitmap.set_free(group.block)
-            reg._drop_group(group)
-    reg.by_wp.pop(wp_id, None)
-    reg.wp_groups.pop(wp_id, None)
-    del reg.wp_links[wp_id]
+    _release(reg, g, reg.wp_links.pop(wp_id), reg.by_wp.pop(wp_id))

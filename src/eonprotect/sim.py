@@ -125,7 +125,6 @@ class Connection:
     id: str
     request: LightpathRequest
     result: ProvisionResult
-    counted: bool
 
 
 @dataclass
@@ -218,7 +217,7 @@ class Simulation:
             self.report.needing_protection += 1
             if result.protected:
                 self.report.protected_count += 1
-        self.live[conn_id] = Connection(conn_id, lr, result, counted)
+        self.live[conn_id] = Connection(conn_id, lr, result)
         self._push(Event(ev.time_s + lr.holding_s, "departure", conn_id=conn_id))
 
     def _handle_departure(self, ev: Event) -> None:

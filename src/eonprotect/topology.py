@@ -204,13 +204,6 @@ class NetworkGraph:
         g.adjacency = {v: list(lids) for v, lids in self.adjacency.items()}
         return g
 
-    def structure(self) -> tuple:
-        """Vertices, endpoints and lengths only; ignores spectrum and availability."""
-        return (
-            tuple(sorted(self.vertices)),
-            tuple(sorted((l.id, l.length_km) for l in self.links.values())),
-        )
-
 
 # 14-node, 22-link NSFNET with distances in km.
 NSFNET_LINKS = [

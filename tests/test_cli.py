@@ -198,6 +198,36 @@ class TestMain:
         assert len(rows) == 2
         assert [r["seed"] for r in rows] == ["5", "6"]
 
+    def zero_override_config(self, tmp_path):
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(
+            "[scenario]\nrequests = 900\nmean_holding_s = 1.0\n"
+            "[grid]\n"
+            "avg_availability = 0.999\na_th = 0.99\nload = 15\n"
+            "modes = none\nrepetitions = 2\nseed = 5\n"
+        )
+        return str(cfg)
+
+    def test_sweep_seed_zero_overrides_config(self, tmp_path):
+        out = tmp_path / "seed0.csv"
+        code = main([
+            "sweep", "--config", self.zero_override_config(tmp_path),
+            "--seed", "0", "--out", str(out),
+        ])
+        assert code == 0
+        assert [r["seed"] for r in csv.DictReader(out.open())] == ["0", "1"]
+
+    def test_sweep_requests_zero_overrides_config(self, tmp_path, capsys):
+        out = tmp_path / "requests0.json"
+        code = main([
+            "sweep", "--config", self.zero_override_config(tmp_path),
+            "--requests", "0", "--out", str(out), "--format", "json",
+        ])
+        assert code == 2
+        rows = json.loads(out.read_text())
+        assert len(rows) == 2
+        assert all("n_requests" in r["error"] for r in rows)
+
     def test_sweep_partial_failure_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(

@@ -1,17 +1,27 @@
 """Shared backup paths: sharing conditions, slot accounting, rollback."""
 
+import copy
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import eonprotect
 from eonprotect.dsbpss import (
     BackupRegistry,
+    SharingConflictError,
     UnknownWorkingPathError,
     free_backup_slots,
-    provision_backups,
     release_wp,
 )
 from eonprotect.rsa import LightpathRequest, rsacs_with_protection
+from eonprotect.sim import Scenario, Simulation
 from eonprotect.spectrum import SlotBlock
 from eonprotect.topology import NetworkGraph, remove_links
+
+W1 = frozenset({"A-B", "B-C", "C-D"})
 
 
 def six_node_net(slot_count=16, avail=0.9):
@@ -35,25 +45,57 @@ def provision(g, reg, wp_id, s, d, slots, a_th):
     return rsacs_with_protection(g, lr, a_th, "dsbpss", wp_id, reg, None)
 
 
+def rebuilt_claims(reg):
+    """``claims[b][f]`` rebuilt from the live backups, one WP per (b, f, slot)."""
+    out = {}
+    for wp_id, backups in reg.by_wp.items():
+        for bp in backups:
+            mask = bp.block.mask()
+            for link in bp.links:
+                on_link = out.setdefault(link.id, {})
+                for failed in reg.wp_links[wp_id]:
+                    assert not on_link.get(failed, 0) & mask
+                    on_link[failed] = on_link.get(failed, 0) | mask
+    return out
+
+
+def assert_sharers_pairwise_disjoint(reg):
+    """WPs whose backups hold the same (link, slot) share no link."""
+    sharers = {}
+    for wp_id, backups in reg.by_wp.items():
+        for bp in backups:
+            for link in bp.links:
+                for slot in range(bp.block.start, bp.block.end):
+                    sharers.setdefault((link.id, slot), set()).add(wp_id)
+    for wps in sharers.values():
+        wps = sorted(wps)
+        for i, w in enumerate(wps):
+            for other in wps[i + 1 :]:
+                assert not (reg.wp_links[w] & reg.wp_links[other])
+
+
 class TestCanShare:
     def test_disjoint_newcomer_shares(self):
         reg = BackupRegistry()
-        reg.register_wp("w1", frozenset({"A-B", "B-C", "C-D"}))
-        group = reg.new_group("E-F", SlotBlock(0, 3))
-        reg.join(group, "w1", "w1/bp1")
-        assert reg.can_share(group, frozenset({"B-E"}))
+        reg.claim("E-F", W1, SlotBlock(0, 3).mask())
+        assert reg.shareable("E-F", frozenset({"B-E"})) == 0b111
 
     def test_shared_working_link_forbids(self):
         reg = BackupRegistry()
-        reg.register_wp("w1", frozenset({"B-C"}))
-        group = reg.new_group("E-F", SlotBlock(0, 3))
-        reg.join(group, "w1", "w1/bp1")
-        assert not reg.can_share(group, frozenset({"B-C", "C-D"}))
+        reg.claim("E-F", frozenset({"B-C"}), SlotBlock(0, 3).mask())
+        assert reg.shareable("E-F", frozenset({"B-C", "C-D"})) == 0
+        with pytest.raises(SharingConflictError):
+            reg.claim("E-F", frozenset({"B-C", "C-D"}), SlotBlock(2, 2).mask())
 
-    def test_empty_group_always_shares(self):
+    def test_unclaimed_slots_always_share(self):
         reg = BackupRegistry()
-        group = reg.new_group("E-F", SlotBlock(0, 3))
-        assert reg.can_share(group, frozenset({"A-B"}))
+        mask = SlotBlock(0, 3).mask()
+        reg.claim("E-F", W1, mask)
+        # The last claim gone, every slot it held is free for anyone.
+        assert reg.unclaim("E-F", W1, mask) == mask
+        assert reg.is_empty()
+        reg.claim("E-F", W1, mask)
+        assert reg.claims == {"E-F": {lid: mask for lid in W1}}
 
 
 class TestFreeBackupSlots:
@@ -61,33 +103,31 @@ class TestFreeBackupSlots:
         g = six_node_net()
         g.links["E-F"].bitmap.set_busy(SlotBlock(0, 4))
         pruned = remove_links(g, [g.links["A-B"]])
-        out = free_backup_slots(pruned, BackupRegistry(), frozenset({"A-B"}))
+        before = {lid: link.bitmap.copy() for lid, link in pruned.links.items()}
+        free_backup_slots(pruned, BackupRegistry(), frozenset({"A-B"}))
         for lid, link in pruned.links.items():
-            assert out.links[lid].bitmap == link.bitmap
+            assert link.bitmap == before[lid]
 
     def test_shareable_group_bits_flip_in_copy_only(self):
         g = six_node_net()
         reg = BackupRegistry()
-        reg.register_wp("w1", frozenset({"A-B", "B-C", "C-D"}))
         block = SlotBlock(0, 3)
         g.links["E-F"].bitmap.set_busy(block)
-        reg.join(reg.new_group("E-F", block), "w1", "w1/bp1")
+        reg.claim("E-F", W1, block.mask())
         pruned = remove_links(g, [g.links["B-E"]])
-        out = free_backup_slots(pruned, reg, frozenset({"B-E"}))
-        assert out.links["E-F"].bitmap.is_free(block)
-        assert pruned.links["E-F"].bitmap.is_busy(block)
+        free_backup_slots(pruned, reg, frozenset({"B-E"}))
+        assert pruned.links["E-F"].bitmap.is_free(block)
         assert g.links["E-F"].bitmap.is_busy(block)
 
     def test_conflicting_group_stays_busy(self):
         g = six_node_net()
         reg = BackupRegistry()
-        reg.register_wp("w1", frozenset({"B-C"}))
         block = SlotBlock(0, 3)
         g.links["E-F"].bitmap.set_busy(block)
-        reg.join(reg.new_group("E-F", block), "w1", "w1/bp1")
+        reg.claim("E-F", frozenset({"B-C"}), block.mask())
         pruned = remove_links(g, [g.links["B-C"]])
-        out = free_backup_slots(pruned, reg, frozenset({"B-C", "C-D"}))
-        assert out.links["E-F"].bitmap.is_busy(block)
+        free_backup_slots(pruned, reg, frozenset({"B-C", "C-D"}))
+        assert pruned.links["E-F"].bitmap.is_busy(block)
 
 
 class TestProvisioningAndSharing:
@@ -108,13 +148,12 @@ class TestProvisioningAndSharing:
         assert [bp.vertices for bp in r2.backup_paths] == [("B", "F", "E")]
         assert g.links["E-F"].bitmap.busy_count() == 3
 
-        shared = [
-            grp for grp in reg.groups.values()
-            if grp.backup_link == "E-F" and len(grp.protected_wps) == 2
-        ]
-        assert len(shared) == 1
-        assert shared[0].protected_wps == {"w1", "w2"}
-        assert shared[0].block.length == 2
+        # E-F holds w1's three slots for failures of its links and w2's two
+        # for a failure of B-E; the two claimed by both are the shared ones.
+        on_ef = reg.claims["E-F"]
+        assert set(on_ef) == W1 | {"B-E"}
+        assert all(on_ef[lid] == 0b111 for lid in W1)
+        assert on_ef["B-E"] == 0b11
 
     def test_backups_link_disjoint_from_working_path(self):
         g = six_node_net()
@@ -153,19 +192,20 @@ class TestProvisioningAndSharing:
         # Only the working path's slots remain.
         assert g.busy_slot_count() == 2 * res.path.hops
 
-    def test_rollback_restores_existing_groups(self):
+    def test_rollback_restores_existing_claims(self):
         g = six_node_net()
         reg = BackupRegistry()
         provision(g, reg, "w1", "A", "D", 3, a_th=0.92)
-        groups_before = {gid: grp.copy() for gid, grp in reg.groups.items()}
+        claims_before = copy.deepcopy(reg.claims)
+        by_wp_before = copy.deepcopy(reg.by_wp)
         bitmaps_before = {lid: l.bitmap.copy() for lid, l in g.links.items()}
-        # Unreachable threshold forces a full rollback for w2.
+        # Unreachable threshold forces a full rollback for w2, whose first
+        # backup shared w1's slots on E-F.
         res = provision(g, reg, "w2", "B", "E", 2, a_th=1.0)
         assert res.backup_paths == []
-        assert set(reg.groups) == set(groups_before)
-        for gid, grp in reg.groups.items():
-            assert grp.protected_wps == groups_before[gid].protected_wps
-            assert grp.block == groups_before[gid].block
+        assert reg.claims == claims_before
+        assert reg.by_wp == by_wp_before
+        assert set(reg.wp_links) == {"w1"}
         working_w2 = {l.id for l in res.path.links}
         for lid, bmp in bitmaps_before.items():
             if lid not in working_w2:
@@ -193,29 +233,88 @@ class TestRelease:
         release_wp(reg, "w1", g)
         # w2's shared block (2 slots) survives on E-F; w1's extra slot frees.
         assert g.links["E-F"].bitmap.busy_count() == 2
-        assert all("w1" not in grp.protected_wps for grp in reg.groups.values())
+        assert all(not set(on_link) & W1 for on_link in reg.claims.values())
+        assert reg.claims == rebuilt_claims(reg)
 
     def test_released_block_becomes_globally_shareable(self):
         g, reg = self.build_shared_state()
         release_wp(reg, "w1", g)
         release_wp(reg, "w2", g)
+        assert reg.is_empty()
         pruned = remove_links(g, [g.links["A-B"]])
-        out = free_backup_slots(pruned, reg, frozenset({"A-B"}))
-        assert out.links["E-F"].bitmap.free_count() == g.slot_count
+        free_backup_slots(pruned, reg, frozenset({"A-B"}))
+        assert pruned.links["E-F"].bitmap.free_count() == g.slot_count
 
     def test_unknown_wp_rejected(self):
         with pytest.raises(UnknownWorkingPathError):
             release_wp(BackupRegistry(), "ghost", six_node_net())
 
 
-class TestShareGroupInvariant:
+class TestClaimInvariant:
     def test_protected_wps_pairwise_disjoint_after_mutations(self):
         g = six_node_net()
         reg = BackupRegistry()
         provision(g, reg, "w1", "A", "D", 3, a_th=0.92)
         provision(g, reg, "w2", "B", "E", 2, a_th=0.92)
-        for grp in reg.groups.values():
-            wps = sorted(grp.protected_wps)
-            for i, w in enumerate(wps):
-                for other in wps[i + 1 :]:
-                    assert not (reg.wp_links[w] & reg.wp_links[other])
+        provision(g, reg, "w3", "B", "E", 2, a_th=1.0)  # rolled back
+        assert_sharers_pairwise_disjoint(reg)
+        assert reg.claims == rebuilt_claims(reg)
+        release_wp(reg, "w1", g)
+        assert_sharers_pairwise_disjoint(reg)
+        assert reg.claims == rebuilt_claims(reg)
+
+    def test_claims_match_live_backups_at_pause_points(self):
+        sim = Simulation(Scenario(
+            load_erlang=20, a_th=0.99, mode="dsbpss", avg_link_availability=0.9,
+            n_requests=600, seed=3, mean_holding_s=1.0,
+        ))
+        full = (1 << sim.graph.slot_count) - 1
+        for pause in range(100, 601, 100):
+            sim.run(max_arrivals=pause)
+            reg = sim.registry
+            assert set(reg.by_wp) == {
+                c.id for c in sim.live.values() if c.result.backup_paths
+            }
+            assert_sharers_pairwise_disjoint(reg)
+            assert reg.claims == rebuilt_claims(reg)
+            working, backup = {}, {}
+            for conn in sim.live.values():
+                for link in conn.result.path.links:
+                    working[link.id] = working.get(link.id, 0) | conn.result.block.mask()
+                for bp in conn.result.backup_paths:
+                    for link in bp.links:
+                        backup[link.id] = backup.get(link.id, 0) | bp.block.mask()
+            for lid, link in sim.graph.links.items():
+                held = 0
+                for bits in reg.claims.get(lid, {}).values():
+                    held |= bits
+                assert held == backup.get(lid, 0)
+                assert full & ~link.bitmap.bits == working.get(lid, 0) | held
+        sim.run()
+        assert sim.registry.is_empty()
+
+    def test_overlapping_claim_raises_under_optimize(self):
+        # A claim left on E-F for a failure of A-B, with its slots never
+        # marked busy, lets the search offer them to w1 over A-B-C-D.
+        code = textwrap.dedent("""
+            from eonprotect.dsbpss import BackupRegistry, SharingConflictError
+            from eonprotect.rsa import LightpathRequest, rsacs_with_protection
+            from eonprotect.topology import NetworkGraph
+            g = NetworkGraph(slot_count=16)
+            for u, v in (("A", "B"), ("B", "C"), ("C", "D"), ("A", "F"),
+                         ("F", "E"), ("E", "D"), ("B", "E"), ("B", "F")):
+                g.add_link(u, v, 100, availability=0.9)
+            reg = BackupRegistry()
+            reg.claims["E-F"] = {"A-B": 0b111}
+            try:
+                rsacs_with_protection(g, LightpathRequest("A", "D", 3), 0.92,
+                                      "dsbpss", "w1", reg, None)
+            except SharingConflictError:
+                print("raised")
+        """)
+        src = str(Path(eonprotect.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+            env={"PYTHONPATH": src}, check=True,
+        )
+        assert out.stdout.strip() == "raised"

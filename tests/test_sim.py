@@ -148,7 +148,7 @@ class TestInjectSingleFailures:
             sim.graph, lr, a_th, mode, cid, sim.registry, sim.cycles
         )
         assert not res.blocked
-        sim.live[cid] = Connection(cid, lr, res, counted=True)
+        sim.live[cid] = Connection(cid, lr, res)
         return res
 
     def test_single_protected_wp_restored_on_all_its_links(self):
