@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from .availability import ava_dcyc_update, parallel_availability
 from .rsa import CandidatePath, LightpathRequest, candidate_paths, select_best
 from .spectrum import SlotBlock, first_fit, is_feasible
-from .topology import Link, NetworkGraph, remove_links
+from .topology import Link, NetworkGraph
 
 
 @dataclass
@@ -189,18 +189,6 @@ def _try_extend(
     return None
 
 
-def _path_search_graph(g: NetworkGraph, drop_links: list[Link],
-                       drop_vertices: set[str] | None = None) -> NetworkGraph:
-    out = remove_links(g, drop_links)
-    if drop_vertices:
-        for vx in drop_vertices:
-            for lid in list(out.adjacency.get(vx, [])):
-                link = out.links.pop(lid)
-                out.adjacency[link.u].remove(lid)
-                out.adjacency[link.v].remove(lid)
-    return out
-
-
 def _build_cycle(
     cs: DCycleSet,
     g: NetworkGraph,
@@ -238,15 +226,19 @@ def find_cycle_for(
     if extended is not None:
         return extended
 
-    pruned = _path_search_graph(g, [link])
-    alternates = candidate_paths(pruned, link.u, link.v, demand, k)
+    index = g.link_index()
+    without = index.mask([link])
+    alternates = candidate_paths(g, link.u, link.v, demand, k, without)
     if not alternates:
         return None
     p1 = select_best(alternates)
 
-    interior = set(p1.vertices[1:-1])
-    second = _path_search_graph(g, [link] + list(p1.links), interior)
-    disjoint = candidate_paths(second, link.u, link.v, demand, k)
+    # The second route avoids every link at p1's interior vertices, p1's own
+    # links among them (p1 avoids ``link``, so it has two hops or more).
+    for vx in p1.vertices[1:-1]:
+        for _, _, li in index.neighbors[vx]:
+            without |= 1 << li
+    disjoint = candidate_paths(g, link.u, link.v, demand, k, without)
     if disjoint:
         p2 = select_best(disjoint)
         order = list(p1.vertices) + list(reversed(p2.vertices[1:-1]))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .rsa import CandidatePath, LightpathRequest, candidate_paths, select_best
 from .spectrum import SlotBlock, first_fit, is_feasible, SpectrumBitmap
 from .availability import ava_dsbpss_update
-from .topology import Link, NetworkGraph, remove_links
+from .topology import Link, NetworkGraph
 
 
 class UnknownWorkingPathError(Exception):
@@ -102,15 +102,19 @@ class BackupRegistry:
 
 
 def free_backup_slots(
-    g_pruned: NetworkGraph,
+    g: NetworkGraph,
+    bits: list[int],
     reg: BackupRegistry,
     new_wp_links: frozenset[str],
 ) -> None:
-    """Mark the slots a newcomer over ``new_wp_links`` may share free, in place."""
+    """OR the slots a newcomer over ``new_wp_links`` may share into ``bits``.
+
+    ``bits`` are per-link free bits in ``g.link_index()`` order; ``g`` is
+    left unchanged.
+    """
+    position = g.link_index().position
     for lid in reg.claims:
-        link = g_pruned.links.get(lid)
-        if link is not None:
-            link.bitmap.bits |= reg.shareable(lid, new_wp_links)
+        bits[position[lid]] |= reg.shareable(lid, new_wp_links)
 
 
 def _release(
@@ -141,9 +145,12 @@ def provision_backups(
     availability) is returned.
     """
     wp_links = best_path.link_ids()
-    search_g = remove_links(g, list(best_path.links))
-    free_backup_slots(search_g, reg, wp_links)
-    candidates = candidate_paths(search_g, lr.s, lr.d, lr.slots_needed, lr.k)
+    index = g.link_index()
+    bits = index.free_bits()
+    free_backup_slots(g, bits, reg, wp_links)
+    candidates = candidate_paths(
+        g, lr.s, lr.d, lr.slots_needed, lr.k, index.mask(best_path.links), bits
+    )
 
     a_pp = a_pp_max
     backups: list[BackupPath] = []
@@ -154,26 +161,26 @@ def provision_backups(
         chosen = select_best(candidates)
         candidates.remove(chosen)
         # Earlier reservations in this call may have consumed slots the
-        # stale candidate bitmap still shows free; re-intersect on the live
-        # search graph before committing.
-        bits = (1 << search_g.slot_count) - 1
-        for link in chosen.links:
-            bits &= search_g.links[link.id].bitmap.bits
-        live = SpectrumBitmap(search_g.slot_count, bits)
+        # stale candidate bitmap still shows free; re-intersect on the
+        # search bits before committing.
+        positions = [index.position[link.id] for link in chosen.links]
+        common = (1 << g.slot_count) - 1
+        for li in positions:
+            common &= bits[li]
+        live = SpectrumBitmap(g.slot_count, common)
         if not is_feasible(live, lr.slots_needed):
             continue
         block = first_fit(live, lr.slots_needed)
         mask = block.mask()
-        for link in chosen.links:
+        for link, li in zip(chosen.links, positions):
             reg.claim(link.id, wp_links, mask)
             # Shared slots are busy already; the rest were free until now.
-            g.links[link.id].bitmap.set_busy(block)
+            link.bitmap.set_busy(block)
             # Own reservations are not shareable with this same WP.
-            search_g.links[link.id].bitmap.set_busy(block)
+            bits[li] &= ~mask
         bp = BackupPath(
             f"{wp_id}/bp{next(reg._bpid)}", wp_id, chosen.vertices,
-            tuple(g.links[link.id] for link in chosen.links),
-            block, chosen.availability,
+            chosen.links, block, chosen.availability,
         )
         backups.append(bp)
         a_pp = ava_dsbpss_update(a_pp, chosen.availability)

@@ -1,17 +1,22 @@
 """Routing and spectrum assignment over consecutive slots.
 
-Candidate paths are enumerated breadth-first (hop count order).  Each
-partial path carries the running intersection of its link bitmaps and the
-running product of its link availabilities; branches whose intersection can
-no longer host the requested contiguous block are pruned immediately.
+Candidate paths are enumerated breadth-first (hop count order) over the
+graph's int index (``NetworkGraph.link_index``): a partial path is its end
+vertex, a mask of the vertices it visited, the running AND of its links'
+free bits and the tuple of its link indices.  Branches whose intersection
+can no longer host the requested contiguous block are pruned immediately.
+Links can be left out by a link mask and the live free bits replaced by a
+caller's list, so backup and cycle searches need no pruned graph copy.
+``CandidatePath`` objects, their bitmaps and availabilities (the product of
+link availabilities in path order) are built only for the paths returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .spectrum import SlotBlock, SpectrumBitmap, allocate, first_fit, is_feasible
-from .topology import Link, NetworkGraph
+from .spectrum import SlotBlock, SpectrumBitmap, allocate, first_fit, run_steps
+from .topology import Link, LinkIndex, NetworkGraph
 
 
 @dataclass(frozen=True)
@@ -52,47 +57,75 @@ def candidate_paths(
     d: str,
     slots_needed: int,
     k: int,
+    exclude: int = 0,
+    bits: list[int] | None = None,
 ) -> list[CandidatePath]:
     """Up to k loop-free paths s->d with >= slots_needed contiguous common slots.
 
     Paths come out in breadth-first order, so hop counts are non-decreasing.
     Returns as soon as k paths are collected; empty list when nothing fits.
+    ``exclude`` is a mask over ``g.link_index()`` of links to treat as
+    absent; ``bits`` replaces the links' live free bits, by link index.
     """
     if s not in g.adjacency or d not in g.adjacency:
         raise KeyError(f"unknown vertex in request {s}->{d}")
     size = g.slot_count
     if slots_needed > size:
         return []
-    all_free = (1 << size) - 1
-    found: list[CandidatePath] = []
-    # frontier entries: (vertices, links, intersected bits, availability)
-    frontier: list[tuple[tuple[str, ...], tuple[Link, ...], int, float]] = [
-        ((s,), (), all_free, 1.0)
-    ]
+    index = g.link_index()
+    bits = index.free_bits() if bits is None else list(bits)
+    if exclude:
+        # An excluded link has no free slot, so no branch can cross it.
+        for li in range(len(bits)):
+            if exclude >> li & 1:
+                bits[li] = 0
+    found = _bfs(index, bits, s, d, run_steps(slots_needed), k, (1 << size) - 1)
+    return [_candidate(index.links, s, size, path, common) for path, common in found]
+
+
+def _bfs(
+    index: LinkIndex, bits: list[int], s: str, d: str,
+    steps: list[int], k: int, all_free: int,
+) -> list[tuple[tuple[int, ...], int]]:
+    """(link indices, common free bits) of up to k feasible paths, BFS order."""
+    neighbors = index.neighbors
+    found = []
+    # frontier entries: (vertex, visited-vertex mask, intersected bits, link indices)
+    frontier = [(s, index.vertex_bit[s], all_free, ())]
     while frontier:
-        nxt: list[tuple[tuple[str, ...], tuple[Link, ...], int, float]] = []
-        for verts, links, bits, avail in frontier:
-            u = verts[-1]
-            for v, link in g.neighbors(u):
-                if v in verts:
+        nxt = []
+        for u, seen, common, path in frontier:
+            for v, vbit, li in neighbors[u]:
+                if seen & vbit:
                     continue
-                new_bits = bits & link.bitmap.bits
-                if not is_feasible(SpectrumBitmap(size, new_bits), slots_needed):
+                new_bits = run = common & bits[li]
+                for step in steps:
+                    run &= run >> step
+                if not run:
                     continue
-                new_avail = avail * link.availability
                 if v == d:
-                    found.append(
-                        CandidatePath(
-                            verts + (v,), links + (link,),
-                            SpectrumBitmap(size, new_bits), new_avail,
-                        )
-                    )
+                    found.append((path + (li,), new_bits))
                     if len(found) == k:
                         return found
                 else:
-                    nxt.append((verts + (v,), links + (link,), new_bits, new_avail))
+                    nxt.append((v, seen | vbit, new_bits, path + (li,)))
         frontier = nxt
     return found
+
+
+def _candidate(
+    links: tuple[Link, ...], s: str, size: int, path: tuple[int, ...], common: int
+) -> CandidatePath:
+    vertices = [s]
+    avail = 1.0
+    for li in path:
+        link = links[li]
+        vertices.append(link.other(vertices[-1]))
+        avail *= link.availability
+    return CandidatePath(
+        tuple(vertices), tuple(links[li] for li in path),
+        SpectrumBitmap(size, common), avail,
+    )
 
 
 def select_best(paths: list[CandidatePath]) -> CandidatePath:

@@ -159,6 +159,10 @@ class Simulation:
             self._push(ev)
         self._warm = WARMUP_HOLDING_MULTIPLE * sc.mean_holding_s
         self._now = 0.0
+        # Busy slots over all links: working paths add and remove their own
+        # share; after protection code ran, the next integration recounts.
+        self._busy = 0
+        self._recount = True
         self._working_busy = 0
         self._arrivals_done = 0
         self._conn_counter = 0
@@ -170,10 +174,12 @@ class Simulation:
     def _integrate_to(self, t: float) -> None:
         lo = max(self._now, self._warm)
         if t > lo:
-            busy = self.graph.busy_slot_count()
+            if self._recount:
+                self._busy = self.graph.busy_slot_count()
+                self._recount = False
             dt = t - lo
-            self.report.slot_time_used += busy * dt
-            self.report.protection_slot_time += (busy - self._working_busy) * dt
+            self.report.slot_time_used += self._busy * dt
+            self.report.protection_slot_time += (self._busy - self._working_busy) * dt
         self._now = t
 
     def run(self, max_arrivals: int | None = None) -> MetricsReport:
@@ -212,7 +218,10 @@ class Simulation:
                 self.report.blocked += 1
                 self.report.slots_blocked += lr.slots_needed
             return
-        self._working_busy += lr.slots_needed * result.path.hops
+        working = lr.slots_needed * result.path.hops
+        self._working_busy += working
+        self._busy += working
+        self._recount |= result.needs_protection
         if counted and result.needs_protection:
             self.report.needing_protection += 1
             if result.protected:
@@ -224,11 +233,15 @@ class Simulation:
         conn = self.live.pop(ev.conn_id)
         result = conn.result
         release([link.bitmap for link in result.path.links], result.block)
-        self._working_busy -= conn.request.slots_needed * result.path.hops
+        working = conn.request.slots_needed * result.path.hops
+        self._working_busy -= working
+        self._busy -= working
         if result.backup_paths:
             dsbpss.release_wp(self.registry, conn.id, self.graph)
+            self._recount = True
         if result.protected_links:
             dcycles.release_wp(self.cycles, conn.id, self.graph)
+            self._recount = True
 
 
 def run(sc: Scenario) -> MetricsReport:

@@ -125,17 +125,24 @@ def intersect(a: SpectrumBitmap, b: SpectrumBitmap) -> SpectrumBitmap:
     return SpectrumBitmap(a.size, a.bits & b.bits)
 
 
-def _run_mask(bits: int, need: int) -> int:
-    # After the loop, bit i is set iff slots i..i+need-1 are all free.
-    m = bits
+def run_steps(need: int) -> list[int]:
+    """Right shifts that, and-ed in turn into ``bits``, leave bit i set iff
+    slots i..i+need-1 are all free."""
+    steps = []
     shift = 1
     remaining = need - 1
     while remaining > 0:
         step = min(shift, remaining)
-        m &= m >> step
+        steps.append(step)
         remaining -= step
         shift *= 2
-    return m
+    return steps
+
+
+def _run_mask(bits: int, need: int) -> int:
+    for step in run_steps(need):
+        bits &= bits >> step
+    return bits
 
 
 def is_feasible(bitmap: SpectrumBitmap, need: int) -> bool:

@@ -132,6 +132,33 @@ class JitteredAvailability(AvailabilityPolicy):
         return [float(a) for a in rng.uniform(lo, hi, size=n)]
 
 
+@dataclass(frozen=True)
+class LinkIndex:
+    """Structure-only int view of a graph for path search.
+
+    Link ``i`` (in ``links`` order) is bit ``i`` of a link mask and each
+    vertex owns one bit of a vertex mask.  No spectrum state is cached: the
+    current free bits are read from the links themselves.
+    """
+
+    links: tuple[Link, ...]
+    position: dict[str, int]
+    vertex_bit: dict[str, int]
+    # vertex -> (neighbour, neighbour's vertex bit, link index), by neighbour name
+    neighbors: dict[str, tuple[tuple[str, int, int], ...]]
+
+    def mask(self, links) -> int:
+        """Link mask of the given links."""
+        out = 0
+        for link in links:
+            out |= 1 << self.position[link.id]
+        return out
+
+    def free_bits(self) -> list[int]:
+        """Current free bits of every link, by link index."""
+        return [link.bitmap.bits for link in self.links]
+
+
 @dataclass
 class NetworkGraph:
     """Undirected simple graph of optical links."""
@@ -140,11 +167,13 @@ class NetworkGraph:
     vertices: list[str] = field(default_factory=list)
     links: dict[str, Link] = field(default_factory=dict)
     adjacency: dict[str, list[str]] = field(default_factory=dict)
+    _index: LinkIndex | None = field(default=None, init=False, repr=False, compare=False)
 
     def add_vertex(self, name: str) -> None:
         if name not in self.adjacency:
             self.vertices.append(name)
             self.adjacency[name] = []
+            self._index = None
 
     def add_link(
         self,
@@ -167,7 +196,30 @@ class NetworkGraph:
         self.links[lid] = link
         self.adjacency[u].append(lid)
         self.adjacency[v].append(lid)
+        self._index = None
         return link
+
+    def link_index(self) -> LinkIndex:
+        """The cached int index, built on first use after a structural change.
+
+        ``add_vertex`` and ``add_link`` reset it, so change the structure only
+        through them.
+        """
+        if self._index is None:
+            position = {lid: i for i, lid in enumerate(self.links)}
+            vertex_bit = {vx: 1 << i for i, vx in enumerate(self.vertices)}
+            neighbors = {}
+            for u, lids in self.adjacency.items():
+                out = []
+                for lid in lids:
+                    v = self.links[lid].other(u)
+                    out.append((v, vertex_bit[v], position[lid]))
+                out.sort(key=lambda t: t[0])
+                neighbors[u] = tuple(out)
+            self._index = LinkIndex(
+                tuple(self.links.values()), position, vertex_bit, neighbors
+            )
+        return self._index
 
     def link_between(self, u: str, v: str) -> Link | None:
         return self.links.get(link_id(u, v))

@@ -18,8 +18,8 @@ from eonprotect.dsbpss import (
 )
 from eonprotect.rsa import LightpathRequest, rsacs_with_protection
 from eonprotect.sim import Scenario, Simulation
-from eonprotect.spectrum import SlotBlock
-from eonprotect.topology import NetworkGraph, remove_links
+from eonprotect.spectrum import SlotBlock, SpectrumBitmap
+from eonprotect.topology import NetworkGraph
 
 W1 = frozenset({"A-B", "B-C", "C-D"})
 
@@ -43,6 +43,14 @@ def six_node_net(slot_count=16, avail=0.9):
 def provision(g, reg, wp_id, s, d, slots, a_th):
     lr = LightpathRequest(s, d, slots)
     return rsacs_with_protection(g, lr, a_th, "dsbpss", wp_id, reg, None)
+
+
+def search_bitmaps(g, bits):
+    """Per-link search bits (in ``g.link_index()`` order) as bitmaps by link id."""
+    return {
+        lid: SpectrumBitmap(g.slot_count, bits[i])
+        for lid, i in g.link_index().position.items()
+    }
 
 
 def rebuilt_claims(reg):
@@ -102,11 +110,10 @@ class TestFreeBackupSlots:
     def test_empty_registry_is_identity(self):
         g = six_node_net()
         g.links["E-F"].bitmap.set_busy(SlotBlock(0, 4))
-        pruned = remove_links(g, [g.links["A-B"]])
-        before = {lid: link.bitmap.copy() for lid, link in pruned.links.items()}
-        free_backup_slots(pruned, BackupRegistry(), frozenset({"A-B"}))
-        for lid, link in pruned.links.items():
-            assert link.bitmap == before[lid]
+        bits = g.link_index().free_bits()
+        before = list(bits)
+        free_backup_slots(g, bits, BackupRegistry(), frozenset({"A-B"}))
+        assert bits == before
 
     def test_shareable_group_bits_flip_in_copy_only(self):
         g = six_node_net()
@@ -114,9 +121,9 @@ class TestFreeBackupSlots:
         block = SlotBlock(0, 3)
         g.links["E-F"].bitmap.set_busy(block)
         reg.claim("E-F", W1, block.mask())
-        pruned = remove_links(g, [g.links["B-E"]])
-        free_backup_slots(pruned, reg, frozenset({"B-E"}))
-        assert pruned.links["E-F"].bitmap.is_free(block)
+        bits = g.link_index().free_bits()
+        free_backup_slots(g, bits, reg, frozenset({"B-E"}))
+        assert search_bitmaps(g, bits)["E-F"].is_free(block)
         assert g.links["E-F"].bitmap.is_busy(block)
 
     def test_conflicting_group_stays_busy(self):
@@ -125,9 +132,9 @@ class TestFreeBackupSlots:
         block = SlotBlock(0, 3)
         g.links["E-F"].bitmap.set_busy(block)
         reg.claim("E-F", frozenset({"B-C"}), block.mask())
-        pruned = remove_links(g, [g.links["B-C"]])
-        free_backup_slots(pruned, reg, frozenset({"B-C", "C-D"}))
-        assert pruned.links["E-F"].bitmap.is_busy(block)
+        bits = g.link_index().free_bits()
+        free_backup_slots(g, bits, reg, frozenset({"B-C", "C-D"}))
+        assert search_bitmaps(g, bits)["E-F"].is_busy(block)
 
 
 class TestProvisioningAndSharing:
@@ -241,9 +248,9 @@ class TestRelease:
         release_wp(reg, "w1", g)
         release_wp(reg, "w2", g)
         assert reg.is_empty()
-        pruned = remove_links(g, [g.links["A-B"]])
-        free_backup_slots(pruned, reg, frozenset({"A-B"}))
-        assert pruned.links["E-F"].bitmap.free_count() == g.slot_count
+        bits = g.link_index().free_bits()
+        free_backup_slots(g, bits, reg, frozenset({"A-B"}))
+        assert search_bitmaps(g, bits)["E-F"].free_count() == g.slot_count
 
     def test_unknown_wp_rejected(self):
         with pytest.raises(UnknownWorkingPathError):
