@@ -10,6 +10,13 @@ at a time.
 
 Cycle slot blocks are chosen first-fit per link and need not line up across
 links (spectrum conversion happens at the failed link's end nodes).
+
+Cycle ids come from a counter and are never reused, and a rollback puts a
+reverted cycle back under its existing key, so ``DCycleSet.cycles`` iterates
+in id order without sorting.  ``check_cycles`` walks it once and stops at
+the first straddling cycle that admits the link.  A departing working path
+hands back the (cycle id, link id) entries it was granted; only those are
+deleted, and only the cycles they leave empty are freed.
 """
 
 from __future__ import annotations
@@ -36,17 +43,14 @@ class DCycle:
     # protected working link -> (working path id, demand in slots)
     protected: dict[str, tuple[str, int]] = field(default_factory=dict)
 
-    def vertex_set(self) -> frozenset[str]:
-        return frozenset(self.vertex_order)
-
     def is_on_cycle(self, link: Link) -> bool:
         return link.id in self.link_ids
 
     def is_straddling(self, link: Link) -> bool:
         return (
             link.id not in self.link_ids
-            and link.u in self.vertex_set()
-            and link.v in self.vertex_set()
+            and link.u in self.vertex_order
+            and link.v in self.vertex_order
         )
 
     def arcs(self, link: Link, g: NetworkGraph) -> list[list[Link]]:
@@ -71,16 +75,6 @@ class DCycle:
             return arc_avails[0]
         return parallel_availability(arc_avails)
 
-    def admits(self, link: Link, demand: int) -> bool:
-        """Capacity and sharing gate for protecting one more working link."""
-        if link.id in self.protected:
-            return False
-        if self.is_straddling(link):
-            return demand <= 2 * self.capacity_slots
-        if self.is_on_cycle(link):
-            return demand <= self.capacity_slots
-        return False
-
     def copy(self) -> "DCycle":
         return DCycle(
             self.id, self.vertex_order, self.link_ids,
@@ -88,7 +82,17 @@ class DCycle:
         )
 
 
+class UnknownGrantError(Exception):
+    """A released (cycle id, link id) entry is missing or held by another WP."""
+
+
 class DCycleSet:
+    """Live cycles by id.
+
+    Ids only grow and are never reused, and ``_rollback`` reverts a cycle by
+    assigning to its existing key, so dict order is id order.
+    """
+
     def __init__(self) -> None:
         self.cycles: dict[int, DCycle] = {}
         self._cid = itertools.count(1)
@@ -97,7 +101,8 @@ class DCycleSet:
         return not self.cycles
 
     def ordered(self) -> list[DCycle]:
-        return [self.cycles[cid] for cid in sorted(self.cycles)]
+        """Live cycles in id order (the dict's own order)."""
+        return list(self.cycles.values())
 
     def add(self, cycle: DCycle) -> None:
         self.cycles[cycle.id] = cycle
@@ -116,17 +121,25 @@ def min_availability_link(links: list[Link], avail: dict[str, float]) -> Link:
 def check_cycles(
     cs: DCycleSet, link: Link, demand: int
 ) -> DCycle | None:
-    """An existing cycle able to protect ``link``, straddling preferred."""
-    straddle = None
+    """An existing cycle able to protect ``link``, straddling preferred.
+
+    The first admitting straddler in id order wins, else the first
+    admitting cycle that carries the link.  A cycle admits a link it does
+    not protect yet if the demand fits its capacity, or twice its capacity
+    for a straddler.
+    """
+    lid, u, v = link.id, link.u, link.v
     on_cycle = None
-    for cycle in cs.ordered():
-        if not cycle.admits(link, demand):
+    for cycle in cs.cycles.values():
+        if lid in cycle.protected:
             continue
-        if cycle.is_straddling(link):
-            straddle = straddle or cycle
-        else:
-            on_cycle = on_cycle or cycle
-    return straddle or on_cycle
+        if lid in cycle.link_ids:
+            if on_cycle is None and demand <= cycle.capacity_slots:
+                on_cycle = cycle
+        elif u in cycle.vertex_order and v in cycle.vertex_order:
+            if demand <= 2 * cycle.capacity_slots:
+                return cycle
+    return on_cycle
 
 
 def _reserve_block(link: Link, capacity: int, undo: list) -> SlotBlock:
@@ -149,8 +162,8 @@ def _try_extend(
     cycle neighbour w of u, the cycle edge u-w is replaced by u-v-w; the
     link becomes on-cycle and the displaced edge becomes a straddler.
     """
-    for cycle in cs.ordered():
-        on = cycle.vertex_set()
+    for cycle in cs.cycles.values():
+        on = cycle.vertex_order
         u, v = link.u, link.v
         if u in on and v in on:
             continue
@@ -312,18 +325,23 @@ def provision_cycles(
     return granted, a_pp
 
 
-def release_wp(cs: DCycleSet, wp_id: str, g: NetworkGraph) -> None:
-    """Drop a departed working path's protected-link entries, then clean up."""
-    for cycle in cs.ordered():
-        for lid in [l for l, (wp, _) in cycle.protected.items() if wp == wp_id]:
-            del cycle.protected[lid]
-    dismantle_unused(cs, g)
+def release_wp(
+    cs: DCycleSet, wp_id: str, granted: list[tuple[int, str]], g: NetworkGraph
+) -> None:
+    """Drop a departed working path's granted entries; free the cycles emptied.
 
-
-def dismantle_unused(cs: DCycleSet, g: NetworkGraph) -> None:
-    """Free and remove every cycle that no longer protects anything."""
-    for cycle in cs.ordered():
+    ``granted`` is the (cycle id, link id) list ``provision_cycles`` returned
+    for ``wp_id``.  Nothing changes if any entry is not held for ``wp_id``.
+    """
+    for cid, lid in granted:
+        cycle = cs.cycles.get(cid)
+        holder = None if cycle is None else cycle.protected.get(lid)
+        if holder is None or holder[0] != wp_id:
+            raise UnknownGrantError(f"cycle {cid} holds no entry on {lid} for {wp_id}")
+    for cid, lid in granted:
+        cycle = cs.cycles[cid]
+        del cycle.protected[lid]
         if not cycle.protected:
-            for lid, block in cycle.blocks.items():
-                g.links[lid].bitmap.set_free(block)
-            del cs.cycles[cycle.id]
+            for cycle_lid, block in cycle.blocks.items():
+                g.links[cycle_lid].bitmap.set_free(block)
+            del cs.cycles[cid]

@@ -13,8 +13,10 @@ pairwise disjoint, so for each (b, f, slot) at most one WP crosses ``f``, and
 one integer per (b, f) pair records every claim without loss.  A second claim
 on a set (b, f, slot) bit is a sharing conflict.  From the claims:
 
-- the backup slots reserved on ``b`` are the OR of ``claims[b]``;
-- a newcomer with links ``W`` may share those outside ``OR_{f in W} claims[b][f]``;
+- the backup slots reserved on ``b`` are the OR of ``claims[b]``, kept as
+  ``held[b]``;
+- a newcomer with links ``W`` may share ``held[b] & ~OR_{f in W} claims[b][f]``,
+  which takes |W| lookups;
 - releasing a backup clears its WP's claims and frees the slots no claim
   still holds.  Rolling back a failed protection attempt is the same release.
 """
@@ -56,6 +58,7 @@ class BackupRegistry:
 
     def __init__(self) -> None:
         self.claims: dict[str, dict[str, int]] = {}
+        self.held: dict[str, int] = {}
         self.by_wp: dict[str, list[BackupPath]] = {}
         self.wp_links: dict[str, frozenset[str]] = {}
         self._bpid = itertools.count(1)
@@ -65,11 +68,13 @@ class BackupRegistry:
 
     def shareable(self, link_id: str, wp_links: frozenset[str]) -> int:
         """Reserved slots on the link that a WP over ``wp_links`` may share."""
-        held = blocked = 0
-        for failed, bits in self.claims.get(link_id, {}).items():
-            held |= bits
-            if failed in wp_links:
-                blocked |= bits
+        held = self.held.get(link_id, 0)
+        if not held:
+            return 0
+        on_link = self.claims[link_id]
+        blocked = 0
+        for failed in wp_links:
+            blocked |= on_link.get(failed, 0)
         return held & ~blocked
 
     def claim(self, link_id: str, wp_links: frozenset[str], mask: int) -> None:
@@ -83,6 +88,7 @@ class BackupRegistry:
         for failed in wp_links:
             on_link[failed] = on_link.get(failed, 0) | mask
         self.claims[link_id] = on_link
+        self.held[link_id] = self.held.get(link_id, 0) | mask
 
     def unclaim(self, link_id: str, wp_links: frozenset[str], mask: int) -> int:
         """Drop a claim; returns the bits of ``mask`` no other claim holds."""
@@ -96,8 +102,11 @@ class BackupRegistry:
         held = 0
         for bits in on_link.values():
             held |= bits
-        if not on_link:
+        if on_link:
+            self.held[link_id] = held
+        else:
             del self.claims[link_id]
+            del self.held[link_id]
         return mask & ~held
 
 
@@ -113,7 +122,7 @@ def free_backup_slots(
     left unchanged.
     """
     position = g.link_index().position
-    for lid in reg.claims:
+    for lid in reg.held:
         bits[position[lid]] |= reg.shareable(lid, new_wp_links)
 
 

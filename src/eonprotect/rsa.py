@@ -7,13 +7,17 @@ free bits and the tuple of its link indices.  Branches whose intersection
 can no longer host the requested contiguous block are pruned immediately.
 Links can be left out by a link mask and the live free bits replaced by a
 caller's list, so backup and cycle searches need no pruned graph copy.
-``CandidatePath`` objects, their bitmaps and availabilities (the product of
-link availabilities in path order) are built only for the paths returned.
+A returned ``CandidatePath`` carries its availability (the product of link
+availabilities in path order, from 1.0) and its link indices; its vertex
+walk, link tuple and bitmap are built from those on first read.  A caller
+that keeps the ``select_best`` path builds that path's fields only, plus
+the vertex walks of any paths tied with it on availability and hops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .spectrum import SlotBlock, SpectrumBitmap, allocate, first_fit, run_steps
 from .topology import Link, LinkIndex, NetworkGraph
@@ -36,16 +40,64 @@ class LightpathRequest:
             raise ValueError("slots_needed and k must be >= 1")
 
 
-@dataclass(frozen=True)
 class CandidatePath:
-    vertices: tuple[str, ...]
-    links: tuple[Link, ...]
-    bitmap: SpectrumBitmap
-    availability: float
+    """A feasible path: vertex walk, links, common free slots, availability.
+
+    ``CandidatePath(vertices, links, bitmap, availability)`` sets every
+    field.  ``candidate_paths`` sets only the availability and the search's
+    link indices; the other three fields are built on first read.
+    """
+
+    # (graph links by index, source vertex, slot count, link indices,
+    # common free bits) of a path found by ``candidate_paths``
+    _found: tuple | None = None
+
+    def __init__(
+        self,
+        vertices: tuple[str, ...],
+        links: tuple[Link, ...],
+        bitmap: SpectrumBitmap,
+        availability: float,
+    ) -> None:
+        self.vertices = vertices
+        self.links = links
+        self.bitmap = bitmap
+        self.availability = availability
+
+    @classmethod
+    def _from_search(
+        cls, table: tuple[Link, ...], s: str, size: int,
+        path: tuple[int, ...], common: int,
+    ) -> "CandidatePath":
+        p = cls.__new__(cls)
+        p._found = (table, s, size, path, common)
+        avail = 1.0
+        for li in path:
+            avail *= table[li].availability
+        p.availability = avail
+        return p
+
+    @cached_property
+    def links(self) -> tuple[Link, ...]:
+        table, _, _, path, _ = self._found
+        return tuple([table[li] for li in path])
+
+    @cached_property
+    def vertices(self) -> tuple[str, ...]:
+        table, s, _, path, _ = self._found
+        walk = [s]
+        for li in path:
+            walk.append(table[li].other(walk[-1]))
+        return tuple(walk)
+
+    @cached_property
+    def bitmap(self) -> SpectrumBitmap:
+        _, _, size, _, common = self._found
+        return SpectrumBitmap(size, common)
 
     @property
     def hops(self) -> int:
-        return len(self.links)
+        return len(self.links) if self._found is None else len(self._found[3])
 
     def link_ids(self) -> frozenset[str]:
         return frozenset(link.id for link in self.links)
@@ -80,7 +132,10 @@ def candidate_paths(
             if exclude >> li & 1:
                 bits[li] = 0
     found = _bfs(index, bits, s, d, run_steps(slots_needed), k, (1 << size) - 1)
-    return [_candidate(index.links, s, size, path, common) for path, common in found]
+    return [
+        CandidatePath._from_search(index.links, s, size, path, common)
+        for path, common in found
+    ]
 
 
 def _bfs(
@@ -113,26 +168,17 @@ def _bfs(
     return found
 
 
-def _candidate(
-    links: tuple[Link, ...], s: str, size: int, path: tuple[int, ...], common: int
-) -> CandidatePath:
-    vertices = [s]
-    avail = 1.0
-    for li in path:
-        link = links[li]
-        vertices.append(link.other(vertices[-1]))
-        avail *= link.availability
-    return CandidatePath(
-        tuple(vertices), tuple(links[li] for li in path),
-        SpectrumBitmap(size, common), avail,
-    )
-
-
 def select_best(paths: list[CandidatePath]) -> CandidatePath:
-    """Highest availability; ties go to fewer hops, then vertex order."""
+    """Highest availability; ties go to fewer hops, then vertex order.
+
+    Vertex walks are read only for paths tied on availability and hops.
+    """
     if not paths:
         raise ValueError("no candidate paths to select from")
-    return min(paths, key=lambda p: (-p.availability, p.hops, p.vertices))
+    best = min(paths, key=lambda p: (-p.availability, p.hops))
+    a, hops = best.availability, best.hops
+    tied = [p for p in paths if p.availability == a and p.hops == hops]
+    return best if len(tied) == 1 else min(tied, key=lambda p: p.vertices)
 
 
 @dataclass

@@ -240,7 +240,7 @@ class Simulation:
             dsbpss.release_wp(self.registry, conn.id, self.graph)
             self._recount = True
         if result.protected_links:
-            dcycles.release_wp(self.cycles, conn.id, self.graph)
+            dcycles.release_wp(self.cycles, conn.id, result.protected_links, self.graph)
             self._recount = True
 
 

@@ -1,19 +1,22 @@
 """Dynamic protection cycles: reuse, extension, construction, dismantling."""
 
+import copy
+
 import pytest
 
 from eonprotect.availability import parallel_availability
 from eonprotect.dcycles import (
     DCycle,
     DCycleSet,
+    UnknownGrantError,
     check_cycles,
-    dismantle_unused,
     find_cycle_for,
     min_availability_link,
     provision_cycles,
     release_wp,
 )
 from eonprotect.rsa import LightpathRequest, rsacs_with_protection
+from eonprotect.sim import Scenario, Simulation
 from eonprotect.spectrum import SlotBlock, first_fit
 from eonprotect.topology import NetworkGraph
 
@@ -260,18 +263,20 @@ class TestReleaseAndDismantle:
         g = triangle(avail=0.95)
         cs = DCycleSet()
         res = provision(g, cs, "w1", "a", "b", 2, a_th=0.99)
-        release_wp(cs, "w1", g)
+        release_wp(cs, "w1", res.protected_links, g)
         assert cs.is_empty()
         assert g.busy_slot_count() == 2 * res.path.hops
 
     def test_cycle_survives_while_still_protecting(self):
         g = triangle(avail=0.95)
         cs = DCycleSet()
-        provision(g, cs, "w1", "a", "b", 2, a_th=0.99)
+        r1 = provision(g, cs, "w1", "a", "b", 2, a_th=0.99)
         provision(g, cs, "w2", "b", "c", 2, a_th=0.99)
-        release_wp(cs, "w1", g)
+        busy = g.busy_slot_count()
+        release_wp(cs, "w1", r1.protected_links, g)
         assert len(cs.cycles) == 1
         assert set(cs.ordered()[0].protected) == {"b-c"}
+        assert g.busy_slot_count() == busy
 
     def test_release_all_round_trips_bitmaps(self):
         g = triangle(avail=0.95)
@@ -282,17 +287,38 @@ class TestReleaseAndDismantle:
         for res, wp in ((r1, "w1"), (r2, "w2")):
             for link in res.path.links:
                 link.bitmap.set_free(res.block)
-            release_wp(cs, wp, g)
+            release_wp(cs, wp, res.protected_links, g)
         assert {lid: l.bitmap for lid, l in g.links.items()} == baseline
 
-    def test_dismantle_only_touches_empty_cycles(self):
+    def test_release_frees_only_cycles_it_empties(self):
+        # An idle cycle that the departing path never held is left alone.
         g = triangle(avail=0.95)
         cs = DCycleSet()
-        provision(g, cs, "w1", "a", "b", 2, a_th=0.99)
+        res = provision(g, cs, "w1", "a", "b", 2, a_th=0.99)
+        idle = hand_built_cycle(g, cs, ("a", "b", "c"), 2)
         busy = g.busy_slot_count()
-        dismantle_unused(cs, g)
-        assert len(cs.cycles) == 1
-        assert g.busy_slot_count() == busy
+        release_wp(cs, "w1", res.protected_links, g)
+        assert cs.ordered() == [idle]
+        assert g.busy_slot_count() == busy - 2 * 3
+        for lid in idle.link_ids:
+            assert g.links[lid].bitmap.is_busy(idle.blocks[lid])
+
+    def test_unknown_or_foreign_entry_raises_and_changes_nothing(self):
+        g = triangle(avail=0.95)
+        cs = DCycleSet()
+        r1 = provision(g, cs, "w1", "a", "b", 2, a_th=0.99)
+        provision(g, cs, "w2", "b", "c", 2, a_th=0.99)
+        ((cid, lid),) = r1.protected_links
+        before = copy.deepcopy(cs.cycles)
+        bits = {l: link.bitmap.bits for l, link in g.links.items()}
+        for granted in ([(cid, "b-c")], [(cid + 1, lid)], [(cid, "a-c")]):
+            with pytest.raises(UnknownGrantError):
+                release_wp(cs, "w1", granted, g)
+        # w2 may not release w1's entry, not even beside one of its own.
+        with pytest.raises(UnknownGrantError):
+            release_wp(cs, "w2", [(cid, "b-c"), (cid, lid)], g)
+        assert cs.cycles == before
+        assert {l: link.bitmap.bits for l, link in g.links.items()} == bits
 
 
 class TestCycleWellFormedness:
@@ -310,3 +336,127 @@ class TestCycleWellFormedness:
                 degree[vx] = degree.get(vx, 0) + 1
         assert all(d == 2 for d in degree.values())
         assert set(degree) == set(cycle.vertex_order)
+
+
+class TestCycleSetOrder:
+    def test_dict_order_is_id_order_after_rolled_back_extension(self):
+        g = pentagon_with_chord()
+        cs = DCycleSet()
+        ring = hand_built_cycle(g, cs, ("A", "B", "C", "E", "F"), 2)
+        other = hand_built_cycle(g, cs, ("A", "B", "F"), 2)
+        ring.protected["A-B"] = ("w0", 2)
+        other.protected["B-F"] = ("w0", 2)
+        before = ring.copy()
+        # D-E is protected by extending the ring through D; A_th = 1 is
+        # out of reach, so the extension is rolled back.
+        res = provision(g, cs, "w1", "D", "E", 2, a_th=1.0)
+        assert [l.id for l in res.path.links] == ["D-E"] and not res.protected
+        assert list(cs.cycles) == sorted(cs.cycles) == [ring.id, other.id]
+        assert cs.ordered() == [before, other]
+        assert cs.cycles[ring.id] is not ring
+        assert cs.cycles[ring.id].vertex_order == ("A", "B", "C", "E", "F")
+        added = hand_built_cycle(g, cs, ("C", "D", "E"), 2)
+        assert list(cs.cycles) == [ring.id, other.id, added.id]
+
+
+# The scan and the release that check_cycles and release_wp replaced, kept
+# as references: every live cycle sorted by id with a frozenset of its
+# vertices per test, and a release that walks every cycle's protected map
+# and then dismantles every empty cycle.
+
+def reference_ordered(cs):
+    return [cs.cycles[cid] for cid in sorted(cs.cycles)]
+
+
+def reference_is_straddling(cycle, link):
+    vertex_set = frozenset(cycle.vertex_order)
+    return (
+        link.id not in cycle.link_ids
+        and link.u in vertex_set
+        and link.v in vertex_set
+    )
+
+
+def reference_admits(cycle, link, demand):
+    if link.id in cycle.protected:
+        return False
+    if reference_is_straddling(cycle, link):
+        return demand <= 2 * cycle.capacity_slots
+    if link.id in cycle.link_ids:
+        return demand <= cycle.capacity_slots
+    return False
+
+
+def reference_check_cycles(cs, link, demand):
+    straddle = None
+    on_cycle = None
+    for cycle in reference_ordered(cs):
+        if not reference_admits(cycle, link, demand):
+            continue
+        if reference_is_straddling(cycle, link):
+            straddle = straddle or cycle
+        else:
+            on_cycle = on_cycle or cycle
+    return straddle or on_cycle
+
+
+def reference_release_wp(cs, wp_id, g):
+    for cycle in reference_ordered(cs):
+        for lid in [l for l, (wp, _) in cycle.protected.items() if wp == wp_id]:
+            del cycle.protected[lid]
+    reference_dismantle_unused(cs, g)
+
+
+def reference_dismantle_unused(cs, g):
+    for cycle in reference_ordered(cs):
+        if not cycle.protected:
+            for lid, block in cycle.blocks.items():
+                g.links[lid].bitmap.set_free(block)
+            del cs.cycles[cycle.id]
+
+
+class TestAgainstReference:
+    @pytest.fixture(scope="class")
+    def paused(self):
+        """Deep copies of a dcycles run at six pause points."""
+        sim = Simulation(Scenario(
+            load_erlang=20, a_th=0.999, mode="dcycles", avg_link_availability=0.99,
+            n_requests=900, seed=4, mean_holding_s=1.0,
+        ))
+        states = []
+        for pause in range(150, 901, 150):
+            sim.run(max_arrivals=pause)
+            states.append(copy.deepcopy((sim.cycles, sim.graph, sim.live)))
+        return states
+
+    def test_check_cycles_matches_reference_scan(self, paused):
+        hits = straddlers = 0
+        for cs, g, _ in paused:
+            assert not cs.is_empty()
+            top = 2 * max(c.capacity_slots for c in cs.cycles.values()) + 1
+            for link in g.links.values():
+                for demand in range(1, top + 1):
+                    got = check_cycles(cs, link, demand)
+                    assert got is reference_check_cycles(cs, link, demand)
+                    hits += got is not None
+                    straddlers += got is not None and got.is_straddling(link)
+        assert straddlers and hits > straddlers
+
+    def test_release_matches_reference_release(self, paused):
+        released = 0
+        for cs, g, live in paused:
+            new_cs, new_g = copy.deepcopy((cs, g))
+            ref_cs, ref_g = copy.deepcopy((cs, g))
+            for conn in live.values():
+                granted = conn.result.protected_links
+                if not granted:
+                    continue
+                release_wp(new_cs, conn.id, granted, new_g)
+                reference_release_wp(ref_cs, conn.id, ref_g)
+                assert list(new_cs.cycles) == list(ref_cs.cycles)
+                assert new_cs.cycles == ref_cs.cycles
+                for lid, link in new_g.links.items():
+                    assert link.bitmap.bits == ref_g.links[lid].bitmap.bits
+                released += 1
+            assert new_cs.is_empty()
+        assert released

@@ -283,7 +283,14 @@ class TestClaimInvariant:
                 c.id for c in sim.live.values() if c.result.backup_paths
             }
             assert_sharers_pairwise_disjoint(reg)
-            assert reg.claims == rebuilt_claims(reg)
+            rebuilt = rebuilt_claims(reg)
+            assert reg.claims == rebuilt
+            # held[b] is the OR of the claims on b, for exactly the claimed links.
+            held_rebuilt = {}
+            for lid, on_link in rebuilt.items():
+                for bits in on_link.values():
+                    held_rebuilt[lid] = held_rebuilt.get(lid, 0) | bits
+            assert reg.held == held_rebuilt
             working, backup = {}, {}
             for conn in sim.live.values():
                 for link in conn.result.path.links:
@@ -298,7 +305,7 @@ class TestClaimInvariant:
                 assert held == backup.get(lid, 0)
                 assert full & ~link.bitmap.bits == working.get(lid, 0) | held
         sim.run()
-        assert sim.registry.is_empty()
+        assert sim.registry.is_empty() and sim.registry.held == {}
 
     def test_overlapping_claim_raises_under_optimize(self):
         # A claim left on E-F for a failure of A-B, with its slots never

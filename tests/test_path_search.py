@@ -1,10 +1,10 @@
-"""The int-mask path search against the graph-copy BFS it replaced."""
+"""The int-mask path search and path selection against the code they replaced."""
 
 from hypothesis import given, settings, strategies as st
 
-from eonprotect.rsa import CandidatePath, candidate_paths
+from eonprotect.rsa import CandidatePath, candidate_paths, select_best
 from eonprotect.spectrum import SpectrumBitmap, is_feasible
-from eonprotect.topology import Link, NetworkGraph, remove_links
+from eonprotect.topology import Link, NetworkGraph, UniformAvailability, remove_links
 
 
 def reference_candidate_paths(
@@ -52,6 +52,11 @@ def reference_candidate_paths(
     return found
 
 
+def reference_select_best(paths: list[CandidatePath]) -> CandidatePath:
+    """One key over every path, vertex walks included (the old code)."""
+    return min(paths, key=lambda p: (-p.availability, p.hops, p.vertices))
+
+
 def summary(paths):
     return [
         (p.vertices, tuple(link.id for link in p.links), p.bitmap.size,
@@ -63,11 +68,17 @@ def summary(paths):
 @st.composite
 def search_cases(draw):
     n = draw(st.integers(4, 9))
+    # Equal availabilities on denser graphs make paths of equal hop count
+    # tie on availability, so that select_best compares vertex walks.
+    uniform = draw(st.booleans())
     # String names sort differently from their insertion order ("10" < "2").
     names = draw(st.permutations([str(i) for i in range(1, n + 1)]))
     pairs = {tuple(sorted((i, draw(st.integers(0, i - 1))))) for i in range(1, n)}
     vertex = st.integers(0, n - 1)
-    extra = draw(st.lists(st.tuples(vertex, vertex), max_size=12))
+    extra = draw(st.lists(
+        st.tuples(vertex, vertex),
+        min_size=n if uniform else 0, max_size=3 * n if uniform else 12,
+    ))
     pairs |= {tuple(sorted(p)) for p in extra if p[0] != p[1]}
     edges = draw(st.permutations(sorted(pairs)))
     slot_count = draw(st.integers(1, 10))
@@ -76,16 +87,23 @@ def search_cases(draw):
     free = st.tuples(st.integers(0, full), st.integers(0, full)).map(
         lambda t: full & ~(t[0] & t[1])
     )
+    availability = st.floats(0.5, 1.0, exclude_min=True)
+    if uniform:
+        avails = UniformAvailability(draw(availability)).availabilities(len(edges))
+    else:
+        avails = [draw(availability) for _ in edges]
     g = NetworkGraph(slot_count=slot_count)
-    for i, j in edges:
-        link = g.add_link(
-            names[i], names[j], 100,
-            availability=draw(st.floats(0.5, 1.0, exclude_min=True)),
-        )
+    for (i, j), a in zip(edges, avails):
+        link = g.add_link(names[i], names[j], 100, availability=a)
         link.bitmap.bits = draw(free)
-    s, d = draw(st.permutations(names))[:2]
+    # Ties need two shortest paths, so uniform graphs take unlinked endpoints.
+    apart = [(u, v) for u in names for v in names if u != v and not g.link_between(u, v)]
+    if uniform and apart:
+        s, d = draw(st.sampled_from(apart))
+    else:
+        s, d = draw(st.permutations(names))[:2]
     slots_needed = draw(st.integers(1, 3) | st.integers(1, slot_count + 1))
-    k = draw(st.integers(1, 8))
+    k = draw(st.integers(2 if uniform else 1, 8))
     excluded = draw(st.sets(st.sampled_from(sorted(g.links))))
     per_link = st.lists(free, min_size=len(g.links), max_size=len(g.links))
     bits = draw(st.none() | per_link)
@@ -104,6 +122,8 @@ def test_matches_reference_on_pruned_copy(case):
         g, s, d, slots_needed, k,
         index.mask(g.links[lid] for lid in excluded), given_bits,
     )
+    # Picked before any field is read, so only tied paths build their walks.
+    picked = select_best(got) if got else None
 
     pruned = remove_links(g, [g.links[lid] for lid in sorted(excluded)])
     if bits is not None:
@@ -111,6 +131,11 @@ def test_matches_reference_on_pruned_copy(case):
             link.bitmap.bits = bits[index.position[lid]]
     want = reference_candidate_paths(pruned, s, d, slots_needed, k)
     assert summary(got) == summary(want)
+    # Paths whose fields are built on first read are picked as the eagerly
+    # built ones are, ties on (availability, hops) included.
+    if got:
+        assert summary([picked]) == summary([select_best(want)])
+        assert summary([picked]) == summary([reference_select_best(want)])
     # The search writes neither to the graph nor to the caller's bits.
     assert index.free_bits() == live
     assert given_bits == bits

@@ -90,6 +90,16 @@ class TestCandidatePaths:
         bits = g.links["a-b"].bitmap.bits & g.links["b-c"].bitmap.bits
         assert path.bitmap == SpectrumBitmap(g.slot_count, bits)
 
+    def test_fields_built_on_first_read(self):
+        g = build_nsfnet(16, JitteredAvailability(0.99, seed=4))
+        paths = candidate_paths(g, "1", "10", 3, k=5)
+        best = select_best(paths)
+        # Jittered availabilities do not tie, so no walk was needed.
+        assert all(not {"vertices", "links", "bitmap"} & set(vars(p)) for p in paths)
+        assert best.bitmap is best.bitmap
+        assert best.hops == len(best.links) == len(best.vertices) - 1
+        assert set(vars(best)) >= {"vertices", "links", "bitmap"}
+
 
 class TestSelectBest:
     def mk(self, avail, verts):
