@@ -17,7 +17,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .metrics import (
@@ -27,6 +27,7 @@ from .metrics import (
     restorability,
     spectrum_utilization,
 )
+from .rsa import MODES
 from .sim import Scenario, Simulation
 
 CSV_COLUMNS = [
@@ -149,50 +150,57 @@ def emit(rows: list[dict], fmt: str, path: str | None) -> None:
 
 
 def _scenario_kwargs(args: argparse.Namespace) -> dict:
-    kwargs = dict(
-        load_erlang=args.load,
-        a_th=args.ath,
-        mode=args.mode,
-        avg_link_availability=args.avg_availability,
-        n_requests=args.requests,
-        seed=args.seed,
-        mean_holding_s=args.holding,
-        b_max_gbps=args.bmax,
-        slot_ghz=args.slot_ghz,
-        guard_ghz=args.guard_ghz,
-        k=args.k,
-        slot_count=args.slots,
-        load_per_node=not args.network_load,
-        jitter_availability=not args.no_jitter,
-    )
-    if args.topology not in (None, "nsfnet"):
+    names = {f.name for f in fields(Scenario)}
+    kwargs = {name: value for name, value in vars(args).items() if name in names}
+    if args.topology != "nsfnet":
         kwargs["topology_text"] = Path(args.topology).read_text()
     return kwargs
 
 
-def _add_scenario_flags(p: argparse.ArgumentParser, for_run: bool) -> None:
-    req = {"required": True} if for_run else {"default": None}
+def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
+    # dests are Scenario fields; argument_default=SUPPRESS leaves unset ones out
     p.add_argument("--topology", default="nsfnet",
                    help="topology file path, or 'nsfnet' for the built-in")
-    if for_run:
-        p.add_argument("--mode", choices=["none", "dsbpss", "dcycles"], **req)
-        p.add_argument("--load", type=float, **req, help="offered Erlang load")
-        p.add_argument("--ath", type=float, **req, help="availability threshold")
-        p.add_argument("--avg-availability", type=float, default=0.999)
-    p.add_argument("--requests", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--holding", type=float, default=10.0, help="mean holding time (s)")
-    p.add_argument("--bmax", type=float, default=100.0, help="max demand rate (Gbps)")
-    p.add_argument("--slot-ghz", type=float, default=12.5)
-    p.add_argument("--guard-ghz", type=float, default=10.0)
-    p.add_argument("--k", type=int, default=5, help="candidate path budget")
-    p.add_argument("--slots", type=int, default=320, help="slots per link")
-    p.add_argument("--network-load", action="store_true",
+    p.add_argument("--mode", choices=MODES, required=True)
+    p.add_argument("--load", dest="load_erlang", type=float, required=True,
+                   help="offered Erlang load")
+    p.add_argument("--ath", dest="a_th", type=float, required=True,
+                   help="availability threshold")
+    p.add_argument("--avg-availability", dest="avg_link_availability", type=float)
+    p.add_argument("--requests", dest="n_requests", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--holding", dest="mean_holding_s", type=float,
+                   help="mean holding time (s)")
+    p.add_argument("--bmax", dest="b_max_gbps", type=float,
+                   help="max demand rate (Gbps)")
+    p.add_argument("--slot-ghz", type=float)
+    p.add_argument("--guard-ghz", type=float)
+    p.add_argument("--k", type=int, help="candidate path budget")
+    p.add_argument("--slots", dest="slot_count", type=int, help="slots per link")
+    p.add_argument("--network-load", dest="load_per_node", action="store_false",
                    help="treat --load as network-wide instead of per node")
-    p.add_argument("--no-jitter", action="store_true",
+    p.add_argument("--no-jitter", dest="jitter_availability", action="store_false",
                    help="give every link exactly the average availability")
     p.add_argument("--out", default=None, help="output path ('-' for stdout)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
+
+
+def _ini_flag(text: str) -> bool:
+    return text.lower() != "false"
+
+
+# [scenario] key -> (Scenario field, parser); a key left out keeps Scenario's default
+_INI_FIELDS = {
+    "requests": ("n_requests", int),
+    "mean_holding_s": ("mean_holding_s", float),
+    "b_max_gbps": ("b_max_gbps", float),
+    "slot_ghz": ("slot_ghz", float),
+    "guard_ghz": ("guard_ghz", float),
+    "k": ("k", int),
+    "slots": ("slot_count", int),
+    "load_per_node": ("load_per_node", _ini_flag),
+    "jitter": ("jitter_availability", _ini_flag),
+}
 
 
 def _parse_sweep_config(path: str, args: argparse.Namespace) -> SweepSpec:
@@ -203,20 +211,11 @@ def _parse_sweep_config(path: str, args: argparse.Namespace) -> SweepSpec:
     sc = cp["scenario"] if cp.has_section("scenario") else {}
     grid = cp["grid"]
 
-    template = dict(
-        n_requests=(
-            args.requests if args.requests is not None
-            else int(sc.get("requests", 100_000))
-        ),
-        mean_holding_s=float(sc.get("mean_holding_s", 10.0)),
-        b_max_gbps=float(sc.get("b_max_gbps", 100.0)),
-        slot_ghz=float(sc.get("slot_ghz", 12.5)),
-        guard_ghz=float(sc.get("guard_ghz", 10.0)),
-        k=int(sc.get("k", 5)),
-        slot_count=int(sc.get("slots", 320)),
-        load_per_node=str(sc.get("load_per_node", "true")).lower() != "false",
-        jitter_availability=str(sc.get("jitter", "true")).lower() != "false",
-    )
+    template = {
+        name: parse(sc[key]) for key, (name, parse) in _INI_FIELDS.items() if key in sc
+    }
+    if args.requests is not None:
+        template["n_requests"] = args.requests
     topo = sc.get("topology", "nsfnet")
     if topo != "nsfnet":
         template["topology_text"] = Path(topo).read_text()
@@ -243,8 +242,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one scenario")
-    _add_scenario_flags(run_p, for_run=True)
+    run_p = sub.add_parser("run", help="run one scenario",
+                           argument_default=argparse.SUPPRESS)
+    _add_scenario_flags(run_p)
 
     sweep_p = sub.add_parser("sweep", help="run a scenario grid from a config file")
     sweep_p.add_argument("--config", required=True, help="INI sweep description")

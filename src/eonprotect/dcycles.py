@@ -100,10 +100,6 @@ class DCycleSet:
     def is_empty(self) -> bool:
         return not self.cycles
 
-    def ordered(self) -> list[DCycle]:
-        """Live cycles in id order (the dict's own order)."""
-        return list(self.cycles.values())
-
     def add(self, cycle: DCycle) -> None:
         self.cycles[cycle.id] = cycle
 
@@ -149,8 +145,12 @@ def _reserve_block(link: Link, capacity: int, undo: list) -> SlotBlock:
     return block
 
 
-def _has_room(link: Link, capacity: int) -> bool:
-    return is_feasible(link.bitmap, capacity)
+def _ring(g: NetworkGraph, vertex_order: list[str]) -> tuple[str, ...]:
+    """Link ids around a closed walk; entry t joins vertex t and vertex t+1 mod n."""
+    return tuple(
+        g.link_between(a, b).id
+        for a, b in zip(vertex_order, vertex_order[1:] + vertex_order[:1])
+    )
 
 
 def _try_extend(
@@ -171,7 +171,8 @@ def _try_extend(
             u, v = v, u
         if u not in on:
             continue
-        if demand > cycle.capacity_slots or not _has_room(link, cycle.capacity_slots):
+        cap = cycle.capacity_slots
+        if demand > cap or not is_feasible(link.bitmap, cap):
             continue
         order = cycle.vertex_order
         n = len(order)
@@ -182,7 +183,7 @@ def _try_extend(
             removed = g.link_between(u, w)
             if bridge is None or removed is None or removed.id not in cycle.link_ids:
                 continue
-            if not _has_room(bridge, cycle.capacity_slots):
+            if not is_feasible(bridge.bitmap, cap):
                 continue
             # Every protected link must stay on-cycle or straddling: the
             # displaced edge keeps both endpoints on the cycle, so it does.
@@ -192,12 +193,9 @@ def _try_extend(
             new_order.insert(ui if wi == (ui - 1) % n else ui + 1, v)
             cycle.vertex_order = tuple(new_order)
             g.links[removed.id].bitmap.set_free(cycle.blocks.pop(removed.id))
-            cycle.blocks[link.id] = _reserve_block(link, cycle.capacity_slots, undo)
-            cycle.blocks[bridge.id] = _reserve_block(bridge, cycle.capacity_slots, undo)
-            cycle.link_ids = tuple(
-                g.link_between(a, b).id
-                for a, b in zip(new_order, new_order[1:] + [new_order[0]])
-            )
+            cycle.blocks[link.id] = _reserve_block(link, cap, undo)
+            cycle.blocks[bridge.id] = _reserve_block(bridge, cap, undo)
+            cycle.link_ids = _ring(g, new_order)
             return cycle
     return None
 
@@ -209,10 +207,7 @@ def _build_cycle(
     capacity: int,
     undo: list,
 ) -> DCycle:
-    link_ids = tuple(
-        g.link_between(a, b).id
-        for a, b in zip(vertex_order, vertex_order[1:] + [vertex_order[0]])
-    )
+    link_ids = _ring(g, vertex_order)
     blocks = {lid: _reserve_block(g.links[lid], capacity, undo) for lid in link_ids}
     cycle = DCycle(cs.new_id(), tuple(vertex_order), link_ids, blocks, capacity)
     cs.add(cycle)
@@ -257,7 +252,7 @@ def find_cycle_for(
         order = list(p1.vertices) + list(reversed(p2.vertices[1:-1]))
         return _build_cycle(cs, g, order, demand, undo)
 
-    if _has_room(link, demand):
+    if is_feasible(link.bitmap, demand):
         return _build_cycle(cs, g, list(p1.vertices), demand, undo)
     return None
 

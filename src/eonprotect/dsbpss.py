@@ -43,11 +43,9 @@ class SharingConflictError(Exception):
 @dataclass(frozen=True)
 class BackupPath:
     id: str
-    wp_id: str
     vertices: tuple[str, ...]
     links: tuple[Link, ...]
     block: SlotBlock
-    availability: float
 
     def link_ids(self) -> frozenset[str]:
         return frozenset(link.id for link in self.links)
@@ -188,8 +186,7 @@ def provision_backups(
             # Own reservations are not shareable with this same WP.
             bits[li] &= ~mask
         bp = BackupPath(
-            f"{wp_id}/bp{next(reg._bpid)}", wp_id, chosen.vertices,
-            chosen.links, block, chosen.availability,
+            f"{wp_id}/bp{next(reg._bpid)}", chosen.vertices, chosen.links, block
         )
         backups.append(bp)
         a_pp = ava_dsbpss_update(a_pp, chosen.availability)

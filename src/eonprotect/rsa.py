@@ -22,6 +22,9 @@ from functools import cached_property
 from .spectrum import SlotBlock, SpectrumBitmap, allocate, first_fit, run_steps
 from .topology import Link, LinkIndex, NetworkGraph
 
+# Protection modes, in the order the CLI and the results schema list them.
+MODES = ("none", "dsbpss", "dcycles")
+
 
 @dataclass(frozen=True)
 class LightpathRequest:
@@ -31,7 +34,6 @@ class LightpathRequest:
     k: int = 5
     arrival_s: float = 0.0
     holding_s: float = 0.0
-    rate_gbps: float = 0.0
 
     def __post_init__(self) -> None:
         if self.s == self.d:
@@ -212,7 +214,7 @@ def rsacs_with_protection(
     """
     if not 0.0 < a_th <= 1.0:
         raise ValueError("a_th must lie in (0, 1]")
-    if mode not in ("none", "dsbpss", "dcycles"):
+    if mode not in MODES:
         raise ValueError(f"unknown protection mode {mode!r}")
 
     paths = candidate_paths(g, lr.s, lr.d, lr.slots_needed, lr.k)
@@ -227,7 +229,6 @@ def rsacs_with_protection(
         a_p_max=best.availability, a_pp_max=best.availability,
     )
     if best.availability >= a_th:
-        result.protected = False
         return result
 
     result.needs_protection = True

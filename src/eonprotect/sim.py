@@ -18,7 +18,7 @@ from . import dcycles, dsbpss
 from .dcycles import DCycleSet
 from .dsbpss import BackupRegistry
 from .metrics import MetricsReport
-from .rsa import LightpathRequest, ProvisionResult, rsacs_with_protection
+from .rsa import MODES, LightpathRequest, ProvisionResult, rsacs_with_protection
 from .spectrum import demand_to_slots, release
 from .topology import (
     JitteredAvailability,
@@ -62,7 +62,7 @@ class Scenario:
             raise ValueError("load and holding time must be positive")
         if self.n_requests < 1:
             raise ValueError("n_requests must be >= 1")
-        if self.mode not in ("none", "dsbpss", "dcycles"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
 
     def seeds(self) -> tuple[int, int]:
@@ -113,7 +113,6 @@ def generate_arrivals(sc: Scenario, g: NetworkGraph) -> list[Event]:
                 LightpathRequest(
                     s, d, slots, k=sc.k,
                     arrival_s=float(times[i]), holding_s=float(holding[i]),
-                    rate_gbps=float(rates[i]),
                 ),
             )
         )
@@ -133,14 +132,6 @@ class RestorationReport:
 
     per_link: dict[str, tuple[int, int]] = field(default_factory=dict)
     conflicts: int = 0
-
-    @property
-    def restored(self) -> int:
-        return sum(r for r, _ in self.per_link.values())
-
-    @property
-    def unrestored(self) -> int:
-        return sum(u for _, u in self.per_link.values())
 
 
 class Simulation:
@@ -255,7 +246,10 @@ def inject_single_failures(sim: Simulation) -> RestorationReport:
     For every live working path crossing the failed link, checks that a
     reserved recovery route avoiding the link exists (a backup path, or the
     protecting cycle's arcs) and that no reserved slot is claimed by two
-    simultaneously affected paths.
+    simultaneously affected paths.  Reads only the live results and the
+    cycle blocks, never the registry's claims, so it checks them
+    independently.  A recovery names each (link, slot) at most once, so the
+    conflicts are the bits each path's recovery finds already held.
     """
     report = RestorationReport()
     for fid in sorted(sim.graph.links):
@@ -263,35 +257,32 @@ def inject_single_failures(sim: Simulation) -> RestorationReport:
             conn for conn in sim.live.values()
             if any(link.id == fid for link in conn.result.path.links)
         ]
-        claims: dict[tuple[str, int], str] = {}
+        held: dict[str, int] = {}
         restored = unrestored = 0
         for conn in affected:
-            recovery = _recovery_slots(sim, conn, fid)
+            recovery = _recovery_masks(sim, conn, fid)
             if recovery is None:
                 unrestored += 1
                 continue
             restored += 1
-            for key in recovery:
-                if key in claims and claims[key] != conn.id:
-                    report.conflicts += 1
-                claims[key] = conn.id
+            for lid, mask in recovery:
+                on_link = held.get(lid, 0)
+                report.conflicts += (on_link & mask).bit_count()
+                held[lid] = on_link | mask
         report.per_link[fid] = (restored, unrestored)
     return report
 
 
-def _recovery_slots(
+def _recovery_masks(
     sim: Simulation, conn: Connection, failed_link: str
 ) -> list[tuple[str, int]] | None:
-    """Reserved (link, slot) pairs the connection would occupy after the failure."""
+    """Reserved (link id, slot mask) pairs the connection would use after a failure."""
     result = conn.result
     if result.backup_paths:
         for bp in result.backup_paths:
             if failed_link not in bp.link_ids():
-                return [
-                    (link.id, s)
-                    for link in bp.links
-                    for s in range(bp.block.start, bp.block.end)
-                ]
+                mask = bp.block.mask()
+                return [(link.id, mask) for link in bp.links]
         return None
     if result.protected_links:
         for cid, lid in result.protected_links:
@@ -299,11 +290,10 @@ def _recovery_slots(
                 continue
             cycle = sim.cycles.cycles[cid]
             failed = sim.graph.links[failed_link]
-            slots = []
-            for arc in cycle.arcs(failed, sim.graph):
-                for link in arc:
-                    block = cycle.blocks[link.id]
-                    slots.extend((link.id, s) for s in range(block.start, block.end))
-            return slots
+            return [
+                (link.id, cycle.blocks[link.id].mask())
+                for arc in cycle.arcs(failed, sim.graph)
+                for link in arc
+            ]
         return None
     return None

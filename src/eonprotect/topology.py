@@ -1,7 +1,8 @@
 """Optical network graph: links with spectrum bitmaps and availabilities.
 
-Vertices are plain strings.  A link is identified by the sorted pair of its
-endpoint names joined with "-", so the graph is simple by construction.
+Vertices are plain strings without "-".  A link is identified by the sorted
+pair of its endpoint names joined with "-", so the graph is simple by
+construction and a link id names one pair of vertices only.
 Link lengths are carried for reporting only; routing and availability never
 consume them.
 """
@@ -12,10 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .availability import link_availability
 from .spectrum import SpectrumBitmap
 
 DEFAULT_SLOT_COUNT = 320
-DEFAULT_MTTF_H = 8760.0
+# Every link's MTTF (one year); its MTTR is set to give the link availability.
+MTTF_H = 8760.0
 
 
 class TopologyError(Exception):
@@ -45,8 +48,8 @@ def link_id(u: str, v: str) -> str:
     return f"{a}-{b}"
 
 
-def _mttr_for(availability: float, mttf_h: float) -> float:
-    return mttf_h * (1.0 - availability) / availability
+def _mttr_for(availability: float) -> float:
+    return MTTF_H * (1.0 - availability) / availability
 
 
 @dataclass
@@ -60,6 +63,7 @@ class Link:
     mttf_h: float
     mttr_h: float
     bitmap: SpectrumBitmap
+    availability: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.u == self.v:
@@ -68,10 +72,7 @@ class Link:
             raise TopologyError(f"non-positive length on link {self.id}")
         if self.mttf_h <= 0 or self.mttr_h < 0:
             raise TopologyError(f"bad mttf/mttr on link {self.id}")
-
-    @property
-    def availability(self) -> float:
-        return self.mttf_h / (self.mttf_h + self.mttr_h)
+        self.availability = link_availability(self.mttf_h, self.mttr_h)
 
     def other(self, vertex: str) -> str:
         return self.v if vertex == self.u else self.u
@@ -170,6 +171,8 @@ class NetworkGraph:
     _index: LinkIndex | None = field(default=None, init=False, repr=False, compare=False)
 
     def add_vertex(self, name: str) -> None:
+        if "-" in name:
+            raise TopologyError(f"vertex name {name!r} contains '-'")
         if name not in self.adjacency:
             self.vertices.append(name)
             self.adjacency[name] = []
@@ -181,7 +184,6 @@ class NetworkGraph:
         v: str,
         length_km: float,
         availability: float = 1.0,
-        mttf_h: float = DEFAULT_MTTF_H,
     ) -> Link:
         lid = link_id(u, v)
         if lid in self.links:
@@ -190,7 +192,7 @@ class NetworkGraph:
         self.add_vertex(v)
         link = Link(
             lid, *sorted((u, v)), length_km,
-            mttf_h, _mttr_for(availability, mttf_h),
+            MTTF_H, _mttr_for(availability),
             SpectrumBitmap(self.slot_count),
         )
         self.links[lid] = link
@@ -276,7 +278,6 @@ NSFNET_LINKS = [
 def build_nsfnet(
     slot_count: int = DEFAULT_SLOT_COUNT,
     policy: AvailabilityPolicy | None = None,
-    mttf_h: float = DEFAULT_MTTF_H,
 ) -> NetworkGraph:
     """The built-in 14-node/22-link NSFNET, all slots free."""
     if slot_count < 1:
@@ -288,7 +289,7 @@ def build_nsfnet(
         g.add_vertex(str(n))
     avails = policy.availabilities(len(NSFNET_LINKS))
     for (u, v, km), a in zip(NSFNET_LINKS, avails):
-        g.add_link(u, v, km, availability=a, mttf_h=mttf_h)
+        g.add_link(u, v, km, availability=a)
     return g
 
 
@@ -296,7 +297,6 @@ def load_topology(
     text: str,
     slot_count: int = DEFAULT_SLOT_COUNT,
     policy: AvailabilityPolicy | None = None,
-    mttf_h: float = DEFAULT_MTTF_H,
 ) -> NetworkGraph:
     """Parse the line-based topology format.
 
@@ -314,7 +314,10 @@ def load_topology(
         if parts[0] == "node":
             if len(parts) != 2:
                 raise TopologyParseError(line_no, "node takes exactly one name")
-            g.add_vertex(parts[1])
+            try:
+                g.add_vertex(parts[1])
+            except TopologyError as exc:
+                raise TopologyParseError(line_no, str(exc)) from exc
         elif parts[0] == "link":
             if len(parts) not in (4, 5):
                 raise TopologyParseError(line_no, "link takes: u v length_km [availability]")
@@ -340,8 +343,8 @@ def load_topology(
                 )
             a = next(drawn)
         try:
-            g.add_link(u, v, km, availability=a, mttf_h=mttf_h)
-        except DuplicateLinkError as exc:
+            g.add_link(u, v, km, availability=a)
+        except TopologyError as exc:
             raise TopologyParseError(line_no, str(exc)) from exc
     if not g.is_connected():
         raise DisconnectedGraphError("topology is not connected")

@@ -7,6 +7,7 @@ import json
 import jsonschema
 import pytest
 
+from eonprotect import cli
 from eonprotect.cli import (
     CSV_COLUMNS,
     SweepSpec,
@@ -15,6 +16,8 @@ from eonprotect.cli import (
     run_cell,
     run_sweep,
 )
+from eonprotect.rsa import MODES
+from eonprotect.sim import Scenario
 
 FAST_TEMPLATE = dict(n_requests=900, mean_holding_s=1.0)
 
@@ -147,6 +150,9 @@ class TestEmit:
         jsonschema.validate(data, load_schema())
         assert data[1]["restorability"] is None
 
+    def test_schema_modes_are_the_modes(self):
+        assert load_schema()["items"]["properties"]["mode"]["enum"] == list(MODES)
+
     def test_empty_rows_rejected(self):
         with pytest.raises(ValueError):
             emit([], "csv", None)
@@ -255,3 +261,70 @@ class TestMain:
         ])
         assert code == 0
         assert len(out.read_text().splitlines()) == 2
+
+
+class TestScenarioDefaults:
+    """Unset flags and INI keys leave every field at Scenario's own default."""
+
+    @pytest.fixture
+    def cells(self, monkeypatch):
+        seen = []
+
+        def fake_run_cell(params):
+            seen.append(params)
+            return {"mode": params["mode"]}
+
+        monkeypatch.setattr(cli, "run_cell", fake_run_cell)
+        return seen
+
+    def test_run_with_only_required_flags(self, cells, capsys):
+        assert main(["run", "--mode", "dsbpss", "--load", "15", "--ath", "0.99"]) == 0
+        (params,) = cells
+        assert Scenario(**params) == Scenario(load_erlang=15.0, a_th=0.99, mode="dsbpss")
+
+    def test_run_flags_reach_their_fields(self, cells, capsys):
+        main([
+            "run", "--mode", "dcycles", "--load", "20", "--ath", "0.999",
+            "--avg-availability", "0.99", "--requests", "7", "--seed", "0",
+            "--holding", "2", "--bmax", "50", "--slot-ghz", "6.25",
+            "--guard-ghz", "0", "--k", "3", "--slots", "64",
+            "--network-load", "--no-jitter",
+        ])
+        (params,) = cells
+        assert Scenario(**params) == Scenario(
+            load_erlang=20.0, a_th=0.999, mode="dcycles", avg_link_availability=0.99,
+            n_requests=7, seed=0, mean_holding_s=2.0, b_max_gbps=50.0,
+            slot_ghz=6.25, guard_ghz=0.0, k=3, slot_count=64,
+            load_per_node=False, jitter_availability=False,
+        )
+
+    def test_sweep_with_empty_scenario_section(self, cells, tmp_path, capsys):
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(
+            "[scenario]\n"
+            "[grid]\n"
+            "avg_availability = 0.99\na_th = 0.999\nload = 20\nmodes = dcycles\n"
+        )
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        (params,) = cells
+        assert Scenario(**params) == Scenario(
+            load_erlang=20.0, a_th=0.999, mode="dcycles", avg_link_availability=0.99
+        )
+
+    def test_sweep_scenario_keys_reach_their_fields(self, cells, tmp_path, capsys):
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(
+            "[scenario]\n"
+            "requests = 7\nmean_holding_s = 2\nb_max_gbps = 50\nslot_ghz = 6.25\n"
+            "guard_ghz = 0\nk = 3\nslots = 64\nload_per_node = False\njitter = false\n"
+            "[grid]\n"
+            "avg_availability = 0.99\na_th = 0.999\nload = 20\nmodes = none\n"
+        )
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        (params,) = cells
+        assert Scenario(**params) == Scenario(
+            load_erlang=20.0, a_th=0.999, mode="none", avg_link_availability=0.99,
+            n_requests=7, mean_holding_s=2.0, b_max_gbps=50.0, slot_ghz=6.25,
+            guard_ghz=0.0, k=3, slot_count=64,
+            load_per_node=False, jitter_availability=False,
+        )

@@ -219,7 +219,7 @@ class TestProvisionCycles:
         assert len(cs.cycles) == 1
         # Only w2's working slots were added; the cycle is reused as-is.
         assert g.busy_slot_count() == busy_after_first + 2
-        cycle = cs.ordered()[0]
+        cycle = list(cs.cycles.values())[0]
         assert set(cycle.protected) == {"a-b", "b-c"}
 
     def test_unprotectable_weakest_link_rolls_back(self):
@@ -275,7 +275,7 @@ class TestReleaseAndDismantle:
         busy = g.busy_slot_count()
         release_wp(cs, "w1", r1.protected_links, g)
         assert len(cs.cycles) == 1
-        assert set(cs.ordered()[0].protected) == {"b-c"}
+        assert set(list(cs.cycles.values())[0].protected) == {"b-c"}
         assert g.busy_slot_count() == busy
 
     def test_release_all_round_trips_bitmaps(self):
@@ -298,7 +298,7 @@ class TestReleaseAndDismantle:
         idle = hand_built_cycle(g, cs, ("a", "b", "c"), 2)
         busy = g.busy_slot_count()
         release_wp(cs, "w1", res.protected_links, g)
-        assert cs.ordered() == [idle]
+        assert list(cs.cycles.values()) == [idle]
         assert g.busy_slot_count() == busy - 2 * 3
         for lid in idle.link_ids:
             assert g.links[lid].bitmap.is_busy(idle.blocks[lid])
@@ -352,7 +352,7 @@ class TestCycleSetOrder:
         res = provision(g, cs, "w1", "D", "E", 2, a_th=1.0)
         assert [l.id for l in res.path.links] == ["D-E"] and not res.protected
         assert list(cs.cycles) == sorted(cs.cycles) == [ring.id, other.id]
-        assert cs.ordered() == [before, other]
+        assert list(cs.cycles.values()) == [before, other]
         assert cs.cycles[ring.id] is not ring
         assert cs.cycles[ring.id].vertex_order == ("A", "B", "C", "E", "F")
         added = hand_built_cycle(g, cs, ("C", "D", "E"), 2)

@@ -3,15 +3,23 @@
 import numpy as np
 import pytest
 
-from eonprotect.rsa import LightpathRequest, rsacs_with_protection
+from eonprotect.dsbpss import BackupPath
+from eonprotect.rsa import (
+    CandidatePath,
+    LightpathRequest,
+    ProvisionResult,
+    rsacs_with_protection,
+)
 from eonprotect.sim import (
     Connection,
+    RestorationReport,
     Scenario,
     Simulation,
     generate_arrivals,
     inject_single_failures,
     run,
 )
+from eonprotect.spectrum import SlotBlock, SpectrumBitmap
 
 
 def small_scenario(**overrides):
@@ -191,3 +199,113 @@ class TestInjectSingleFailures:
         report = inject_single_failures(sim)
         assert report.conflicts == 0
         assert len(report.per_link) == 22
+
+
+def reference_inject_single_failures(sim):
+    """Per-slot fault injection as first written: the reference for the mask version."""
+    report = RestorationReport()
+    for fid in sorted(sim.graph.links):
+        affected = [
+            conn for conn in sim.live.values()
+            if any(link.id == fid for link in conn.result.path.links)
+        ]
+        claims: dict[tuple[str, int], str] = {}
+        restored = unrestored = 0
+        for conn in affected:
+            recovery = reference_recovery_slots(sim, conn, fid)
+            if recovery is None:
+                unrestored += 1
+                continue
+            restored += 1
+            for key in recovery:
+                if key in claims and claims[key] != conn.id:
+                    report.conflicts += 1
+                claims[key] = conn.id
+        report.per_link[fid] = (restored, unrestored)
+    return report
+
+
+def reference_recovery_slots(sim, conn, failed_link):
+    """Reserved (link, slot) pairs the connection would occupy after the failure."""
+    result = conn.result
+    if result.backup_paths:
+        for bp in result.backup_paths:
+            if failed_link not in bp.link_ids():
+                return [
+                    (link.id, s)
+                    for link in bp.links
+                    for s in range(bp.block.start, bp.block.end)
+                ]
+        return None
+    if result.protected_links:
+        for cid, lid in result.protected_links:
+            if lid != failed_link:
+                continue
+            cycle = sim.cycles.cycles[cid]
+            failed = sim.graph.links[failed_link]
+            slots = []
+            for arc in cycle.arcs(failed, sim.graph):
+                for link in arc:
+                    block = cycle.blocks[link.id]
+                    slots.extend((link.id, s) for s in range(block.start, block.end))
+            return slots
+        return None
+    return None
+
+
+class TestInjectSingleFailuresMatchesReference:
+    @pytest.mark.parametrize("mode,avail,ath", [
+        ("dsbpss", 0.9, 0.99),
+        ("dcycles", 0.99, 0.999),
+    ])
+    def test_equal_at_pause_points(self, mode, avail, ath):
+        sim = Simulation(small_scenario(
+            mode=mode, avg_link_availability=avail, a_th=ath, n_requests=1200,
+        ))
+        restored = 0
+        for done in range(200, 1201, 200):
+            sim.run(max_arrivals=done)
+            report = inject_single_failures(sim)
+            reference = reference_inject_single_failures(sim)
+            assert report.per_link == reference.per_link
+            assert report.conflicts == reference.conflicts == 0
+            restored += sum(r for r, _ in report.per_link.values())
+        assert restored > 0
+
+    @staticmethod
+    def add_hand_conn(sim, cid, wp, bp, start, length=3):
+        """A live connection over ``wp`` with one backup over ``bp`` at ``start``.
+
+        Nothing is reserved: fault injection reads only the live results.
+        """
+        g = sim.graph
+
+        def links(vertices):
+            return tuple(g.link_between(a, b) for a, b in zip(vertices, vertices[1:]))
+
+        path = CandidatePath(wp, links(wp), SpectrumBitmap(g.slot_count), 0.9)
+        backup = BackupPath(f"{cid}/bp1", bp, links(bp), SlotBlock(start, length))
+        result = ProvisionResult(
+            blocked=False, path=path, block=SlotBlock(0, length),
+            needs_protection=True, protected=True, backup_paths=[backup],
+        )
+        sim.live[cid] = Connection(cid, LightpathRequest(wp[0], wp[-1], length), result)
+
+    # Every connection works over 1-2 and backs up over 1-3-2 with a 3-slot
+    # block at the given start; the expected count is, over the (link, slot)
+    # pairs of links 1-3 and 2-3, the number of claimers minus one.
+    @pytest.mark.parametrize("starts,expected", [
+        ((0, 1), 2 * 2),
+        ((0, 0), 2 * 3),
+        ((0, 3), 0),
+        ((0, 1, 2), 2 * (1 + 2 + 1)),
+    ])
+    def test_forced_overlap_counts_each_shared_slot(self, starts, expected):
+        sim = Simulation(small_scenario(mode="dsbpss", n_requests=10))
+        for i, start in enumerate(starts):
+            self.add_hand_conn(sim, f"h{i}", ("1", "2"), ("1", "3", "2"), start)
+        report = inject_single_failures(sim)
+        reference = reference_inject_single_failures(sim)
+        assert report.conflicts == reference.conflicts == expected
+        assert report.per_link == reference.per_link
+        assert report.per_link["1-2"] == (len(starts), 0)

@@ -10,6 +10,7 @@ from eonprotect.topology import (
     DuplicateLinkError,
     JitteredAvailability,
     NetworkGraph,
+    TopologyError,
     TopologyParseError,
     UniformAvailability,
     UnknownLinkError,
@@ -43,6 +44,15 @@ class TestLink:
 
     def test_link_id_is_order_independent(self):
         assert link_id("b", "a") == link_id("a", "b") == "a-b"
+
+    def test_vertex_name_with_dash_rejected(self):
+        # "a-b"+"c" and "a"+"b-c" would both be link a-b-c.
+        g = NetworkGraph(slot_count=8)
+        with pytest.raises(TopologyError, match="'b-c'"):
+            g.add_vertex("b-c")
+        with pytest.raises(TopologyError, match="'b-c'"):
+            g.add_link("a", "b-c", 10)
+        assert "b-c" not in g.vertices
 
 
 class TestBuildNsfnet:
@@ -102,6 +112,16 @@ class TestLoadTopology:
     def test_parse_error_carries_line_number(self):
         with pytest.raises(TopologyParseError, match="line 2"):
             load_topology("node a\nlink a\n")
+
+    @pytest.mark.parametrize("text,line", [
+        ("link a-b c 10 0.99\nlink a b-c 10 0.99\n", 1),
+        ("link a c 10 0.99\nlink a b-c 10 0.99\n", 2),
+        ("node a\nnode b-c\n", 2),
+    ])
+    def test_vertex_name_with_dash_is_a_parse_error(self, text, line):
+        with pytest.raises(TopologyParseError, match="contains '-'") as err:
+            load_topology(text)
+        assert err.value.line_no == line
 
     def test_unknown_directive(self):
         with pytest.raises(TopologyParseError, match="unknown directive"):
