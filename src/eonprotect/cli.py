@@ -201,6 +201,12 @@ _INI_FIELDS = {
     "load_per_node": ("load_per_node", _ini_flag),
     "jitter": ("jitter_availability", _ini_flag),
 }
+# [grid] keys a sweep file must give, and every key it may hold, by section.
+_GRID_AXES = ("avg_availability", "a_th", "load", "modes")
+_INI_KEYS = {
+    "scenario": {*_INI_FIELDS, "topology"},
+    "grid": {*_GRID_AXES, "repetitions", "seed"},
+}
 
 
 def _parse_sweep_config(path: str, args: argparse.Namespace) -> SweepSpec:
@@ -208,6 +214,16 @@ def _parse_sweep_config(path: str, args: argparse.Namespace) -> SweepSpec:
     read = cp.read(path)
     if not read:
         raise FileNotFoundError(path)
+    # A misspelt key would otherwise leave its field at the default unnoticed.
+    for section in cp.sections():
+        if section not in _INI_KEYS:
+            raise ValueError(f"{path}: unknown section [{section}]")
+        for key in cp[section]:
+            if key not in _INI_KEYS[section]:
+                raise ValueError(f"{path}: unknown key {key!r} in [{section}]")
+    missing = [key for key in _GRID_AXES if not cp.has_option("grid", key)]
+    if missing:
+        raise ValueError(f"{path}: [grid] lacks {', '.join(missing)}")
     sc = cp["scenario"] if cp.has_section("scenario") else {}
     grid = cp["grid"]
 
@@ -263,7 +279,10 @@ def main(argv: list[str] | None = None) -> int:
         emit([row], args.format, args.out)
         return 0
 
-    spec = _parse_sweep_config(args.config, args)
+    try:
+        spec = _parse_sweep_config(args.config, args)
+    except ValueError as exc:
+        parser.error(str(exc))
     rows = run_sweep(spec)
     emit(rows, args.format, args.out)
     failures = [r for r in rows if "error" in r]

@@ -3,21 +3,28 @@
 Candidate paths are enumerated breadth-first (hop count order) over the
 graph's int index (``NetworkGraph.link_index``): a partial path is its end
 vertex, a mask of the vertices it visited, the running AND of its links'
-free bits and the tuple of its link indices.  Branches whose intersection
-can no longer host the requested contiguous block are pruned immediately.
-Links can be left out by a link mask and the live free bits replaced by a
-caller's list, so backup and cycle searches need no pruned graph copy.
+run masks and the tuple of its link indices.  A link's run mask has bit i
+set iff slots i..i+n-1 are free on it, for a demand of n slots; each call
+takes every link's run mask once, so extending a branch costs one ``&``.
+This is exact: the run mask of an AND is the AND of the run masks (see
+``spectrum``), so a branch is pruned as soon as its links no longer share
+n contiguous free slots, exactly as if contiguity were re-derived from the
+AND of their free bits.  The common free bits of a path are ANDed only
+for the returned paths.  Links can be left out by a link mask and the live
+free bits replaced by a caller's list, so backup and cycle searches need
+no pruned graph copy.
+
 A returned ``CandidatePath`` carries its availability (the product of link
-availabilities in path order, from 1.0) and its link indices; its vertex
-walk, link tuple and bitmap are built from those on first read.  A caller
-that keeps the ``select_best`` path builds that path's fields only, plus
-the vertex walks of any paths tied with it on availability and hops.
+availabilities in path order, from 1.0), its hop count and its link
+indices; its vertex walk, link tuple and bitmap are built from those on
+first read.  A caller that keeps the ``select_best`` path builds that
+path's fields only, plus the vertex walks of any paths tied with it on
+availability and hops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .spectrum import SlotBlock, SpectrumBitmap, allocate, first_fit, run_steps
 from .topology import Link, LinkIndex, NetworkGraph
@@ -42,16 +49,37 @@ class LightpathRequest:
             raise ValueError("slots_needed and k must be >= 1")
 
 
+class _BuiltOnFirstRead:
+    """A field built on first read and then stored on the instance.
+
+    A non-data descriptor: once built, the instance attribute shadows it and
+    later reads are plain attribute reads.  ``functools.cached_property``
+    does the same but takes a lock on every uncached read before Python 3.12.
+    """
+
+    def __init__(self, build) -> None:
+        self.build = build
+        self.name = build.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.build(obj)
+        return value
+
+
 class CandidatePath:
     """A feasible path: vertex walk, links, common free slots, availability.
 
     ``CandidatePath(vertices, links, bitmap, availability)`` sets every
-    field.  ``candidate_paths`` sets only the availability and the search's
-    link indices; the other three fields are built on first read.
+    field.  ``candidate_paths`` sets only the availability, the hop count
+    and the search's link indices; the other three fields are built on
+    first read.
     """
 
     # (graph links by index, source vertex, slot count, link indices,
-    # common free bits) of a path found by ``candidate_paths``
+    # common free bits) of a path found by ``candidate_paths``; it holds no
+    # per-call list, so a live connection keeps no search state alive.
     _found: tuple | None = None
 
     def __init__(
@@ -65,6 +93,7 @@ class CandidatePath:
         self.links = links
         self.bitmap = bitmap
         self.availability = availability
+        self.hops = len(links)
 
     @classmethod
     def _from_search(
@@ -77,14 +106,15 @@ class CandidatePath:
         for li in path:
             avail *= table[li].availability
         p.availability = avail
+        p.hops = len(path)
         return p
 
-    @cached_property
+    @_BuiltOnFirstRead
     def links(self) -> tuple[Link, ...]:
         table, _, _, path, _ = self._found
         return tuple([table[li] for li in path])
 
-    @cached_property
+    @_BuiltOnFirstRead
     def vertices(self) -> tuple[str, ...]:
         table, s, _, path, _ = self._found
         walk = [s]
@@ -92,14 +122,10 @@ class CandidatePath:
             walk.append(table[li].other(walk[-1]))
         return tuple(walk)
 
-    @cached_property
+    @_BuiltOnFirstRead
     def bitmap(self) -> SpectrumBitmap:
         _, _, size, _, common = self._found
         return SpectrumBitmap(size, common)
-
-    @property
-    def hops(self) -> int:
-        return len(self.links) if self._found is None else len(self._found[3])
 
     def link_ids(self) -> frozenset[str]:
         return frozenset(link.id for link in self.links)
@@ -120,6 +146,7 @@ def candidate_paths(
     Returns as soon as k paths are collected; empty list when nothing fits.
     ``exclude`` is a mask over ``g.link_index()`` of links to treat as
     absent; ``bits`` replaces the links' live free bits, by link index.
+    Neither the graph nor ``bits`` is written to.
     """
     if s not in g.adjacency or d not in g.adjacency:
         raise KeyError(f"unknown vertex in request {s}->{d}")
@@ -127,45 +154,48 @@ def candidate_paths(
     if slots_needed > size:
         return []
     index = g.link_index()
-    bits = index.free_bits() if bits is None else list(bits)
+    if bits is None:
+        bits = index.free_bits()
+    runs = bits
+    for step in run_steps(slots_needed):
+        runs = [r & r >> step for r in runs]
     if exclude:
-        # An excluded link has no free slot, so no branch can cross it.
-        for li in range(len(bits)):
-            if exclude >> li & 1:
-                bits[li] = 0
-    found = _bfs(index, bits, s, d, run_steps(slots_needed), k, (1 << size) - 1)
-    return [
-        CandidatePath._from_search(index.links, s, size, path, common)
-        for path, common in found
-    ]
+        # An excluded link has no free window, so no branch can cross it.
+        runs = [0 if exclude >> li & 1 else r for li, r in enumerate(runs)]
+    table = index.links
+    out = []
+    for path in _bfs(index, runs, s, d, k):
+        common = (1 << size) - 1
+        for li in path:
+            common &= bits[li]
+        out.append(CandidatePath._from_search(table, s, size, path, common))
+    return out
 
 
 def _bfs(
-    index: LinkIndex, bits: list[int], s: str, d: str,
-    steps: list[int], k: int, all_free: int,
-) -> list[tuple[tuple[int, ...], int]]:
-    """(link indices, common free bits) of up to k feasible paths, BFS order."""
+    index: LinkIndex, runs: list[int], s: str, d: str, k: int,
+) -> list[tuple[int, ...]]:
+    """Link indices of up to k paths whose run masks meet, in BFS order."""
     neighbors = index.neighbors
     found = []
-    # frontier entries: (vertex, visited-vertex mask, intersected bits, link indices)
-    frontier = [(s, index.vertex_bit[s], all_free, ())]
+    # frontier entries: (vertex, visited-vertex mask, AND of the path's run
+    # masks, link indices); -1 has every bit set, so no window is ruled out.
+    frontier = [(s, index.vertex_bit[s], -1, ())]
     while frontier:
         nxt = []
-        for u, seen, common, path in frontier:
+        for u, seen, run, path in frontier:
             for v, vbit, li in neighbors[u]:
                 if seen & vbit:
                     continue
-                new_bits = run = common & bits[li]
-                for step in steps:
-                    run &= run >> step
-                if not run:
+                new = run & runs[li]
+                if not new:
                     continue
                 if v == d:
-                    found.append((path + (li,), new_bits))
+                    found.append(path + (li,))
                     if len(found) == k:
                         return found
                 else:
-                    nxt.append((v, seen | vbit, new_bits, path + (li,)))
+                    nxt.append((v, seen | vbit, new, path + (li,)))
         frontier = nxt
     return found
 

@@ -4,12 +4,20 @@ A bitmap is a fixed-length row of slots where 1 means free and 0 means
 busy.  Bitmaps are stored as Python integers: bit i (LSB side) is slot i,
 which makes intersection a single ``&`` and contiguity checks a handful of
 shift-and-ands regardless of slot count.
+
+The run mask of ``bits`` for a demand of ``need`` slots has bit i set iff
+slots i..i+need-1 are all free.  It distributes over intersection,
+``run(a & b) == run(a) & run(b)``: both sides say that every slot of the
+window is free in ``a`` and in ``b``.  So a path search can take each
+link's run mask once and AND run masks along a path, one ``&`` per link,
+instead of re-deriving contiguity from the AND of free bits at every step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 
 class SpectrumError(Exception):
@@ -125,9 +133,13 @@ def intersect(a: SpectrumBitmap, b: SpectrumBitmap) -> SpectrumBitmap:
     return SpectrumBitmap(a.size, a.bits & b.bits)
 
 
-def run_steps(need: int) -> list[int]:
+@cache
+def run_steps(need: int) -> tuple[int, ...]:
     """Right shifts that, and-ed in turn into ``bits``, leave bit i set iff
-    slots i..i+need-1 are all free."""
+    slots i..i+need-1 are all free.
+
+    Memoised: callers pass demands of at most a link's slot count.
+    """
     steps = []
     shift = 1
     remaining = need - 1
@@ -136,10 +148,11 @@ def run_steps(need: int) -> list[int]:
         steps.append(step)
         remaining -= step
         shift *= 2
-    return steps
+    return tuple(steps)
 
 
 def _run_mask(bits: int, need: int) -> int:
+    """Run mask of ``bits``: bit i set iff slots i..i+need-1 are all free."""
     for step in run_steps(need):
         bits &= bits >> step
     return bits

@@ -49,7 +49,14 @@ def link_id(u: str, v: str) -> str:
 
 
 def _mttr_for(availability: float) -> float:
+    if not 0.0 < availability <= 1.0:
+        raise TopologyError(f"availability {availability!r} must lie in (0, 1]")
     return MTTF_H * (1.0 - availability) / availability
+
+
+def _check_vertex_name(name: str) -> None:
+    if "-" in name:
+        raise TopologyError(f"vertex name {name!r} contains '-'")
 
 
 @dataclass
@@ -171,8 +178,7 @@ class NetworkGraph:
     _index: LinkIndex | None = field(default=None, init=False, repr=False, compare=False)
 
     def add_vertex(self, name: str) -> None:
-        if "-" in name:
-            raise TopologyError(f"vertex name {name!r} contains '-'")
+        _check_vertex_name(name)
         if name not in self.adjacency:
             self.vertices.append(name)
             self.adjacency[name] = []
@@ -185,16 +191,20 @@ class NetworkGraph:
         length_km: float,
         availability: float = 1.0,
     ) -> Link:
+        """Add a link and any new endpoint; a rejected call changes nothing."""
+        _check_vertex_name(u)
+        _check_vertex_name(v)
         lid = link_id(u, v)
         if lid in self.links:
             raise DuplicateLinkError(f"link {lid} already present")
-        self.add_vertex(u)
-        self.add_vertex(v)
+        # Link checks the self-loop and the length before any vertex is added.
         link = Link(
             lid, *sorted((u, v)), length_km,
             MTTF_H, _mttr_for(availability),
             SpectrumBitmap(self.slot_count),
         )
+        self.add_vertex(u)
+        self.add_vertex(v)
         self.links[lid] = link
         self.adjacency[u].append(lid)
         self.adjacency[v].append(lid)
@@ -327,8 +337,6 @@ def load_topology(
                 a = float(parts[4]) if len(parts) == 5 else None
             except ValueError as exc:
                 raise TopologyParseError(line_no, str(exc)) from exc
-            if a is not None and not 0.0 < a <= 1.0:
-                raise TopologyParseError(line_no, "availability must lie in (0, 1]")
             pending.append((line_no, u, v, km, a))
         else:
             raise TopologyParseError(line_no, f"unknown directive {parts[0]!r}")

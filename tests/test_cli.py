@@ -328,3 +328,50 @@ class TestScenarioDefaults:
             guard_ghz=0.0, k=3, slot_count=64,
             load_per_node=False, jitter_availability=False,
         )
+
+    @pytest.mark.parametrize("section, key, line", [
+        ("scenario", "request", "request = 900"),
+        ("scenario", "holding", "holding = 1"),
+        ("grid", "repetition", "repetition = 3"),
+    ])
+    def test_sweep_rejects_unknown_keys_before_any_cell(
+        self, cells, tmp_path, capsys, section, key, line,
+    ):
+        body = {
+            "scenario": ["requests = 900"],
+            "grid": ["avg_availability = 0.99", "a_th = 0.999", "load = 20", "modes = none"],
+        }
+        body[section].append(line)
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text("".join(
+            f"[{name}]\n" + "".join(f"{kv}\n" for kv in lines)
+            for name, lines in body.items()
+        ))
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert f"unknown key {key!r} in [{section}]" in capsys.readouterr().err
+        assert cells == []
+
+    def test_sweep_rejects_unknown_section(self, cells, tmp_path, capsys):
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(
+            "[scenaro]\nrequests = 900\n"
+            "[grid]\navg_availability = 0.99\na_th = 0.999\nload = 20\nmodes = none\n"
+        )
+        with pytest.raises(SystemExit):
+            main(["sweep", "--config", str(cfg)])
+        assert "unknown section [scenaro]" in capsys.readouterr().err
+        assert cells == []
+
+    @pytest.mark.parametrize("text, missing", [
+        ("[scenario]\nrequests = 10\n", "avg_availability, a_th, load, modes"),
+        ("[grid]\navg_availability = 0.99\na_th = 0.999\nload = 20\n", "modes"),
+    ])
+    def test_sweep_names_missing_grid_keys(self, cells, tmp_path, capsys, text, missing):
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(text)
+        with pytest.raises(SystemExit):
+            main(["sweep", "--config", str(cfg)])
+        assert f"[grid] lacks {missing}" in capsys.readouterr().err
+        assert cells == []

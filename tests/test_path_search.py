@@ -65,23 +65,33 @@ def summary(paths):
     ]
 
 
+def holds_a_list(value) -> bool:
+    """True if ``value`` is a list or a tuple that holds one at any depth."""
+    if isinstance(value, list):
+        return True
+    return isinstance(value, tuple) and any(holds_a_list(v) for v in value)
+
+
 @st.composite
 def search_cases(draw):
-    n = draw(st.integers(4, 9))
-    # Equal availabilities on denser graphs make paths of equal hop count
-    # tie on availability, so that select_best compares vertex walks.
-    uniform = draw(st.booleans())
+    # "uniform": equal availabilities on denser graphs make paths of equal
+    # hop count tie on availability, so that select_best compares vertex
+    # walks.  "dense": 10-16 vertices with 2-4 extra edges each and up to
+    # 64 slots, so that run masks of several shift steps over wide ints
+    # meet many branches of every length.
+    shape = draw(st.sampled_from(("sparse", "uniform", "dense")))
+    uniform = shape == "uniform"
+    n = draw(st.integers(10, 16) if shape == "dense" else st.integers(4, 9))
     # String names sort differently from their insertion order ("10" < "2").
     names = draw(st.permutations([str(i) for i in range(1, n + 1)]))
     pairs = {tuple(sorted((i, draw(st.integers(0, i - 1))))) for i in range(1, n)}
     vertex = st.integers(0, n - 1)
-    extra = draw(st.lists(
-        st.tuples(vertex, vertex),
-        min_size=n if uniform else 0, max_size=3 * n if uniform else 12,
-    ))
+    extra_edges = {"sparse": (0, 12), "uniform": (n, 3 * n), "dense": (2 * n, 4 * n)}
+    lo, hi = extra_edges[shape]
+    extra = draw(st.lists(st.tuples(vertex, vertex), min_size=lo, max_size=hi))
     pairs |= {tuple(sorted(p)) for p in extra if p[0] != p[1]}
     edges = draw(st.permutations(sorted(pairs)))
-    slot_count = draw(st.integers(1, 10))
+    slot_count = draw(st.integers(1, 64) if shape == "dense" else st.integers(1, 10))
     full = (1 << slot_count) - 1
     # Each slot busy with probability 1/4, so that most searches find paths.
     free = st.tuples(st.integers(0, full), st.integers(0, full)).map(
@@ -141,6 +151,9 @@ def test_matches_reference_on_pruned_copy(case):
     assert given_bits == bits
     # Returned paths hold the graph's own links.
     assert all(link is g.links[link.id] for p in got for link in p.links)
+    # ... and no per-call list (free bits, run masks), which a live
+    # connection would otherwise keep alive.
+    assert not any(holds_a_list(tuple(vars(p).values())) for p in got)
 
 
 def test_structure_change_resets_index():

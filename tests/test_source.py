@@ -20,3 +20,18 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_no_cached_property():
+    # Before Python 3.12, functools.cached_property takes a lock on every
+    # uncached read; the package supports 3.10 and 3.11, and lazy fields
+    # sit on the per-arrival path (rsa.CandidatePath).
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Name) and node.id == "cached_property")
+        or (isinstance(node, ast.Attribute) and node.attr == "cached_property")
+        or (isinstance(node, ast.alias) and node.name == "cached_property")
+    ]
+    assert found == []

@@ -1,7 +1,11 @@
 """Slot bitmap arithmetic: intersection, contiguity, placement, allocation."""
 
+import functools
+import operator
+import random
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from eonprotect.spectrum import (
     AllocationConflictError,
@@ -16,6 +20,8 @@ from eonprotect.spectrum import (
     intersect,
     is_feasible,
     release,
+    run_steps,
+    _run_mask,
 )
 
 
@@ -115,11 +121,78 @@ class TestIsFeasible:
 
     @given(st.integers(1, 64), st.integers(1, 10))
     def test_matches_brute_force_max_run(self, size, need):
-        import random
-
         rng = random.Random(size * 1000 + need)
         s = "".join(rng.choice("01") for _ in range(size))
         assert is_feasible(bm(s), need) == (brute_force_max_run(s) >= need)
+
+
+def reference_run_steps(need: int) -> list[int]:
+    """The shift schedule as first written: doubling shifts, the last one cut."""
+    steps = []
+    shift = 1
+    remaining = need - 1
+    while remaining > 0:
+        step = min(shift, remaining)
+        steps.append(step)
+        remaining -= step
+        shift *= 2
+    return steps
+
+
+def reference_run_mask(bits: str, need: int) -> int:
+    """Bit i set iff slots i..i+need-1 are all free, read off the string."""
+    return sum(1 << i for i in range(len(bits)) if bits[i:i + need] == "1" * need)
+
+
+@st.composite
+def run_mask_cases(draw):
+    size = draw(st.integers(1, 320))
+    need = draw(st.integers(1, size))
+    full = (1 << size) - 1
+    word = st.integers(0, full)
+    # A slot is busy where every one of 1-5 random words is set, so free
+    # runs range from short (busy half the time) to most of the row.
+    busy = st.lists(word, min_size=1, max_size=5).map(
+        lambda ws: functools.reduce(operator.and_, ws)
+    )
+    free = st.just(full) | busy.map(lambda b: full & ~b)
+    return size, need, draw(free), draw(free)
+
+
+class TestRunMask:
+    @settings(max_examples=300, deadline=None)
+    @given(run_mask_cases())
+    def test_distributes_over_and(self, case):
+        size, need, a, b = case
+        assert _run_mask(a & b, need) == _run_mask(a, need) & _run_mask(b, need)
+
+    @settings(max_examples=300, deadline=None)
+    @given(run_mask_cases())
+    def test_bit_i_is_a_free_window_from_i(self, case):
+        size, need, a, _ = case
+        text = SpectrumBitmap(size, a).to_string()
+        assert _run_mask(a, need) == reference_run_mask(text, need)
+
+    def test_every_demand_on_full_width_rows(self):
+        rng = random.Random(320)
+        full = (1 << 320) - 1
+        rows = [full] + [
+            full & ~functools.reduce(operator.and_, [rng.getrandbits(320) for _ in range(depth)])
+            for depth in (1, 3, 6, 9)
+        ]
+        for need in range(1, 321):
+            for a, b in zip(rows, rows[1:] + rows[:1]):
+                assert _run_mask(a, need) == reference_run_mask(
+                    SpectrumBitmap(320, a).to_string(), need
+                )
+                assert _run_mask(a & b, need) == _run_mask(a, need) & _run_mask(b, need)
+
+    def test_run_steps_unchanged_for_every_demand(self):
+        for need in range(1, 321):
+            steps = run_steps(need)
+            assert steps == tuple(reference_run_steps(need))
+            assert sum(steps) == need - 1
+            assert run_steps(need) is steps
 
 
 class TestFirstFit:

@@ -55,6 +55,48 @@ class TestLink:
         assert "b-c" not in g.vertices
 
 
+class TestRejectedAddLinkChangesNothing:
+    """A rejected ``add_link`` leaves no stray vertex, link or index reset."""
+
+    @staticmethod
+    def graph():
+        g = NetworkGraph(slot_count=8)
+        g.add_link("p", "q", 10)
+        return g
+
+    def check_rejected(self, u, v, length_km, availability, match):
+        g = self.graph()
+        index = g.link_index()
+        vertices = list(g.vertices)
+        with pytest.raises(TopologyError, match=match):
+            g.add_link(u, v, length_km, availability=availability)
+        assert g.vertices == vertices
+        assert set(g.adjacency) == set(vertices)
+        assert list(g.links) == ["p-q"]
+        assert g.link_index() is index
+
+    def test_dash_in_second_name(self):
+        self.check_rejected("a", "b-c", 10, 1.0, "'b-c'")
+
+    def test_dash_in_first_name(self):
+        self.check_rejected("a-b", "c", 10, 1.0, "'a-b'")
+
+    def test_self_loop(self):
+        self.check_rejected("a", "a", 1, 1.0, "self-loop")
+
+    def test_negative_length(self):
+        self.check_rejected("x", "y", -5, 1.0, "length")
+
+    def test_zero_availability(self):
+        self.check_rejected("x", "y", 10, 0.0, "availability")
+
+    def test_availability_above_one(self):
+        self.check_rejected("x", "y", 10, 1.5, "availability")
+
+    def test_duplicate_link(self):
+        self.check_rejected("q", "p", 10, 1.0, "already present")
+
+
 class TestBuildNsfnet:
     def test_shape_and_free_spectrum(self):
         g = build_nsfnet(320, UniformAvailability(0.999))
@@ -122,6 +164,11 @@ class TestLoadTopology:
         with pytest.raises(TopologyParseError, match="contains '-'") as err:
             load_topology(text)
         assert err.value.line_no == line
+
+    def test_availability_out_of_range_is_a_parse_error(self):
+        with pytest.raises(TopologyParseError, match="availability") as err:
+            load_topology("link a b 10 0.9\nlink b c 10 1.5\n")
+        assert err.value.line_no == 2
 
     def test_unknown_directive(self):
         with pytest.raises(TopologyParseError, match="unknown directive"):
