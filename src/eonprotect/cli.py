@@ -3,8 +3,10 @@
 ``eonprotect run`` executes one scenario and prints or writes one result
 row.  ``eonprotect sweep`` reads a declarative INI config describing a grid
 over availability, threshold, load and mode, runs every cell (optionally in
-parallel worker processes) and writes a CSV or JSON table.  Failed cells
-become rows with empty metric fields; the process then exits with code 2.
+parallel worker processes) and writes a CSV or JSON table.  Both build
+every scenario before running any, so an invalid value exits with code 2
+before anything runs.  Cells that fail while running become rows with empty
+metric fields; the process then exits with code 2.
 """
 
 from __future__ import annotations
@@ -274,15 +276,21 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command == "run":
-        row = run_cell(_scenario_kwargs(args))
-        emit([row], args.format, args.out)
-        return 0
-
     try:
-        spec = _parse_sweep_config(args.config, args)
+        if args.command == "run":
+            params = _scenario_kwargs(args)
+            Scenario(**params)
+        else:
+            spec = _parse_sweep_config(args.config, args)
+            for cell in spec.cells():
+                Scenario(**cell)
     except ValueError as exc:
         parser.error(str(exc))
+
+    if args.command == "run":
+        emit([run_cell(params)], args.format, args.out)
+        return 0
+
     rows = run_sweep(spec)
     emit(rows, args.format, args.out)
     failures = [r for r in rows if "error" in r]

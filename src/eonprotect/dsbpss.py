@@ -78,11 +78,12 @@ class BackupRegistry:
     def claim(self, link_id: str, wp_links: frozenset[str], mask: int) -> None:
         """Hold ``mask`` on the link for a failure of any of ``wp_links``."""
         on_link = self.claims.get(link_id, {})
-        clash = sorted(f for f in wp_links if on_link.get(f, 0) & mask)
-        if clash:
-            raise SharingConflictError(
-                f"slots {mask:#x} on {link_id} already claimed for failures of {clash}"
-            )
+        for failed in wp_links:
+            if on_link.get(failed, 0) & mask:
+                clash = sorted(f for f in wp_links if on_link.get(f, 0) & mask)
+                raise SharingConflictError(
+                    f"slots {mask:#x} on {link_id} already claimed for failures of {clash}"
+                )
         for failed in wp_links:
             on_link[failed] = on_link.get(failed, 0) | mask
         self.claims[link_id] = on_link

@@ -14,6 +14,16 @@ for the returned paths.  Links can be left out by a link mask and the live
 free bits replaced by a caller's list, so backup and cycle searches need
 no pruned graph copy.
 
+Most searches need no BFS.  The graph's index keeps, per
+(s, d, k), the s-d simple paths in the order the same BFS finds them when
+no branch is pruned, through the whole hop level of the k-th path
+(``LinkIndex.structural_paths``).  A path there is feasible iff the AND of
+its links' run masks is non-zero.  Pruning drops a branch with all its
+extensions and never reorders the survivors, so the pruned BFS returns the
+first k feasible paths of the unpruned order; when the table holds k
+feasible paths, they are those, and when it holds every s-d path, its
+feasible ones are all there are.  Otherwise the pruned BFS runs.
+
 A returned ``CandidatePath`` carries its availability (the product of link
 availabilities in path order, from 1.0), its hop count and its link
 indices; its vertex walk, link tuple and bitmap are built from those on
@@ -151,7 +161,7 @@ def candidate_paths(
     if s not in g.adjacency or d not in g.adjacency:
         raise KeyError(f"unknown vertex in request {s}->{d}")
     size = g.slot_count
-    if slots_needed > size:
+    if slots_needed > size or s == d:
         return []
     index = g.link_index()
     if bits is None:
@@ -173,6 +183,27 @@ def candidate_paths(
 
 
 def _bfs(
+    index: LinkIndex, runs: list[int], s: str, d: str, k: int,
+) -> list[tuple[int, ...]]:
+    """Link indices of up to k paths whose run masks meet, in BFS order.
+
+    Scans the graph's table of structural s-d paths first; searches only
+    when the table holds fewer than k such paths and is not complete.
+    """
+    paths, complete = index.structural_paths(s, d, k)
+    found = []
+    for path in paths:
+        run = -1
+        for li in path:
+            run &= runs[li]
+        if run:
+            found.append(path)
+            if len(found) == k:
+                return found
+    return found if complete else _pruned_bfs(index, runs, s, d, k)
+
+
+def _pruned_bfs(
     index: LinkIndex, runs: list[int], s: str, d: str, k: int,
 ) -> list[tuple[int, ...]]:
     """Link indices of up to k paths whose run masks meet, in BFS order."""

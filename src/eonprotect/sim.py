@@ -64,6 +64,17 @@ class Scenario:
             raise ValueError("n_requests must be >= 1")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        for name in ("a_th", "avg_link_availability"):
+            if not 0.0 < getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} {getattr(self, name)!r} must lie in (0, 1]")
+        for name in ("k", "slot_count"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        # Rates are drawn from the integers 1..int(b_max_gbps).
+        if not self.b_max_gbps >= 1:
+            raise ValueError("b_max_gbps must be >= 1")
+        if not self.slot_ghz > 0 or not self.guard_ghz >= 0:
+            raise ValueError("slot_ghz must be positive and guard_ghz non-negative")
 
     def seeds(self) -> tuple[int, int]:
         """Independent (traffic, availability) seeds derived from the run seed."""

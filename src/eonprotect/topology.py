@@ -154,6 +154,8 @@ class LinkIndex:
     vertex_bit: dict[str, int]
     # vertex -> (neighbour, neighbour's vertex bit, link index), by neighbour name
     neighbors: dict[str, tuple[tuple[str, int, int], ...]]
+    # (s, d, k) -> structural_paths(s, d, k), filled on first use
+    _paths: dict = field(default_factory=dict, repr=False, compare=False)
 
     def mask(self, links) -> int:
         """Link mask of the given links."""
@@ -165,6 +167,36 @@ class LinkIndex:
     def free_bits(self) -> list[int]:
         """Current free bits of every link, by link index."""
         return [link.bitmap.bits for link in self.links]
+
+    def structural_paths(
+        self, s: str, d: str, k: int,
+    ) -> tuple[tuple[tuple[int, ...], ...], bool]:
+        """The s-d simple paths through the hop level of the k-th, and whether
+        they are all the s-d simple paths.
+
+        Paths are link-index tuples in breadth-first order over ``neighbors``
+        with spectrum ignored, the order in which the run-mask search finds
+        the feasible ones.  Built on first use for each (s, d, k).
+        """
+        key = (s, d, k)
+        entry = self._paths.get(key)
+        if entry is None:
+            neighbors = self.neighbors
+            found = []
+            frontier = [(s, self.vertex_bit[s], ())]
+            while frontier and len(found) < k:
+                nxt = []
+                for u, seen, path in frontier:
+                    for v, vbit, li in neighbors[u]:
+                        if seen & vbit:
+                            continue
+                        if v == d:
+                            found.append(path + (li,))
+                        else:
+                            nxt.append((v, seen | vbit, path + (li,)))
+                frontier = nxt
+            entry = self._paths[key] = (tuple(found), not frontier)
+        return entry
 
 
 @dataclass

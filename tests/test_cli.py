@@ -224,28 +224,37 @@ class TestMain:
         assert [r["seed"] for r in csv.DictReader(out.open())] == ["0", "1"]
 
     def test_sweep_requests_zero_overrides_config(self, tmp_path, capsys):
+        # The config's requests = 900 would run; the override's 0 is refused.
         out = tmp_path / "requests0.json"
-        code = main([
-            "sweep", "--config", self.zero_override_config(tmp_path),
-            "--requests", "0", "--out", str(out), "--format", "json",
-        ])
-        assert code == 2
-        rows = json.loads(out.read_text())
-        assert len(rows) == 2
-        assert all("n_requests" in r["error"] for r in rows)
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "sweep", "--config", self.zero_override_config(tmp_path),
+                "--requests", "0", "--out", str(out), "--format", "json",
+            ])
+        assert exc.value.code == 2
+        assert "n_requests" in capsys.readouterr().err
+        assert not out.exists()
 
-    def test_sweep_partial_failure_exits_2(self, tmp_path, capsys):
+    def test_sweep_partial_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        def fail_bogus_seed(params):
+            if params["seed"] == 2:
+                raise RuntimeError("bogus")
+            return run_cell(params)
+
+        monkeypatch.setattr(cli, "run_cell", fail_bogus_seed)
         cfg = tmp_path / "bad.ini"
         cfg.write_text(
             "[scenario]\nrequests = 900\nmean_holding_s = 1.0\n"
             "[grid]\n"
             "avg_availability = 0.999\na_th = 0.99\nload = 15\n"
-            "modes = none bogus\n"
+            "modes = none\nrepetitions = 2\n"
         )
         out = tmp_path / "bad.csv"
         code = main(["sweep", "--config", str(cfg), "--out", str(out)])
         assert code == 2
         assert "cell failed" in capsys.readouterr().err
+        rows = list(csv.DictReader(out.open()))
+        assert [(r["seed"], r["bp"] != "") for r in rows] == [("1", True), ("2", False)]
 
     def test_custom_topology_file(self, tmp_path):
         topo = tmp_path / "square.topo"
@@ -351,6 +360,32 @@ class TestScenarioDefaults:
             main(["sweep", "--config", str(cfg)])
         assert exc.value.code == 2
         assert f"unknown key {key!r} in [{section}]" in capsys.readouterr().err
+        assert cells == []
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--ath", "1.5"], "a_th"),
+        (["--ath", "0.99", "--avg-availability", "0"], "avg_link_availability"),
+        (["--ath", "0.99", "--k", "0"], "k"),
+        (["--ath", "0.99", "--guard-ghz", "-1"], "guard_ghz"),
+        (["--ath", "0.99", "--bmax", "0"], "b_max_gbps"),
+    ])
+    def test_run_rejects_bad_value_before_running(self, cells, capsys, flags, field):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--mode", "dsbpss", "--load", "15", *flags])
+        assert exc.value.code == 2
+        assert field in capsys.readouterr().err
+        assert cells == []
+
+    def test_sweep_rejects_bad_cell_before_any_cell(self, cells, tmp_path, capsys):
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(
+            "[grid]\navg_availability = 0.99\na_th = 0.99 1.5\nload = 20\n"
+            "modes = none dsbpss\n"
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "a_th 1.5 must lie in (0, 1]" in capsys.readouterr().err
         assert cells == []
 
     def test_sweep_rejects_unknown_section(self, cells, tmp_path, capsys):

@@ -95,6 +95,18 @@ class TestCanShare:
         with pytest.raises(SharingConflictError):
             reg.claim("E-F", frozenset({"B-C", "C-D"}), SlotBlock(2, 2).mask())
 
+    def test_conflict_names_every_clashing_failure_and_changes_nothing(self):
+        reg = BackupRegistry()
+        reg.claim("E-F", frozenset({"C-D", "B-C"}), SlotBlock(0, 3).mask())
+        claims = {b: dict(on_link) for b, on_link in reg.claims.items()}
+        held = dict(reg.held)
+        with pytest.raises(SharingConflictError) as err:
+            reg.claim("E-F", frozenset({"C-D", "A-B", "B-C"}), SlotBlock(2, 2).mask())
+        assert str(err.value) == (
+            "slots 0xc on E-F already claimed for failures of ['B-C', 'C-D']"
+        )
+        assert reg.claims == claims and reg.held == held
+
     def test_unclaimed_slots_always_share(self):
         reg = BackupRegistry()
         mask = SlotBlock(0, 3).mask()

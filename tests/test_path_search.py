@@ -1,7 +1,9 @@
 """The int-mask path search and path selection against the code they replaced."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from eonprotect import rsa
 from eonprotect.rsa import CandidatePath, candidate_paths, select_best
 from eonprotect.spectrum import SpectrumBitmap, is_feasible
 from eonprotect.topology import Link, NetworkGraph, UniformAvailability, remove_links
@@ -112,48 +114,172 @@ def search_cases(draw):
         s, d = draw(st.sampled_from(apart))
     else:
         s, d = draw(st.permutations(names))[:2]
-    slots_needed = draw(st.integers(1, 3) | st.integers(1, slot_count + 1))
-    k = draw(st.integers(2 if uniform else 1, 8))
-    excluded = draw(st.sets(st.sampled_from(sorted(g.links))))
+    # Three searches on one graph, the third with the first's k, so the
+    # table of structural paths built by one search answers a later one with
+    # other free bits, exclusions and demand.
+    ks = st.integers(2 if uniform else 1, 8)
+    first_k = draw(ks)
     per_link = st.lists(free, min_size=len(g.links), max_size=len(g.links))
-    bits = draw(st.none() | per_link)
-    return g, s, d, slots_needed, k, excluded, bits
+    searches = [
+        (
+            draw(st.integers(1, 3) | st.integers(1, slot_count + 1)),
+            k,
+            draw(st.sets(st.sampled_from(sorted(g.links)))),
+            draw(st.none() | per_link),
+        )
+        for k in (first_k, draw(ks), first_k)
+    ]
+    return g, s, d, searches
+
+
+def all_free_copy(g: NetworkGraph) -> NetworkGraph:
+    free = g.copy()
+    for link in free.links.values():
+        link.bitmap.bits = (1 << g.slot_count) - 1
+    return free
 
 
 @settings(deadline=None, derandomize=True, max_examples=400)
 @given(search_cases())
 def test_matches_reference_on_pruned_copy(case):
-    g, s, d, slots_needed, k, excluded, bits = case
+    g, s, d, searches = case
     index = g.link_index()
     live = index.free_bits()
-    given_bits = None if bits is None else list(bits)
+    for slots_needed, k, excluded, bits in searches:
+        given_bits = None if bits is None else list(bits)
 
-    got = candidate_paths(
-        g, s, d, slots_needed, k,
-        index.mask(g.links[lid] for lid in excluded), given_bits,
-    )
-    # Picked before any field is read, so only tied paths build their walks.
-    picked = select_best(got) if got else None
+        got = candidate_paths(
+            g, s, d, slots_needed, k,
+            index.mask(g.links[lid] for lid in excluded), given_bits,
+        )
+        # Picked before any field is read, so only tied paths build their walks.
+        picked = select_best(got) if got else None
 
-    pruned = remove_links(g, [g.links[lid] for lid in sorted(excluded)])
-    if bits is not None:
-        for lid, link in pruned.links.items():
-            link.bitmap.bits = bits[index.position[lid]]
-    want = reference_candidate_paths(pruned, s, d, slots_needed, k)
-    assert summary(got) == summary(want)
-    # Paths whose fields are built on first read are picked as the eagerly
-    # built ones are, ties on (availability, hops) included.
-    if got:
-        assert summary([picked]) == summary([select_best(want)])
-        assert summary([picked]) == summary([reference_select_best(want)])
-    # The search writes neither to the graph nor to the caller's bits.
-    assert index.free_bits() == live
-    assert given_bits == bits
-    # Returned paths hold the graph's own links.
-    assert all(link is g.links[link.id] for p in got for link in p.links)
-    # ... and no per-call list (free bits, run masks), which a live
-    # connection would otherwise keep alive.
-    assert not any(holds_a_list(tuple(vars(p).values())) for p in got)
+        pruned = remove_links(g, [g.links[lid] for lid in sorted(excluded)])
+        if bits is not None:
+            for lid, link in pruned.links.items():
+                link.bitmap.bits = bits[index.position[lid]]
+        want = reference_candidate_paths(pruned, s, d, slots_needed, k)
+        assert summary(got) == summary(want)
+        # Paths whose fields are built on first read are picked as the eagerly
+        # built ones are, ties on (availability, hops) included.
+        if got:
+            assert summary([picked]) == summary([select_best(want)])
+            assert summary([picked]) == summary([reference_select_best(want)])
+        # The search writes neither to the graph nor to the caller's bits.
+        assert index.free_bits() == live
+        assert given_bits == bits
+        # Returned paths hold the graph's own links.
+        assert all(link is g.links[link.id] for p in got for link in p.links)
+        # ... and no per-call list (free bits, run masks), which a live
+        # connection would otherwise keep alive.
+        assert not any(holds_a_list(tuple(vars(p).values())) for p in got)
+    assert g.link_index() is index
+
+    # Each table holds tuples of ints only, and is the unpruned breadth-first
+    # order through the hop level of the k-th path: the next path, if any,
+    # has more hops.
+    free = all_free_copy(g)
+    for _, k, _, _ in searches:
+        paths, complete = index.structural_paths(s, d, k)
+        assert type(paths) is tuple and type(complete) is bool
+        assert all(
+            type(path) is tuple and all(type(li) is int for li in path)
+            for path in paths
+        )
+        unpruned = [
+            tuple(index.position[link.id] for link in p.links)
+            for p in reference_candidate_paths(free, s, d, 1, len(paths) + 1)
+        ]
+        assert tuple(unpruned[:len(paths)]) == paths
+        if len(paths) >= k:
+            assert len(paths[-1]) == len(paths[k - 1])
+        if complete:
+            assert len(unpruned) == len(paths)
+        else:
+            assert len(paths) >= k
+        if len(unpruned) > len(paths):
+            assert len(unpruned[-1]) > len(paths[-1])
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Arguments of every pruned search that the table did not answer."""
+    calls = []
+
+    def spy(index, runs, s, d, k):
+        calls.append((s, d, k))
+        return pruned_bfs(index, runs, s, d, k)
+
+    pruned_bfs = rsa._pruned_bfs
+    monkeypatch.setattr(rsa, "_pruned_bfs", spy)
+    return calls
+
+
+def ladder() -> NetworkGraph:
+    """a-b direct, a-c-b and a-d-e-b: three a-b paths of 1, 2 and 3 hops."""
+    g = NetworkGraph(slot_count=4)
+    for u, v in (("a", "b"), ("a", "c"), ("c", "b"), ("a", "d"), ("d", "e"), ("e", "b")):
+        g.add_link(u, v, 100)
+    return g
+
+
+def walks(paths):
+    return [p.vertices for p in paths]
+
+
+def test_same_endpoints_find_nothing(fallbacks):
+    g = ladder()
+    assert candidate_paths(g, "a", "a", 1, 5) == []
+    assert g.link_index()._paths == {} and fallbacks == []
+
+
+def test_complete_table_answers_short_search(fallbacks):
+    g = ladder()
+    # k = 5 exceeds the three simple paths: the table holds them all.
+    assert walks(candidate_paths(g, "a", "b", 1, 5)) == [
+        ("a", "b"), ("a", "c", "b"), ("a", "d", "e", "b"),
+    ]
+    assert g.link_index().structural_paths("a", "b", 5)[1] is True
+    g.links["a-b"].bitmap.bits = 0
+    assert walks(candidate_paths(g, "a", "b", 1, 5)) == [
+        ("a", "c", "b"), ("a", "d", "e", "b"),
+    ]
+    assert fallbacks == []
+
+
+def test_table_hit_answers_search(fallbacks):
+    g = ladder()
+    # k = 1 stops the table at the one-hop level: a-b alone, not complete.
+    assert walks(candidate_paths(g, "a", "b", 1, 1)) == [("a", "b")]
+    assert g.link_index().structural_paths("a", "b", 1) == (((0,),), False)
+    # Other free bits and demands reuse the table.
+    g.links["b-c"].bitmap.bits = 0
+    assert walks(candidate_paths(g, "a", "b", 4, 1)) == [("a", "b")]
+    assert fallbacks == []
+
+
+def test_short_table_falls_back_to_pruned_search(fallbacks):
+    g = ladder()
+    assert walks(candidate_paths(g, "a", "b", 1, 1)) == [("a", "b")]
+    # With a-b busy the one-hop table holds no feasible path.
+    g.links["a-b"].bitmap.bits = 0
+    assert walks(candidate_paths(g, "a", "b", 1, 1)) == [("a", "c", "b")]
+    exclude = g.link_index().mask([g.links["b-c"]])
+    assert walks(candidate_paths(g, "a", "b", 1, 1, exclude)) == [("a", "d", "e", "b")]
+    assert fallbacks == [("a", "b", 1), ("a", "b", 1)]
+
+
+def test_table_holds_structure_only(fallbacks):
+    g = ladder()
+    # Built by a search with a-b busy, the table still starts with a-b.
+    g.links["a-b"].bitmap.bits = 0
+    assert walks(candidate_paths(g, "a", "b", 1, 2)) == [
+        ("a", "c", "b"), ("a", "d", "e", "b"),
+    ]
+    g.links["a-b"].bitmap.bits = 0b1111
+    assert walks(candidate_paths(g, "a", "b", 1, 2)) == [("a", "b"), ("a", "c", "b")]
+    assert fallbacks == [("a", "b", 2)]
 
 
 def test_structure_change_resets_index():

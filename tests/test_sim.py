@@ -45,6 +45,26 @@ class TestScenario:
         with pytest.raises(ValueError):
             small_scenario(mode="magic")
 
+    # Past construction, each bad value would fail only at the first
+    # arrival, after the whole arrival stream is generated, or not at all.
+    @pytest.mark.parametrize("name, bad, good", [
+        pytest.param(name, bad, good, id=name) for name, bad, good in [
+            ("a_th", (0.0, 1.5, -0.5, float("nan")), (1.0, 1e-9)),
+            ("avg_link_availability", (0.0, 1.01, float("nan")), (1.0, 1e-9)),
+            ("k", (0, -1), (1,)),
+            ("slot_count", (0, -3), (1,)),
+            ("b_max_gbps", (0.0, -10.0, 0.5), (1.0,)),
+            ("slot_ghz", (0.0, -12.5), (0.1,)),
+            ("guard_ghz", (-0.1,), (0.0,)),
+        ]
+    ])
+    def test_rejects_field_out_of_range(self, name, bad, good):
+        for value in bad:
+            with pytest.raises(ValueError, match=name):
+                small_scenario(**{name: value})
+        for value in good:
+            assert getattr(small_scenario(**{name: value}), name) == value
+
     def test_arrival_rate_per_node(self):
         sc = small_scenario(load_erlang=15, mean_holding_s=10.0)
         assert sc.arrival_rate(14) == pytest.approx(15 * 14 / 10.0)
