@@ -35,7 +35,6 @@ from .spectrum import (
     allocate,
     demand_to_slots,
     first_fit,
-    intersect,
     is_feasible,
     release,
 )

@@ -3,9 +3,10 @@
 ``eonprotect run`` executes one scenario and prints or writes one result
 row.  ``eonprotect sweep`` reads a declarative INI config describing a grid
 over availability, threshold, load and mode, runs every cell (optionally in
-parallel worker processes) and writes a CSV or JSON table.  Both build
-every scenario before running any, so an invalid value exits with code 2
-before anything runs.  Cells that fail while running become rows with empty
+parallel worker processes) and writes a CSV or JSON table.  Both parse the
+topology file and build every scenario before running any, so an invalid
+value, an unreadable or invalid topology, or an empty grid exits with code
+2 before anything runs.  Cells that fail while running become rows with empty
 metric fields; the process then exits with code 2.
 """
 
@@ -31,6 +32,7 @@ from .metrics import (
 )
 from .rsa import MODES
 from .sim import Scenario, Simulation
+from .topology import TopologyError, UniformAvailability, load_topology
 
 CSV_COLUMNS = [
     "mode", "load_erlang", "avg_avail", "a_th", "seed",
@@ -151,18 +153,28 @@ def emit(rows: list[dict], fmt: str, path: str | None) -> None:
         Path(path).write_text(text)
 
 
+def _read_topology(path: str) -> str:
+    """Text of a topology file, parsed once here so a bad file fails early."""
+    text = Path(path).read_text()
+    try:
+        load_topology(text, policy=UniformAvailability(1.0))
+    except TopologyError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return text
+
+
 def _scenario_kwargs(args: argparse.Namespace) -> dict:
     names = {f.name for f in fields(Scenario)}
     kwargs = {name: value for name, value in vars(args).items() if name in names}
     if args.topology != "nsfnet":
-        kwargs["topology_text"] = Path(args.topology).read_text()
+        kwargs["topology_text"] = _read_topology(args.topology)
     return kwargs
 
 
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     # dests are Scenario fields; argument_default=SUPPRESS leaves unset ones out
     p.add_argument("--topology", default="nsfnet",
-                   help="topology file path, or 'nsfnet' for the built-in")
+                   help="topology file path, or 'nsfnet' for the bundled NSFNET")
     p.add_argument("--mode", choices=MODES, required=True)
     p.add_argument("--load", dest="load_erlang", type=float, required=True,
                    help="offered Erlang load")
@@ -236,18 +248,26 @@ def _parse_sweep_config(path: str, args: argparse.Namespace) -> SweepSpec:
         template["n_requests"] = args.requests
     topo = sc.get("topology", "nsfnet")
     if topo != "nsfnet":
-        template["topology_text"] = Path(topo).read_text()
+        template["topology_text"] = _read_topology(topo)
+
+    axes = {key: grid[key].split() for key in _GRID_AXES}
+    for key, values in axes.items():
+        if not values:
+            raise ValueError(f"{path}: [grid] {key} is empty")
+    repetitions = int(grid.get("repetitions", 1))
+    if repetitions < 1:
+        raise ValueError(f"{path}: [grid] repetitions must be >= 1")
 
     def floats(key: str) -> list[float]:
-        return [float(x) for x in grid[key].split()]
+        return [float(x) for x in axes[key]]
 
     return SweepSpec(
         template=template,
         avg_availability=floats("avg_availability"),
         a_th=floats("a_th"),
         loads=floats("load"),
-        modes=grid["modes"].split(),
-        repetitions=int(grid.get("repetitions", 1)),
+        modes=axes["modes"],
+        repetitions=repetitions,
         base_seed=args.seed if args.seed is not None else int(grid.get("seed", 1)),
         workers=args.workers,
     )
@@ -284,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
             spec = _parse_sweep_config(args.config, args)
             for cell in spec.cells():
                 Scenario(**cell)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         parser.error(str(exc))
 
     if args.command == "run":

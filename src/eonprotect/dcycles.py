@@ -40,18 +40,11 @@ class DCycle:
     link_ids: tuple[str, ...]
     blocks: dict[str, SlotBlock]
     capacity_slots: int
-    # protected working link -> (working path id, demand in slots)
-    protected: dict[str, tuple[str, int]] = field(default_factory=dict)
+    # protected working link -> id of the working path it belongs to
+    protected: dict[str, str] = field(default_factory=dict)
 
     def is_on_cycle(self, link: Link) -> bool:
         return link.id in self.link_ids
-
-    def is_straddling(self, link: Link) -> bool:
-        return (
-            link.id not in self.link_ids
-            and link.u in self.vertex_order
-            and link.v in self.vertex_order
-        )
 
     def arcs(self, link: Link, g: NetworkGraph) -> list[list[Link]]:
         """Backup routes around the cycle between the link's endpoints.
@@ -310,7 +303,7 @@ def provision_cycles(
         if cycle is None:
             _rollback(g, cs, undo)
             return None, a_pp_max
-        cycle.protected[link.id] = (wp_id, lr.slots_needed)
+        cycle.protected[link.id] = wp_id
         undo.append(("protect", cycle.id, link.id))
         granted.append((cycle.id, link.id))
         a_bp = cycle.backup_availability(link, g)
@@ -330,8 +323,7 @@ def release_wp(
     """
     for cid, lid in granted:
         cycle = cs.cycles.get(cid)
-        holder = None if cycle is None else cycle.protected.get(lid)
-        if holder is None or holder[0] != wp_id:
+        if cycle is None or cycle.protected.get(lid) != wp_id:
             raise UnknownGrantError(f"cycle {cid} holds no entry on {lid} for {wp_id}")
     for cid, lid in granted:
         cycle = cs.cycles[cid]

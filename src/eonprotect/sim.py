@@ -55,11 +55,11 @@ class Scenario:
     slot_count: int = 320
     load_per_node: bool = True
     jitter_availability: bool = True
-    topology_text: str | None = None  # None selects the built-in NSFNET
+    topology_text: str | None = None  # None selects the bundled NSFNET
 
     def __post_init__(self) -> None:
-        if self.load_erlang <= 0 or self.mean_holding_s <= 0:
-            raise ValueError("load and holding time must be positive")
+        if not self.load_erlang > 0 or not self.mean_holding_s > 0:
+            raise ValueError("load_erlang and mean_holding_s must be positive")
         if self.n_requests < 1:
             raise ValueError("n_requests must be >= 1")
         if self.mode not in MODES:

@@ -24,10 +24,6 @@ class SpectrumError(Exception):
     """Base class for spectrum allocation errors."""
 
 
-class LengthMismatchError(SpectrumError):
-    pass
-
-
 class NoFitError(SpectrumError):
     pass
 
@@ -58,9 +54,6 @@ class SlotBlock:
 
     def mask(self) -> int:
         return ((1 << self.length) - 1) << self.start
-
-    def overlaps(self, other: "SlotBlock") -> bool:
-        return self.start < other.end and other.start < self.end
 
 
 class SpectrumBitmap:
@@ -93,9 +86,6 @@ class SpectrumBitmap:
     def copy(self) -> "SpectrumBitmap":
         return SpectrumBitmap(self.size, self.bits)
 
-    def free_count(self) -> int:
-        return self.bits.bit_count()
-
     def busy_count(self) -> int:
         return self.size - self.bits.bit_count()
 
@@ -119,18 +109,8 @@ class SpectrumBitmap:
             and self.bits == other.bits
         )
 
-    def __hash__(self) -> int:
-        return hash((self.size, self.bits))
-
     def __repr__(self) -> str:
         return f"SpectrumBitmap({self.to_string()!r})"
-
-
-def intersect(a: SpectrumBitmap, b: SpectrumBitmap) -> SpectrumBitmap:
-    """Bitwise AND of two equal-length bitmaps (spectrum continuity)."""
-    if a.size != b.size:
-        raise LengthMismatchError(f"bitmap lengths differ: {a.size} != {b.size}")
-    return SpectrumBitmap(a.size, a.bits & b.bits)
 
 
 @cache

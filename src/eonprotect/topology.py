@@ -10,6 +10,8 @@ consume them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+from importlib import resources
 
 import numpy as np
 
@@ -290,9 +292,6 @@ class NetworkGraph:
     def busy_slot_count(self) -> int:
         return sum(link.bitmap.busy_count() for link in self.links.values())
 
-    def all_free(self) -> bool:
-        return self.busy_slot_count() == 0
-
     def copy(self) -> "NetworkGraph":
         g = NetworkGraph(self.slot_count)
         g.vertices = list(self.vertices)
@@ -301,38 +300,17 @@ class NetworkGraph:
         return g
 
 
-# 14-node, 22-link NSFNET with distances in km.
-NSFNET_LINKS = [
-    ("1", "2", 1050), ("1", "3", 1500), ("1", "8", 2400),
-    ("2", "3", 600), ("2", "4", 750),
-    ("3", "6", 1800),
-    ("4", "5", 600), ("4", "11", 1950),
-    ("5", "6", 1200), ("5", "7", 600),
-    ("6", "10", 1050), ("6", "14", 1800),
-    ("7", "8", 750), ("7", "10", 1350),
-    ("8", "9", 750),
-    ("9", "10", 750), ("9", "12", 300), ("9", "13", 300),
-    ("11", "12", 600), ("11", "13", 750),
-    ("12", "14", 300), ("13", "14", 150),
-]
-
-
 def build_nsfnet(
     slot_count: int = DEFAULT_SLOT_COUNT,
     policy: AvailabilityPolicy | None = None,
 ) -> NetworkGraph:
-    """The built-in 14-node/22-link NSFNET, all slots free."""
-    if slot_count < 1:
-        raise ValueError("slot_count must be >= 1")
-    if policy is None:
-        policy = UniformAvailability(1.0)
-    g = NetworkGraph(slot_count)
-    for n in range(1, 15):
-        g.add_vertex(str(n))
-    avails = policy.availabilities(len(NSFNET_LINKS))
-    for (u, v, km), a in zip(NSFNET_LINKS, avails):
-        g.add_link(u, v, km, availability=a)
-    return g
+    """The bundled 14-node/22-link NSFNET (``data/nsfnet.topo``), all slots free."""
+    return load_topology(_nsfnet_text(), slot_count, policy or UniformAvailability(1.0))
+
+
+@cache
+def _nsfnet_text() -> str:
+    return resources.files("eonprotect.data").joinpath("nsfnet.topo").read_text()
 
 
 def load_topology(

@@ -156,7 +156,7 @@ def _assert_protected_paths_restorable(sim):
             for cid, lid in result.protected_links:
                 cycle = sim.cycles.cycles[cid]
                 assert lid in cycle.protected
-                assert cycle.protected[lid][0] == conn.id
+                assert cycle.protected[lid] == conn.id
 
 
 def test_single_fault_restorability_soundness():

@@ -272,19 +272,21 @@ class TestMain:
         assert len(out.read_text().splitlines()) == 2
 
 
+@pytest.fixture
+def cells(monkeypatch):
+    """The parameters of every cell run, with ``cli.run_cell`` faked."""
+    seen = []
+
+    def fake_run_cell(params):
+        seen.append(params)
+        return {"mode": params["mode"]}
+
+    monkeypatch.setattr(cli, "run_cell", fake_run_cell)
+    return seen
+
+
 class TestScenarioDefaults:
     """Unset flags and INI keys leave every field at Scenario's own default."""
-
-    @pytest.fixture
-    def cells(self, monkeypatch):
-        seen = []
-
-        def fake_run_cell(params):
-            seen.append(params)
-            return {"mode": params["mode"]}
-
-        monkeypatch.setattr(cli, "run_cell", fake_run_cell)
-        return seen
 
     def test_run_with_only_required_flags(self, cells, capsys):
         assert main(["run", "--mode", "dsbpss", "--load", "15", "--ath", "0.99"]) == 0
@@ -368,6 +370,8 @@ class TestScenarioDefaults:
         (["--ath", "0.99", "--k", "0"], "k"),
         (["--ath", "0.99", "--guard-ghz", "-1"], "guard_ghz"),
         (["--ath", "0.99", "--bmax", "0"], "b_max_gbps"),
+        (["--ath", "0.99", "--load", "nan"], "load_erlang"),
+        (["--ath", "0.99", "--holding", "nan"], "mean_holding_s"),
     ])
     def test_run_rejects_bad_value_before_running(self, cells, capsys, flags, field):
         with pytest.raises(SystemExit) as exc:
@@ -409,4 +413,71 @@ class TestScenarioDefaults:
         with pytest.raises(SystemExit):
             main(["sweep", "--config", str(cfg)])
         assert f"[grid] lacks {missing}" in capsys.readouterr().err
+        assert cells == []
+
+    @pytest.mark.parametrize("body, message", [
+        pytest.param("repetitions = 0\n", "[grid] repetitions must be >= 1", id="repetitions"),
+        pytest.param("load =\n", "[grid] load is empty", id="load"),
+        pytest.param("modes =\n", "[grid] modes is empty", id="modes"),
+    ])
+    def test_sweep_rejects_empty_grid(self, cells, tmp_path, capsys, body, message):
+        axes = {"avg_availability": "0.99", "a_th": "0.999", "load": "20", "modes": "none"}
+        key = body.split("=")[0].strip()
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text("[grid]\n" + "".join(
+            f"{name} = {value}\n" for name, value in axes.items() if name != key
+        ) + body)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert cells == []
+
+
+class TestBadTopologyFile:
+    """A topology file that cannot be read or is invalid exits 2 before any run."""
+
+    @pytest.fixture(params=["missing", "disconnected", "unparsable"])
+    def bad_topology(self, request, tmp_path):
+        path = tmp_path / f"{request.param}.topo"
+        if request.param == "disconnected":
+            path.write_text("link a b 10\nlink c d 10\n")
+            return str(path), "topology is not connected"
+        if request.param == "unparsable":
+            path.write_text("link a b 10\nlink b c ten\n")
+            return str(path), "line 2"
+        return str(path), "No such file"
+
+    def test_run(self, cells, capsys, bad_topology):
+        path, message = bad_topology
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "run", "--mode", "none", "--load", "15", "--ath", "0.99",
+                "--topology", path,
+            ])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert path in err and message in err
+        assert cells == []
+
+    def test_sweep(self, cells, tmp_path, capsys, bad_topology):
+        path, message = bad_topology
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(
+            f"[scenario]\ntopology = {path}\n"
+            "[grid]\navg_availability = 0.99\na_th = 0.999\nload = 20\nmodes = none\n"
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(cfg)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert path in err and message in err
+        assert cells == []
+
+    def test_missing_sweep_config(self, cells, tmp_path, capsys):
+        path = str(tmp_path / "missing.ini")
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", path])
+        assert exc.value.code == 2
+        assert path in capsys.readouterr().err
         assert cells == []

@@ -262,7 +262,7 @@ class TestRelease:
         assert reg.is_empty()
         bits = g.link_index().free_bits()
         free_backup_slots(g, bits, reg, frozenset({"A-B"}))
-        assert search_bitmaps(g, bits)["E-F"].free_count() == g.slot_count
+        assert search_bitmaps(g, bits)["E-F"].bits.bit_count() == g.slot_count
 
     def test_unknown_wp_rejected(self):
         with pytest.raises(UnknownWorkingPathError):

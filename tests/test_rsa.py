@@ -182,7 +182,7 @@ class TestRsacsWithProtection:
         snapshot = {lid: l.bitmap.copy() for lid, l in g.links.items()}
         rsacs_with_protection(g, LightpathRequest("2", "9", 4), 0.5, "none", "w2")
         for link in first.path.links:
-            busy = snapshot[link.id].size - snapshot[link.id].free_count()
+            busy = snapshot[link.id].busy_count()
             assert g.links[link.id].bitmap.is_busy(first.block)
             assert busy >= 4
 

@@ -49,6 +49,8 @@ class TestScenario:
     # arrival, after the whole arrival stream is generated, or not at all.
     @pytest.mark.parametrize("name, bad, good", [
         pytest.param(name, bad, good, id=name) for name, bad, good in [
+            ("load_erlang", (0.0, -1.0, float("nan")), (1e-9,)),
+            ("mean_holding_s", (0.0, -1.0, float("nan")), (1e-9,)),
             ("a_th", (0.0, 1.5, -0.5, float("nan")), (1.0, 1e-9)),
             ("avg_link_availability", (0.0, 1.01, float("nan")), (1.0, 1e-9)),
             ("k", (0, -1), (1,)),
@@ -147,7 +149,7 @@ class TestRun:
         )
         sim = Simulation(sc)
         sim.run()
-        assert sim.graph.all_free()
+        assert sim.graph.busy_slot_count() == 0
         assert sim.registry.is_empty()
         assert sim.cycles.is_empty()
         assert not sim.live

@@ -10,14 +10,12 @@ from hypothesis import given, settings, strategies as st
 from eonprotect.spectrum import (
     AllocationConflictError,
     DoubleFreeError,
-    LengthMismatchError,
     NoFitError,
     SlotBlock,
     SpectrumBitmap,
     allocate,
     demand_to_slots,
     first_fit,
-    intersect,
     is_feasible,
     release,
     run_steps,
@@ -49,10 +47,6 @@ class TestSlotBlock:
         with pytest.raises(ValueError):
             SlotBlock(0, 0)
 
-    def test_overlaps(self):
-        assert SlotBlock(0, 3).overlaps(SlotBlock(2, 2))
-        assert not SlotBlock(0, 3).overlaps(SlotBlock(3, 2))
-
 
 class TestBitmap:
     def test_string_round_trip(self):
@@ -61,12 +55,12 @@ class TestBitmap:
 
     def test_default_all_free(self):
         b = SpectrumBitmap(320)
-        assert b.free_count() == 320
+        assert b.bits.bit_count() == 320
         assert b.busy_count() == 0
 
     def test_counts(self):
         b = bm("110100")
-        assert b.free_count() == 3
+        assert b.bits.bit_count() == 3
         assert b.busy_count() == 3
 
     def test_is_free_is_busy(self):
@@ -85,22 +79,6 @@ class TestBitmap:
             SpectrumBitmap(3, 0b1000)
         with pytest.raises(ValueError):
             SpectrumBitmap.from_string("10x")
-
-
-class TestIntersect:
-    def test_basic(self):
-        assert intersect(bm("1101"), bm("1011")).to_string() == "1001"
-
-    def test_identity(self):
-        x = bm("100110")
-        assert intersect(x, bm("111111")) == x
-
-    def test_annihilator(self):
-        assert intersect(bm("100110"), bm("000000")).to_string() == "000000"
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
-            intersect(bm("101"), bm("1011"))
 
 
 class TestIsFeasible:

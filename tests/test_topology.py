@@ -1,6 +1,5 @@
 """Network graph model, availability policies, and topology file parsing."""
 
-import importlib.resources
 import statistics
 
 import pytest
@@ -28,6 +27,22 @@ link a b 100 0.99
 link b c 100 0.99
 link a c 100 0.99
 """
+
+
+# The 14-node, 22-link NSFNET in the order the bundled file lists it.
+NSFNET_LINKS = [
+    ("1", "2", 1050), ("1", "3", 1500), ("1", "8", 2400),
+    ("2", "3", 600), ("2", "4", 750),
+    ("3", "6", 1800),
+    ("4", "5", 600), ("4", "11", 1950),
+    ("5", "6", 1200), ("5", "7", 600),
+    ("6", "10", 1050), ("6", "14", 1800),
+    ("7", "8", 750), ("7", "10", 1350),
+    ("8", "9", 750),
+    ("9", "10", 750), ("9", "12", 300), ("9", "13", 300),
+    ("11", "12", 600), ("11", "13", 750),
+    ("12", "14", 300), ("13", "14", 150),
+]
 
 
 class TestLink:
@@ -102,7 +117,7 @@ class TestBuildNsfnet:
         g = build_nsfnet(320, UniformAvailability(0.999))
         assert len(g.vertices) == 14
         assert len(g.links) == 22
-        assert all(l.bitmap.free_count() == 320 for l in g.links.values())
+        assert all(l.bitmap.bits.bit_count() == 320 for l in g.links.values())
         assert all(l.availability == pytest.approx(0.999) for l in g.links.values())
 
     def test_unit_availability(self):
@@ -144,7 +159,7 @@ class TestLoadTopology:
         g = load_topology(TRIANGLE, slot_count=16)
         assert len(g.vertices) == 3
         assert len(g.links) == 3
-        assert all(l.bitmap.free_count() == 16 for l in g.links.values())
+        assert all(l.bitmap.bits.bit_count() == 16 for l in g.links.values())
 
     def test_duplicate_edge(self):
         text = TRIANGLE + "link b a 50 0.9\n"
@@ -191,17 +206,16 @@ class TestLoadTopology:
         text = "# header\n\nlink a b 10 0.9  # trailing\n"
         assert len(load_topology(text).links) == 1
 
-    def test_bundled_nsfnet_matches_builtin(self):
-        text = (
-            importlib.resources.files("eonprotect.data")
-            .joinpath("nsfnet.topo")
-            .read_text()
-        )
-        g = load_topology(text, slot_count=320, policy=UniformAvailability(0.999))
-        builtin = build_nsfnet(320)
-        assert sorted(g.vertices) == sorted(builtin.vertices)
-        assert sorted((l.id, l.length_km) for l in g.links.values()) == sorted(
-            (l.id, l.length_km) for l in builtin.links.values()
+    def test_bundled_nsfnet_order(self):
+        # Link order fixes the link index and the order of availability draws.
+        policy = JitteredAvailability(0.99, seed=7)
+        g = build_nsfnet(8, policy)
+        assert g.vertices == [str(n) for n in range(1, 15)]
+        assert [(l.id, l.length_km) for l in g.links.values()] == [
+            (link_id(u, v), km) for u, v, km in NSFNET_LINKS
+        ]
+        assert [l.availability for l in g.links.values()] == pytest.approx(
+            policy.availabilities(22), abs=1e-12
         )
 
 
@@ -242,4 +256,4 @@ class TestRemoveLinks:
         from eonprotect.spectrum import SlotBlock
 
         out.links["a-b"].bitmap.set_busy(SlotBlock(0, 4))
-        assert g.links["a-b"].bitmap.free_count() == g.slot_count
+        assert g.links["a-b"].bitmap.bits.bit_count() == g.slot_count
