@@ -5,9 +5,11 @@ row.  ``eonprotect sweep`` reads a declarative INI config describing a grid
 over availability, threshold, load and mode, runs every cell (optionally in
 parallel worker processes) and writes a CSV or JSON table.  Both parse the
 topology file and build every scenario before running any, so an invalid
-value, an unreadable or invalid topology, or an empty grid exits with code
-2 before anything runs.  Cells that fail while running become rows with empty
-metric fields; the process then exits with code 2.
+value, an unreadable or invalid topology, a malformed config file, or an
+empty grid exits with code 2 before anything runs.  A single run whose
+requests all arrive during the warm-up measures nothing and exits with code
+2 as well.  Cells that fail while running become rows with empty metric
+fields; the process then exits with code 2.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .metrics import (
+    ZeroArrivalsError,
     bandwidth_blocking_probability,
     blocking_probability,
     capacity_used_for_protection,
@@ -31,7 +34,7 @@ from .metrics import (
     spectrum_utilization,
 )
 from .rsa import MODES
-from .sim import Scenario, Simulation
+from .sim import WARMUP_HOLDING_MULTIPLE, Scenario, Simulation
 from .topology import TopologyError, UniformAvailability, load_topology
 
 CSV_COLUMNS = [
@@ -299,16 +302,25 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "run":
             params = _scenario_kwargs(args)
-            Scenario(**params)
+            sc = Scenario(**params)
         else:
             spec = _parse_sweep_config(args.config, args)
             for cell in spec.cells():
                 Scenario(**cell)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, configparser.Error) as exc:
         parser.error(str(exc))
 
     if args.command == "run":
-        emit([run_cell(params)], args.format, args.out)
+        try:
+            row = run_cell(params)
+        except ZeroArrivalsError:
+            parser.error(
+                f"all {sc.n_requests} requests arrived during the warm-up of "
+                f"{WARMUP_HOLDING_MULTIPLE:g} mean holding times "
+                f"({WARMUP_HOLDING_MULTIPLE * sc.mean_holding_s:g} s), so nothing "
+                "was measured; raise --requests"
+            )
+        emit([row], args.format, args.out)
         return 0
 
     rows = run_sweep(spec)

@@ -17,6 +17,22 @@ in id order without sorting.  ``check_cycles`` walks it once and stops at
 the first straddling cycle that admits the link.  A departing working path
 hands back the (cycle id, link id) entries it was granted; only those are
 deleted, and only the cycles they leave empty are freed.
+
+Each cycle carries two derived maps, both tied to its ring:
+
+- ``covers``, the coverage map: every graph link with both endpoints on the
+  cycle, mapped to ``ON_CYCLE`` or ``STRADDLING``.  ``check_cycles`` makes
+  one lookup in it per cycle.  ``_build_cycle`` builds it and
+  ``_try_extend`` rebuilds it when it reroutes the ring.
+- the arc cache: the backup availability the cycle offers each link it was
+  asked about.  ``_try_extend`` clears it with the ring; ``copy()`` starts
+  empty, so a cycle put back by ``_rollback`` recomputes.  Link
+  availabilities are fixed for a run, so an entry stays exact until the
+  ring changes.
+
+``DCycleSet.reserved`` counts the slots held by all cycle blocks.  Every
+block reserved or freed here moves it, so it always equals the sum of the
+live cycles' block lengths.
 """
 
 from __future__ import annotations
@@ -31,6 +47,24 @@ from .spectrum import SlotBlock, first_fit, is_feasible
 from .topology import Link, NetworkGraph
 
 
+ON_CYCLE = 1
+STRADDLING = 2
+
+
+def coverage(
+    g: NetworkGraph, vertex_order: tuple[str, ...], link_ids: tuple[str, ...]
+) -> dict[str, int]:
+    """Every link of ``g`` with both endpoints on the cycle: ON_CYCLE or STRADDLING."""
+    on = set(vertex_order)
+    ring = set(link_ids)
+    covers = {}
+    for vx in vertex_order:
+        for lid in g.adjacency[vx]:
+            if g.links[lid].other(vx) in on:
+                covers[lid] = ON_CYCLE if lid in ring else STRADDLING
+    return covers
+
+
 @dataclass
 class DCycle:
     """One protection cycle: an ordered closed walk of distinct vertices."""
@@ -40,8 +74,12 @@ class DCycle:
     link_ids: tuple[str, ...]
     blocks: dict[str, SlotBlock]
     capacity_slots: int
+    # link id -> ON_CYCLE or STRADDLING, as ``coverage`` builds it
+    covers: dict[str, int]
     # protected working link -> id of the working path it belongs to
     protected: dict[str, str] = field(default_factory=dict)
+    # link id -> backup_availability(link); valid until the ring changes
+    arc_avail: dict[str, float] = field(default_factory=dict, repr=False, compare=False)
 
     def is_on_cycle(self, link: Link) -> bool:
         return link.id in self.link_ids
@@ -62,16 +100,26 @@ class DCycle:
         return [arc1, arc2]
 
     def backup_availability(self, link: Link, g: NetworkGraph) -> float:
-        arcs = self.arcs(link, g)
-        arc_avails = [math.prod(l.availability for l in arc) for arc in arcs]
-        if len(arc_avails) == 1:
-            return arc_avails[0]
-        return parallel_availability(arc_avails)
+        a_bp = self.arc_avail.get(link.id)
+        if a_bp is None:
+            arcs = self.arcs(link, g)
+            arc_avails = [math.prod(l.availability for l in arc) for arc in arcs]
+            if len(arc_avails) == 1:
+                a_bp = arc_avails[0]
+            else:
+                a_bp = parallel_availability(arc_avails)
+            self.arc_avail[link.id] = a_bp
+        return a_bp
 
     def copy(self) -> "DCycle":
+        """A copy with its own blocks and protected map and an empty arc cache.
+
+        ``covers`` is shared: it is replaced when the ring changes, never
+        changed in place.
+        """
         return DCycle(
-            self.id, self.vertex_order, self.link_ids,
-            dict(self.blocks), self.capacity_slots, dict(self.protected),
+            self.id, self.vertex_order, self.link_ids, dict(self.blocks),
+            self.capacity_slots, self.covers, dict(self.protected),
         )
 
 
@@ -88,6 +136,8 @@ class DCycleSet:
 
     def __init__(self) -> None:
         self.cycles: dict[int, DCycle] = {}
+        # slots held by the blocks of all live cycles
+        self.reserved = 0
         self._cid = itertools.count(1)
 
     def is_empty(self) -> bool:
@@ -117,23 +167,24 @@ def check_cycles(
     not protect yet if the demand fits its capacity, or twice its capacity
     for a straddler.
     """
-    lid, u, v = link.id, link.u, link.v
+    lid = link.id
     on_cycle = None
     for cycle in cs.cycles.values():
-        if lid in cycle.protected:
+        kind = cycle.covers.get(lid)
+        if kind is None or lid in cycle.protected:
             continue
-        if lid in cycle.link_ids:
-            if on_cycle is None and demand <= cycle.capacity_slots:
-                on_cycle = cycle
-        elif u in cycle.vertex_order and v in cycle.vertex_order:
+        if kind == STRADDLING:
             if demand <= 2 * cycle.capacity_slots:
                 return cycle
+        elif on_cycle is None and demand <= cycle.capacity_slots:
+            on_cycle = cycle
     return on_cycle
 
 
-def _reserve_block(link: Link, capacity: int, undo: list) -> SlotBlock:
+def _reserve_block(cs: DCycleSet, link: Link, capacity: int, undo: list) -> SlotBlock:
     block = first_fit(link.bitmap, capacity)
     link.bitmap.set_busy(block)
+    cs.reserved += capacity
     undo.append(("free", link, block))
     return block
 
@@ -156,10 +207,10 @@ def _try_extend(
     link becomes on-cycle and the displaced edge becomes a straddler.
     """
     for cycle in cs.cycles.values():
+        if link.id in cycle.covers:
+            continue
         on = cycle.vertex_order
         u, v = link.u, link.v
-        if u in on and v in on:
-            continue
         if v in on:
             u, v = v, u
         if u not in on:
@@ -185,10 +236,14 @@ def _try_extend(
             new_order = list(order)
             new_order.insert(ui if wi == (ui - 1) % n else ui + 1, v)
             cycle.vertex_order = tuple(new_order)
-            g.links[removed.id].bitmap.set_free(cycle.blocks.pop(removed.id))
-            cycle.blocks[link.id] = _reserve_block(link, cap, undo)
-            cycle.blocks[bridge.id] = _reserve_block(bridge, cap, undo)
+            block = cycle.blocks.pop(removed.id)
+            removed.bitmap.set_free(block)
+            cs.reserved -= block.length
+            cycle.blocks[link.id] = _reserve_block(cs, link, cap, undo)
+            cycle.blocks[bridge.id] = _reserve_block(cs, bridge, cap, undo)
             cycle.link_ids = _ring(g, new_order)
+            cycle.covers = coverage(g, cycle.vertex_order, cycle.link_ids)
+            cycle.arc_avail = {}
             return cycle
     return None
 
@@ -200,9 +255,12 @@ def _build_cycle(
     capacity: int,
     undo: list,
 ) -> DCycle:
+    order = tuple(vertex_order)
     link_ids = _ring(g, vertex_order)
-    blocks = {lid: _reserve_block(g.links[lid], capacity, undo) for lid in link_ids}
-    cycle = DCycle(cs.new_id(), tuple(vertex_order), link_ids, blocks, capacity)
+    blocks = {lid: _reserve_block(cs, g.links[lid], capacity, undo) for lid in link_ids}
+    cycle = DCycle(
+        cs.new_id(), order, link_ids, blocks, capacity, coverage(g, order, link_ids)
+    )
     cs.add(cycle)
     undo.append(("drop", cycle.id))
     return cycle
@@ -256,6 +314,7 @@ def _rollback(g: NetworkGraph, cs: DCycleSet, undo: list) -> None:
         if tag == "free":
             _, link, block = entry
             link.bitmap.set_free(block)
+            cs.reserved -= block.length
         elif tag == "drop":
             del cs.cycles[entry[1]]
         elif tag == "revert":
@@ -266,6 +325,7 @@ def _rollback(g: NetworkGraph, cs: DCycleSet, undo: list) -> None:
             for lid, block in old.blocks.items():
                 if lid not in cur.blocks:
                     g.links[lid].bitmap.set_busy(block)
+                    cs.reserved += block.length
             cs.cycles[cid] = old
         elif tag == "protect":
             _, cid, link_id = entry
@@ -331,4 +391,5 @@ def release_wp(
         if not cycle.protected:
             for cycle_lid, block in cycle.blocks.items():
                 g.links[cycle_lid].bitmap.set_free(block)
+                cs.reserved -= block.length
             del cs.cycles[cid]

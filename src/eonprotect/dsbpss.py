@@ -19,6 +19,9 @@ on a set (b, f, slot) bit is a sharing conflict.  From the claims:
   which takes |W| lookups;
 - releasing a backup clears its WP's claims and frees the slots no claim
   still holds.  Rolling back a failed protection attempt is the same release.
+
+``reserved`` is the popcount of all ``held`` bits, kept exact by ``claim``
+and ``unclaim`` from the bits each one adds to or drops from ``held``.
 """
 
 from __future__ import annotations
@@ -57,6 +60,8 @@ class BackupRegistry:
     def __init__(self) -> None:
         self.claims: dict[str, dict[str, int]] = {}
         self.held: dict[str, int] = {}
+        # backup slots reserved over all links: the popcount of every held[b]
+        self.reserved = 0
         self.by_wp: dict[str, list[BackupPath]] = {}
         self.wp_links: dict[str, frozenset[str]] = {}
         self._bpid = itertools.count(1)
@@ -87,7 +92,9 @@ class BackupRegistry:
         for failed in wp_links:
             on_link[failed] = on_link.get(failed, 0) | mask
         self.claims[link_id] = on_link
-        self.held[link_id] = self.held.get(link_id, 0) | mask
+        held = self.held.get(link_id, 0)
+        self.reserved += (mask & ~held).bit_count()
+        self.held[link_id] = held | mask
 
     def unclaim(self, link_id: str, wp_links: frozenset[str], mask: int) -> int:
         """Drop a claim; returns the bits of ``mask`` no other claim holds."""
@@ -106,7 +113,9 @@ class BackupRegistry:
         else:
             del self.claims[link_id]
             del self.held[link_id]
-        return mask & ~held
+        freed = mask & ~held
+        self.reserved -= freed.bit_count()
+        return freed
 
 
 def free_backup_slots(

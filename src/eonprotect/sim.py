@@ -5,6 +5,11 @@ Arrivals are Poisson (per-node offered load in Erlang by default), holding
 times exponential, endpoints uniform over ordered vertex pairs, and rates
 uniform integers in [1, B] Gbps.  Metrics only count arrivals at or after
 three mean holding times, when the system has warmed up.
+
+Busy slots are integrated as counters, never recounted from the links: the
+working slots of live connections plus ``BackupRegistry.reserved`` and
+``DCycleSet.reserved``, which the protection code keeps exact as it
+reserves and frees.
 """
 
 from __future__ import annotations
@@ -67,6 +72,11 @@ class Scenario:
         for name in ("a_th", "avg_link_availability"):
             if not 0.0 < getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} {getattr(self, name)!r} must lie in (0, 1]")
+        if self.jitter_availability:
+            try:
+                JitteredAvailability(self.avg_link_availability)
+            except ValueError as exc:
+                raise ValueError(f"avg_link_availability: {exc}") from exc
         for name in ("k", "slot_count"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -161,10 +171,7 @@ class Simulation:
             self._push(ev)
         self._warm = WARMUP_HOLDING_MULTIPLE * sc.mean_holding_s
         self._now = 0.0
-        # Busy slots over all links: working paths add and remove their own
-        # share; after protection code ran, the next integration recounts.
-        self._busy = 0
-        self._recount = True
+        # Working slots of the live connections, summed over their links.
         self._working_busy = 0
         self._arrivals_done = 0
         self._conn_counter = 0
@@ -176,12 +183,10 @@ class Simulation:
     def _integrate_to(self, t: float) -> None:
         lo = max(self._now, self._warm)
         if t > lo:
-            if self._recount:
-                self._busy = self.graph.busy_slot_count()
-                self._recount = False
             dt = t - lo
-            self.report.slot_time_used += self._busy * dt
-            self.report.protection_slot_time += (self._busy - self._working_busy) * dt
+            reserved = self.registry.reserved + self.cycles.reserved
+            self.report.slot_time_used += (self._working_busy + reserved) * dt
+            self.report.protection_slot_time += reserved * dt
         self._now = t
 
     def run(self, max_arrivals: int | None = None) -> MetricsReport:
@@ -222,8 +227,6 @@ class Simulation:
             return
         working = lr.slots_needed * result.path.hops
         self._working_busy += working
-        self._busy += working
-        self._recount |= result.needs_protection
         if counted and result.needs_protection:
             self.report.needing_protection += 1
             if result.protected:
@@ -237,13 +240,10 @@ class Simulation:
         release([link.bitmap for link in result.path.links], result.block)
         working = conn.request.slots_needed * result.path.hops
         self._working_busy -= working
-        self._busy -= working
         if result.backup_paths:
             dsbpss.release_wp(self.registry, conn.id, self.graph)
-            self._recount = True
         if result.protected_links:
             dcycles.release_wp(self.cycles, conn.id, result.protected_links, self.graph)
-            self._recount = True
 
 
 def run(sc: Scenario) -> MetricsReport:

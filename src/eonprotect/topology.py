@@ -119,8 +119,10 @@ class JitteredAvailability(AvailabilityPolicy):
     """Per-link availabilities drawn uniformly around a target average.
 
     The jitter half-width is half the gap between the target and the next
-    "nine" level (1 - (1-a)/10), clipped so no link exceeds 1.  The draw is
-    seeded for reproducibility.
+    "nine" level (1 - (1-a)/10), clipped so no link exceeds 1.  The band is
+    ``target ± 0.45·(1 - target)``, so a target at or below 0.45/1.45
+    (about 0.3103) would draw non-positive availabilities and is refused.
+    The draw is seeded for reproducibility.
     """
 
     target: float
@@ -129,6 +131,11 @@ class JitteredAvailability(AvailabilityPolicy):
     def __post_init__(self) -> None:
         if not 0.0 < self.target <= 1.0:
             raise ValueError("availability must lie in (0, 1]")
+        if not self.target - self.half_width > 0.0:
+            raise ValueError(
+                f"jittered availability {self.target!r} draws from a band reaching "
+                f"{self.target - self.half_width:.4g}; it must exceed 0.45/1.45 (about 0.3103)"
+            )
 
     @property
     def half_width(self) -> float:

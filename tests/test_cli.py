@@ -372,6 +372,8 @@ class TestScenarioDefaults:
         (["--ath", "0.99", "--bmax", "0"], "b_max_gbps"),
         (["--ath", "0.99", "--load", "nan"], "load_erlang"),
         (["--ath", "0.99", "--holding", "nan"], "mean_holding_s"),
+        # With jitter on, an average at or below 0.45/1.45 draws links at or below 0.
+        (["--ath", "0.99", "--avg-availability", "0.2"], "avg_link_availability"),
     ])
     def test_run_rejects_bad_value_before_running(self, cells, capsys, flags, field):
         with pytest.raises(SystemExit) as exc:
@@ -390,6 +392,29 @@ class TestScenarioDefaults:
             main(["sweep", "--config", str(cfg)])
         assert exc.value.code == 2
         assert "a_th 1.5 must lie in (0, 1]" in capsys.readouterr().err
+        assert cells == []
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("load = 5\n", "no section headers", id="no-header"),
+        pytest.param(
+            "[grid]\navg_availability = 0.99\na_th = 0.999\nload = 20\n"
+            "modes = none\nload = 15\n",
+            "option 'load' in section 'grid' already exists",
+            id="duplicate-key",
+        ),
+        pytest.param(
+            "[grid]\navg_availability = 0.99\n[grid]\na_th = 0.999\n",
+            "section 'grid' already exists",
+            id="duplicate-section",
+        ),
+    ])
+    def test_sweep_rejects_malformed_config(self, cells, tmp_path, capsys, text, message):
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
         assert cells == []
 
     def test_sweep_rejects_unknown_section(self, cells, tmp_path, capsys):
@@ -432,6 +457,32 @@ class TestScenarioDefaults:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
         assert cells == []
+
+
+class TestNothingMeasured:
+    def test_run_inside_warm_up_exits_2(self, capsys):
+        # About 630 arrivals fall in the warm-up at 15 Erlang per node.
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "run", "--mode", "none", "--load", "15", "--ath", "0.99",
+                "--requests", "500", "--out", "-",
+            ])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "warm-up" in err and "--requests" in err
+
+    def test_sweep_cell_inside_warm_up_is_error_row(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(
+            "[scenario]\nrequests = 500\n"
+            "[grid]\navg_availability = 0.999\na_th = 0.99\nload = 15\nmodes = none\n"
+        )
+        out = tmp_path / "rows.json"
+        code = main(["sweep", "--config", str(cfg), "--format", "json", "--out", str(out)])
+        assert code == 2
+        (row,) = json.loads(out.read_text())
+        assert row["error"].startswith("ZeroArrivalsError")
 
 
 class TestBadTopologyFile:

@@ -1,15 +1,22 @@
 """Dynamic protection cycles: reuse, extension, construction, dismantling."""
 
 import copy
+import math
 
 import pytest
 
 from eonprotect.availability import parallel_availability
 from eonprotect.dcycles import (
+    ON_CYCLE,
+    STRADDLING,
     DCycle,
     DCycleSet,
     UnknownGrantError,
+    _build_cycle,
+    _rollback,
+    _try_extend,
     check_cycles,
+    coverage,
     find_cycle_for,
     min_availability_link,
     provision_cycles,
@@ -49,8 +56,12 @@ def hand_built_cycle(g, cs, vertex_order, capacity):
         block = first_fit(g.links[lid].bitmap, capacity)
         g.links[lid].bitmap.set_busy(block)
         blocks[lid] = block
-    cycle = DCycle(cs.new_id(), vertex_order, link_ids, blocks, capacity)
+    cycle = DCycle(
+        cs.new_id(), vertex_order, link_ids, blocks, capacity,
+        coverage(g, vertex_order, link_ids),
+    )
     cs.add(cycle)
+    cs.reserved += capacity * len(link_ids)
     return cycle
 
 
@@ -415,6 +426,83 @@ def reference_dismantle_unused(cs, g):
             del cs.cycles[cycle.id]
 
 
+def reference_covers(cycle, g):
+    out = {}
+    for link in g.links.values():
+        if link.id in cycle.link_ids:
+            out[link.id] = ON_CYCLE
+        elif reference_is_straddling(cycle, link):
+            out[link.id] = STRADDLING
+    return out
+
+
+def fresh_backup_availability(cycle, link, g):
+    arc_avails = [math.prod(l.availability for l in arc) for arc in cycle.arcs(link, g)]
+    if len(arc_avails) == 1:
+        return arc_avails[0]
+    return parallel_availability(arc_avails)
+
+
+class TestDerivedCycleState:
+    """The coverage map and the arc cache follow every change of the ring."""
+
+    def test_covers_after_build_extend_and_rollback(self):
+        g = pentagon_with_chord()
+        cs = DCycleSet()
+        undo = []
+        cycle = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2, undo)
+        assert cycle.covers == reference_covers(cycle, g)
+        assert cycle.covers["B-F"] == STRADDLING and "C-D" not in cycle.covers
+        cycle.protected["A-B"] = "w0"
+        extend_undo = []
+        assert _try_extend(g, g.links["D-E"], 2, cs, extend_undo) is cycle
+        assert cycle.vertex_order == ("A", "B", "C", "D", "E", "F")
+        assert cycle.covers == reference_covers(cycle, g)
+        assert cycle.covers["C-E"] == STRADDLING
+        _rollback(g, cs, extend_undo)
+        reverted = cs.cycles[cycle.id]
+        assert reverted.vertex_order == ("A", "B", "C", "E", "F")
+        assert reverted.covers == reference_covers(reverted, g)
+
+    def test_arc_cache_cleared_by_extension_and_copy(self):
+        g = pentagon_with_chord()
+        for i, link in enumerate(g.links.values()):
+            link.availability = 0.9 + i / 100
+        cs = DCycleSet()
+        cycle = hand_built_cycle(g, cs, ("A", "B", "C", "E", "F"), 2)
+        edge, chord = g.links["A-B"], g.links["B-F"]
+        for link in (edge, chord):
+            assert cycle.backup_availability(link, g) == fresh_backup_availability(cycle, link, g)
+        assert set(cycle.arc_avail) == {"A-B", "B-F"}
+        assert cycle.copy().arc_avail == {}
+        undo = []
+        assert _try_extend(g, g.links["D-E"], 2, cs, undo) is cycle
+        assert cycle.arc_avail == {}
+        arc = cycle.backup_availability(edge, g)
+        assert arc == fresh_backup_availability(cycle, edge, g)
+        assert arc == math.prod(g.links[lid].availability for lid in cycle.link_ids[1:])
+        _rollback(g, cs, undo)
+        reverted = cs.cycles[cycle.id]
+        assert reverted.arc_avail == {}
+        assert reverted.backup_availability(edge, g) == fresh_backup_availability(reverted, edge, g)
+
+    def test_reserved_follows_build_extend_rollback_and_release(self):
+        g = pentagon_with_chord()
+        cs = DCycleSet()
+        busy = g.busy_slot_count
+        undo = []
+        cycle = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2, undo)
+        assert cs.reserved == busy() == 10
+        cycle.protected["A-B"] = "w0"
+        extend_undo = []
+        _try_extend(g, g.links["D-E"], 2, cs, extend_undo)
+        assert cs.reserved == busy() == 12
+        _rollback(g, cs, extend_undo)
+        assert cs.reserved == busy() == 10
+        release_wp(cs, "w0", [(cycle.id, "A-B")], g)
+        assert cs.reserved == busy() == 0
+
+
 class TestAgainstReference:
     @pytest.fixture(scope="class")
     def paused(self):
@@ -441,6 +529,20 @@ class TestAgainstReference:
                     hits += got is not None
                     straddlers += got is not None and reference_is_straddling(got, link)
         assert straddlers and hits > straddlers
+
+    def test_covers_match_reference(self, paused):
+        for cs, g, _ in paused:
+            for cycle in cs.cycles.values():
+                assert cycle.covers == reference_covers(cycle, g)
+
+    def test_cached_arc_availability_is_exact(self, paused):
+        cached = 0
+        for cs, g, _ in paused:
+            for cycle in cs.cycles.values():
+                for lid, a_bp in cycle.arc_avail.items():
+                    assert a_bp == fresh_backup_availability(cycle, g.links[lid], g)
+                    cached += 1
+        assert cached
 
     def test_release_matches_reference_release(self, paused):
         released = 0

@@ -52,7 +52,8 @@ class TestScenario:
             ("load_erlang", (0.0, -1.0, float("nan")), (1e-9,)),
             ("mean_holding_s", (0.0, -1.0, float("nan")), (1e-9,)),
             ("a_th", (0.0, 1.5, -0.5, float("nan")), (1.0, 1e-9)),
-            ("avg_link_availability", (0.0, 1.01, float("nan")), (1.0, 1e-9)),
+            # Jitter is on, so an average at or below 0.45/1.45 is out of range.
+            ("avg_link_availability", (0.0, 1.01, float("nan"), 0.2, 0.31), (1.0, 0.3104)),
             ("k", (0, -1), (1,)),
             ("slot_count", (0, -3), (1,)),
             ("b_max_gbps", (0.0, -10.0, 0.5), (1.0,)),
@@ -66,6 +67,10 @@ class TestScenario:
                 small_scenario(**{name: value})
         for value in good:
             assert getattr(small_scenario(**{name: value}), name) == value
+
+    def test_any_positive_average_without_jitter(self):
+        sc = small_scenario(avg_link_availability=1e-9, jitter_availability=False)
+        assert sc.build_graph().links
 
     def test_arrival_rate_per_node(self):
         sc = small_scenario(load_erlang=15, mean_holding_s=10.0)
@@ -161,6 +166,53 @@ class TestRun:
         # Pausing mid-stream leaves only live (already-arrived) connections.
         for conn in sim.live.values():
             assert conn.request.arrival_s <= sim._now
+
+
+class TestReservedCounts:
+    """Working slots plus the reserved counters equal a recount after every arrival."""
+
+    @pytest.mark.parametrize("mode,avail,ath", [
+        ("dsbpss", 0.9, 0.99),
+        ("dcycles", 0.99, 0.999),
+    ])
+    def test_counters_match_recount_at_every_step(self, mode, avail, ath):
+        n = 400
+        sim = Simulation(small_scenario(
+            mode=mode, avg_link_availability=avail, a_th=ath, load_erlang=20,
+            n_requests=n,
+        ))
+        rollbacks = shared = cycled = 0
+        for i in range(1, n + 1):
+            before = set(sim.live)
+            sim.run(max_arrivals=i)
+            for cid in sim.live.keys() - before:
+                result = sim.live[cid].result
+                rollbacks += result.needs_protection and not result.protected
+            working = sum(
+                conn.request.slots_needed * conn.result.path.hops
+                for conn in sim.live.values()
+            )
+            held = sum(bits.bit_count() for bits in sim.registry.held.values())
+            cycle_slots = sum(
+                block.length
+                for cycle in sim.cycles.cycles.values()
+                for block in cycle.blocks.values()
+            )
+            assert sim.registry.reserved == held
+            assert sim.cycles.reserved == cycle_slots
+            assert working + held + cycle_slots == sim.graph.busy_slot_count()
+            claimed = sum(
+                bp.block.length * len(bp.links)
+                for conn in sim.live.values()
+                for bp in conn.result.backup_paths
+            )
+            # Backup slots held for two working paths count once.
+            shared += claimed > held
+            cycled += cycle_slots > 0
+        assert rollbacks
+        assert shared if mode == "dsbpss" else cycled
+        sim.run()
+        assert sim.registry.reserved == sim.cycles.reserved == 0
 
 
 class TestInjectSingleFailures:

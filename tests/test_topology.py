@@ -147,6 +147,14 @@ class TestJitterPolicy:
         for a in pol.availabilities(1000):
             assert 0.9 - pol.half_width <= a <= 0.9 + pol.half_width
 
+    @pytest.mark.parametrize("target", [0.2, 0.31, 0.3103])
+    def test_rejects_band_reaching_zero(self, target):
+        with pytest.raises(ValueError, match="0.3103"):
+            JitteredAvailability(target)
+
+    def test_lowest_accepted_target_draws_positive(self):
+        assert min(JitteredAvailability(0.3104, seed=1).availabilities(1000)) > 0
+
     def test_seeded_draws_repeat(self):
         assert (
             JitteredAvailability(0.999, seed=5).availabilities(22)
