@@ -3,13 +3,14 @@
 ``eonprotect run`` executes one scenario and prints or writes one result
 row.  ``eonprotect sweep`` reads a declarative INI config describing a grid
 over availability, threshold, load and mode, runs every cell (optionally in
-parallel worker processes) and writes a CSV or JSON table.  Both parse the
-topology file and build every scenario before running any, so an invalid
-value, an unreadable or invalid topology, a malformed config file, or an
-empty grid exits with code 2 before anything runs.  A single run whose
-requests all arrive during the warm-up measures nothing and exits with code
-2 as well.  Cells that fail while running become rows with empty metric
-fields; the process then exits with code 2.
+parallel worker processes, never more than cells) and writes a CSV or JSON
+table.  Both parse the topology file and build every scenario before running
+any, so an invalid value, an unreadable or invalid topology, a malformed
+config file, an empty grid or a ``--workers`` below 1 exits with code 2
+before anything runs.  A single run whose requests all arrive during the
+warm-up measures nothing and exits with code 2 as well.  Cells that fail
+while running become rows with empty metric fields; the process then exits
+with code 2.
 """
 
 from __future__ import annotations
@@ -115,8 +116,9 @@ def _cell_safe(params: dict) -> dict:
 def run_sweep(spec: SweepSpec) -> list[dict]:
     """All grid cells, in stable grid order regardless of completion order."""
     cells = spec.cells()
-    if spec.workers > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+    workers = min(spec.workers, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_cell_safe, cells))
     return [_cell_safe(cell) for cell in cells]
 
@@ -289,7 +291,8 @@ def main(argv: list[str] | None = None) -> int:
 
     sweep_p = sub.add_parser("sweep", help="run a scenario grid from a config file")
     sweep_p.add_argument("--config", required=True, help="INI sweep description")
-    sweep_p.add_argument("--workers", type=int, default=1)
+    sweep_p.add_argument("--workers", type=int, default=1,
+                         help="worker processes, at most one per cell")
     sweep_p.add_argument("--requests", type=int, default=None,
                          help="override request count from the config")
     sweep_p.add_argument("--seed", type=int, default=None,
@@ -304,6 +307,8 @@ def main(argv: list[str] | None = None) -> int:
             params = _scenario_kwargs(args)
             sc = Scenario(**params)
         else:
+            if args.workers < 1:
+                raise ValueError(f"--workers must be at least 1, not {args.workers}")
             spec = _parse_sweep_config(args.config, args)
             for cell in spec.cells():
                 Scenario(**cell)

@@ -11,12 +11,13 @@ at a time.
 Cycle slot blocks are chosen first-fit per link and need not line up across
 links (spectrum conversion happens at the failed link's end nodes).
 
-Cycle ids come from a counter and are never reused, and a rollback puts a
-reverted cycle back under its existing key, so ``DCycleSet.cycles`` iterates
-in id order without sorting.  ``check_cycles`` walks it once and stops at
-the first straddling cycle that admits the link.  A departing working path
-hands back the (cycle id, link id) entries it was granted; only those are
-deleted, and only the cycles they leave empty are freed.
+Cycle ids come from a counter and are never reused, and a rollback restores
+an extended cycle in place, so ``DCycleSet.cycles`` iterates in id order
+without sorting.  ``check_cycles`` walks it once and stops at the first
+straddling cycle that admits the link.  A departing working path hands back
+the (cycle id, link id) entries it was granted; only those are deleted, and
+only the cycles they leave empty are freed.  A failed protection attempt is
+undone by the same ``release_wp`` plus in-place snapshots of extended rings.
 
 Each cycle carries two derived maps, both tied to its ring:
 
@@ -25,10 +26,9 @@ Each cycle carries two derived maps, both tied to its ring:
   one lookup in it per cycle.  ``_build_cycle`` builds it and
   ``_try_extend`` rebuilds it when it reroutes the ring.
 - the arc cache: the backup availability the cycle offers each link it was
-  asked about.  ``_try_extend`` clears it with the ring; ``copy()`` starts
-  empty, so a cycle put back by ``_rollback`` recomputes.  Link
-  availabilities are fixed for a run, so an entry stays exact until the
-  ring changes.
+  asked about.  ``_try_extend`` and ``_rollback`` clear it with the ring.
+  Link availabilities are fixed for a run, so an entry stays exact until
+  the ring changes.
 
 ``DCycleSet.reserved`` counts the slots held by all cycle blocks.  Every
 block reserved or freed here moves it, so it always equals the sum of the
@@ -111,17 +111,6 @@ class DCycle:
             self.arc_avail[link.id] = a_bp
         return a_bp
 
-    def copy(self) -> "DCycle":
-        """A copy with its own blocks and protected map and an empty arc cache.
-
-        ``covers`` is shared: it is replaced when the ring changes, never
-        changed in place.
-        """
-        return DCycle(
-            self.id, self.vertex_order, self.link_ids, dict(self.blocks),
-            self.capacity_slots, self.covers, dict(self.protected),
-        )
-
 
 class UnknownGrantError(Exception):
     """A released (cycle id, link id) entry is missing or held by another WP."""
@@ -130,8 +119,8 @@ class UnknownGrantError(Exception):
 class DCycleSet:
     """Live cycles by id.
 
-    Ids only grow and are never reused, and ``_rollback`` reverts a cycle by
-    assigning to its existing key, so dict order is id order.
+    Ids only grow and are never reused, and ``_rollback`` restores a cycle
+    in place, so dict order is id order.
     """
 
     def __init__(self) -> None:
@@ -148,13 +137,6 @@ class DCycleSet:
 
     def new_id(self) -> int:
         return next(self._cid)
-
-
-def min_availability_link(links: list[Link], avail: dict[str, float]) -> Link:
-    """Least-available link; ties broken by lexicographic link id."""
-    if not links:
-        raise ValueError("no links given")
-    return min(links, key=lambda l: (avail[l.id], l.id))
 
 
 def check_cycles(
@@ -181,11 +163,10 @@ def check_cycles(
     return on_cycle
 
 
-def _reserve_block(cs: DCycleSet, link: Link, capacity: int, undo: list) -> SlotBlock:
+def _reserve_block(cs: DCycleSet, link: Link, capacity: int) -> SlotBlock:
     block = first_fit(link.bitmap, capacity)
     link.bitmap.set_busy(block)
     cs.reserved += capacity
-    undo.append(("free", link, block))
     return block
 
 
@@ -198,13 +179,15 @@ def _ring(g: NetworkGraph, vertex_order: list[str]) -> tuple[str, ...]:
 
 
 def _try_extend(
-    g: NetworkGraph, link: Link, demand: int, cs: DCycleSet, undo: list
+    g: NetworkGraph, link: Link, demand: int, cs: DCycleSet, extended: list
 ) -> DCycle | None:
     """Insert ``link`` into an existing cycle through one off-cycle vertex.
 
     If one endpoint u lies on a cycle and the other endpoint v connects to a
     cycle neighbour w of u, the cycle edge u-w is replaced by u-v-w; the
-    link becomes on-cycle and the displaced edge becomes a straddler.
+    link becomes on-cycle and the displaced edge becomes a straddler.  The
+    replaced ring (vertex order, link ids, blocks, coverage) is appended to
+    ``extended`` for ``_rollback``.
     """
     for cycle in cs.cycles.values():
         if link.id in cycle.covers:
@@ -231,16 +214,17 @@ def _try_extend(
                 continue
             # Every protected link must stay on-cycle or straddling: the
             # displaced edge keeps both endpoints on the cycle, so it does.
-            old = cycle.copy()
-            undo.append(("revert", cycle.id, old))
+            extended.append(
+                (cycle, cycle.vertex_order, cycle.link_ids, dict(cycle.blocks), cycle.covers)
+            )
             new_order = list(order)
             new_order.insert(ui if wi == (ui - 1) % n else ui + 1, v)
             cycle.vertex_order = tuple(new_order)
             block = cycle.blocks.pop(removed.id)
             removed.bitmap.set_free(block)
             cs.reserved -= block.length
-            cycle.blocks[link.id] = _reserve_block(cs, link, cap, undo)
-            cycle.blocks[bridge.id] = _reserve_block(cs, bridge, cap, undo)
+            cycle.blocks[link.id] = _reserve_block(cs, link, cap)
+            cycle.blocks[bridge.id] = _reserve_block(cs, bridge, cap)
             cycle.link_ids = _ring(g, new_order)
             cycle.covers = coverage(g, cycle.vertex_order, cycle.link_ids)
             cycle.arc_avail = {}
@@ -253,16 +237,14 @@ def _build_cycle(
     g: NetworkGraph,
     vertex_order: list[str],
     capacity: int,
-    undo: list,
 ) -> DCycle:
     order = tuple(vertex_order)
     link_ids = _ring(g, vertex_order)
-    blocks = {lid: _reserve_block(cs, g.links[lid], capacity, undo) for lid in link_ids}
+    blocks = {lid: _reserve_block(cs, g.links[lid], capacity) for lid in link_ids}
     cycle = DCycle(
         cs.new_id(), order, link_ids, blocks, capacity, coverage(g, order, link_ids)
     )
     cs.add(cycle)
-    undo.append(("drop", cycle.id))
     return cycle
 
 
@@ -272,18 +254,18 @@ def find_cycle_for(
     demand: int,
     cs: DCycleSet,
     k: int,
-    undo: list,
+    extended: list,
 ) -> DCycle | None:
     """Create protection for a link no existing cycle can cover.
 
     Tries, in order: extending an existing cycle through the link, a new
     cycle with the link straddling (two disjoint alternate routes), and a
     new on-cycle arrangement (one alternate route plus spare slots on the
-    link itself).
+    link itself).  An extension's replaced ring goes to ``extended``.
     """
-    extended = _try_extend(g, link, demand, cs, undo)
-    if extended is not None:
-        return extended
+    cycle = _try_extend(g, link, demand, cs, extended)
+    if cycle is not None:
+        return cycle
 
     index = g.link_index()
     without = index.mask([link])
@@ -301,35 +283,39 @@ def find_cycle_for(
     if disjoint:
         p2 = select_best(disjoint)
         order = list(p1.vertices) + list(reversed(p2.vertices[1:-1]))
-        return _build_cycle(cs, g, order, demand, undo)
+        return _build_cycle(cs, g, order, demand)
 
     if is_feasible(link.bitmap, demand):
-        return _build_cycle(cs, g, list(p1.vertices), demand, undo)
+        return _build_cycle(cs, g, list(p1.vertices), demand)
     return None
 
 
-def _rollback(g: NetworkGraph, cs: DCycleSet, undo: list) -> None:
-    for entry in reversed(undo):
-        tag = entry[0]
-        if tag == "free":
-            _, link, block = entry
-            link.bitmap.set_free(block)
-            cs.reserved -= block.length
-        elif tag == "drop":
-            del cs.cycles[entry[1]]
-        elif tag == "revert":
-            _, cid, old = entry
-            # Re-reserve the displaced edge's block (its slots were freed
-            # after this entry was logged, so they are free again by now).
-            cur = cs.cycles[cid]
-            for lid, block in old.blocks.items():
-                if lid not in cur.blocks:
-                    g.links[lid].bitmap.set_busy(block)
-                    cs.reserved += block.length
-            cs.cycles[cid] = old
-        elif tag == "protect":
-            _, cid, link_id = entry
-            del cs.cycles[cid].protected[link_id]
+def _rollback(
+    g: NetworkGraph, cs: DCycleSet, wp_id: str, granted: list, extended: list
+) -> None:
+    """Undo a failed ``provision_cycles`` call.
+
+    ``release_wp`` drops the call's grants and frees every cycle built in
+    the call, since such a cycle holds only those grants.  Then, newest
+    first, each extended cycle still live gets its replaced ring back in
+    place: the blocks the extension reserved are freed and the displaced
+    block is reserved again.  A cycle built and then extended in the call
+    is gone by then and is skipped.
+    """
+    release_wp(cs, wp_id, granted, g)
+    for cycle, vertex_order, link_ids, blocks, covers in reversed(extended):
+        if cs.cycles.get(cycle.id) is not cycle:
+            continue
+        for lid, block in cycle.blocks.items():
+            if lid not in blocks:
+                g.links[lid].bitmap.set_free(block)
+                cs.reserved -= block.length
+        for lid, block in blocks.items():
+            if lid not in cycle.blocks:
+                g.links[lid].bitmap.set_busy(block)
+                cs.reserved += block.length
+        cycle.vertex_order, cycle.link_ids = vertex_order, link_ids
+        cycle.blocks, cycle.covers, cycle.arc_avail = blocks, covers, {}
 
 
 def provision_cycles(
@@ -343,34 +329,31 @@ def provision_cycles(
 ) -> tuple[list[tuple[int, str]] | None, float]:
     """Protect the working path's weakest links by cycles until the threshold.
 
-    Returns ([(cycle id, link id), ...], final availability) on success.  If
-    the current weakest link cannot be protected, all reservations from this
-    call are rolled back and (None, original availability) is returned.
+    Links are taken by availability, ties by link id.  Returns ([(cycle id,
+    link id), ...], final availability) on success.  If the next link cannot
+    be protected, or every link is and the threshold is still missed, all
+    reservations from this call are rolled back and (None, original
+    availability) is returned.
     """
-    avail = {link.id: link.availability for link in best_path.links}
-    unprotected = list(best_path.links)
-    undo: list = []
     granted: list[tuple[int, str]] = []
+    extended: list = []
     a_pp = a_pp_max
-    while a_pp < a_th:
-        if not unprotected:
-            _rollback(g, cs, undo)
-            return None, a_pp_max
-        link = min_availability_link(unprotected, avail)
+    for link in sorted(best_path.links, key=lambda l: (l.availability, l.id)):
+        if a_pp >= a_th:
+            break
         cycle = check_cycles(cs, link, lr.slots_needed)
         if cycle is None:
-            cycle = find_cycle_for(g, link, lr.slots_needed, cs, lr.k, undo)
+            cycle = find_cycle_for(g, link, lr.slots_needed, cs, lr.k, extended)
         if cycle is None:
-            _rollback(g, cs, undo)
-            return None, a_pp_max
+            break
         cycle.protected[link.id] = wp_id
-        undo.append(("protect", cycle.id, link.id))
         granted.append((cycle.id, link.id))
         a_bp = cycle.backup_availability(link, g)
-        a_pp, a_pl = ava_dcyc_update(a_pp, avail[link.id], a_bp)
-        avail[link.id] = a_pl
-        unprotected.remove(link)
-    return granted, a_pp
+        a_pp, _ = ava_dcyc_update(a_pp, link.availability, a_bp)
+    if a_pp >= a_th:
+        return granted, a_pp
+    _rollback(g, cs, wp_id, granted, extended)
+    return None, a_pp_max
 
 
 def release_wp(

@@ -9,6 +9,7 @@ consume them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
@@ -77,8 +78,8 @@ class Link:
     def __post_init__(self) -> None:
         if self.u == self.v:
             raise TopologyError(f"self-loop on vertex {self.u}")
-        if self.length_km <= 0:
-            raise TopologyError(f"non-positive length on link {self.id}")
+        if not 0 < self.length_km < math.inf:
+            raise TopologyError(f"bad length {self.length_km!r} on link {self.id}")
         if self.mttf_h <= 0 or self.mttr_h < 0:
             raise TopologyError(f"bad mttf/mttr on link {self.id}")
         self.availability = link_availability(self.mttf_h, self.mttr_h)

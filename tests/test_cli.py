@@ -459,6 +459,57 @@ class TestScenarioDefaults:
         assert cells == []
 
 
+class TestWorkers:
+    """``--workers`` is at least 1 and starts no more processes than cells."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The ``max_workers`` of every pool made, with the pool faked."""
+        made = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return list(map(fn, items))
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        return made
+
+    def two_cell_config(self, tmp_path):
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(
+            "[grid]\navg_availability = 0.99\na_th = 0.999\nload = 20\n"
+            "modes = none dcycles\n"
+        )
+        return str(cfg)
+
+    @pytest.mark.parametrize("workers, pool", [("1", []), ("2", [2]), ("64", [2])])
+    def test_pool_never_outnumbers_cells(self, cells, pools, tmp_path, capsys, workers, pool):
+        code = main([
+            "sweep", "--config", self.two_cell_config(tmp_path),
+            "--workers", workers, "--out", "-",
+        ])
+        assert code == 0
+        assert pools == pool
+        assert [c["mode"] for c in cells] == ["none", "dcycles"]
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_below_one_exits_2_before_any_cell(self, cells, pools, tmp_path, capsys, workers):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", self.two_cell_config(tmp_path), "--workers", workers])
+        assert exc.value.code == 2
+        assert f"--workers must be at least 1, not {workers}" in capsys.readouterr().err
+        assert cells == [] and pools == []
+
+
 class TestNothingMeasured:
     def test_run_inside_warm_up_exits_2(self, capsys):
         # About 630 arrivals fall in the warm-up at 15 Erlang per node.

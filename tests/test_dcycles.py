@@ -1,10 +1,13 @@
 """Dynamic protection cycles: reuse, extension, construction, dismantling."""
 
 import copy
+import itertools
 import math
+from collections import Counter
 
 import pytest
 
+from eonprotect import dcycles
 from eonprotect.availability import parallel_availability
 from eonprotect.dcycles import (
     ON_CYCLE,
@@ -18,13 +21,12 @@ from eonprotect.dcycles import (
     check_cycles,
     coverage,
     find_cycle_for,
-    min_availability_link,
     provision_cycles,
     release_wp,
 )
-from eonprotect.rsa import LightpathRequest, rsacs_with_protection
+from eonprotect.rsa import CandidatePath, LightpathRequest, rsacs_with_protection
 from eonprotect.sim import Scenario, Simulation
-from eonprotect.spectrum import SlotBlock, first_fit
+from eonprotect.spectrum import SlotBlock, SpectrumBitmap, allocate, first_fit
 from eonprotect.topology import NetworkGraph
 
 
@@ -65,26 +67,78 @@ def hand_built_cycle(g, cs, vertex_order, capacity):
     return cycle
 
 
+def cycle_fields(cycle):
+    return (
+        cycle.vertex_order, cycle.link_ids, dict(cycle.blocks), dict(cycle.covers),
+        dict(cycle.protected),
+    )
+
+
+def snapshot(cs, g):
+    """Link bits, live cycles in dict order with their fields, reserved slots."""
+    return (
+        {lid: link.bitmap.bits for lid, link in g.links.items()},
+        [(cid, id(cycle), cycle_fields(cycle)) for cid, cycle in cs.cycles.items()],
+        cs.reserved,
+    )
+
+
+def square(avails):
+    """Ring a-b-c-d-a with the given availability per link id."""
+    g = NetworkGraph(slot_count=16)
+    for lid, a in avails.items():
+        g.add_link(*lid.split("-"), 1, availability=a)
+    return g
+
+
+def hand_path(g, vertices):
+    """The working path through ``vertices``, a 2-slot block allocated on it."""
+    links = tuple(g.link_between(u, v) for u, v in zip(vertices, vertices[1:]))
+    common = SpectrumBitmap(g.slot_count)
+    for link in links:
+        common.bits &= link.bitmap.bits
+    allocate([link.bitmap for link in links], first_fit(common, 2))
+    return CandidatePath(
+        tuple(vertices), links, common, math.prod(l.availability for l in links)
+    )
+
+
 class TestMinAvailabilityLink:
+    """``provision_cycles`` protects the least-available link first, ties by id."""
+
+    # Each threshold below is reached only once every link of the path is
+    # protected, so ``granted`` shows the whole order.
+    def protect(self, g, vertices, a_th):
+        path = hand_path(g, vertices)
+        lr = LightpathRequest(vertices[0], vertices[-1], 2)
+        return provision_cycles(g, lr, path, DCycleSet(), "w1", path.availability, a_th)
+
     def test_strict_min(self):
-        g = triangle()
-        links = [g.links["a-b"], g.links["a-c"], g.links["b-c"]]
-        avail = {"a-b": 0.99, "a-c": 0.9, "b-c": 0.999}
-        assert min_availability_link(links, avail) is g.links["a-c"]
+        g = square({"a-b": 0.99, "b-c": 0.9, "c-d": 0.999, "a-d": 0.999})
+        granted, _ = self.protect(g, ["a", "b", "c"], a_th=0.995)
+        assert [lid for _, lid in granted] == ["b-c", "a-b"]
 
     def test_tie_breaks_on_link_id(self):
-        g = triangle()
-        links = [g.links["b-c"], g.links["a-b"]]
-        avail = {"a-b": 0.9, "b-c": 0.9}
-        assert min_availability_link(links, avail) is g.links["a-b"]
+        g = square({"a-b": 0.9, "b-c": 0.9, "c-d": 0.999, "a-d": 0.999})
+        granted, _ = self.protect(g, ["c", "b", "a"], a_th=0.95)
+        assert [lid for _, lid in granted] == ["a-b", "b-c"]
 
     def test_singleton(self):
         g = triangle()
-        assert min_availability_link([g.links["a-b"]], {"a-b": 0.5}) is g.links["a-b"]
+        granted, _ = self.protect(g, ["a", "b"], a_th=0.99)
+        assert [lid for _, lid in granted] == ["a-b"]
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            min_availability_link([], {})
+        # Every link protected and the threshold still missed: rolled back.
+        g = square({"a-b": 0.9, "b-c": 0.9, "c-d": 0.999, "a-d": 0.999})
+        path = hand_path(g, ["a", "b", "c"])
+        cs = DCycleSet()
+        before = snapshot(cs, g)
+        lr = LightpathRequest("a", "c", 2)
+        assert provision_cycles(g, lr, path, cs, "w1", path.availability, 1.0) == (
+            None, path.availability
+        )
+        assert snapshot(cs, g) == before
 
 
 class TestCheckCycles:
@@ -153,8 +207,7 @@ class TestFindCycleFor:
     def test_triangle_builds_cycle_through_all_vertices(self):
         g = triangle()
         cs = DCycleSet()
-        undo = []
-        cycle = find_cycle_for(g, g.links["a-b"], 2, cs, k=5, undo=undo)
+        cycle = find_cycle_for(g, g.links["a-b"], 2, cs, k=5, extended=[])
         assert cycle is not None
         assert set(cycle.link_ids) == {"a-b", "a-c", "b-c"} or set(
             cycle.link_ids
@@ -167,7 +220,7 @@ class TestFindCycleFor:
         for u, v in (("a", "b"), ("a", "c"), ("c", "b"), ("a", "d"), ("d", "b")):
             g.add_link(u, v, 1, availability=0.99)
         cs = DCycleSet()
-        cycle = find_cycle_for(g, g.links["a-b"], 2, cs, k=5, undo=[])
+        cycle = find_cycle_for(g, g.links["a-b"], 2, cs, k=5, extended=[])
         assert cycle is not None
         assert reference_is_straddling(cycle, g.links["a-b"])
         assert set(cycle.link_ids) == {"a-c", "b-c", "b-d", "a-d"}
@@ -180,8 +233,7 @@ class TestFindCycleFor:
         cycle = hand_built_cycle(g, cs, ("A", "B", "C", "E", "F"), 2)
         cycle.protected["A-B"] = "w0"
         new_link = g.links["D-E"]
-        undo = []
-        got = find_cycle_for(g, new_link, 2, cs, k=5, undo=undo)
+        got = find_cycle_for(g, new_link, 2, cs, k=5, extended=[])
         assert got is cycle
         assert got.vertex_order == ("A", "B", "C", "D", "E", "F")
         assert got.is_on_cycle(new_link)
@@ -199,7 +251,7 @@ class TestFindCycleFor:
         g.add_link("a", "b", 1, availability=0.9)
         g.add_link("b", "c", 1, availability=0.9)
         cs = DCycleSet()
-        assert find_cycle_for(g, g.links["a-b"], 1, cs, k=5, undo=[]) is None
+        assert find_cycle_for(g, g.links["a-b"], 1, cs, k=5, extended=[]) is None
 
 
 def provision(g, cs, wp_id, s, d, slots, a_th):
@@ -267,6 +319,57 @@ class TestProvisionCycles:
         for lid, bmp in before.items():
             if lid != "a-b":
                 assert g.links[lid].bitmap == bmp
+
+
+    def test_rollback_of_cycle_built_then_extended_in_one_call(self):
+        # B-C, the weakest link, gets a new cycle B-F-E-C; C-D then extends
+        # that cycle through D.  Both happen inside one provision_cycles call.
+        def setup():
+            g = pentagon_with_chord()
+            g.links["B-C"].availability = 0.9
+            g.links["C-D"].availability = 0.95
+            path = hand_path(g, ["D", "C", "B"])
+            return g, DCycleSet(), LightpathRequest("D", "B", 2), path
+
+        g, cs, lr, path = setup()
+        granted, _ = provision_cycles(g, lr, path, cs, "w1", path.availability, 0.99)
+        ((cid, _),) = cs.cycles.items()
+        assert granted == [(cid, "B-C"), (cid, "C-D")]
+        assert cs.cycles[cid].vertex_order == ("B", "F", "E", "D", "C")
+
+        g, cs, lr, path = setup()
+        before = snapshot(cs, g)
+        assert provision_cycles(g, lr, path, cs, "w1", path.availability, 1.0)[0] is None
+        assert snapshot(cs, g) == before
+
+
+    def test_rollback_of_two_extensions_of_one_cycle(self, monkeypatch):
+        # D-E extends the ring through D, then F-G extends it through G.
+        # Undoing them oldest first would leave the first extension in place.
+        g = pentagon_with_chord()
+        g.add_link("F", "G", 1, availability=0.99)
+        g.add_link("A", "G", 1, availability=0.99)
+        g.links["D-E"].availability = 0.9
+        g.links["F-G"].availability = 0.91
+        cs = DCycleSet()
+        path = hand_path(g, ["D", "E", "F", "G"])
+        ring = hand_built_cycle(g, cs, ("A", "B", "C", "E", "F"), 2)
+        ring.protected["A-B"] = "w0"
+        before = snapshot(cs, g)
+        orders = []
+        real_extend = dcycles._try_extend
+
+        def spy(*args):
+            cycle = real_extend(*args)
+            orders.append(cycle.vertex_order)
+            return cycle
+
+        monkeypatch.setattr(dcycles, "_try_extend", spy)
+        lr = LightpathRequest("D", "G", 2)
+        granted, _ = provision_cycles(g, lr, path, cs, "w1", path.availability, 1.0)
+        assert granted is None
+        assert orders == [("A", "B", "C", "D", "E", "F"), ("A", "B", "C", "D", "E", "F", "G")]
+        assert snapshot(cs, g) == before
 
 
 class TestReleaseAndDismantle:
@@ -337,7 +440,7 @@ class TestCycleWellFormedness:
         g = pentagon_with_chord()
         cs = DCycleSet()
         hand_built_cycle(g, cs, ("A", "B", "C", "E", "F"), 2)
-        cycle = find_cycle_for(g, g.links["D-E"], 2, cs, k=5, undo=[])
+        cycle = find_cycle_for(g, g.links["D-E"], 2, cs, k=5, extended=[])
         assert len(set(cycle.vertex_order)) == len(cycle.vertex_order)
         assert len(set(cycle.link_ids)) == len(cycle.link_ids)
         # Each cycle vertex touches exactly two cycle links.
@@ -357,15 +460,15 @@ class TestCycleSetOrder:
         other = hand_built_cycle(g, cs, ("A", "B", "F"), 2)
         ring.protected["A-B"] = "w0"
         other.protected["B-F"] = "w0"
-        before = ring.copy()
+        before = cycle_fields(ring)
         # D-E is protected by extending the ring through D; A_th = 1 is
         # out of reach, so the extension is rolled back.
         res = provision(g, cs, "w1", "D", "E", 2, a_th=1.0)
         assert [l.id for l in res.path.links] == ["D-E"] and not res.protected
         assert list(cs.cycles) == sorted(cs.cycles) == [ring.id, other.id]
-        assert list(cs.cycles.values()) == [before, other]
-        assert cs.cycles[ring.id] is not ring
-        assert cs.cycles[ring.id].vertex_order == ("A", "B", "C", "E", "F")
+        assert list(cs.cycles.values()) == [ring, other]
+        assert cs.cycles[ring.id] is ring and cycle_fields(ring) == before
+        assert ring.vertex_order == ("A", "B", "C", "E", "F")
         added = hand_built_cycle(g, cs, ("C", "D", "E"), 2)
         assert list(cs.cycles) == [ring.id, other.id, added.id]
 
@@ -449,22 +552,21 @@ class TestDerivedCycleState:
     def test_covers_after_build_extend_and_rollback(self):
         g = pentagon_with_chord()
         cs = DCycleSet()
-        undo = []
-        cycle = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2, undo)
+        cycle = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2)
         assert cycle.covers == reference_covers(cycle, g)
         assert cycle.covers["B-F"] == STRADDLING and "C-D" not in cycle.covers
         cycle.protected["A-B"] = "w0"
-        extend_undo = []
-        assert _try_extend(g, g.links["D-E"], 2, cs, extend_undo) is cycle
+        extended = []
+        assert _try_extend(g, g.links["D-E"], 2, cs, extended) is cycle
         assert cycle.vertex_order == ("A", "B", "C", "D", "E", "F")
         assert cycle.covers == reference_covers(cycle, g)
         assert cycle.covers["C-E"] == STRADDLING
-        _rollback(g, cs, extend_undo)
-        reverted = cs.cycles[cycle.id]
-        assert reverted.vertex_order == ("A", "B", "C", "E", "F")
-        assert reverted.covers == reference_covers(reverted, g)
+        _rollback(g, cs, "w1", [], extended)
+        assert cs.cycles[cycle.id] is cycle
+        assert cycle.vertex_order == ("A", "B", "C", "E", "F")
+        assert cycle.covers == reference_covers(cycle, g)
 
-    def test_arc_cache_cleared_by_extension_and_copy(self):
+    def test_arc_cache_cleared_by_extension_and_rollback(self):
         g = pentagon_with_chord()
         for i, link in enumerate(g.links.values()):
             link.availability = 0.9 + i / 100
@@ -474,30 +576,28 @@ class TestDerivedCycleState:
         for link in (edge, chord):
             assert cycle.backup_availability(link, g) == fresh_backup_availability(cycle, link, g)
         assert set(cycle.arc_avail) == {"A-B", "B-F"}
-        assert cycle.copy().arc_avail == {}
-        undo = []
-        assert _try_extend(g, g.links["D-E"], 2, cs, undo) is cycle
+        extended = []
+        assert _try_extend(g, g.links["D-E"], 2, cs, extended) is cycle
         assert cycle.arc_avail == {}
         arc = cycle.backup_availability(edge, g)
         assert arc == fresh_backup_availability(cycle, edge, g)
         assert arc == math.prod(g.links[lid].availability for lid in cycle.link_ids[1:])
-        _rollback(g, cs, undo)
-        reverted = cs.cycles[cycle.id]
-        assert reverted.arc_avail == {}
-        assert reverted.backup_availability(edge, g) == fresh_backup_availability(reverted, edge, g)
+        assert set(cycle.arc_avail) == {"A-B"}
+        _rollback(g, cs, "w1", [], extended)
+        assert cs.cycles[cycle.id] is cycle and cycle.arc_avail == {}
+        assert cycle.backup_availability(edge, g) == fresh_backup_availability(cycle, edge, g)
 
     def test_reserved_follows_build_extend_rollback_and_release(self):
         g = pentagon_with_chord()
         cs = DCycleSet()
         busy = g.busy_slot_count
-        undo = []
-        cycle = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2, undo)
+        cycle = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2)
         assert cs.reserved == busy() == 10
         cycle.protected["A-B"] = "w0"
-        extend_undo = []
-        _try_extend(g, g.links["D-E"], 2, cs, extend_undo)
+        extended = []
+        _try_extend(g, g.links["D-E"], 2, cs, extended)
         assert cs.reserved == busy() == 12
-        _rollback(g, cs, extend_undo)
+        _rollback(g, cs, "w1", [], extended)
         assert cs.reserved == busy() == 10
         release_wp(cs, "w0", [(cycle.id, "A-B")], g)
         assert cs.reserved == busy() == 0
@@ -562,3 +662,52 @@ class TestAgainstReference:
                 released += 1
             assert new_cs.is_empty()
         assert released
+
+
+class TestRollbackRestoresState:
+    """A failed protection attempt leaves every cycle and link as it found them.
+
+    With A_th = 1 every attempt exhausts the path's links and rolls back.
+    The state before each attempt is the oracle.
+    """
+
+    def test_failed_provision_restores_state(self, monkeypatch):
+        sim = Simulation(Scenario(
+            load_erlang=20, a_th=0.999, mode="dcycles", avg_link_availability=0.99,
+            n_requests=600, seed=1,
+        ))
+        live_before = set()
+        extensions = Counter()
+        real_extend = dcycles._try_extend
+
+        def spy(g, link, demand, cs, extended):
+            cycle = real_extend(g, link, demand, cs, extended)
+            if cycle is not None and cycle.id in live_before:
+                granted_first = "probe" in cycle.protected.values()
+                extensions["granted first" if granted_first else "plain"] += 1
+            return cycle
+
+        rolled_back = 0
+        for pause in range(100, 601, 100):
+            sim.run(max_arrivals=pause)
+            cs, g = copy.deepcopy((sim.cycles, sim.graph))
+            pairs = list(itertools.permutations(sorted(g.adjacency), 2))
+            with monkeypatch.context() as m:
+                m.setattr(dcycles, "_try_extend", spy)
+                for demand, (s, d) in itertools.product(range(1, 13), pairs):
+                    before = snapshot(cs, g)
+                    live_before = set(cs.cycles)
+                    res = rsacs_with_protection(
+                        g, LightpathRequest(s, d, demand), 1.0, "dcycles", "probe", None, cs
+                    )
+                    if res.blocked:
+                        continue
+                    assert res.needs_protection and not res.protected
+                    for link in res.path.links:
+                        link.bitmap.set_free(res.block)
+                    assert snapshot(cs, g) == before
+                    rolled_back += 1
+        assert rolled_back
+        # Extensions of live cycles were undone, some after a grant on the
+        # same cycle in the same attempt.
+        assert extensions["plain"] and extensions["granted first"]

@@ -102,6 +102,12 @@ class TestRejectedAddLinkChangesNothing:
     def test_negative_length(self):
         self.check_rejected("x", "y", -5, 1.0, "length")
 
+    def test_nan_length(self):
+        self.check_rejected("x", "y", float("nan"), 1.0, "length nan")
+
+    def test_infinite_length(self):
+        self.check_rejected("x", "y", float("inf"), 1.0, "length inf")
+
     def test_zero_availability(self):
         self.check_rejected("x", "y", 10, 0.0, "availability")
 
@@ -191,6 +197,12 @@ class TestLoadTopology:
     def test_availability_out_of_range_is_a_parse_error(self):
         with pytest.raises(TopologyParseError, match="availability") as err:
             load_topology("link a b 10 0.9\nlink b c 10 1.5\n")
+        assert err.value.line_no == 2
+
+    @pytest.mark.parametrize("length", ["nan", "inf"])
+    def test_non_finite_length_is_a_parse_error(self, length):
+        with pytest.raises(TopologyParseError, match=f"length {length}") as err:
+            load_topology(f"link a b 10 0.9\nlink b c {length} 0.9\n")
         assert err.value.line_no == 2
 
     def test_unknown_directive(self):
