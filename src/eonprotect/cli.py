@@ -205,7 +205,11 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _ini_flag(text: str) -> bool:
-    return text.lower() != "false"
+    """configparser's boolean words: 1/yes/true/on and 0/no/false/off."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"{text!r} is not a boolean") from None
 
 
 # [scenario] key -> (Scenario field, parser); a key left out keeps Scenario's default
@@ -246,9 +250,13 @@ def _parse_sweep_config(path: str, args: argparse.Namespace) -> SweepSpec:
     sc = cp["scenario"] if cp.has_section("scenario") else {}
     grid = cp["grid"]
 
-    template = {
-        name: parse(sc[key]) for key, (name, parse) in _INI_FIELDS.items() if key in sc
-    }
+    template = {}
+    for key, (name, parse) in _INI_FIELDS.items():
+        if key in sc:
+            try:
+                template[name] = parse(sc[key])
+            except ValueError as exc:
+                raise ValueError(f"{path}: [scenario] {key}: {exc}") from exc
     if args.requests is not None:
         template["n_requests"] = args.requests
     topo = sc.get("topology", "nsfnet")

@@ -20,6 +20,11 @@ on a set (b, f, slot) bit is a sharing conflict.  From the claims:
 - releasing a backup clears its WP's claims and frees the slots no claim
   still holds.  Rolling back a failed protection attempt is the same release.
 
+The registry holds the claims only, not which backups belong to which WP:
+the caller keeps the backups ``provision_backups`` returned and hands them
+back, with the WP's links, to ``release_wp``, which checks every claim
+before it changes anything.
+
 ``reserved`` is the popcount of all ``held`` bits, kept exact by ``claim``
 and ``unclaim`` from the bits each one adds to or drops from ``held``.
 """
@@ -35,8 +40,8 @@ from .availability import ava_dsbpss_update
 from .topology import Link, NetworkGraph
 
 
-class UnknownWorkingPathError(Exception):
-    pass
+class UnknownClaimError(Exception):
+    """A released backup slot is not claimed for a failure of the working path."""
 
 
 class SharingConflictError(Exception):
@@ -55,19 +60,20 @@ class BackupPath:
 
 
 class BackupRegistry:
-    """All live shared-backup state: failure claims per link and backups per WP."""
+    """All live shared-backup state: failure claims and held slots per link.
+
+    The backups of each WP live in its ``ProvisionResult``, not here.
+    """
 
     def __init__(self) -> None:
         self.claims: dict[str, dict[str, int]] = {}
         self.held: dict[str, int] = {}
         # backup slots reserved over all links: the popcount of every held[b]
         self.reserved = 0
-        self.by_wp: dict[str, list[BackupPath]] = {}
-        self.wp_links: dict[str, frozenset[str]] = {}
         self._bpid = itertools.count(1)
 
     def is_empty(self) -> bool:
-        return not self.claims and not self.by_wp
+        return not self.claims
 
     def shareable(self, link_id: str, wp_links: frozenset[str]) -> int:
         """Reserved slots on the link that a WP over ``wp_links`` may share."""
@@ -200,13 +206,26 @@ def provision_backups(
         )
         backups.append(bp)
         a_pp = ava_dsbpss_update(a_pp, chosen.availability)
-    reg.wp_links[wp_id] = wp_links
-    reg.by_wp[wp_id] = backups
     return backups, a_pp
 
 
-def release_wp(reg: BackupRegistry, wp_id: str, g: NetworkGraph) -> None:
-    """Drop a departed working path's claims and free the slots left unclaimed."""
-    if wp_id not in reg.wp_links:
-        raise UnknownWorkingPathError(wp_id)
-    _release(reg, g, reg.wp_links.pop(wp_id), reg.by_wp.pop(wp_id))
+def release_wp(
+    reg: BackupRegistry,
+    wp_links: frozenset[str],
+    backups: list[BackupPath],
+    g: NetworkGraph,
+) -> None:
+    """Drop a departed working path's claims and free the slots left unclaimed.
+
+    ``wp_links`` are the working path's link ids and ``backups`` the list
+    ``provision_backups`` returned for it.  If a slot of a backup is not
+    claimed on one of its links for a failure of every link in ``wp_links``,
+    raises ``UnknownClaimError`` and changes nothing.
+    """
+    for bp in backups:
+        mask = bp.block.mask()
+        for link in bp.links:
+            on_link = reg.claims.get(link.id, {})
+            if any(mask & ~on_link.get(failed, 0) for failed in wp_links):
+                raise UnknownClaimError(f"slots {mask:#x} on {link.id} not held for this WP")
+    _release(reg, g, wp_links, backups)

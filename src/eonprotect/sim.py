@@ -6,6 +6,12 @@ times exponential, endpoints uniform over ordered vertex pairs, and rates
 uniform integers in [1, B] Gbps.  Metrics only count arrivals at or after
 three mean holding times, when the system has warmed up.
 
+The arrivals are a time-ordered list of requests, read in order with an
+index; the heap holds only the departures of live connections, as
+(departure time, connection number, conn id).  An arrival goes before a
+departure at the same time, and departures at the same time leave in the
+order their connections arrived.
+
 Busy slots are integrated as counters, never recounted from the links: the
 working slots of live connections plus ``BackupRegistry.reserved`` and
 ``DCycleSet.reserved``, which the protection code keeps exact as it
@@ -36,14 +42,6 @@ from .topology import (
 WARMUP_HOLDING_MULTIPLE = 3.0
 
 
-@dataclass(frozen=True)
-class Event:
-    time_s: float
-    kind: str  # "arrival" | "departure"
-    request: LightpathRequest | None = None
-    conn_id: str | None = None
-
-
 @dataclass
 class Scenario:
     load_erlang: float
@@ -67,6 +65,9 @@ class Scenario:
             raise ValueError("load_erlang and mean_holding_s must be positive")
         if self.n_requests < 1:
             raise ValueError("n_requests must be >= 1")
+        # np.random.SeedSequence takes non-negative integers only.
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, not {self.seed}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         for name in ("a_th", "avg_link_availability"):
@@ -110,8 +111,8 @@ class Scenario:
         return self.load_erlang * mu * scale
 
 
-def generate_arrivals(sc: Scenario, g: NetworkGraph) -> list[Event]:
-    """The full, seed-determined arrival stream for a scenario."""
+def generate_arrivals(sc: Scenario, g: NetworkGraph) -> list[LightpathRequest]:
+    """The full, seed-determined arrival stream for a scenario, in time order."""
     traffic_seed, _ = sc.seeds()
     rng = np.random.default_rng(traffic_seed)
     n = sc.n_requests
@@ -123,21 +124,15 @@ def generate_arrivals(sc: Scenario, g: NetworkGraph) -> list[Event]:
     dst_off = rng.integers(1, len(g.vertices), size=n)
     times = np.cumsum(inter)
     vertices = g.vertices
-    events = []
+    requests = []
     for i in range(n):
         s = vertices[src[i]]
         d = vertices[(src[i] + dst_off[i]) % len(vertices)]
         slots = demand_to_slots(float(rates[i]), sc.slot_ghz, sc.guard_ghz)
-        events.append(
-            Event(
-                float(times[i]), "arrival",
-                LightpathRequest(
-                    s, d, slots, k=sc.k,
-                    arrival_s=float(times[i]), holding_s=float(holding[i]),
-                ),
-            )
-        )
-    return events
+        requests.append(LightpathRequest(
+            s, d, slots, k=sc.k, arrival_s=float(times[i]), holding_s=float(holding[i])
+        ))
+    return requests
 
 
 @dataclass
@@ -165,20 +160,15 @@ class Simulation:
         self.cycles = DCycleSet()
         self.live: dict[str, Connection] = {}
         self.report = MetricsReport()
-        self._events: list[tuple[float, int, Event]] = []
-        self._seq = 0
-        for ev in generate_arrivals(sc, self.graph):
-            self._push(ev)
+        self._arrivals = generate_arrivals(sc, self.graph)
+        # (departure time, connection number, conn id) of each live connection
+        self._departures: list[tuple[float, int, str]] = []
         self._warm = WARMUP_HOLDING_MULTIPLE * sc.mean_holding_s
         self._now = 0.0
         # Working slots of the live connections, summed over their links.
         self._working_busy = 0
         self._arrivals_done = 0
         self._conn_counter = 0
-
-    def _push(self, ev: Event) -> None:
-        heapq.heappush(self._events, (ev.time_s, self._seq, ev))
-        self._seq += 1
 
     def _integrate_to(self, t: float) -> None:
         lo = max(self._now, self._warm)
@@ -191,16 +181,20 @@ class Simulation:
 
     def run(self, max_arrivals: int | None = None) -> MetricsReport:
         """Process events; optionally pause after a number of arrivals."""
-        while self._events:
-            if max_arrivals is not None and self._arrivals_done >= max_arrivals:
-                break
-            _, _, ev = heapq.heappop(self._events)
-            self._integrate_to(ev.time_s)
-            if ev.kind == "arrival":
-                self._handle_arrival(ev)
-                self._arrivals_done += 1
+        arrivals, departures = self._arrivals, self._departures
+        i = self._arrivals_done
+        while max_arrivals is None or i < max_arrivals:
+            lr = arrivals[i] if i < len(arrivals) else None
+            if lr is not None and (not departures or lr.arrival_s <= departures[0][0]):
+                self._integrate_to(lr.arrival_s)
+                self._handle_arrival(lr)
+                self._arrivals_done = i = i + 1
+            elif departures:
+                t, _, conn_id = heapq.heappop(departures)
+                self._integrate_to(t)
+                self._handle_departure(conn_id)
             else:
-                self._handle_departure(ev)
+                break
         window = max(self._now - self._warm, 0.0)
         self.report.slot_time_capacity = (
             self.scenario.slot_count * len(self.graph.links) * window
@@ -208,9 +202,8 @@ class Simulation:
         self.report.validate()
         return self.report
 
-    def _handle_arrival(self, ev: Event) -> None:
-        lr = ev.request
-        counted = ev.time_s >= self._warm
+    def _handle_arrival(self, lr: LightpathRequest) -> None:
+        counted = lr.arrival_s >= self._warm
         self._conn_counter += 1
         conn_id = f"c{self._conn_counter}"
         result = rsacs_with_protection(
@@ -232,16 +225,19 @@ class Simulation:
             if result.protected:
                 self.report.protected_count += 1
         self.live[conn_id] = Connection(conn_id, lr, result)
-        self._push(Event(ev.time_s + lr.holding_s, "departure", conn_id=conn_id))
+        departure = (lr.arrival_s + lr.holding_s, self._conn_counter, conn_id)
+        heapq.heappush(self._departures, departure)
 
-    def _handle_departure(self, ev: Event) -> None:
-        conn = self.live.pop(ev.conn_id)
+    def _handle_departure(self, conn_id: str) -> None:
+        conn = self.live.pop(conn_id)
         result = conn.result
         release([link.bitmap for link in result.path.links], result.block)
         working = conn.request.slots_needed * result.path.hops
         self._working_busy -= working
         if result.backup_paths:
-            dsbpss.release_wp(self.registry, conn.id, self.graph)
+            dsbpss.release_wp(
+                self.registry, result.path.link_ids(), result.backup_paths, self.graph
+            )
         if result.protected_links:
             dcycles.release_wp(self.cycles, conn.id, result.protected_links, self.graph)
 

@@ -374,6 +374,8 @@ class TestScenarioDefaults:
         (["--ath", "0.99", "--holding", "nan"], "mean_holding_s"),
         # With jitter on, an average at or below 0.45/1.45 draws links at or below 0.
         (["--ath", "0.99", "--avg-availability", "0.2"], "avg_link_availability"),
+        # np.random.SeedSequence would raise only once the run had started.
+        (["--ath", "0.99", "--seed", "-1"], "seed"),
     ])
     def test_run_rejects_bad_value_before_running(self, cells, capsys, flags, field):
         with pytest.raises(SystemExit) as exc:
@@ -392,6 +394,52 @@ class TestScenarioDefaults:
             main(["sweep", "--config", str(cfg)])
         assert exc.value.code == 2
         assert "a_th 1.5 must lie in (0, 1]" in capsys.readouterr().err
+        assert cells == []
+
+    @pytest.mark.parametrize("grid_line, flags", [
+        pytest.param("seed = -1\n", [], id="config"),
+        pytest.param("", ["--seed", "-1"], id="flag"),
+    ])
+    def test_sweep_rejects_negative_seed_before_any_cell(
+        self, cells, tmp_path, capsys, grid_line, flags,
+    ):
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(
+            "[grid]\navg_availability = 0.99\na_th = 0.999\nload = 20\nmodes = none\n"
+            + grid_line
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(cfg), *flags])
+        assert exc.value.code == 2
+        assert "seed must be >= 0, not -1" in capsys.readouterr().err
+        assert cells == []
+
+    @pytest.mark.parametrize("word, value", [
+        ("no", False), ("0", False), ("off", False), ("FALSE", False),
+        ("yes", True), ("1", True), ("on", True), ("True", True),
+    ])
+    def test_sweep_boolean_words(self, cells, tmp_path, capsys, word, value):
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(
+            f"[scenario]\nload_per_node = {word}\njitter = {word}\n"
+            "[grid]\navg_availability = 0.99\na_th = 0.999\nload = 20\nmodes = none\n"
+        )
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        (params,) = cells
+        assert params["load_per_node"] is value
+        assert params["jitter_availability"] is value
+
+    @pytest.mark.parametrize("key", ["load_per_node", "jitter"])
+    def test_sweep_rejects_non_boolean_before_any_cell(self, cells, tmp_path, capsys, key):
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(
+            f"[scenario]\n{key} = maybe\n"
+            "[grid]\navg_availability = 0.99\na_th = 0.999\nload = 20\nmodes = none\n"
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert f"[scenario] {key}: 'maybe' is not a boolean" in capsys.readouterr().err
         assert cells == []
 
     @pytest.mark.parametrize("text, message", [

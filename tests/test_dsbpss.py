@@ -12,7 +12,7 @@ import eonprotect
 from eonprotect.dsbpss import (
     BackupRegistry,
     SharingConflictError,
-    UnknownWorkingPathError,
+    UnknownClaimError,
     free_backup_slots,
     release_wp,
 )
@@ -53,33 +53,42 @@ def search_bitmaps(g, bits):
     }
 
 
-def rebuilt_claims(reg):
+def live_backups(results):
+    """``{wp_id: (wp_links, backups)}`` of the protected results by WP id."""
+    return {
+        wp_id: (res.path.link_ids(), res.backup_paths)
+        for wp_id, res in results.items()
+        if res.backup_paths
+    }
+
+
+def rebuilt_claims(wps):
     """``claims[b][f]`` rebuilt from the live backups, one WP per (b, f, slot)."""
     out = {}
-    for wp_id, backups in reg.by_wp.items():
+    for wp_links, backups in wps.values():
         for bp in backups:
             mask = bp.block.mask()
             for link in bp.links:
                 on_link = out.setdefault(link.id, {})
-                for failed in reg.wp_links[wp_id]:
+                for failed in wp_links:
                     assert not on_link.get(failed, 0) & mask
                     on_link[failed] = on_link.get(failed, 0) | mask
     return out
 
 
-def assert_sharers_pairwise_disjoint(reg):
+def assert_sharers_pairwise_disjoint(wps):
     """WPs whose backups hold the same (link, slot) share no link."""
     sharers = {}
-    for wp_id, backups in reg.by_wp.items():
+    for wp_id, (_, backups) in wps.items():
         for bp in backups:
             for link in bp.links:
                 for slot in range(bp.block.start, bp.block.end):
                     sharers.setdefault((link.id, slot), set()).add(wp_id)
-    for wps in sharers.values():
-        wps = sorted(wps)
-        for i, w in enumerate(wps):
-            for other in wps[i + 1 :]:
-                assert not (reg.wp_links[w] & reg.wp_links[other])
+    for ids in sharers.values():
+        ids = sorted(ids)
+        for i, w in enumerate(ids):
+            for other in ids[i + 1 :]:
+                assert not (wps[w][0] & wps[other][0])
 
 
 class TestCanShare:
@@ -216,15 +225,14 @@ class TestProvisioningAndSharing:
         reg = BackupRegistry()
         provision(g, reg, "w1", "A", "D", 3, a_th=0.92)
         claims_before = copy.deepcopy(reg.claims)
-        by_wp_before = copy.deepcopy(reg.by_wp)
+        held_before, reserved_before = dict(reg.held), reg.reserved
         bitmaps_before = {lid: l.bitmap.copy() for lid, l in g.links.items()}
         # Unreachable threshold forces a full rollback for w2, whose first
         # backup shared w1's slots on E-F.
         res = provision(g, reg, "w2", "B", "E", 2, a_th=1.0)
         assert res.backup_paths == []
         assert reg.claims == claims_before
-        assert reg.by_wp == by_wp_before
-        assert set(reg.wp_links) == {"w1"}
+        assert reg.held == held_before and reg.reserved == reserved_before
         working_w2 = {l.id for l in res.path.links}
         for lid, bmp in bitmaps_before.items():
             if lid not in working_w2:
@@ -235,52 +243,80 @@ class TestRelease:
     def build_shared_state(self):
         g = six_node_net()
         reg = BackupRegistry()
-        provision(g, reg, "w1", "A", "D", 3, a_th=0.92)
-        provision(g, reg, "w2", "B", "E", 2, a_th=0.92)
-        return g, reg
+        results = {
+            "w1": provision(g, reg, "w1", "A", "D", 3, a_th=0.92),
+            "w2": provision(g, reg, "w2", "B", "E", 2, a_th=0.92),
+        }
+        return g, reg, live_backups(results)
 
     def test_sole_member_leaving_frees_slots(self):
         g = six_node_net()
         reg = BackupRegistry()
         res = provision(g, reg, "w1", "A", "D", 3, a_th=0.92)
-        release_wp(reg, "w1", g)
+        release_wp(reg, res.path.link_ids(), res.backup_paths, g)
         assert reg.is_empty()
         assert g.busy_slot_count() == 3 * res.path.hops
 
     def test_one_of_two_sharers_keeps_slots_busy(self):
-        g, reg = self.build_shared_state()
-        release_wp(reg, "w1", g)
+        g, reg, wps = self.build_shared_state()
+        release_wp(reg, *wps.pop("w1"), g)
         # w2's shared block (2 slots) survives on E-F; w1's extra slot frees.
         assert g.links["E-F"].bitmap.busy_count() == 2
         assert all(not set(on_link) & W1 for on_link in reg.claims.values())
-        assert reg.claims == rebuilt_claims(reg)
+        assert reg.claims == rebuilt_claims(wps)
 
     def test_released_block_becomes_globally_shareable(self):
-        g, reg = self.build_shared_state()
-        release_wp(reg, "w1", g)
-        release_wp(reg, "w2", g)
+        g, reg, wps = self.build_shared_state()
+        release_wp(reg, *wps["w1"], g)
+        release_wp(reg, *wps["w2"], g)
         assert reg.is_empty()
         bits = g.link_index().free_bits()
         free_backup_slots(g, bits, reg, frozenset({"A-B"}))
         assert search_bitmaps(g, bits)["E-F"].bits.bit_count() == g.slot_count
 
     def test_unknown_wp_rejected(self):
-        with pytest.raises(UnknownWorkingPathError):
-            release_wp(BackupRegistry(), "ghost", six_node_net())
+        g, reg, wps = self.build_shared_state()
+        (w1_links, w1_backups), (w2_links, w2_backups) = wps["w1"], wps["w2"]
+
+        def state():
+            return (
+                copy.deepcopy(reg.claims), dict(reg.held), reg.reserved,
+                {lid: link.bitmap.copy() for lid, link in g.links.items()},
+            )
+
+        # w1's backups under w2's links: no claim on A-F for a failure of B-E.
+        before = state()
+        with pytest.raises(UnknownClaimError):
+            release_wp(reg, w2_links, w1_backups, g)
+        assert state() == before
+        # w1's own backup is claimed, w2's after it is not: checked before any change.
+        with pytest.raises(UnknownClaimError):
+            release_wp(reg, w1_links, w1_backups + w2_backups, g)
+        assert state() == before
+        # A second release of w1's backups, after w2 reused their E-F slots.
+        release_wp(reg, w1_links, w1_backups, g)
+        before = state()
+        with pytest.raises(UnknownClaimError):
+            release_wp(reg, w1_links, w1_backups, g)
+        assert state() == before
+        assert reg.claims == rebuilt_claims({"w2": wps["w2"]})
 
 
 class TestClaimInvariant:
     def test_protected_wps_pairwise_disjoint_after_mutations(self):
         g = six_node_net()
         reg = BackupRegistry()
-        provision(g, reg, "w1", "A", "D", 3, a_th=0.92)
-        provision(g, reg, "w2", "B", "E", 2, a_th=0.92)
-        provision(g, reg, "w3", "B", "E", 2, a_th=1.0)  # rolled back
-        assert_sharers_pairwise_disjoint(reg)
-        assert reg.claims == rebuilt_claims(reg)
-        release_wp(reg, "w1", g)
-        assert_sharers_pairwise_disjoint(reg)
-        assert reg.claims == rebuilt_claims(reg)
+        wps = live_backups({
+            "w1": provision(g, reg, "w1", "A", "D", 3, a_th=0.92),
+            "w2": provision(g, reg, "w2", "B", "E", 2, a_th=0.92),
+            "w3": provision(g, reg, "w3", "B", "E", 2, a_th=1.0),  # rolled back
+        })
+        assert set(wps) == {"w1", "w2"}
+        assert_sharers_pairwise_disjoint(wps)
+        assert reg.claims == rebuilt_claims(wps)
+        release_wp(reg, *wps.pop("w1"), g)
+        assert_sharers_pairwise_disjoint(wps)
+        assert reg.claims == rebuilt_claims(wps)
 
     def test_claims_match_live_backups_at_pause_points(self):
         sim = Simulation(Scenario(
@@ -291,11 +327,9 @@ class TestClaimInvariant:
         for pause in range(100, 601, 100):
             sim.run(max_arrivals=pause)
             reg = sim.registry
-            assert set(reg.by_wp) == {
-                c.id for c in sim.live.values() if c.result.backup_paths
-            }
-            assert_sharers_pairwise_disjoint(reg)
-            rebuilt = rebuilt_claims(reg)
+            wps = live_backups({c.id: c.result for c in sim.live.values()})
+            assert_sharers_pairwise_disjoint(wps)
+            rebuilt = rebuilt_claims(wps)
             assert reg.claims == rebuilt
             # held[b] is the OR of the claims on b, for exactly the claimed links.
             held_rebuilt = {}

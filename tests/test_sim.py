@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from eonprotect import sim as sim_module
 from eonprotect.dsbpss import BackupPath
 from eonprotect.rsa import (
     CandidatePath,
@@ -59,6 +60,7 @@ class TestScenario:
             ("b_max_gbps", (0.0, -10.0, 0.5), (1.0,)),
             ("slot_ghz", (0.0, -12.5), (0.1,)),
             ("guard_ghz", (-0.1,), (0.0,)),
+            ("seed", (-1,), (0,)),
         ]
     ])
     def test_rejects_field_out_of_range(self, name, bad, good):
@@ -94,7 +96,7 @@ class TestGenerateArrivals:
     def test_inter_arrival_mean_within_one_percent(self):
         sc = small_scenario(n_requests=100_000, mean_holding_s=10.0)
         g = sc.build_graph()
-        times = np.array([ev.time_s for ev in generate_arrivals(sc, g)])
+        times = np.array([lr.arrival_s for lr in generate_arrivals(sc, g)])
         inter = np.diff(np.concatenate([[0.0], times]))
         lam = sc.arrival_rate(len(g.vertices))
         assert abs(inter.mean() - 1 / lam) < 0.01 / lam
@@ -102,13 +104,13 @@ class TestGenerateArrivals:
     def test_slot_demands_span_expected_range(self):
         sc = small_scenario(n_requests=20_000)
         g = sc.build_graph()
-        slots = {ev.request.slots_needed for ev in generate_arrivals(sc, g)}
+        slots = {lr.slots_needed for lr in generate_arrivals(sc, g)}
         assert slots == set(range(2, 10))
 
     def test_endpoints_distinct(self):
         sc = small_scenario(n_requests=5000)
         g = sc.build_graph()
-        assert all(ev.request.s != ev.request.d for ev in generate_arrivals(sc, g))
+        assert all(lr.s != lr.d for lr in generate_arrivals(sc, g))
 
 
 class TestRun:
@@ -158,6 +160,22 @@ class TestRun:
         assert sim.registry.is_empty()
         assert sim.cycles.is_empty()
         assert not sim.live
+
+    def test_arrival_goes_before_departure_at_the_same_time(self, monkeypatch):
+        # Each request fills the only link; the first departs at t=2.0, the
+        # moment the second arrives, so the second finds the link still full.
+        requests = [
+            LightpathRequest("a", "b", 4, arrival_s=1.0, holding_s=1.0),
+            LightpathRequest("a", "b", 4, arrival_s=2.0, holding_s=1.0),
+        ]
+        monkeypatch.setattr(sim_module, "generate_arrivals", lambda sc, g: requests)
+        sc = small_scenario(
+            n_requests=2, mean_holding_s=0.1, slot_count=4,
+            topology_text="link a b 100\n",
+        )
+        report = run(sc)
+        assert report.arrived == 2
+        assert report.blocked == 1
 
     def test_departure_never_precedes_arrival(self):
         sc = small_scenario(n_requests=400)
