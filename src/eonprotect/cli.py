@@ -6,11 +6,11 @@ over availability, threshold, load and mode, runs every cell (optionally in
 parallel worker processes, never more than cells) and writes a CSV or JSON
 table.  Both parse the topology file and build every scenario before running
 any, so an invalid value, an unreadable or invalid topology, a malformed
-config file, an empty grid or a ``--workers`` below 1 exits with code 2
-before anything runs.  A single run whose requests all arrive during the
-warm-up measures nothing and exits with code 2 as well.  Cells that fail
-while running become rows with empty metric fields; the process then exits
-with code 2.
+config file, an empty grid, a ``--workers`` below 1 or an ``--out`` path
+in a missing directory exits with code 2 before anything runs.  A single
+run whose requests all arrive during the warm-up measures nothing and exits
+with code 2 as well.  Cells that fail while running become rows with empty
+metric fields; the process then exits with code 2.
 """
 
 from __future__ import annotations
@@ -232,6 +232,14 @@ _INI_KEYS = {
 }
 
 
+def _ini_value(path: str, section: str, key: str, parse, text: str):
+    """``parse(text)``; a value that fails to parse names its file, section and key."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: [{section}] {key}: {exc}") from exc
+
+
 def _parse_sweep_config(path: str, args: argparse.Namespace) -> SweepSpec:
     cp = configparser.ConfigParser()
     read = cp.read(path)
@@ -250,13 +258,11 @@ def _parse_sweep_config(path: str, args: argparse.Namespace) -> SweepSpec:
     sc = cp["scenario"] if cp.has_section("scenario") else {}
     grid = cp["grid"]
 
-    template = {}
-    for key, (name, parse) in _INI_FIELDS.items():
-        if key in sc:
-            try:
-                template[name] = parse(sc[key])
-            except ValueError as exc:
-                raise ValueError(f"{path}: [scenario] {key}: {exc}") from exc
+    template = {
+        name: _ini_value(path, "scenario", key, parse, sc[key])
+        for key, (name, parse) in _INI_FIELDS.items()
+        if key in sc
+    }
     if args.requests is not None:
         template["n_requests"] = args.requests
     topo = sc.get("topology", "nsfnet")
@@ -267,12 +273,15 @@ def _parse_sweep_config(path: str, args: argparse.Namespace) -> SweepSpec:
     for key, values in axes.items():
         if not values:
             raise ValueError(f"{path}: [grid] {key} is empty")
-    repetitions = int(grid.get("repetitions", 1))
+    repetitions = _ini_value(path, "grid", "repetitions", int, grid.get("repetitions", "1"))
     if repetitions < 1:
         raise ValueError(f"{path}: [grid] repetitions must be >= 1")
+    seed = args.seed
+    if seed is None:
+        seed = _ini_value(path, "grid", "seed", int, grid.get("seed", "1"))
 
     def floats(key: str) -> list[float]:
-        return [float(x) for x in axes[key]]
+        return [_ini_value(path, "grid", key, float, x) for x in axes[key]]
 
     return SweepSpec(
         template=template,
@@ -281,7 +290,7 @@ def _parse_sweep_config(path: str, args: argparse.Namespace) -> SweepSpec:
         loads=floats("load"),
         modes=axes["modes"],
         repetitions=repetitions,
-        base_seed=args.seed if args.seed is not None else int(grid.get("seed", 1)),
+        base_seed=seed,
         workers=args.workers,
     )
 
@@ -311,6 +320,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        # Checked first: a missing directory would otherwise surface only
+        # when the results are written, after every cell has run.
+        out_dir = Path(args.out or "-").parent
+        if not out_dir.is_dir():
+            raise ValueError(f"--out {args.out}: directory {out_dir} does not exist")
         if args.command == "run":
             params = _scenario_kwargs(args)
             sc = Scenario(**params)

@@ -17,22 +17,25 @@ without sorting.  ``check_cycles`` walks it once and stops at the first
 straddling cycle that admits the link.  A departing working path hands back
 the (cycle id, link id) entries it was granted; only those are deleted, and
 only the cycles they leave empty are freed.  A failed protection attempt is
-undone by the same ``release_wp`` plus in-place snapshots of extended rings.
+undone by ``_release``, the same deletion without ``release_wp``'s grant
+check, plus the saved rings of the cycles it extended.
+
+``_set_ring`` is the only code that writes cycle blocks to the links: it
+builds, extends, restores and frees every ring.
 
 Each cycle carries two derived maps, both tied to its ring:
 
 - ``covers``, the coverage map: every graph link with both endpoints on the
   cycle, mapped to ``ON_CYCLE`` or ``STRADDLING``.  ``check_cycles`` makes
-  one lookup in it per cycle.  ``_build_cycle`` builds it and
-  ``_try_extend`` rebuilds it when it reroutes the ring.
+  one lookup in it per cycle.  ``_set_ring`` rebuilds it with the ring.
 - the arc cache: the backup availability the cycle offers each link it was
-  asked about.  ``_try_extend`` and ``_rollback`` clear it with the ring.
-  Link availabilities are fixed for a run, so an entry stays exact until
-  the ring changes.
+  asked about.  ``_set_ring`` clears it with the ring.  Link
+  availabilities are fixed for a run, so an entry stays exact until the
+  ring changes.
 
-``DCycleSet.reserved`` counts the slots held by all cycle blocks.  Every
-block reserved or freed here moves it, so it always equals the sum of the
-live cycles' block lengths.
+``DCycleSet.reserved`` counts the slots held by all cycle blocks.
+``_set_ring`` moves it with every block it reserves or frees, so it always
+equals the sum of the live cycles' block lengths.
 """
 
 from __future__ import annotations
@@ -163,19 +166,42 @@ def check_cycles(
     return on_cycle
 
 
-def _reserve_block(cs: DCycleSet, link: Link, capacity: int) -> SlotBlock:
-    block = first_fit(link.bitmap, capacity)
-    link.bitmap.set_busy(block)
-    cs.reserved += capacity
-    return block
-
-
 def _ring(g: NetworkGraph, vertex_order: list[str]) -> tuple[str, ...]:
     """Link ids around a closed walk; entry t joins vertex t and vertex t+1 mod n."""
     return tuple(
         g.link_between(a, b).id
         for a, b in zip(vertex_order, vertex_order[1:] + vertex_order[:1])
     )
+
+
+def _set_ring(
+    g: NetworkGraph,
+    cs: DCycleSet,
+    cycle: DCycle,
+    vertex_order: tuple[str, ...] | list[str],
+    blocks: dict[str, SlotBlock],
+) -> None:
+    """Give ``cycle`` a new ring; the only writer of cycle blocks.
+
+    ``blocks`` maps the ring's link ids, in ring order, to their slot blocks.
+    Blocks the cycle holds and ``blocks`` lacks are freed, new ones are
+    reserved, and ``cs.reserved`` moves with both.  The coverage map is
+    rebuilt and the arc cache cleared.
+    """
+    held = cycle.blocks
+    for lid, block in held.items():
+        if blocks.get(lid) != block:
+            g.links[lid].bitmap.set_free(block)
+            cs.reserved -= block.length
+    for lid, block in blocks.items():
+        if held.get(lid) != block:
+            g.links[lid].bitmap.set_busy(block)
+            cs.reserved += block.length
+    cycle.vertex_order = tuple(vertex_order)
+    cycle.link_ids = tuple(blocks)
+    cycle.blocks = blocks
+    cycle.covers = coverage(g, cycle.vertex_order, cycle.link_ids)
+    cycle.arc_avail = {}
 
 
 def _try_extend(
@@ -186,48 +212,37 @@ def _try_extend(
     If one endpoint u lies on a cycle and the other endpoint v connects to a
     cycle neighbour w of u, the cycle edge u-w is replaced by u-v-w; the
     link becomes on-cycle and the displaced edge becomes a straddler.  The
-    replaced ring (vertex order, link ids, blocks, coverage) is appended to
-    ``extended`` for ``_rollback``.
+    replaced ring (vertex order, blocks) is appended to ``extended`` for
+    ``_rollback``.
     """
     for cycle in cs.cycles.values():
         if link.id in cycle.covers:
             continue
-        on = cycle.vertex_order
+        order = cycle.vertex_order
         u, v = link.u, link.v
-        if v in on:
+        if v in order:
             u, v = v, u
-        if u not in on:
+        if u not in order:
             continue
         cap = cycle.capacity_slots
         if demand > cap or not is_feasible(link.bitmap, cap):
             continue
-        order = cycle.vertex_order
         n = len(order)
         ui = order.index(u)
         for wi in ((ui - 1) % n, (ui + 1) % n):
-            w = order[wi]
-            bridge = g.link_between(v, w)
-            removed = g.link_between(u, w)
-            if bridge is None or removed is None or removed.id not in cycle.link_ids:
-                continue
-            if not is_feasible(bridge.bitmap, cap):
+            bridge = g.link_between(v, order[wi])
+            if bridge is None or not is_feasible(bridge.bitmap, cap):
                 continue
             # Every protected link must stay on-cycle or straddling: the
             # displaced edge keeps both endpoints on the cycle, so it does.
-            extended.append(
-                (cycle, cycle.vertex_order, cycle.link_ids, dict(cycle.blocks), cycle.covers)
-            )
+            extended.append((cycle, order, cycle.blocks))
             new_order = list(order)
             new_order.insert(ui if wi == (ui - 1) % n else ui + 1, v)
-            cycle.vertex_order = tuple(new_order)
-            block = cycle.blocks.pop(removed.id)
-            removed.bitmap.set_free(block)
-            cs.reserved -= block.length
-            cycle.blocks[link.id] = _reserve_block(cs, link, cap)
-            cycle.blocks[bridge.id] = _reserve_block(cs, bridge, cap)
-            cycle.link_ids = _ring(g, new_order)
-            cycle.covers = coverage(g, cycle.vertex_order, cycle.link_ids)
-            cycle.arc_avail = {}
+            blocks = {
+                lid: cycle.blocks.get(lid) or first_fit(g.links[lid].bitmap, cap)
+                for lid in _ring(g, new_order)
+            }
+            _set_ring(g, cs, cycle, new_order, blocks)
             return cycle
     return None
 
@@ -238,12 +253,11 @@ def _build_cycle(
     vertex_order: list[str],
     capacity: int,
 ) -> DCycle:
-    order = tuple(vertex_order)
-    link_ids = _ring(g, vertex_order)
-    blocks = {lid: _reserve_block(cs, g.links[lid], capacity) for lid in link_ids}
-    cycle = DCycle(
-        cs.new_id(), order, link_ids, blocks, capacity, coverage(g, order, link_ids)
-    )
+    blocks = {
+        lid: first_fit(g.links[lid].bitmap, capacity) for lid in _ring(g, vertex_order)
+    }
+    cycle = DCycle(cs.new_id(), (), (), {}, capacity, {})
+    _set_ring(g, cs, cycle, vertex_order, blocks)
     cs.add(cycle)
     return cycle
 
@@ -290,32 +304,21 @@ def find_cycle_for(
     return None
 
 
-def _rollback(
-    g: NetworkGraph, cs: DCycleSet, wp_id: str, granted: list, extended: list
-) -> None:
+def _rollback(g: NetworkGraph, cs: DCycleSet, granted: list, extended: list) -> None:
     """Undo a failed ``provision_cycles`` call.
 
-    ``release_wp`` drops the call's grants and frees every cycle built in
-    the call, since such a cycle holds only those grants.  Then, newest
-    first, each extended cycle still live gets its replaced ring back in
-    place: the blocks the extension reserved are freed and the displaced
-    block is reserved again.  A cycle built and then extended in the call
-    is gone by then and is skipped.
+    ``_release`` drops the call's grants and frees every cycle built in the
+    call, since such a cycle holds only those grants; it skips the grant
+    check of ``release_wp``, which times departures only.  Then, newest
+    first, ``_set_ring`` gives each extended cycle still live its replaced
+    ring back in place, which frees the blocks the extension reserved and
+    reserves the displaced block again.  A cycle built and then extended in
+    the call is gone by then and is skipped.
     """
-    release_wp(cs, wp_id, granted, g)
-    for cycle, vertex_order, link_ids, blocks, covers in reversed(extended):
-        if cs.cycles.get(cycle.id) is not cycle:
-            continue
-        for lid, block in cycle.blocks.items():
-            if lid not in blocks:
-                g.links[lid].bitmap.set_free(block)
-                cs.reserved -= block.length
-        for lid, block in blocks.items():
-            if lid not in cycle.blocks:
-                g.links[lid].bitmap.set_busy(block)
-                cs.reserved += block.length
-        cycle.vertex_order, cycle.link_ids = vertex_order, link_ids
-        cycle.blocks, cycle.covers, cycle.arc_avail = blocks, covers, {}
+    _release(cs, granted, g)
+    for cycle, vertex_order, blocks in reversed(extended):
+        if cs.cycles.get(cycle.id) is cycle:
+            _set_ring(g, cs, cycle, vertex_order, blocks)
 
 
 def provision_cycles(
@@ -352,7 +355,7 @@ def provision_cycles(
         a_pp, _ = ava_dcyc_update(a_pp, link.availability, a_bp)
     if a_pp >= a_th:
         return granted, a_pp
-    _rollback(g, cs, wp_id, granted, extended)
+    _rollback(g, cs, granted, extended)
     return None, a_pp_max
 
 
@@ -368,11 +371,13 @@ def release_wp(
         cycle = cs.cycles.get(cid)
         if cycle is None or cycle.protected.get(lid) != wp_id:
             raise UnknownGrantError(f"cycle {cid} holds no entry on {lid} for {wp_id}")
+    _release(cs, granted, g)
+
+
+def _release(cs: DCycleSet, granted: list[tuple[int, str]], g: NetworkGraph) -> None:
     for cid, lid in granted:
         cycle = cs.cycles[cid]
         del cycle.protected[lid]
         if not cycle.protected:
-            for cycle_lid, block in cycle.blocks.items():
-                g.links[cycle_lid].bitmap.set_free(block)
-                cs.reserved -= block.length
+            _set_ring(g, cs, cycle, (), {})
             del cs.cycles[cid]

@@ -18,7 +18,11 @@ on a set (b, f, slot) bit is a sharing conflict.  From the claims:
 - a newcomer with links ``W`` may share ``held[b] & ~OR_{f in W} claims[b][f]``,
   which takes |W| lookups;
 - releasing a backup clears its WP's claims and frees the slots no claim
-  still holds.  Rolling back a failed protection attempt is the same release.
+  still holds.
+
+A failed protection attempt reserves nothing: ``provision_backups`` picks
+its backups on a private copy of the free bits and claims them only once
+the threshold is met, so there is nothing to roll back.
 
 The registry holds the claims only, not which backups belong to which WP:
 the caller keeps the backups ``provision_backups`` returned and hands them
@@ -31,7 +35,6 @@ and ``unclaim`` from the bits each one adds to or drops from ``held``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .rsa import CandidatePath, LightpathRequest, candidate_paths, select_best
@@ -70,7 +73,6 @@ class BackupRegistry:
         self.held: dict[str, int] = {}
         # backup slots reserved over all links: the popcount of every held[b]
         self.reserved = 0
-        self._bpid = itertools.count(1)
 
     def is_empty(self) -> bool:
         return not self.claims
@@ -140,18 +142,6 @@ def free_backup_slots(
         bits[position[lid]] |= reg.shareable(lid, new_wp_links)
 
 
-def _release(
-    reg: BackupRegistry,
-    g: NetworkGraph,
-    wp_links: frozenset[str],
-    backups: list[BackupPath],
-) -> None:
-    for bp in backups:
-        mask = bp.block.mask()
-        for link in bp.links:
-            g.links[link.id].bitmap.bits |= reg.unclaim(link.id, wp_links, mask)
-
-
 def provision_backups(
     g: NetworkGraph,
     lr: LightpathRequest,
@@ -163,9 +153,10 @@ def provision_backups(
 ) -> tuple[list[BackupPath], float]:
     """Stack link-disjoint shared backups until the threshold is met.
 
-    Returns (backup paths, final availability).  If the candidates run out
-    first, every reservation made here is rolled back and ([], original
-    availability) is returned.
+    Returns (backup paths, final availability).  Backups are picked on a
+    private copy of the free bits and claimed only once the threshold is
+    met, so if the candidates run out first nothing has been reserved and
+    ([], original availability) is returned.
     """
     wp_links = best_path.link_ids()
     index = g.link_index()
@@ -179,13 +170,11 @@ def provision_backups(
     backups: list[BackupPath] = []
     while a_pp < a_th:
         if not candidates:
-            _release(reg, g, wp_links, backups)
             return [], a_pp_max
         chosen = select_best(candidates)
         candidates.remove(chosen)
-        # Earlier reservations in this call may have consumed slots the
-        # stale candidate bitmap still shows free; re-intersect on the
-        # search bits before committing.
+        # Backups picked earlier in this call may have taken slots the stale
+        # candidate bitmap still shows free; re-intersect on the search bits.
         positions = [index.position[link.id] for link in chosen.links]
         common = (1 << g.slot_count) - 1
         for li in positions:
@@ -195,17 +184,19 @@ def provision_backups(
             continue
         block = first_fit(live, lr.slots_needed)
         mask = block.mask()
-        for link, li in zip(chosen.links, positions):
+        for li in positions:
+            # Own backups are not shareable with this same WP.
+            bits[li] &= ~mask
+        backups.append(
+            BackupPath(f"{wp_id}/bp{len(backups) + 1}", chosen.vertices, chosen.links, block)
+        )
+        a_pp = ava_dsbpss_update(a_pp, chosen.availability)
+    for bp in backups:
+        mask = bp.block.mask()
+        for link in bp.links:
             reg.claim(link.id, wp_links, mask)
             # Shared slots are busy already; the rest were free until now.
-            link.bitmap.set_busy(block)
-            # Own reservations are not shareable with this same WP.
-            bits[li] &= ~mask
-        bp = BackupPath(
-            f"{wp_id}/bp{next(reg._bpid)}", chosen.vertices, chosen.links, block
-        )
-        backups.append(bp)
-        a_pp = ava_dsbpss_update(a_pp, chosen.availability)
+            link.bitmap.set_busy(bp.block)
     return backups, a_pp
 
 
@@ -228,4 +219,7 @@ def release_wp(
             on_link = reg.claims.get(link.id, {})
             if any(mask & ~on_link.get(failed, 0) for failed in wp_links):
                 raise UnknownClaimError(f"slots {mask:#x} on {link.id} not held for this WP")
-    _release(reg, g, wp_links, backups)
+    for bp in backups:
+        mask = bp.block.mask()
+        for link in bp.links:
+            g.links[link.id].bitmap.bits |= reg.unclaim(link.id, wp_links, mask)

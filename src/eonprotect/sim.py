@@ -21,6 +21,7 @@ reserves and frees.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +62,9 @@ class Scenario:
     topology_text: str | None = None  # None selects the bundled NSFNET
 
     def __post_init__(self) -> None:
+        for name in ("load_erlang", "mean_holding_s", "b_max_gbps", "slot_ghz", "guard_ghz"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, not {getattr(self, name)!r}")
         if not self.load_erlang > 0 or not self.mean_holding_s > 0:
             raise ValueError("load_erlang and mean_holding_s must be positive")
         if self.n_requests < 1:
@@ -81,9 +85,9 @@ class Scenario:
         for name in ("k", "slot_count"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        # Rates are drawn from the integers 1..int(b_max_gbps).
-        if not self.b_max_gbps >= 1:
-            raise ValueError("b_max_gbps must be >= 1")
+        # Rates are drawn as int64 from the integers 1..int(b_max_gbps).
+        if not 1 <= self.b_max_gbps < 2**63:
+            raise ValueError("b_max_gbps must be >= 1 and below 2**63")
         if not self.slot_ghz > 0 or not self.guard_ghz >= 0:
             raise ValueError("slot_ghz must be positive and guard_ghz non-negative")
 

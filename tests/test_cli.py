@@ -376,6 +376,14 @@ class TestScenarioDefaults:
         (["--ath", "0.99", "--avg-availability", "0.2"], "avg_link_availability"),
         # np.random.SeedSequence would raise only once the run had started.
         (["--ath", "0.99", "--seed", "-1"], "seed"),
+        # Each of these used to end in a traceback, or for --load in a
+        # message about the warm-up.
+        (["--ath", "0.99", "--slot-ghz", "inf"], "slot_ghz"),
+        (["--ath", "0.99", "--guard-ghz", "inf"], "guard_ghz"),
+        (["--ath", "0.99", "--bmax", "inf"], "b_max_gbps"),
+        (["--ath", "0.99", "--bmax", "1e19"], "b_max_gbps"),
+        (["--ath", "0.99", "--holding", "inf"], "mean_holding_s"),
+        (["--ath", "0.99", "--load", "inf"], "load_erlang"),
     ])
     def test_run_rejects_bad_value_before_running(self, cells, capsys, flags, field):
         with pytest.raises(SystemExit) as exc:
@@ -412,6 +420,39 @@ class TestScenarioDefaults:
             main(["sweep", "--config", str(cfg), *flags])
         assert exc.value.code == 2
         assert "seed must be >= 0, not -1" in capsys.readouterr().err
+        assert cells == []
+
+    @pytest.mark.parametrize("scenario, load, field", [
+        ("slot_ghz = inf", "20", "slot_ghz"),
+        ("guard_ghz = inf", "20", "guard_ghz"),
+        ("b_max_gbps = 1e19", "20", "b_max_gbps"),
+        ("mean_holding_s = inf", "20", "mean_holding_s"),
+        ("", "20 inf", "load_erlang"),
+    ])
+    def test_sweep_rejects_non_finite_before_any_cell(
+        self, cells, tmp_path, capsys, scenario, load, field,
+    ):
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(
+            f"[scenario]\n{scenario}\n"
+            f"[grid]\navg_availability = 0.99\na_th = 0.999\nload = {load}\nmodes = none\n"
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert field in capsys.readouterr().err
+        assert cells == []
+
+    @pytest.mark.parametrize("key", ["repetitions", "seed", "load", "a_th", "avg_availability"])
+    def test_sweep_bad_grid_value_names_its_key(self, cells, tmp_path, capsys, key):
+        axes = {"avg_availability": "0.99", "a_th": "0.999", "load": "20", "modes": "none"}
+        axes[key] = "twenty"
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text("[grid]\n" + "".join(f"{k} = {v}\n" for k, v in axes.items()))
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert f"{cfg}: [grid] {key}: " in capsys.readouterr().err
         assert cells == []
 
     @pytest.mark.parametrize("word, value", [
@@ -504,6 +545,28 @@ class TestScenarioDefaults:
             main(["sweep", "--config", str(cfg)])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+        assert cells == []
+
+
+class TestOutPath:
+    """An --out path in a missing directory exits 2 before any cell runs."""
+
+    def test_run(self, cells, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--mode", "none", "--load", "15", "--ath", "0.99", "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"directory {out.parent} does not exist" in capsys.readouterr().err
+        assert cells == []
+
+    def test_sweep(self, cells, tmp_path, capsys):
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text("[grid]\navg_availability = 0.99\na_th = 0.999\nload = 20\nmodes = none\n")
+        out = tmp_path / "missing" / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(cfg), "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"directory {out.parent} does not exist" in capsys.readouterr().err
         assert cells == []
 
 

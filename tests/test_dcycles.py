@@ -371,6 +371,28 @@ class TestProvisionCycles:
         assert orders == [("A", "B", "C", "D", "E", "F"), ("A", "B", "C", "D", "E", "F", "G")]
         assert snapshot(cs, g) == before
 
+    def test_rollback_does_not_call_release_wp(self, monkeypatch):
+        # release_wp is the departure path.  B-C gets a new cycle and C-D
+        # extends it, then A_th = 1 rolls both back without it.
+        g = pentagon_with_chord()
+        g.links["B-C"].availability = 0.9
+        g.links["C-D"].availability = 0.95
+        path = hand_path(g, ["D", "C", "B"])
+        cs = DCycleSet()
+        before = snapshot(cs, g)
+        calls = []
+        real_release = dcycles.release_wp
+
+        def spy(*args):
+            calls.append(args)
+            return real_release(*args)
+
+        monkeypatch.setattr(dcycles, "release_wp", spy)
+        lr = LightpathRequest("D", "B", 2)
+        assert provision_cycles(g, lr, path, cs, "w1", path.availability, 1.0)[0] is None
+        assert calls == []
+        assert snapshot(cs, g) == before
+
 
 class TestReleaseAndDismantle:
     def test_last_protector_departing_frees_cycle(self):
@@ -561,7 +583,7 @@ class TestDerivedCycleState:
         assert cycle.vertex_order == ("A", "B", "C", "D", "E", "F")
         assert cycle.covers == reference_covers(cycle, g)
         assert cycle.covers["C-E"] == STRADDLING
-        _rollback(g, cs, "w1", [], extended)
+        _rollback(g, cs, [], extended)
         assert cs.cycles[cycle.id] is cycle
         assert cycle.vertex_order == ("A", "B", "C", "E", "F")
         assert cycle.covers == reference_covers(cycle, g)
@@ -583,7 +605,7 @@ class TestDerivedCycleState:
         assert arc == fresh_backup_availability(cycle, edge, g)
         assert arc == math.prod(g.links[lid].availability for lid in cycle.link_ids[1:])
         assert set(cycle.arc_avail) == {"A-B"}
-        _rollback(g, cs, "w1", [], extended)
+        _rollback(g, cs, [], extended)
         assert cs.cycles[cycle.id] is cycle and cycle.arc_avail == {}
         assert cycle.backup_availability(edge, g) == fresh_backup_availability(cycle, edge, g)
 
@@ -597,7 +619,7 @@ class TestDerivedCycleState:
         extended = []
         _try_extend(g, g.links["D-E"], 2, cs, extended)
         assert cs.reserved == busy() == 12
-        _rollback(g, cs, "w1", [], extended)
+        _rollback(g, cs, [], extended)
         assert cs.reserved == busy() == 10
         release_wp(cs, "w0", [(cycle.id, "A-B")], g)
         assert cs.reserved == busy() == 0

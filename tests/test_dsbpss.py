@@ -238,6 +238,32 @@ class TestProvisioningAndSharing:
             if lid not in working_w2:
                 assert g.links[lid].bitmap == bmp
 
+    def test_failed_attempt_claims_nothing(self, monkeypatch):
+        g = six_node_net()
+        reg = BackupRegistry()
+        provision(g, reg, "w1", "A", "D", 3, a_th=0.92)
+        claims_before = copy.deepcopy(reg.claims)
+        held_before, reserved_before = dict(reg.held), reg.reserved
+        bits_before = {lid: l.bitmap.bits for lid, l in g.links.items()}
+        claimed = []
+        real_claim = BackupRegistry.claim
+
+        def spy(self, *args):
+            claimed.append(args)
+            return real_claim(self, *args)
+
+        monkeypatch.setattr(BackupRegistry, "claim", spy)
+        # w2 picks backups, one of them over w1's slots on E-F, but no stack
+        # of backups reaches A_th = 1: the attempt must reserve nothing.
+        res = provision(g, reg, "w2", "B", "E", 2, a_th=1.0)
+        assert res.needs_protection and not res.protected
+        assert claimed == []
+        assert reg.claims == claims_before
+        assert reg.held == held_before and reg.reserved == reserved_before
+        for link in res.path.links:
+            link.bitmap.set_free(res.block)
+        assert {lid: l.bitmap.bits for lid, l in g.links.items()} == bits_before
+
 
 class TestRelease:
     def build_shared_state(self):

@@ -50,16 +50,17 @@ class TestScenario:
     # arrival, after the whole arrival stream is generated, or not at all.
     @pytest.mark.parametrize("name, bad, good", [
         pytest.param(name, bad, good, id=name) for name, bad, good in [
-            ("load_erlang", (0.0, -1.0, float("nan")), (1e-9,)),
-            ("mean_holding_s", (0.0, -1.0, float("nan")), (1e-9,)),
+            ("load_erlang", (0.0, -1.0, float("nan"), float("inf")), (1e-9,)),
+            ("mean_holding_s", (0.0, -1.0, float("nan"), float("inf")), (1e-9,)),
             ("a_th", (0.0, 1.5, -0.5, float("nan")), (1.0, 1e-9)),
             # Jitter is on, so an average at or below 0.45/1.45 is out of range.
             ("avg_link_availability", (0.0, 1.01, float("nan"), 0.2, 0.31), (1.0, 0.3104)),
             ("k", (0, -1), (1,)),
             ("slot_count", (0, -3), (1,)),
-            ("b_max_gbps", (0.0, -10.0, 0.5), (1.0,)),
-            ("slot_ghz", (0.0, -12.5), (0.1,)),
-            ("guard_ghz", (-0.1,), (0.0,)),
+            # Rates are drawn as int64, so int(b_max_gbps) + 1 must stay below 2**63.
+            ("b_max_gbps", (0.0, -10.0, 0.5, float("inf"), 1e19, 2.0**63), (1.0, 2.0**62)),
+            ("slot_ghz", (0.0, -12.5, float("inf")), (0.1,)),
+            ("guard_ghz", (-0.1, float("inf")), (0.0,)),
             ("seed", (-1,), (0,)),
         ]
     ])
