@@ -7,7 +7,8 @@ parallel worker processes, never more than cells) and writes a CSV or JSON
 table.  Both parse the topology file and build every scenario before running
 any, so an invalid value, an unreadable or invalid topology, a malformed
 config file, an empty grid, a ``--workers`` below 1 or an ``--out`` path
-in a missing directory exits with code 2 before anything runs.  A single
+that names a directory, lies in a missing directory or cannot be written
+exits with code 2 before anything runs.  A single
 run whose requests all arrive during the warm-up measures nothing and exits
 with code 2 as well.  Cells that fail while running become rows with empty
 metric fields; the process then exits with code 2.
@@ -20,6 +21,7 @@ import configparser
 import csv
 import io
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -156,6 +158,19 @@ def emit(rows: list[dict], fmt: str, path: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
+
+
+def _check_out(path: str | None) -> None:
+    """Reject an ``--out`` path the results could not be written to."""
+    if path is None or path == "-":
+        return
+    out = Path(path)
+    if out.is_dir():
+        raise ValueError(f"--out {path}: is a directory")
+    if not out.parent.is_dir():
+        raise ValueError(f"--out {path}: directory {out.parent} does not exist")
+    if not os.access(out if out.exists() else out.parent, os.W_OK):
+        raise ValueError(f"--out {path}: not writable")
 
 
 def _read_topology(path: str) -> str:
@@ -320,11 +335,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        # Checked first: a missing directory would otherwise surface only
-        # when the results are written, after every cell has run.
-        out_dir = Path(args.out or "-").parent
-        if not out_dir.is_dir():
-            raise ValueError(f"--out {args.out}: directory {out_dir} does not exist")
+        # Checked first: a bad path would otherwise surface only when the
+        # results are written, after every cell has run.
+        _check_out(args.out)
         if args.command == "run":
             params = _scenario_kwargs(args)
             sc = Scenario(**params)

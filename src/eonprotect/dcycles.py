@@ -282,8 +282,9 @@ def find_cycle_for(
         return cycle
 
     index = g.link_index()
-    without = index.mask([link])
-    alternates = candidate_paths(g, link.u, link.v, demand, k, without)
+    bits = index.free_bits()
+    bits[index.position[link.id]] = 0
+    alternates = candidate_paths(g, link.u, link.v, demand, k, bits)
     if not alternates:
         return None
     p1 = select_best(alternates)
@@ -292,8 +293,8 @@ def find_cycle_for(
     # links among them (p1 avoids ``link``, so it has two hops or more).
     for vx in p1.vertices[1:-1]:
         for _, _, li in index.neighbors[vx]:
-            without |= 1 << li
-    disjoint = candidate_paths(g, link.u, link.v, demand, k, without)
+            bits[li] = 0
+    disjoint = candidate_paths(g, link.u, link.v, demand, k, bits)
     if disjoint:
         p2 = select_best(disjoint)
         order = list(p1.vertices) + list(reversed(p2.vertices[1:-1]))

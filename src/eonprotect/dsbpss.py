@@ -162,9 +162,11 @@ def provision_backups(
     index = g.link_index()
     bits = index.free_bits()
     free_backup_slots(g, bits, reg, wp_links)
-    candidates = candidate_paths(
-        g, lr.s, lr.d, lr.slots_needed, lr.k, index.mask(best_path.links), bits
-    )
+    # After free_backup_slots, which ORs shareable slots into the working
+    # path's links too: backups avoid those links.
+    for link in best_path.links:
+        bits[index.position[link.id]] = 0
+    candidates = candidate_paths(g, lr.s, lr.d, lr.slots_needed, lr.k, bits)
 
     a_pp = a_pp_max
     backups: list[BackupPath] = []

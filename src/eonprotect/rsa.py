@@ -10,9 +10,9 @@ This is exact: the run mask of an AND is the AND of the run masks (see
 ``spectrum``), so a branch is pruned as soon as its links no longer share
 n contiguous free slots, exactly as if contiguity were re-derived from the
 AND of their free bits.  The common free bits of a path are ANDed only
-for the returned paths.  Links can be left out by a link mask and the live
-free bits replaced by a caller's list, so backup and cycle searches need
-no pruned graph copy.
+for the returned paths.  A caller may pass per-link free bits in place of
+the live ones, and leaves a link out by putting 0 in its entry, so backup
+and cycle searches need no pruned graph copy.
 
 Most searches need no BFS.  The graph's index keeps, per
 (s, d, k), the s-d simple paths in the order the same BFS finds them when
@@ -79,45 +79,25 @@ class _BuiltOnFirstRead:
 
 
 class CandidatePath:
-    """A feasible path: vertex walk, links, common free slots, availability.
+    """A feasible path found by ``candidate_paths``.
 
-    ``CandidatePath(vertices, links, bitmap, availability)`` sets every
-    field.  ``candidate_paths`` sets only the availability, the hop count
-    and the search's link indices; the other three fields are built on
-    first read.
+    Its availability and hop count are set at once; its links, vertex walk
+    and bitmap of common free slots are built on first read.
     """
 
-    # (graph links by index, source vertex, slot count, link indices,
-    # common free bits) of a path found by ``candidate_paths``; it holds no
-    # per-call list, so a live connection keeps no search state alive.
-    _found: tuple | None = None
-
     def __init__(
-        self,
-        vertices: tuple[str, ...],
-        links: tuple[Link, ...],
-        bitmap: SpectrumBitmap,
-        availability: float,
-    ) -> None:
-        self.vertices = vertices
-        self.links = links
-        self.bitmap = bitmap
-        self.availability = availability
-        self.hops = len(links)
-
-    @classmethod
-    def _from_search(
-        cls, table: tuple[Link, ...], s: str, size: int,
+        self, table: tuple[Link, ...], s: str, size: int,
         path: tuple[int, ...], common: int,
-    ) -> "CandidatePath":
-        p = cls.__new__(cls)
-        p._found = (table, s, size, path, common)
+    ) -> None:
+        # (graph links by index, source vertex, slot count, link indices,
+        # common free bits); it holds no per-call list, so a live connection
+        # keeps no search state alive.
+        self._found = (table, s, size, path, common)
         avail = 1.0
         for li in path:
             avail *= table[li].availability
-        p.availability = avail
-        p.hops = len(path)
-        return p
+        self.availability = avail
+        self.hops = len(path)
 
     @_BuiltOnFirstRead
     def links(self) -> tuple[Link, ...]:
@@ -147,17 +127,19 @@ def candidate_paths(
     d: str,
     slots_needed: int,
     k: int,
-    exclude: int = 0,
     bits: list[int] | None = None,
 ) -> list[CandidatePath]:
     """Up to k loop-free paths s->d with >= slots_needed contiguous common slots.
 
     Paths come out in breadth-first order, so hop counts are non-decreasing.
     Returns as soon as k paths are collected; empty list when nothing fits.
-    ``exclude`` is a mask over ``g.link_index()`` of links to treat as
-    absent; ``bits`` replaces the links' live free bits, by link index.
-    Neither the graph nor ``bits`` is written to.
+    ``bits`` replaces the links' live free bits, in ``g.link_index()``
+    order; a link whose entry is 0 is left out.  Neither the graph nor
+    ``bits`` is written to.  Raises ``ValueError`` if ``slots_needed`` or
+    ``k`` is below 1.
     """
+    if slots_needed < 1 or k < 1:
+        raise ValueError("slots_needed and k must be >= 1")
     if s not in g.adjacency or d not in g.adjacency:
         raise KeyError(f"unknown vertex in request {s}->{d}")
     size = g.slot_count
@@ -169,16 +151,13 @@ def candidate_paths(
     runs = bits
     for step in run_steps(slots_needed):
         runs = [r & r >> step for r in runs]
-    if exclude:
-        # An excluded link has no free window, so no branch can cross it.
-        runs = [0 if exclude >> li & 1 else r for li, r in enumerate(runs)]
     table = index.links
     out = []
     for path in _bfs(index, runs, s, d, k):
         common = (1 << size) - 1
         for li in path:
             common &= bits[li]
-        out.append(CandidatePath._from_search(table, s, size, path, common))
+        out.append(CandidatePath(table, s, size, path, common))
     return out
 
 

@@ -154,9 +154,9 @@ class JitteredAvailability(AvailabilityPolicy):
 class LinkIndex:
     """Structure-only int view of a graph for path search.
 
-    Link ``i`` (in ``links`` order) is bit ``i`` of a link mask and each
-    vertex owns one bit of a vertex mask.  No spectrum state is cached: the
-    current free bits are read from the links themselves.
+    Link ``i`` (in ``links`` order) is entry ``i`` of a per-link list and
+    each vertex owns one bit of a vertex mask.  No spectrum state is cached:
+    the current free bits are read from the links themselves.
     """
 
     links: tuple[Link, ...]
@@ -166,13 +166,6 @@ class LinkIndex:
     neighbors: dict[str, tuple[tuple[str, int, int], ...]]
     # (s, d, k) -> structural_paths(s, d, k), filled on first use
     _paths: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def mask(self, links) -> int:
-        """Link mask of the given links."""
-        out = 0
-        for link in links:
-            out |= 1 << self.position[link.id]
-        return out
 
     def free_bits(self) -> list[int]:
         """Current free bits of every link, by link index."""
@@ -330,7 +323,7 @@ def load_topology(
 
     Lines: ``node <name>``, ``link <u> <v> <length_km> [availability]``,
     ``#`` starts a comment.  Links without an explicit availability get one
-    from ``policy``.
+    from ``policy``.  The graph must be connected, with two nodes or more.
     """
     g = NetworkGraph(slot_count)
     pending: list[tuple[int, str, str, float, float | None]] = []
@@ -372,6 +365,9 @@ def load_topology(
             g.add_link(u, v, km, availability=a)
         except TopologyError as exc:
             raise TopologyParseError(line_no, str(exc)) from exc
+    if len(g.vertices) < 2:
+        # No request has two distinct endpoints on such a graph.
+        raise TopologyError(f"topology needs at least 2 nodes, not {len(g.vertices)}")
     if not g.is_connected():
         raise DisconnectedGraphError("topology is not connected")
     return g

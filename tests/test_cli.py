@@ -549,7 +549,8 @@ class TestScenarioDefaults:
 
 
 class TestOutPath:
-    """An --out path in a missing directory exits 2 before any cell runs."""
+    """An --out path in a missing directory, or naming a directory, exits 2
+    before any cell runs."""
 
     def test_run(self, cells, tmp_path, capsys):
         out = tmp_path / "missing" / "x.csv"
@@ -567,6 +568,37 @@ class TestOutPath:
             main(["sweep", "--config", str(cfg), "--out", str(out)])
         assert exc.value.code == 2
         assert f"directory {out.parent} does not exist" in capsys.readouterr().err
+        assert cells == []
+
+    def test_run_into_directory(self, cells, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--mode", "none", "--load", "15", "--ath", "0.99", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"--out {tmp_path}: is a directory" in capsys.readouterr().err
+        assert cells == []
+
+    def test_sweep_into_directory(self, cells, tmp_path, capsys):
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text("[grid]\navg_availability = 0.99\na_th = 0.999\nload = 20\nmodes = none\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(cfg), "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"--out {tmp_path}: is a directory" in capsys.readouterr().err
+        assert cells == []
+
+    @pytest.mark.parametrize("exists", [True, False])
+    def test_run_into_unwritable_path(self, cells, tmp_path, capsys, monkeypatch, exists):
+        out = tmp_path / "x.csv"
+        if exists:
+            out.write_text("")
+        # Permission bits do not stop every user (root), so access is faked.
+        checked = []
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: checked.append(path))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--mode", "none", "--load", "15", "--ath", "0.99", "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"--out {out}: not writable" in capsys.readouterr().err
+        assert checked == [out if exists else tmp_path]
         assert cells == []
 
 
@@ -650,12 +682,18 @@ class TestNothingMeasured:
 class TestBadTopologyFile:
     """A topology file that cannot be read or is invalid exits 2 before any run."""
 
-    @pytest.fixture(params=["missing", "disconnected", "unparsable"])
+    @pytest.fixture(params=["missing", "disconnected", "unparsable", "one-node", "empty"])
     def bad_topology(self, request, tmp_path):
         path = tmp_path / f"{request.param}.topo"
         if request.param == "disconnected":
             path.write_text("link a b 10\nlink c d 10\n")
             return str(path), "topology is not connected"
+        if request.param == "one-node":
+            path.write_text("node A\n")
+            return str(path), "topology needs at least 2 nodes, not 1"
+        if request.param == "empty":
+            path.write_text("")
+            return str(path), "topology needs at least 2 nodes, not 0"
         if request.param == "unparsable":
             path.write_text("link a b 10\nlink b c ten\n")
             return str(path), "line 2"

@@ -98,9 +98,9 @@ def hand_path(g, vertices):
     for link in links:
         common.bits &= link.bitmap.bits
     allocate([link.bitmap for link in links], first_fit(common, 2))
-    return CandidatePath(
-        tuple(vertices), links, common, math.prod(l.availability for l in links)
-    )
+    index = g.link_index()
+    path = tuple(index.position[link.id] for link in links)
+    return CandidatePath(index.links, vertices[0], g.slot_count, path, common.bits)
 
 
 class TestMinAvailabilityLink:

@@ -191,6 +191,20 @@ class TestProvisioningAndSharing:
         for bp in res.backup_paths:
             assert not (bp.link_ids() & working)
 
+    def test_backups_avoid_working_link_that_holds_shareable_slots(self):
+        # Slots 0-1 of a-c back up a WP over a-b, so a WP over a-c may share
+        # them.  Offered as free, they would make a-c itself the best backup.
+        g = NetworkGraph(slot_count=4)
+        for u, v in (("a", "b"), ("b", "c"), ("a", "c")):
+            g.add_link(u, v, 100, availability=0.9)
+        reg = BackupRegistry()
+        reg.claim("a-c", frozenset({"a-b"}), SlotBlock(0, 2).mask())
+        g.links["a-c"].bitmap.set_busy(SlotBlock(0, 2))
+        res = provision(g, reg, "w1", "a", "c", 2, a_th=0.95)
+        assert res.path.vertices == ("a", "c")
+        assert [bp.vertices for bp in res.backup_paths] == [("a", "b", "c")]
+        assert res.protected
+
     def test_one_backup_reaches_exact_threshold(self):
         g = six_node_net(avail=0.9)
         reg = BackupRegistry()

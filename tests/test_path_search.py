@@ -1,12 +1,28 @@
 """The int-mask path search and path selection against the code they replaced."""
 
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from eonprotect import rsa
-from eonprotect.rsa import CandidatePath, candidate_paths, select_best
+from eonprotect.rsa import candidate_paths, select_best
 from eonprotect.spectrum import SpectrumBitmap, is_feasible
 from eonprotect.topology import Link, NetworkGraph, UniformAvailability, remove_links
+
+
+@dataclass(frozen=True)
+class ReferencePath:
+    """A path of the old search, every field computed as it was found."""
+
+    vertices: tuple[str, ...]
+    links: tuple[Link, ...]
+    bitmap: SpectrumBitmap
+    availability: float
+
+    @property
+    def hops(self) -> int:
+        return len(self.links)
 
 
 def reference_candidate_paths(
@@ -15,7 +31,7 @@ def reference_candidate_paths(
     d: str,
     slots_needed: int,
     k: int,
-) -> list[CandidatePath]:
+) -> list[ReferencePath]:
     """Breadth-first search over vertex tuples and live bitmaps (the old code)."""
     if s not in g.adjacency or d not in g.adjacency:
         raise KeyError(f"unknown vertex in request {s}->{d}")
@@ -23,7 +39,7 @@ def reference_candidate_paths(
     if slots_needed > size:
         return []
     all_free = (1 << size) - 1
-    found: list[CandidatePath] = []
+    found: list[ReferencePath] = []
     # frontier entries: (vertices, links, intersected bits, availability)
     frontier: list[tuple[tuple[str, ...], tuple[Link, ...], int, float]] = [
         ((s,), (), all_free, 1.0)
@@ -41,7 +57,7 @@ def reference_candidate_paths(
                 new_avail = avail * link.availability
                 if v == d:
                     found.append(
-                        CandidatePath(
+                        ReferencePath(
                             verts + (v,), links + (link,),
                             SpectrumBitmap(size, new_bits), new_avail,
                         )
@@ -54,7 +70,7 @@ def reference_candidate_paths(
     return found
 
 
-def reference_select_best(paths: list[CandidatePath]) -> CandidatePath:
+def reference_select_best(paths: list[ReferencePath]) -> ReferencePath:
     """One key over every path, vertex walks included (the old code)."""
     return min(paths, key=lambda p: (-p.availability, p.hops, p.vertices))
 
@@ -116,7 +132,7 @@ def search_cases(draw):
         s, d = draw(st.permutations(names))[:2]
     # Three searches on one graph, the third with the first's k, so the
     # table of structural paths built by one search answers a later one with
-    # other free bits, exclusions and demand.
+    # other free bits, left-out links and demand.
     ks = st.integers(2 if uniform else 1, 8)
     first_k = draw(ks)
     per_link = st.lists(free, min_size=len(g.links), max_size=len(g.links))
@@ -146,12 +162,16 @@ def test_matches_reference_on_pruned_copy(case):
     index = g.link_index()
     live = index.free_bits()
     for slots_needed, k, excluded, bits in searches:
-        given_bits = None if bits is None else list(bits)
+        # Excluded links are left out by zeroing their entries of the bits
+        # passed in; with nothing to leave out, None searches the live bits.
+        given_bits = None
+        if bits is not None or excluded:
+            given_bits = list(live if bits is None else bits)
+            for lid in excluded:
+                given_bits[index.position[lid]] = 0
+        passed = None if given_bits is None else list(given_bits)
 
-        got = candidate_paths(
-            g, s, d, slots_needed, k,
-            index.mask(g.links[lid] for lid in excluded), given_bits,
-        )
+        got = candidate_paths(g, s, d, slots_needed, k, given_bits)
         # Picked before any field is read, so only tied paths build their walks.
         picked = select_best(got) if got else None
 
@@ -168,7 +188,7 @@ def test_matches_reference_on_pruned_copy(case):
             assert summary([picked]) == summary([reference_select_best(want)])
         # The search writes neither to the graph nor to the caller's bits.
         assert index.free_bits() == live
-        assert given_bits == bits
+        assert given_bits == passed
         # Returned paths hold the graph's own links.
         assert all(link is g.links[link.id] for p in got for link in p.links)
         # ... and no per-call list (free bits, run masks), which a live
@@ -265,8 +285,10 @@ def test_short_table_falls_back_to_pruned_search(fallbacks):
     # With a-b busy the one-hop table holds no feasible path.
     g.links["a-b"].bitmap.bits = 0
     assert walks(candidate_paths(g, "a", "b", 1, 1)) == [("a", "c", "b")]
-    exclude = g.link_index().mask([g.links["b-c"]])
-    assert walks(candidate_paths(g, "a", "b", 1, 1, exclude)) == [("a", "d", "e", "b")]
+    index = g.link_index()
+    bits = index.free_bits()
+    bits[index.position["b-c"]] = 0
+    assert walks(candidate_paths(g, "a", "b", 1, 1, bits)) == [("a", "d", "e", "b")]
     assert fallbacks == [("a", "b", 1), ("a", "b", 1)]
 
 

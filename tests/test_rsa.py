@@ -60,6 +60,13 @@ class TestCandidatePaths:
         with pytest.raises(KeyError):
             candidate_paths(triangle(), "a", "z", 1, k=1)
 
+    @pytest.mark.parametrize("slots_needed, k", [(4, 0), (4, -1), (0, 5), (-1, 5)])
+    def test_rejects_counts_below_one(self, slots_needed, k):
+        # Such a k would otherwise return every feasible path, and such a
+        # demand every path at all.
+        with pytest.raises(ValueError, match="must be >= 1"):
+            candidate_paths(build_nsfnet(16), "1", "6", slots_needed, k)
+
     def test_respects_k_budget(self):
         g = build_nsfnet(16)
         for k in (1, 3, 5):
@@ -103,12 +110,14 @@ class TestCandidatePaths:
 
 class TestSelectBest:
     def mk(self, avail, verts):
-        return CandidatePath(
-            vertices=verts,
-            links=(),
-            bitmap=SpectrumBitmap(4),
-            availability=avail,
-        )
+        """The path over ``verts``, built as the search builds it, of
+        availability ``avail``: its first link has it, the others 1.0."""
+        g = NetworkGraph(slot_count=4)
+        for i, (u, v) in enumerate(zip(verts, verts[1:])):
+            g.add_link(u, v, 100, availability=1.0 if i else avail)
+        index = g.link_index()
+        path = tuple(index.position[g.link_between(u, v).id] for u, v in zip(verts, verts[1:]))
+        return CandidatePath(index.links, verts[0], g.slot_count, path, 0b1111)
 
     def test_strict_max(self):
         lo = self.mk(0.98, ("a", "b"))
@@ -118,15 +127,13 @@ class TestSelectBest:
     def test_tie_breaks_on_hops(self):
         short = self.mk(0.99, ("a", "b"))
         long = self.mk(0.99, ("a", "c", "b"))
-        object.__setattr__(short, "links", (None,))
-        object.__setattr__(long, "links", (None, None))
+        assert (short.hops, long.hops) == (1, 2)
         assert select_best([long, short]) is short
 
     def test_tie_breaks_on_vertex_order(self):
         p1 = self.mk(0.99, ("a", "b", "d"))
         p2 = self.mk(0.99, ("a", "c", "d"))
-        object.__setattr__(p1, "links", (None, None))
-        object.__setattr__(p2, "links", (None, None))
+        assert p1.availability == p2.availability and p1.hops == p2.hops
         assert select_best([p2, p1]) is p1
 
     def test_singleton(self):

@@ -20,7 +20,7 @@ from eonprotect.sim import (
     inject_single_failures,
     run,
 )
-from eonprotect.spectrum import SlotBlock, SpectrumBitmap
+from eonprotect.spectrum import SlotBlock
 
 
 def small_scenario(**overrides):
@@ -372,11 +372,14 @@ class TestInjectSingleFailuresMatchesReference:
         Nothing is reserved: fault injection reads only the live results.
         """
         g = sim.graph
+        index = g.link_index()
 
         def links(vertices):
             return tuple(g.link_between(a, b) for a, b in zip(vertices, vertices[1:]))
 
-        path = CandidatePath(wp, links(wp), SpectrumBitmap(g.slot_count), 0.9)
+        full = (1 << g.slot_count) - 1
+        on_wp = tuple(index.position[link.id] for link in links(wp))
+        path = CandidatePath(index.links, wp[0], g.slot_count, on_wp, full)
         backup = BackupPath(f"{cid}/bp1", bp, links(bp), SlotBlock(start, length))
         result = ProvisionResult(
             blocked=False, path=path, block=SlotBlock(0, length),

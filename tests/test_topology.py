@@ -214,6 +214,13 @@ class TestLoadTopology:
         with pytest.raises(DisconnectedGraphError):
             load_topology(text)
 
+    @pytest.mark.parametrize("text,n", [
+        ("", 0), ("# nothing\n", 0), ("node A\n", 1),
+    ], ids=["empty", "comment-only", "one-node"])
+    def test_fewer_than_two_nodes(self, text, n):
+        with pytest.raises(TopologyError, match=f"needs at least 2 nodes, not {n}"):
+            load_topology(text)
+
     def test_missing_availability_uses_policy(self):
         g = load_topology("link a b 10\n", policy=UniformAvailability(0.95))
         assert g.links["a-b"].availability == pytest.approx(0.95)
