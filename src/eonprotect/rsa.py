@@ -1,28 +1,32 @@
 """Routing and spectrum assignment over consecutive slots.
 
-Candidate paths are enumerated breadth-first (hop count order) over the
-graph's int index (``NetworkGraph.link_index``): a partial path is its end
-vertex, a mask of the vertices it visited, the running AND of its links'
-run masks and the tuple of its link indices.  A link's run mask has bit i
-set iff slots i..i+n-1 are free on it, for a demand of n slots; each call
-takes every link's run mask once, so extending a branch costs one ``&``.
-This is exact: the run mask of an AND is the AND of the run masks (see
-``spectrum``), so a branch is pruned as soon as its links no longer share
-n contiguous free slots, exactly as if contiguity were re-derived from the
-AND of their free bits.  The common free bits of a path are ANDed only
-for the returned paths.  A caller may pass per-link free bits in place of
-the live ones, and leaves a link out by putting 0 in its entry, so backup
-and cycle searches need no pruned graph copy.
+Candidate paths come out in breadth-first (hop count) order over the
+graph's int index (``NetworkGraph.link_index``).  A link's run mask has
+bit i set iff slots i..i+n-1 are free on it, for a demand of n slots, and
+the run mask of an AND is the AND of the run masks (see ``spectrum``).  A
+caller may pass per-link free bits in place of the live ones, and leaves a
+link out by putting 0 in its entry, so backup and cycle searches need no
+pruned graph copy.
 
 Most searches need no BFS.  The graph's index keeps, per
 (s, d, k), the s-d simple paths in the order the same BFS finds them when
 no branch is pruned, through the whole hop level of the k-th path
-(``LinkIndex.structural_paths``).  A path there is feasible iff the AND of
-its links' run masks is non-zero.  Pruning drops a branch with all its
-extensions and never reorders the survivors, so the pruned BFS returns the
-first k feasible paths of the unpruned order; when the table holds k
-feasible paths, they are those, and when it holds every s-d path, its
-feasible ones are all there are.  Otherwise the pruned BFS runs.
+(``LinkIndex.structural_paths``).  A search scans that table first: a path
+there is feasible iff the run mask of the AND of its links' free bits,
+taken once, is non-zero, and that AND is the returned path's bitmap.  So a
+search the table answers reads only the links of the paths it scans.
+Pruning drops a branch with all its extensions and never reorders the
+survivors, so the pruned BFS returns the first k feasible paths of the
+unpruned order; when the table holds k feasible paths, they are those, and
+when it holds every s-d path, its feasible ones are all there are.
+
+Otherwise the pruned BFS runs.  It takes every link's run mask once; a
+partial path is its end vertex, a mask of the vertices it visited, the
+running AND of its links' run masks and the tuple of its link indices, so
+extending a branch costs one ``&``.  A branch is pruned as soon as its
+links no longer share n contiguous free slots, exactly as if contiguity
+were re-derived from the AND of their free bits.  The common free bits of
+a path are ANDed only for the returned paths.
 
 A returned ``CandidatePath`` carries its availability (the product of link
 availabilities in path order, from 1.0), its hop count and its link
@@ -133,6 +137,9 @@ def candidate_paths(
 
     Paths come out in breadth-first order, so hop counts are non-decreasing.
     Returns as soon as k paths are collected; empty list when nothing fits.
+    The graph's table of structural s-d paths is scanned first; only when
+    it holds fewer than k feasible paths and is not complete does the
+    pruned BFS run, over every link's run mask.
     ``bits`` replaces the links' live free bits, in ``g.link_index()``
     order; a link whose entry is 0 is left out.  Neither the graph nor
     ``bits`` is written to.  Raises ``ValueError`` if ``slots_needed`` or
@@ -148,38 +155,34 @@ def candidate_paths(
     index = g.link_index()
     if bits is None:
         bits = index.free_bits()
-    runs = bits
-    for step in run_steps(slots_needed):
-        runs = [r & r >> step for r in runs]
-    table = index.links
-    out = []
-    for path in _bfs(index, runs, s, d, k):
-        common = (1 << size) - 1
+    steps = run_steps(slots_needed)
+    full = (1 << size) - 1
+    # (link indices, common free bits) of each feasible path found.
+    found = []
+    paths, complete = index.structural_paths(s, d, k)
+    for path in paths:
+        common = full
         for li in path:
             common &= bits[li]
-        out.append(CandidatePath(table, s, size, path, common))
-    return out
-
-
-def _bfs(
-    index: LinkIndex, runs: list[int], s: str, d: str, k: int,
-) -> list[tuple[int, ...]]:
-    """Link indices of up to k paths whose run masks meet, in BFS order.
-
-    Scans the graph's table of structural s-d paths first; searches only
-    when the table holds fewer than k such paths and is not complete.
-    """
-    paths, complete = index.structural_paths(s, d, k)
-    found = []
-    for path in paths:
-        run = -1
-        for li in path:
-            run &= runs[li]
+        run = common
+        for step in steps:
+            run &= run >> step
         if run:
-            found.append(path)
+            found.append((path, common))
             if len(found) == k:
-                return found
-    return found if complete else _pruned_bfs(index, runs, s, d, k)
+                break
+    if len(found) < k and not complete:
+        runs = bits
+        for step in steps:
+            runs = [r & r >> step for r in runs]
+        found = []
+        for path in _pruned_bfs(index, runs, s, d, k):
+            common = full
+            for li in path:
+                common &= bits[li]
+            found.append((path, common))
+    table = index.links
+    return [CandidatePath(table, s, size, path, common) for path, common in found]
 
 
 def _pruned_bfs(

@@ -8,9 +8,11 @@ shift-and-ands regardless of slot count.
 The run mask of ``bits`` for a demand of ``need`` slots has bit i set iff
 slots i..i+need-1 are all free.  It distributes over intersection,
 ``run(a & b) == run(a) & run(b)``: both sides say that every slot of the
-window is free in ``a`` and in ``b``.  So a path search can take each
-link's run mask once and AND run masks along a path, one ``&`` per link,
-instead of re-deriving contiguity from the AND of free bits at every step.
+window is free in ``a`` and in ``b``.  So a path search can test a whole
+path by the run mask of the AND of its links' free bits, taken once, and a
+branching search can take each link's run mask once and AND run masks along
+a branch, one ``&`` per link, instead of re-deriving contiguity at every
+step.
 """
 
 from __future__ import annotations
@@ -166,23 +168,32 @@ def demand_to_slots(rate_gbps: float, slot_ghz: float, guard_ghz: float = 0.0) -
 
 
 def allocate(bitmaps: list[SpectrumBitmap], block: SlotBlock) -> None:
-    """Mark ``block`` busy on every bitmap, atomically (all links or none)."""
+    """Mark ``block`` busy on every bitmap, atomically (all links or none).
+
+    Every bitmap is checked before any is written, so a conflict leaves
+    them all as they were.
+    """
+    m = block.mask()
     for i, bm in enumerate(bitmaps):
-        if not bm.is_free(block):
-            for undone in bitmaps[:i]:
-                undone.set_free(block)
+        if block.end > bm.size or bm.bits & m != m:
             raise AllocationConflictError(
                 f"slots {block.start}..{block.end - 1} not free on link {i} of path"
             )
-        bm.set_busy(block)
+    for bm in bitmaps:
+        bm.bits &= ~m
 
 
 def release(bitmaps: list[SpectrumBitmap], block: SlotBlock) -> None:
-    """Free ``block`` on every bitmap; rejects freeing slots that are not busy."""
+    """Free ``block`` on every bitmap; rejects freeing slots that are not busy.
+
+    A block that runs past a bitmap's end is rejected too: the slots beyond
+    it hold no bits, so they would read as busy and be set on release.
+    """
+    m = block.mask()
     for bm in bitmaps:
-        if not bm.is_busy(block):
+        if block.end > bm.size or bm.bits & m:
             raise DoubleFreeError(
                 f"slots {block.start}..{block.end - 1} are not fully allocated"
             )
     for bm in bitmaps:
-        bm.set_free(block)
+        bm.bits |= m

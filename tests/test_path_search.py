@@ -289,7 +289,37 @@ def test_short_table_falls_back_to_pruned_search(fallbacks):
     bits = index.free_bits()
     bits[index.position["b-c"]] = 0
     assert walks(candidate_paths(g, "a", "b", 1, 1, bits)) == [("a", "d", "e", "b")]
-    assert fallbacks == [("a", "b", 1), ("a", "b", 1)]
+    # With k = 2 and b-c busy the table (a-b, a-c-b) holds one feasible path
+    # and is not complete, so the search falls back.
+    g.links["a-b"].bitmap.bits = 0b1111
+    g.links["b-c"].bitmap.bits = 0
+    assert walks(candidate_paths(g, "a", "b", 1, 2)) == [
+        ("a", "b"), ("a", "d", "e", "b"),
+    ]
+    assert fallbacks == [("a", "b", 1), ("a", "b", 1), ("a", "b", 2)]
+
+
+class Untouchable(int):
+    """Free bits that raise on any bitwise use."""
+
+    def _touched(self, *_):
+        raise AssertionError("read the bits of a link off the scanned paths")
+
+    __and__ = __rand__ = __or__ = __ror__ = _touched
+    __rshift__ = __rrshift__ = _touched
+
+
+def test_table_hit_reads_only_scanned_links(fallbacks):
+    g = ladder()
+    index = g.link_index()
+    bits = index.free_bits()
+    for lid in ("a-d", "d-e", "b-e"):
+        bits[index.position[lid]] = Untouchable(bits[index.position[lid]])
+    # Two slots take a shift step, so a run mask of every link would raise.
+    assert walks(candidate_paths(g, "a", "b", 2, 2, bits)) == [
+        ("a", "b"), ("a", "c", "b"),
+    ]
+    assert fallbacks == []
 
 
 def test_table_holds_structure_only(fallbacks):

@@ -237,12 +237,14 @@ class TestAllocateRelease:
         assert maps[0].busy_count() == 8
 
     def test_conflict_rolls_back_atomically(self):
-        a, b, c = SpectrumBitmap(8), SpectrumBitmap(8), SpectrumBitmap(8)
-        b.set_busy(SlotBlock(2, 2))
-        before = (a.copy(), b.copy(), c.copy())
-        with pytest.raises(AllocationConflictError):
-            allocate([a, b, c], SlotBlock(0, 4))
-        assert (a, b, c) == before
+        # A conflict on a middle bitmap and on the last one.
+        for busy in (1, 2):
+            maps = [SpectrumBitmap(8), SpectrumBitmap(8), SpectrumBitmap(8)]
+            maps[busy].set_busy(SlotBlock(2, 2))
+            before = [m.copy() for m in maps]
+            with pytest.raises(AllocationConflictError, match=f"on link {busy} of path"):
+                allocate(maps, SlotBlock(0, 4))
+            assert maps == before
 
     def test_double_free(self):
         maps = [SpectrumBitmap(8)]
@@ -250,6 +252,15 @@ class TestAllocateRelease:
         release(maps, SlotBlock(0, 3))
         with pytest.raises(DoubleFreeError):
             release(maps, SlotBlock(0, 3))
+
+    def test_free_past_the_end_rejected(self):
+        maps = [SpectrumBitmap(8)]
+        allocate(maps, SlotBlock(4, 4))
+        before = maps[0].copy()
+        # Slot 8 lies past the end: it holds no bit, yet must not read as busy.
+        with pytest.raises(DoubleFreeError):
+            release(maps, SlotBlock(4, 5))
+        assert maps[0] == before
 
     def test_partial_free_rejected(self):
         maps = [SpectrumBitmap(8)]
