@@ -366,12 +366,16 @@ def release_wp(
     """Drop a departed working path's granted entries; free the cycles emptied.
 
     ``granted`` is the (cycle id, link id) list ``provision_cycles`` returned
-    for ``wp_id``.  Nothing changes if any entry is not held for ``wp_id``.
+    for ``wp_id``.  Nothing changes if any entry is not held for ``wp_id``
+    or is listed twice.
     """
-    for cid, lid in granted:
+    seen = set()
+    for entry in granted:
+        cid, lid = entry
         cycle = cs.cycles.get(cid)
-        if cycle is None or cycle.protected.get(lid) != wp_id:
+        if entry in seen or cycle is None or cycle.protected.get(lid) != wp_id:
             raise UnknownGrantError(f"cycle {cid} holds no entry on {lid} for {wp_id}")
+        seen.add(entry)
     _release(cs, granted, g)
 
 

@@ -6,19 +6,28 @@ shared by several WPs as long as those WPs are pairwise link-disjoint: a
 single link failure then hits at most one of them, so a shared slot is never
 needed twice at once.
 
-The registry keeps failure claims: ``claims[b][f]`` is the int bitmap of the
-slots on backup link ``b`` held for the live WP that crosses link ``f``, that
-is, the slots a failure of ``f`` would put to use on ``b``.  Sharers are
-pairwise disjoint, so for each (b, f, slot) at most one WP crosses ``f``, and
-one integer per (b, f) pair records every claim without loss.  A second claim
-on a set (b, f, slot) bit is a sharing conflict.  From the claims:
+The registry keeps failure claims as one packed int per failure link: bit
+``position(b) * slot_count + i`` of ``claims[f]`` is set when slot ``i`` on
+backup link ``b`` is held for the live WP that crosses link ``f``, that is,
+when a failure of ``f`` would put that slot to use.  ``position`` is
+``LinkIndex.position``, so link ``b`` owns the ``slot_count``-bit field at
+its position, and a backup path is one packed mask: its block's slots in the
+field of each of its links.  Sharers are pairwise disjoint, so for each
+(b, f, slot) at most one WP crosses ``f``, and one bit records the claim
+without loss.  A second claim on a set bit is a sharing conflict.  From the
+claims:
 
-- the backup slots reserved on ``b`` are the OR of ``claims[b]``, kept as
-  ``held[b]``;
-- a newcomer with links ``W`` may share ``held[b] & ~OR_{f in W} claims[b][f]``,
-  which takes |W| lookups;
-- releasing a backup clears its WP's claims and frees the slots no claim
-  still holds.
+- the backup slots reserved on every link are the OR of all claims, kept
+  packed as ``held``;
+- a newcomer with links ``W`` may share ``held & ~OR_{f in W} claims[f]``:
+  |W| lookups and wide ORs, then one split of the result into per-link
+  search bits;
+- claiming a WP's backups checks their packed mask against ``claims[f]``
+  for each ``f`` in ``W``, then ORs it in: |W| ANDs and |W| ORs per WP,
+  whatever the number of backups and backup links;
+- releasing them checks the mask the same way, clears it from each
+  ``claims[f]``, rebuilds ``held`` once as the OR of the claims left and
+  frees the slots it lost on the backups' links.
 
 A failed protection attempt reserves nothing: ``provision_backups`` picks
 its backups on a private copy of the free bits and claims them only once
@@ -29,8 +38,8 @@ the caller keeps the backups ``provision_backups`` returned and hands them
 back, with the WP's links, to ``release_wp``, which checks every claim
 before it changes anything.
 
-``reserved`` is the popcount of all ``held`` bits, kept exact by ``claim``
-and ``unclaim`` from the bits each one adds to or drops from ``held``.
+``reserved`` is the popcount of ``held``, kept exact by ``claim`` and
+``release_wp`` from the bits each one adds to or drops from ``held``.
 """
 
 from __future__ import annotations
@@ -62,68 +71,67 @@ class BackupPath:
         return frozenset(link.id for link in self.links)
 
 
+def _pack(bp: BackupPath, position: dict[str, int], width: int) -> int:
+    """The backup's block in the ``width``-bit field of each of its links."""
+    mask = bp.block.mask()
+    packed = 0
+    for link in bp.links:
+        packed |= mask << position[link.id] * width
+    return packed
+
+
+def _field(g: NetworkGraph, bad: int, packed: int) -> tuple[str, int, int]:
+    """Id and field offset of the lowest-position link with a bit in ``bad``,
+    and the bits ``packed`` has in that link's field."""
+    pos = ((bad & -bad).bit_length() - 1) // g.slot_count
+    offset = pos * g.slot_count
+    mask = packed >> offset & (1 << g.slot_count) - 1
+    return g.link_index().links[pos].id, offset, mask
+
+
 class BackupRegistry:
-    """All live shared-backup state: failure claims and held slots per link.
+    """All live shared-backup state: packed failure claims and held slots.
 
     The backups of each WP live in its ``ProvisionResult``, not here.
     """
 
     def __init__(self) -> None:
-        self.claims: dict[str, dict[str, int]] = {}
-        self.held: dict[str, int] = {}
-        # backup slots reserved over all links: the popcount of every held[b]
+        # failure link id -> packed backup slots held for the WP crossing it
+        self.claims: dict[str, int] = {}
+        # packed backup slots held on every link: the OR of all claims
+        self.held = 0
+        # backup slots reserved over all links: the popcount of held
         self.reserved = 0
 
     def is_empty(self) -> bool:
         return not self.claims
 
-    def shareable(self, link_id: str, wp_links: frozenset[str]) -> int:
-        """Reserved slots on the link that a WP over ``wp_links`` may share."""
-        held = self.held.get(link_id, 0)
-        if not held:
-            return 0
-        on_link = self.claims[link_id]
-        blocked = 0
-        for failed in wp_links:
-            blocked |= on_link.get(failed, 0)
-        return held & ~blocked
+    def claim(self, g: NetworkGraph, wp_links: frozenset[str], packed: int) -> None:
+        """Hold the packed slots for a failure of any of ``wp_links``.
 
-    def claim(self, link_id: str, wp_links: frozenset[str], mask: int) -> None:
-        """Hold ``mask`` on the link for a failure of any of ``wp_links``."""
-        on_link = self.claims.get(link_id, {})
+        Checks every failure link before it changes anything.
+        """
+        claims = self.claims
         for failed in wp_links:
-            if on_link.get(failed, 0) & mask:
-                clash = sorted(f for f in wp_links if on_link.get(f, 0) & mask)
-                raise SharingConflictError(
-                    f"slots {mask:#x} on {link_id} already claimed for failures of {clash}"
-                )
+            if claims.get(failed, 0) & packed:
+                raise self._conflict(g, wp_links, packed)
         for failed in wp_links:
-            on_link[failed] = on_link.get(failed, 0) | mask
-        self.claims[link_id] = on_link
-        held = self.held.get(link_id, 0)
-        self.reserved += (mask & ~held).bit_count()
-        self.held[link_id] = held | mask
+            claims[failed] = claims.get(failed, 0) | packed
+        held = self.held
+        self.reserved += (packed & ~held).bit_count()
+        self.held = held | packed
 
-    def unclaim(self, link_id: str, wp_links: frozenset[str], mask: int) -> int:
-        """Drop a claim; returns the bits of ``mask`` no other claim holds."""
-        on_link = self.claims[link_id]
+    def _conflict(
+        self, g: NetworkGraph, wp_links: frozenset[str], packed: int
+    ) -> SharingConflictError:
+        clash_bits = 0
         for failed in wp_links:
-            left = on_link[failed] & ~mask
-            if left:
-                on_link[failed] = left
-            else:
-                del on_link[failed]
-        held = 0
-        for bits in on_link.values():
-            held |= bits
-        if on_link:
-            self.held[link_id] = held
-        else:
-            del self.claims[link_id]
-            del self.held[link_id]
-        freed = mask & ~held
-        self.reserved -= freed.bit_count()
-        return freed
+            clash_bits |= self.claims.get(failed, 0) & packed
+        link_id, offset, mask = _field(g, clash_bits, packed)
+        clash = sorted(f for f in wp_links if self.claims.get(f, 0) >> offset & mask)
+        return SharingConflictError(
+            f"slots {mask:#x} on {link_id} already claimed for failures of {clash}"
+        )
 
 
 def free_backup_slots(
@@ -137,9 +145,19 @@ def free_backup_slots(
     ``bits`` are per-link free bits in ``g.link_index()`` order; ``g`` is
     left unchanged.
     """
-    position = g.link_index().position
-    for lid in reg.held:
-        bits[position[lid]] |= reg.shareable(lid, new_wp_links)
+    claims = reg.claims
+    blocked = 0
+    for failed in new_wp_links:
+        blocked |= claims.get(failed, 0)
+    shared = reg.held & ~blocked
+    # One field per link, lowest position first, whatever the slot count.
+    width = g.slot_count
+    field = (1 << width) - 1
+    i = 0
+    while shared:
+        bits[i] |= shared & field
+        shared >>= width
+        i += 1
 
 
 def provision_backups(
@@ -193,10 +211,13 @@ def provision_backups(
             BackupPath(f"{wp_id}/bp{len(backups) + 1}", chosen.vertices, chosen.links, block)
         )
         a_pp = ava_dsbpss_update(a_pp, chosen.availability)
+    if backups:
+        packed = 0
+        for bp in backups:
+            packed |= _pack(bp, index.position, g.slot_count)
+        reg.claim(g, wp_links, packed)
     for bp in backups:
-        mask = bp.block.mask()
         for link in bp.links:
-            reg.claim(link.id, wp_links, mask)
             # Shared slots are busy already; the rest were free until now.
             link.bitmap.set_busy(bp.block)
     return backups, a_pp
@@ -213,15 +234,46 @@ def release_wp(
     ``wp_links`` are the working path's link ids and ``backups`` the list
     ``provision_backups`` returned for it.  If a slot of a backup is not
     claimed on one of its links for a failure of every link in ``wp_links``,
-    raises ``UnknownClaimError`` and changes nothing.
+    or two of the backups name the same slot on a link, raises
+    ``UnknownClaimError`` and changes nothing.
     """
+    index = g.link_index()
+    position = index.position
+    width = g.slot_count
+    packed = 0
+    for bp in backups:
+        own = _pack(bp, position, width)
+        if packed & own:
+            raise _unknown(g, packed & own, own)
+        packed |= own
+    if not packed:
+        return
+    claims = reg.claims
+    for failed in wp_links:
+        missing = packed & ~claims.get(failed, 0)
+        if missing:
+            raise _unknown(g, missing, packed)
+    for failed in wp_links:
+        left = claims[failed] & ~packed
+        if left:
+            claims[failed] = left
+        else:
+            del claims[failed]
+    held = 0
+    for claimed in claims.values():
+        held |= claimed
+    freed = reg.held & ~held
+    reg.held = held
+    if not freed:
+        return
+    reg.reserved -= freed.bit_count()
     for bp in backups:
         mask = bp.block.mask()
         for link in bp.links:
-            on_link = reg.claims.get(link.id, {})
-            if any(mask & ~on_link.get(failed, 0) for failed in wp_links):
-                raise UnknownClaimError(f"slots {mask:#x} on {link.id} not held for this WP")
-    for bp in backups:
-        mask = bp.block.mask()
-        for link in bp.links:
-            g.links[link.id].bitmap.bits |= reg.unclaim(link.id, wp_links, mask)
+            li = position[link.id]
+            index.links[li].bitmap.bits |= freed >> li * width & mask
+
+
+def _unknown(g: NetworkGraph, bad: int, packed: int) -> UnknownClaimError:
+    link_id, _, mask = _field(g, bad, packed)
+    return UnknownClaimError(f"slots {mask:#x} on {link_id} not held for this WP")

@@ -456,6 +456,24 @@ class TestReleaseAndDismantle:
         assert cs.cycles == before
         assert {l: link.bitmap.bits for l, link in g.links.items()} == bits
 
+    def test_repeated_entry_raises_and_changes_nothing(self):
+        g = triangle(avail=0.95)
+        cs = DCycleSet()
+        r1 = provision(g, cs, "w1", "a", "b", 2, a_th=0.99)
+        provision(g, cs, "w2", "b", "c", 2, a_th=0.99)
+        (entry,) = r1.protected_links
+        before = copy.deepcopy(cs.cycles)
+        reserved = cs.reserved
+        bits = {l: link.bitmap.bits for l, link in g.links.items()}
+        with pytest.raises(UnknownGrantError):
+            release_wp(cs, "w1", [entry, entry], g)
+        # DCycle equality compares the protected maps too.
+        assert cs.cycles == before
+        assert cs.reserved == reserved
+        assert {l: link.bitmap.bits for l, link in g.links.items()} == bits
+        release_wp(cs, "w1", [entry], g)
+        assert all("w1" not in c.protected.values() for c in cs.cycles.values())
+
 
 class TestCycleWellFormedness:
     def test_extension_preserves_simple_cycle(self):

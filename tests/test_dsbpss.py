@@ -1,24 +1,31 @@
 """Shared backup paths: sharing conditions, slot accounting, rollback."""
 
-import copy
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import eonprotect
+from eonprotect.availability import ava_dsbpss_update
 from eonprotect.dsbpss import (
+    BackupPath,
     BackupRegistry,
     SharingConflictError,
     UnknownClaimError,
     free_backup_slots,
+    provision_backups,
     release_wp,
 )
-from eonprotect.rsa import LightpathRequest, rsacs_with_protection
+from eonprotect.rsa import (
+    LightpathRequest, candidate_paths, rsacs_with_protection, select_best,
+)
 from eonprotect.sim import Scenario, Simulation
-from eonprotect.spectrum import SlotBlock, SpectrumBitmap
+from eonprotect.spectrum import (
+    SlotBlock, SpectrumBitmap, allocate, first_fit, is_feasible, release,
+)
 from eonprotect.topology import NetworkGraph
 
 W1 = frozenset({"A-B", "B-C", "C-D"})
@@ -53,6 +60,45 @@ def search_bitmaps(g, bits):
     }
 
 
+def packed_on(g, link_id, mask):
+    """``mask`` in the packed field of one link."""
+    return mask << g.link_index().position[link_id] * g.slot_count
+
+
+def unpacked_claims(reg, g):
+    """The packed claims as ``{b: {f: bits}}``: slots on ``b`` held for a failure of ``f``."""
+    assert all(reg.claims.values()), "a failure link holds an empty claim"
+    field = (1 << g.slot_count) - 1
+    out = {}
+    past_last = len(g.links) * g.slot_count
+    for failed, packed in reg.claims.items():
+        assert not packed >> past_last, "claim bits past the last link"
+        for lid, i in g.link_index().position.items():
+            on_link = packed >> i * g.slot_count & field
+            if on_link:
+                out.setdefault(lid, {})[failed] = on_link
+    return out
+
+
+def unpacked_held(reg, g):
+    """The packed held slots as ``{b: bits}``, for the links holding any."""
+    assert not reg.held >> len(g.links) * g.slot_count, "held bits past the last link"
+    field = (1 << g.slot_count) - 1
+    out = {}
+    for lid, i in g.link_index().position.items():
+        on_link = reg.held >> i * g.slot_count & field
+        if on_link:
+            out[lid] = on_link
+    return out
+
+
+def shareable(g, reg, link_id, wp_links):
+    """Reserved slots on the link that a WP over ``wp_links`` may share."""
+    bits = [0] * len(g.links)
+    free_backup_slots(g, bits, reg, wp_links)
+    return bits[g.link_index().position[link_id]]
+
+
 def live_backups(results):
     """``{wp_id: (wp_links, backups)}`` of the protected results by WP id."""
     return {
@@ -76,6 +122,13 @@ def rebuilt_claims(wps):
     return out
 
 
+def _or(values):
+    out = 0
+    for bits in values:
+        out |= bits
+    return out
+
+
 def assert_sharers_pairwise_disjoint(wps):
     """WPs whose backups hold the same (link, slot) share no link."""
     sharers = {}
@@ -93,38 +146,48 @@ def assert_sharers_pairwise_disjoint(wps):
 
 class TestCanShare:
     def test_disjoint_newcomer_shares(self):
+        g = six_node_net()
         reg = BackupRegistry()
-        reg.claim("E-F", W1, SlotBlock(0, 3).mask())
-        assert reg.shareable("E-F", frozenset({"B-E"})) == 0b111
+        reg.claim(g, W1, packed_on(g, "E-F", SlotBlock(0, 3).mask()))
+        assert shareable(g, reg, "E-F", frozenset({"B-E"})) == 0b111
 
     def test_shared_working_link_forbids(self):
+        g = six_node_net()
         reg = BackupRegistry()
-        reg.claim("E-F", frozenset({"B-C"}), SlotBlock(0, 3).mask())
-        assert reg.shareable("E-F", frozenset({"B-C", "C-D"})) == 0
+        reg.claim(g, frozenset({"B-C"}), packed_on(g, "E-F", SlotBlock(0, 3).mask()))
+        assert shareable(g, reg, "E-F", frozenset({"B-C", "C-D"})) == 0
         with pytest.raises(SharingConflictError):
-            reg.claim("E-F", frozenset({"B-C", "C-D"}), SlotBlock(2, 2).mask())
+            reg.claim(g, frozenset({"B-C", "C-D"}), packed_on(g, "E-F", SlotBlock(2, 2).mask()))
 
     def test_conflict_names_every_clashing_failure_and_changes_nothing(self):
+        g = six_node_net()
         reg = BackupRegistry()
-        reg.claim("E-F", frozenset({"C-D", "B-C"}), SlotBlock(0, 3).mask())
-        claims = {b: dict(on_link) for b, on_link in reg.claims.items()}
-        held = dict(reg.held)
+        reg.claim(g, frozenset({"C-D", "B-C"}), packed_on(g, "E-F", SlotBlock(0, 3).mask()))
+        claims, held, reserved = dict(reg.claims), reg.held, reg.reserved
         with pytest.raises(SharingConflictError) as err:
-            reg.claim("E-F", frozenset({"C-D", "A-B", "B-C"}), SlotBlock(2, 2).mask())
+            reg.claim(
+                g, frozenset({"C-D", "A-B", "B-C"}),
+                packed_on(g, "A-F", SlotBlock(2, 2).mask())
+                | packed_on(g, "E-F", SlotBlock(2, 2).mask()),
+            )
         assert str(err.value) == (
             "slots 0xc on E-F already claimed for failures of ['B-C', 'C-D']"
         )
-        assert reg.claims == claims and reg.held == held
+        assert reg.claims == claims and reg.held == held and reg.reserved == reserved
 
     def test_unclaimed_slots_always_share(self):
+        g = six_node_net()
         reg = BackupRegistry()
-        mask = SlotBlock(0, 3).mask()
-        reg.claim("E-F", W1, mask)
+        block = SlotBlock(0, 3)
+        backup = BackupPath("w1/bp1", ("E", "F"), (g.links["E-F"],), block)
+        reg.claim(g, W1, packed_on(g, "E-F", block.mask()))
+        g.links["E-F"].bitmap.set_busy(block)
         # The last claim gone, every slot it held is free for anyone.
-        assert reg.unclaim("E-F", W1, mask) == mask
-        assert reg.is_empty()
-        reg.claim("E-F", W1, mask)
-        assert reg.claims == {"E-F": {lid: mask for lid in W1}}
+        release_wp(reg, W1, [backup], g)
+        assert g.links["E-F"].bitmap.is_free(block)
+        assert reg.is_empty() and reg.held == 0 and reg.reserved == 0
+        reg.claim(g, W1, packed_on(g, "E-F", block.mask()))
+        assert unpacked_claims(reg, g) == {"E-F": {lid: block.mask() for lid in W1}}
 
 
 class TestFreeBackupSlots:
@@ -141,7 +204,7 @@ class TestFreeBackupSlots:
         reg = BackupRegistry()
         block = SlotBlock(0, 3)
         g.links["E-F"].bitmap.set_busy(block)
-        reg.claim("E-F", W1, block.mask())
+        reg.claim(g, W1, packed_on(g, "E-F", block.mask()))
         bits = g.link_index().free_bits()
         free_backup_slots(g, bits, reg, frozenset({"B-E"}))
         assert search_bitmaps(g, bits)["E-F"].is_free(block)
@@ -152,7 +215,7 @@ class TestFreeBackupSlots:
         reg = BackupRegistry()
         block = SlotBlock(0, 3)
         g.links["E-F"].bitmap.set_busy(block)
-        reg.claim("E-F", frozenset({"B-C"}), block.mask())
+        reg.claim(g, frozenset({"B-C"}), packed_on(g, "E-F", block.mask()))
         bits = g.link_index().free_bits()
         free_backup_slots(g, bits, reg, frozenset({"B-C", "C-D"}))
         assert search_bitmaps(g, bits)["E-F"].is_busy(block)
@@ -178,7 +241,7 @@ class TestProvisioningAndSharing:
 
         # E-F holds w1's three slots for failures of its links and w2's two
         # for a failure of B-E; the two claimed by both are the shared ones.
-        on_ef = reg.claims["E-F"]
+        on_ef = unpacked_claims(reg, g)["E-F"]
         assert set(on_ef) == W1 | {"B-E"}
         assert all(on_ef[lid] == 0b111 for lid in W1)
         assert on_ef["B-E"] == 0b11
@@ -198,7 +261,7 @@ class TestProvisioningAndSharing:
         for u, v in (("a", "b"), ("b", "c"), ("a", "c")):
             g.add_link(u, v, 100, availability=0.9)
         reg = BackupRegistry()
-        reg.claim("a-c", frozenset({"a-b"}), SlotBlock(0, 2).mask())
+        reg.claim(g, frozenset({"a-b"}), packed_on(g, "a-c", SlotBlock(0, 2).mask()))
         g.links["a-c"].bitmap.set_busy(SlotBlock(0, 2))
         res = provision(g, reg, "w1", "a", "c", 2, a_th=0.95)
         assert res.path.vertices == ("a", "c")
@@ -238,15 +301,15 @@ class TestProvisioningAndSharing:
         g = six_node_net()
         reg = BackupRegistry()
         provision(g, reg, "w1", "A", "D", 3, a_th=0.92)
-        claims_before = copy.deepcopy(reg.claims)
-        held_before, reserved_before = dict(reg.held), reg.reserved
+        claims_before = unpacked_claims(reg, g)
+        held_before, reserved_before = unpacked_held(reg, g), reg.reserved
         bitmaps_before = {lid: l.bitmap.copy() for lid, l in g.links.items()}
         # Unreachable threshold forces a full rollback for w2, whose first
         # backup shared w1's slots on E-F.
         res = provision(g, reg, "w2", "B", "E", 2, a_th=1.0)
         assert res.backup_paths == []
-        assert reg.claims == claims_before
-        assert reg.held == held_before and reg.reserved == reserved_before
+        assert unpacked_claims(reg, g) == claims_before
+        assert unpacked_held(reg, g) == held_before and reg.reserved == reserved_before
         working_w2 = {l.id for l in res.path.links}
         for lid, bmp in bitmaps_before.items():
             if lid not in working_w2:
@@ -256,8 +319,8 @@ class TestProvisioningAndSharing:
         g = six_node_net()
         reg = BackupRegistry()
         provision(g, reg, "w1", "A", "D", 3, a_th=0.92)
-        claims_before = copy.deepcopy(reg.claims)
-        held_before, reserved_before = dict(reg.held), reg.reserved
+        claims_before = unpacked_claims(reg, g)
+        held_before, reserved_before = unpacked_held(reg, g), reg.reserved
         bits_before = {lid: l.bitmap.bits for lid, l in g.links.items()}
         claimed = []
         real_claim = BackupRegistry.claim
@@ -272,8 +335,8 @@ class TestProvisioningAndSharing:
         res = provision(g, reg, "w2", "B", "E", 2, a_th=1.0)
         assert res.needs_protection and not res.protected
         assert claimed == []
-        assert reg.claims == claims_before
-        assert reg.held == held_before and reg.reserved == reserved_before
+        assert unpacked_claims(reg, g) == claims_before
+        assert unpacked_held(reg, g) == held_before and reg.reserved == reserved_before
         for link in res.path.links:
             link.bitmap.set_free(res.block)
         assert {lid: l.bitmap.bits for lid, l in g.links.items()} == bits_before
@@ -302,8 +365,9 @@ class TestRelease:
         release_wp(reg, *wps.pop("w1"), g)
         # w2's shared block (2 slots) survives on E-F; w1's extra slot frees.
         assert g.links["E-F"].bitmap.busy_count() == 2
-        assert all(not set(on_link) & W1 for on_link in reg.claims.values())
-        assert reg.claims == rebuilt_claims(wps)
+        claims = unpacked_claims(reg, g)
+        assert all(not set(on_link) & W1 for on_link in claims.values())
+        assert claims == rebuilt_claims(wps)
 
     def test_released_block_becomes_globally_shareable(self):
         g, reg, wps = self.build_shared_state()
@@ -320,7 +384,7 @@ class TestRelease:
 
         def state():
             return (
-                copy.deepcopy(reg.claims), dict(reg.held), reg.reserved,
+                unpacked_claims(reg, g), unpacked_held(reg, g), reg.reserved,
                 {lid: link.bitmap.copy() for lid, link in g.links.items()},
             )
 
@@ -339,7 +403,61 @@ class TestRelease:
         with pytest.raises(UnknownClaimError):
             release_wp(reg, w1_links, w1_backups, g)
         assert state() == before
-        assert reg.claims == rebuilt_claims({"w2": wps["w2"]})
+        assert unpacked_claims(reg, g) == rebuilt_claims({"w2": wps["w2"]})
+
+    def test_backup_passed_twice_rejected(self):
+        g, reg, wps = self.build_shared_state()
+        w1_links, w1_backups = wps["w1"]
+        before = (
+            unpacked_claims(reg, g), unpacked_held(reg, g), reg.reserved,
+            {lid: link.bitmap.copy() for lid, link in g.links.items()},
+        )
+        with pytest.raises(UnknownClaimError):
+            release_wp(reg, w1_links, w1_backups + w1_backups, g)
+        after = (
+            unpacked_claims(reg, g), unpacked_held(reg, g), reg.reserved,
+            {lid: link.bitmap.copy() for lid, link in g.links.items()},
+        )
+        assert after == before and reg.reserved == 11
+        release_wp(reg, w1_links, w1_backups, g)
+        assert unpacked_claims(reg, g) == rebuilt_claims({"w2": wps["w2"]})
+
+    def test_share_and_release_with_fields_that_end_mid_byte(self):
+        # 13 slots a link: each link's field of the packed claims starts
+        # and ends inside a byte.
+        g = six_node_net(slot_count=13)
+        reg = BackupRegistry()
+        results = {
+            "w1": provision(g, reg, "w1", "A", "D", 3, a_th=0.92),
+            "w2": provision(g, reg, "w2", "B", "E", 2, a_th=0.92),
+        }
+        wps = live_backups(results)
+        assert set(wps) == {"w1", "w2"}
+        assert g.links["E-F"].bitmap.busy_count() == 3
+        claims = unpacked_claims(reg, g)
+        assert claims == rebuilt_claims(wps)
+        held = {lid: _or(on_link.values()) for lid, on_link in claims.items()}
+        assert unpacked_held(reg, g) == held
+        assert reg.reserved == sum(bits.bit_count() for bits in held.values())
+        # Every link's search bits are its free bits plus the held slots no
+        # claim for a failure of the newcomer's links blocks.
+        for newcomer in (frozenset({"A-B"}), frozenset({"B-E", "E-F"}), W1):
+            bits = g.link_index().free_bits()
+            free_backup_slots(g, bits, reg, newcomer)
+            for lid, i in g.link_index().position.items():
+                blocked = _or(claims.get(lid, {}).get(f, 0) for f in newcomer)
+                want = g.links[lid].bitmap.bits | held.get(lid, 0) & ~blocked
+                assert bits[i] == want
+        release_wp(reg, *wps.pop("w1"), g)
+        assert unpacked_claims(reg, g) == rebuilt_claims(wps)
+        assert g.links["E-F"].bitmap.busy_count() == 2
+        release_wp(reg, *wps.pop("w2"), g)
+        assert reg.is_empty() and reg.held == 0 and reg.reserved == 0
+        # Only the working paths' slots remain busy.
+        for lid, link in g.links.items():
+            assert link.bitmap.busy_count() == sum(
+                res.block.length for res in results.values() if lid in res.path.link_ids()
+            )
 
 
 class TestClaimInvariant:
@@ -353,10 +471,10 @@ class TestClaimInvariant:
         })
         assert set(wps) == {"w1", "w2"}
         assert_sharers_pairwise_disjoint(wps)
-        assert reg.claims == rebuilt_claims(wps)
+        assert unpacked_claims(reg, g) == rebuilt_claims(wps)
         release_wp(reg, *wps.pop("w1"), g)
         assert_sharers_pairwise_disjoint(wps)
-        assert reg.claims == rebuilt_claims(wps)
+        assert unpacked_claims(reg, g) == rebuilt_claims(wps)
 
     def test_claims_match_live_backups_at_pause_points(self):
         sim = Simulation(Scenario(
@@ -370,13 +488,14 @@ class TestClaimInvariant:
             wps = live_backups({c.id: c.result for c in sim.live.values()})
             assert_sharers_pairwise_disjoint(wps)
             rebuilt = rebuilt_claims(wps)
-            assert reg.claims == rebuilt
+            claims = unpacked_claims(reg, sim.graph)
+            assert claims == rebuilt
             # held[b] is the OR of the claims on b, for exactly the claimed links.
             held_rebuilt = {}
             for lid, on_link in rebuilt.items():
                 for bits in on_link.values():
                     held_rebuilt[lid] = held_rebuilt.get(lid, 0) | bits
-            assert reg.held == held_rebuilt
+            assert unpacked_held(reg, sim.graph) == held_rebuilt
             working, backup = {}, {}
             for conn in sim.live.values():
                 for link in conn.result.path.links:
@@ -386,12 +505,12 @@ class TestClaimInvariant:
                         backup[link.id] = backup.get(link.id, 0) | bp.block.mask()
             for lid, link in sim.graph.links.items():
                 held = 0
-                for bits in reg.claims.get(lid, {}).values():
+                for bits in claims.get(lid, {}).values():
                     held |= bits
                 assert held == backup.get(lid, 0)
                 assert full & ~link.bitmap.bits == working.get(lid, 0) | held
         sim.run()
-        assert sim.registry.is_empty() and sim.registry.held == {}
+        assert sim.registry.is_empty() and sim.registry.held == 0
 
     def test_overlapping_claim_raises_under_optimize(self):
         # A claim left on E-F for a failure of A-B, with its slots never
@@ -405,7 +524,7 @@ class TestClaimInvariant:
                          ("F", "E"), ("E", "D"), ("B", "E"), ("B", "F")):
                 g.add_link(u, v, 100, availability=0.9)
             reg = BackupRegistry()
-            reg.claims["E-F"] = {"A-B": 0b111}
+            reg.claims["A-B"] = 0b111 << g.link_index().position["E-F"] * g.slot_count
             try:
                 rsacs_with_protection(g, LightpathRequest("A", "D", 3), 0.92,
                                       "dsbpss", "w1", reg, None)
@@ -418,3 +537,271 @@ class TestClaimInvariant:
             env={"PYTHONPATH": src}, check=True,
         )
         assert out.stdout.strip() == "raised"
+
+
+# The per-link registry that the packed one replaced, kept as the reference:
+# ``claims[b][f]`` is the int bitmap of the slots on backup link ``b`` held
+# for the live WP crossing ``f``, and ``held[b]`` is their OR.  Its
+# provisioning checks every backup link before it claims any, and its
+# release rejects a slot named twice, as the packed code does.
+
+class ReferenceRegistry:
+    def __init__(self):
+        self.claims = {}
+        self.held = {}
+        self.reserved = 0
+
+    def is_empty(self):
+        return not self.claims
+
+    def shareable(self, link_id, wp_links):
+        held = self.held.get(link_id, 0)
+        if not held:
+            return 0
+        on_link = self.claims[link_id]
+        blocked = 0
+        for failed in wp_links:
+            blocked |= on_link.get(failed, 0)
+        return held & ~blocked
+
+    def check(self, link_id, wp_links, mask):
+        on_link = self.claims.get(link_id, {})
+        if any(on_link.get(failed, 0) & mask for failed in wp_links):
+            raise SharingConflictError(f"slots {mask:#x} on {link_id}")
+
+    def claim(self, link_id, wp_links, mask):
+        self.check(link_id, wp_links, mask)
+        on_link = self.claims.get(link_id, {})
+        for failed in wp_links:
+            on_link[failed] = on_link.get(failed, 0) | mask
+        self.claims[link_id] = on_link
+        held = self.held.get(link_id, 0)
+        self.reserved += (mask & ~held).bit_count()
+        self.held[link_id] = held | mask
+
+    def unclaim(self, link_id, wp_links, mask):
+        on_link = self.claims[link_id]
+        for failed in wp_links:
+            left = on_link[failed] & ~mask
+            if left:
+                on_link[failed] = left
+            else:
+                del on_link[failed]
+        held = 0
+        for bits in on_link.values():
+            held |= bits
+        if on_link:
+            self.held[link_id] = held
+        else:
+            del self.claims[link_id]
+            del self.held[link_id]
+        freed = mask & ~held
+        self.reserved -= freed.bit_count()
+        return freed
+
+
+def reference_claim_backups(reg, wp_links, backups):
+    for bp in backups:
+        for link in bp.links:
+            reg.check(link.id, wp_links, bp.block.mask())
+    for bp in backups:
+        for link in bp.links:
+            reg.claim(link.id, wp_links, bp.block.mask())
+
+
+def reference_free_backup_slots(g, bits, reg, new_wp_links):
+    position = g.link_index().position
+    for lid in reg.held:
+        bits[position[lid]] |= reg.shareable(lid, new_wp_links)
+
+
+def reference_provision_backups(g, lr, best_path, reg, wp_id, a_pp_max, a_th):
+    wp_links = best_path.link_ids()
+    index = g.link_index()
+    bits = index.free_bits()
+    reference_free_backup_slots(g, bits, reg, wp_links)
+    for link in best_path.links:
+        bits[index.position[link.id]] = 0
+    candidates = candidate_paths(g, lr.s, lr.d, lr.slots_needed, lr.k, bits)
+    a_pp = a_pp_max
+    backups = []
+    while a_pp < a_th:
+        if not candidates:
+            return [], a_pp_max
+        chosen = select_best(candidates)
+        candidates.remove(chosen)
+        positions = [index.position[link.id] for link in chosen.links]
+        common = (1 << g.slot_count) - 1
+        for li in positions:
+            common &= bits[li]
+        live = SpectrumBitmap(g.slot_count, common)
+        if not is_feasible(live, lr.slots_needed):
+            continue
+        block = first_fit(live, lr.slots_needed)
+        for li in positions:
+            bits[li] &= ~block.mask()
+        backups.append(
+            BackupPath(f"{wp_id}/bp{len(backups) + 1}", chosen.vertices, chosen.links, block)
+        )
+        a_pp = ava_dsbpss_update(a_pp, chosen.availability)
+    reference_claim_backups(reg, wp_links, backups)
+    for bp in backups:
+        for link in bp.links:
+            link.bitmap.set_busy(bp.block)
+    return backups, a_pp
+
+
+def reference_release_wp(reg, wp_links, backups, g):
+    named = {}
+    for bp in backups:
+        mask = bp.block.mask()
+        for link in bp.links:
+            on_link = reg.claims.get(link.id, {})
+            if named.get(link.id, 0) & mask or any(
+                mask & ~on_link.get(failed, 0) for failed in wp_links
+            ):
+                raise UnknownClaimError(f"slots {mask:#x} on {link.id}")
+            named[link.id] = named.get(link.id, 0) | mask
+    for bp in backups:
+        mask = bp.block.mask()
+        for link in bp.links:
+            g.links[link.id].bitmap.bits |= reg.unclaim(link.id, wp_links, mask)
+
+
+@st.composite
+def small_nets(draw):
+    """A connected graph of 4-7 vertices; slot counts include ones not a multiple of 8."""
+    n = draw(st.integers(4, 7))
+    pairs = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    pairs |= {tuple(sorted(p)) for p in extra if p[0] != p[1]}
+    g = NetworkGraph(slot_count=draw(st.sampled_from((3, 5, 8, 13, 16, 33))))
+    for i, j in sorted(pairs):
+        g.add_link(f"v{i}", f"v{j}", 100, availability=draw(st.sampled_from((0.8, 0.9, 0.95))))
+    return g
+
+
+def outcome(call, *args):
+    """The exception type a call raised, or None, and its result."""
+    try:
+        return None, call(*args)
+    except (SharingConflictError, UnknownClaimError) as err:
+        return type(err), None
+
+
+def on_graph(g, backups):
+    """The same backups over the links of another copy of the graph."""
+    return [
+        BackupPath(bp.id, bp.vertices, tuple(g.links[link.id] for link in bp.links), bp.block)
+        for bp in backups
+    ]
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(small_nets(), st.data())
+def test_packed_registry_matches_per_link_reference(g, data):
+    ref_g = g.copy()
+    reg, ref = BackupRegistry(), ReferenceRegistry()
+    # Each entry: (wp_links, backups on g, working path's links and block or None).
+    live, gone = [], []
+    vertices = sorted(g.vertices)
+    link_ids = sorted(g.links)
+    some_links = st.sets(st.sampled_from(link_ids), min_size=1, max_size=3).map(frozenset)
+    index = g.link_index()
+    for step in range(data.draw(st.integers(4, 24))):
+        op = data.draw(st.sampled_from(("provision", "provision", "release", "claim", "fresh")))
+        if op == "provision":
+            s, d = data.draw(st.permutations(vertices))[:2]
+            lr = LightpathRequest(s, d, data.draw(st.integers(1, 3)))
+            paths = candidate_paths(g, s, d, lr.slots_needed, lr.k)
+            if not paths:
+                continue
+            best = select_best(paths)
+            (ref_best,) = [
+                p for p in candidate_paths(ref_g, s, d, lr.slots_needed, lr.k)
+                if p.vertices == best.vertices
+            ]
+            block = first_fit(best.bitmap, lr.slots_needed)
+            allocate([link.bitmap for link in best.links], block)
+            allocate([link.bitmap for link in ref_best.links], block)
+            a_th = data.draw(st.sampled_from((0.9, 0.95, 0.99, 1.0)))
+            args = (lr, best, reg, f"w{step}", best.availability, a_th)
+            got_err, got = outcome(provision_backups, g, *args)
+            ref_args = (lr, ref_best, ref, f"w{step}", ref_best.availability, a_th)
+            want_err, want = outcome(reference_provision_backups, ref_g, *ref_args)
+            assert got_err is want_err
+            if got is not None:
+                backups, a_pp = got
+                ref_backups, ref_a_pp = want
+                assert a_pp == ref_a_pp
+                assert [(bp.vertices, bp.block) for bp in backups] == [
+                    (bp.vertices, bp.block) for bp in ref_backups
+                ]
+                live.append((best.link_ids(), backups, (best.links, block)))
+        elif op == "release" and live:
+            i = data.draw(st.integers(0, len(live) - 1))
+            wp_links, backups, working = live[i]
+            how = data.draw(st.sampled_from(("own", "own", "foreign", "twice", "stale")))
+            if how == "foreign":
+                wp_links = data.draw(some_links)
+            elif how == "twice":
+                backups = backups + backups[-1:]
+            elif how == "stale":
+                if gone:
+                    wp_links, backups = data.draw(st.sampled_from(gone))
+                else:
+                    how = "own"
+            got_err, _ = outcome(release_wp, reg, wp_links, backups, g)
+            want_err, _ = outcome(
+                reference_release_wp, ref, wp_links, on_graph(ref_g, backups), ref_g
+            )
+            assert got_err is want_err
+            if how == "own" and got_err is None:
+                del live[i]
+                gone.append((wp_links, backups))
+                if working is not None:
+                    links, block = working
+                    release([link.bitmap for link in links], block)
+                    release([ref_g.links[link.id].bitmap for link in links], block)
+        elif op in ("claim", "fresh"):
+            wp_links = data.draw(some_links)
+            if op == "claim" and live:
+                # Another WP's backup, claimed again: a conflict unless the
+                # links are disjoint from every WP claiming those slots.
+                backups = data.draw(st.sampled_from(live))[1][:1]
+            else:
+                link = g.links[data.draw(st.sampled_from(link_ids))]
+                length = data.draw(st.integers(1, g.slot_count))
+                block = SlotBlock(data.draw(st.integers(0, g.slot_count - length)), length)
+                if not link.bitmap.is_free(block):
+                    continue
+                backups = [BackupPath("fresh", (link.u, link.v), (link,), block)]
+            if not backups:
+                continue
+            packed = 0
+            for bp in backups:
+                for link in bp.links:
+                    packed |= bp.block.mask() << index.position[link.id] * g.slot_count
+            got_err, _ = outcome(reg.claim, g, wp_links, packed)
+            want_err, _ = outcome(
+                reference_claim_backups, ref, wp_links, on_graph(ref_g, backups)
+            )
+            assert got_err is want_err
+            if got_err is None:
+                for g_side, side in ((g, backups), (ref_g, on_graph(ref_g, backups))):
+                    for bp in side:
+                        for link in bp.links:
+                            g_side.links[link.id].bitmap.set_busy(bp.block)
+                live.append((wp_links, backups, None))
+        assert unpacked_claims(reg, g) == ref.claims
+        assert unpacked_held(reg, g) == ref.held
+        assert reg.reserved == ref.reserved
+        assert reg.is_empty() == ref.is_empty()
+        assert {lid: l.bitmap.bits for lid, l in g.links.items()} == {
+            lid: l.bitmap.bits for lid, l in ref_g.links.items()
+        }
+        for newcomer in [entry[0] for entry in live] + [data.draw(some_links)]:
+            bits, ref_bits = index.free_bits(), index.free_bits()
+            free_backup_slots(g, bits, reg, newcomer)
+            reference_free_backup_slots(ref_g, ref_bits, ref, newcomer)
+            assert bits == ref_bits

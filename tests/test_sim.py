@@ -211,7 +211,8 @@ class TestReservedCounts:
                 conn.request.slots_needed * conn.result.path.hops
                 for conn in sim.live.values()
             )
-            held = sum(bits.bit_count() for bits in sim.registry.held.values())
+            # One bit of the packed held per reserved (link, slot) pair.
+            held = sim.registry.held.bit_count()
             cycle_slots = sum(
                 block.length
                 for cycle in sim.cycles.cycles.values()
