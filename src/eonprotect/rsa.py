@@ -38,6 +38,7 @@ availability and hops.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .spectrum import SlotBlock, SpectrumBitmap, allocate, first_fit, run_steps
@@ -47,20 +48,38 @@ from .topology import Link, LinkIndex, NetworkGraph
 MODES = ("none", "dsbpss", "dcycles")
 
 
-@dataclass(frozen=True)
-class LightpathRequest:
-    s: str
-    d: str
-    slots_needed: int
-    k: int = 5
-    arrival_s: float = 0.0
-    holding_s: float = 0.0
+class LightpathRequest(
+    namedtuple("LightpathRequest", "s d slots_needed k arrival_s holding_s")
+):
+    """One demand: endpoints, contiguous slots, the k of its path search,
+    and its arrival and holding times in seconds.
 
-    def __post_init__(self) -> None:
-        if self.s == self.d:
+    An immutable tuple with no per-instance dict, so a run's whole arrival
+    list stays small and quick to build.  The constructor, ``_make`` and
+    ``_replace`` all check that the endpoints differ and that
+    ``slots_needed`` and ``k`` are ints (not bools) >= 1.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, s: str, d: str, slots_needed: int, k: int = 5,
+        arrival_s: float = 0.0, holding_s: float = 0.0,
+    ) -> LightpathRequest:
+        if s == d:
             raise ValueError("source and destination must differ")
-        if self.slots_needed < 1 or self.k < 1:
+        if type(slots_needed) is not int or type(k) is not int:
+            raise ValueError(
+                f"slots_needed and k must be ints, not {slots_needed!r} and {k!r}"
+            )
+        if slots_needed < 1 or k < 1:
             raise ValueError("slots_needed and k must be >= 1")
+        return tuple.__new__(cls, (s, d, slots_needed, k, arrival_s, holding_s))
+
+    @classmethod
+    def _make(cls, iterable) -> LightpathRequest:
+        # namedtuple's own _make, which _replace calls, skips __new__.
+        return cls(*iterable)
 
 
 class _BuiltOnFirstRead:

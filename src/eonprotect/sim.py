@@ -7,10 +7,12 @@ uniform integers in [1, B] Gbps.  Metrics only count arrivals at or after
 three mean holding times, when the system has warmed up.
 
 The arrivals are a time-ordered list of requests, read in order with an
-index; the heap holds only the departures of live connections, as
-(departure time, connection number, conn id).  An arrival goes before a
-departure at the same time, and departures at the same time leave in the
-order their connections arrived.
+index.  They are drawn up front as numpy columns (inter-arrival and holding
+times, rates, sources, destination offsets) and built in bulk from chunked
+Python lists, so the run loop builds nothing.  The heap holds only the
+departures of live connections, as (departure time, connection number,
+conn id).  An arrival goes before a departure at the same time, and
+departures at the same time leave in the order their connections arrived.
 
 Busy slots are integrated as counters, never recounted from the links: the
 working slots of live connections plus ``BackupRegistry.reserved`` and
@@ -41,6 +43,8 @@ from .topology import (
 )
 
 WARMUP_HOLDING_MULTIPLE = 3.0
+# Rows of the drawn columns turned into requests at a time.
+ARRIVAL_CHUNK = 4096
 
 
 @dataclass
@@ -62,6 +66,11 @@ class Scenario:
     topology_text: str | None = None  # None selects the bundled NSFNET
 
     def __post_init__(self) -> None:
+        # Counts, bit widths and seeds: a float or bool here would change the
+        # path search silently or fail deep inside numpy or a shift.
+        for name in ("n_requests", "seed", "k", "slot_count"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an int, not {getattr(self, name)!r}")
         for name in ("load_erlang", "mean_holding_s", "b_max_gbps", "slot_ghz", "guard_ghz"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, not {getattr(self, name)!r}")
@@ -116,26 +125,40 @@ class Scenario:
 
 
 def generate_arrivals(sc: Scenario, g: NetworkGraph) -> list[LightpathRequest]:
-    """The full, seed-determined arrival stream for a scenario, in time order."""
+    """The full, seed-determined arrival stream for a scenario, in time order.
+
+    Five numpy columns are drawn in a fixed order, then turned into requests
+    ARRIVAL_CHUNK rows at a time, through Python lists, so no full-length
+    column list is ever held beside the requests.  The slot count of each
+    rate is worked out once per call.
+    """
     traffic_seed, _ = sc.seeds()
     rng = np.random.default_rng(traffic_seed)
     n = sc.n_requests
-    lam = sc.arrival_rate(len(g.vertices))
+    vertices = g.vertices
+    n_vertices = len(vertices)
+    lam = sc.arrival_rate(n_vertices)
     inter = rng.exponential(1.0 / lam, size=n)
     holding = rng.exponential(sc.mean_holding_s, size=n)
     rates = rng.integers(1, int(sc.b_max_gbps) + 1, size=n)
-    src = rng.integers(0, len(g.vertices), size=n)
-    dst_off = rng.integers(1, len(g.vertices), size=n)
+    src = rng.integers(0, n_vertices, size=n)
+    dst_off = rng.integers(1, n_vertices, size=n)
     times = np.cumsum(inter)
-    vertices = g.vertices
+    k = sc.k
+    slots_of: dict[int, int] = {}
     requests = []
-    for i in range(n):
-        s = vertices[src[i]]
-        d = vertices[(src[i] + dst_off[i]) % len(vertices)]
-        slots = demand_to_slots(float(rates[i]), sc.slot_ghz, sc.guard_ghz)
-        requests.append(LightpathRequest(
-            s, d, slots, k=sc.k, arrival_s=float(times[i]), holding_s=float(holding[i])
-        ))
+    for lo in range(0, n, ARRIVAL_CHUNK):
+        rows = slice(lo, lo + ARRIVAL_CHUNK)
+        for t, h, rate, s, off in zip(
+            times[rows].tolist(), holding[rows].tolist(), rates[rows].tolist(),
+            src[rows].tolist(), dst_off[rows].tolist(),
+        ):
+            slots = slots_of.get(rate)
+            if slots is None:
+                slots = slots_of[rate] = demand_to_slots(float(rate), sc.slot_ghz, sc.guard_ghz)
+            requests.append(LightpathRequest(
+                vertices[s], vertices[(s + off) % n_vertices], slots, k, t, h
+            ))
     return requests
 
 

@@ -39,6 +39,53 @@ class TestLightpathRequest:
         with pytest.raises(ValueError):
             LightpathRequest("a", "b", 1, k=0)
 
+    @pytest.mark.parametrize("slots, k", [
+        (1.5, 5), (2.0, 5), (True, 5), ("2", 5), (2, 2.5), (2, 3.0), (2, True),
+    ])
+    def test_rejects_counts_that_are_not_ints(self, slots, k):
+        with pytest.raises(ValueError, match="must be ints"):
+            LightpathRequest("a", "b", slots, k)
+
+    def test_keyword_construction_and_defaults(self):
+        lr = LightpathRequest(d="b", slots_needed=3, s="a")
+        assert (lr.s, lr.d, lr.slots_needed) == ("a", "b", 3)
+        assert (lr.k, lr.arrival_s, lr.holding_s) == (5, 0.0, 0.0)
+        lr = LightpathRequest("a", "b", 3, holding_s=2.5, k=2, arrival_s=1.25)
+        assert (lr.k, lr.arrival_s, lr.holding_s) == (2, 1.25, 2.5)
+
+    def test_fields_cannot_be_assigned(self):
+        lr = LightpathRequest("a", "b", 3)
+        for name in ("s", "slots_needed", "k", "arrival_s"):
+            with pytest.raises(AttributeError):
+                setattr(lr, name, getattr(lr, name))
+        with pytest.raises(AttributeError):
+            lr.extra = 1
+        assert not hasattr(lr, "__dict__")
+
+    def test_replace_and_make_validate(self):
+        lr = LightpathRequest("a", "b", 3, arrival_s=1.0)
+        assert lr._replace(k=2) == LightpathRequest("a", "b", 3, 2, 1.0)
+        assert LightpathRequest._make(("a", "b", 3, 5, 1.0, 0.0)) == lr
+        for bad in (dict(d="a"), dict(slots_needed=0), dict(k=1.5)):
+            with pytest.raises(ValueError):
+                lr._replace(**bad)
+        for bad in (("a", "a", 3), ("a", "b", 0), ("a", "b", 3, True)):
+            with pytest.raises(ValueError):
+                LightpathRequest._make(bad)
+
+    def test_repr(self):
+        assert repr(LightpathRequest("1", "14", 4, arrival_s=0.5)) == (
+            "LightpathRequest(s='1', d='14', slots_needed=4, k=5,"
+            " arrival_s=0.5, holding_s=0.0)"
+        )
+
+    def test_equal_requests_are_equal_and_hash_equal(self):
+        a = LightpathRequest("a", "b", 3, 2, 1.0, 4.0)
+        b = LightpathRequest(s="a", d="b", slots_needed=3, k=2, arrival_s=1.0, holding_s=4.0)
+        assert a == b and hash(a) == hash(b)
+        assert a != b._replace(holding_s=4.5)
+        assert len({a, b, b._replace(k=3)}) == 2
+
 
 class TestCandidatePaths:
     def test_triangle_two_paths_in_bfs_order(self):

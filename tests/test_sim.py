@@ -12,6 +12,7 @@ from eonprotect.rsa import (
     rsacs_with_protection,
 )
 from eonprotect.sim import (
+    ARRIVAL_CHUNK,
     Connection,
     RestorationReport,
     Scenario,
@@ -20,7 +21,7 @@ from eonprotect.sim import (
     inject_single_failures,
     run,
 )
-from eonprotect.spectrum import SlotBlock
+from eonprotect.spectrum import SlotBlock, demand_to_slots
 
 
 def small_scenario(**overrides):
@@ -71,6 +72,19 @@ class TestScenario:
         for value in good:
             assert getattr(small_scenario(**{name: value}), name) == value
 
+    # A float count changes the path search or fails deep inside numpy or a
+    # shift; a bool is an int to Python but never a count.
+    @pytest.mark.parametrize("name, bad", [
+        ("k", (2.5, 3.0, True)),
+        ("slot_count", (320.0, 40.5, True)),
+        ("n_requests", (100.5, 1500.0, True)),
+        ("seed", (1.5, 2.0, False)),
+    ])
+    def test_rejects_count_that_is_not_an_int(self, name, bad):
+        for value in bad:
+            with pytest.raises(ValueError, match=f"{name} must be an int"):
+                small_scenario(**{name: value})
+
     def test_any_positive_average_without_jitter(self):
         sc = small_scenario(avg_link_availability=1e-9, jitter_availability=False)
         assert sc.build_graph().links
@@ -88,7 +102,56 @@ class TestScenario:
         assert traffic != avail
 
 
+def reference_arrivals(sc: Scenario, g) -> list[LightpathRequest]:
+    """The per-index arrival builder that the bulk ``generate_arrivals``
+    replaced, kept as the reference it must match exactly."""
+    traffic_seed, _ = sc.seeds()
+    rng = np.random.default_rng(traffic_seed)
+    n = sc.n_requests
+    lam = sc.arrival_rate(len(g.vertices))
+    inter = rng.exponential(1.0 / lam, size=n)
+    holding = rng.exponential(sc.mean_holding_s, size=n)
+    rates = rng.integers(1, int(sc.b_max_gbps) + 1, size=n)
+    src = rng.integers(0, len(g.vertices), size=n)
+    dst_off = rng.integers(1, len(g.vertices), size=n)
+    times = np.cumsum(inter)
+    vertices = g.vertices
+    requests = []
+    for i in range(n):
+        s = vertices[src[i]]
+        d = vertices[(src[i] + dst_off[i]) % len(vertices)]
+        slots = demand_to_slots(float(rates[i]), sc.slot_ghz, sc.guard_ghz)
+        requests.append(LightpathRequest(
+            s, d, slots, k=sc.k, arrival_s=float(times[i]), holding_s=float(holding[i])
+        ))
+    return requests
+
+
 class TestGenerateArrivals:
+    @pytest.mark.parametrize("overrides", [
+        # small_scenario's own overrides set back to Scenario's defaults.
+        pytest.param(dict(n_requests=100_000, seed=1, mean_holding_s=10.0), id="nsfnet-defaults"),
+        pytest.param(dict(load_per_node=False), id="network-wide-load"),
+        pytest.param(dict(b_max_gbps=40.5), id="b_max-40.5"),
+        pytest.param(dict(k=3), id="k-3"),
+        pytest.param(dict(slot_ghz=6.25, guard_ghz=0.0), id="slot-6.25-no-guard"),
+        pytest.param(dict(slot_ghz=50.0, guard_ghz=37.5), id="slot-50-guard-37.5"),
+        pytest.param(dict(topology_text="link a b 100\n"), id="two-nodes"),
+        pytest.param(dict(n_requests=1), id="one-request"),
+        pytest.param(dict(n_requests=ARRIVAL_CHUNK), id="one-chunk"),
+        pytest.param(dict(n_requests=2 * ARRIVAL_CHUNK + 17), id="chunks-and-a-part"),
+    ])
+    def test_bulk_builder_matches_per_index_reference(self, overrides):
+        sc = small_scenario(**overrides)
+        g = sc.build_graph()
+        built, expected = generate_arrivals(sc, g), reference_arrivals(sc, g)
+        assert len(built) == len(expected) == sc.n_requests
+        for got, want in zip(built, expected):
+            assert type(got) is LightpathRequest
+            for name in LightpathRequest._fields:
+                x, y = getattr(got, name), getattr(want, name)
+                assert type(x) is type(y) and x == y, (name, got, want)
+
     def test_seeded_streams_identical(self):
         sc = small_scenario()
         g = sc.build_graph()
