@@ -145,9 +145,12 @@ def monte_carlo_availability(
 
     Returns (estimate, standard error).  ``system`` is any object exposing
     ``component_availabilities()`` and a vectorized ``evaluate(up_matrix)``.
+    States are drawn ``chunk`` samples at a time.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if chunk < 1:
+        raise ValueError("chunk must be >= 1")
     avails = np.asarray(system.component_availabilities(), dtype=float)
     rng = np.random.default_rng(seed)
     successes = 0

@@ -11,8 +11,10 @@ The registry keeps failure claims as one packed int per failure link: bit
 backup link ``b`` is held for the live WP that crosses link ``f``, that is,
 when a failure of ``f`` would put that slot to use.  ``position`` is
 ``LinkIndex.position``, so link ``b`` owns the ``slot_count``-bit field at
-its position, and a backup path is one packed mask: its block's slots in the
-field of each of its links.  Sharers are pairwise disjoint, so for each
+its position, and a backup path is one packed mask, ``BackupPath.packed``:
+its block's slots in the field of each of its links.  ``provision_backups``
+builds that mask once, while it picks the backup, and the claim and the
+release both use it.  Sharers are pairwise disjoint, so for each
 (b, f, slot) at most one WP crosses ``f``, and one bit records the claim
 without loss.  A second claim on a set bit is a sharing conflict.  From the
 claims:
@@ -25,9 +27,10 @@ claims:
 - claiming a WP's backups checks their packed mask against ``claims[f]``
   for each ``f`` in ``W``, then ORs it in: |W| ANDs and |W| ORs per WP,
   whatever the number of backups and backup links;
-- releasing them checks the mask the same way, clears it from each
-  ``claims[f]``, rebuilds ``held`` once as the OR of the claims left and
-  frees the slots it lost on the backups' links.
+- releasing them ORs the backups' own packed masks, packing nothing again,
+  checks that mask the same way, clears it from each ``claims[f]``, rebuilds
+  ``held`` once as the OR of the claims left and writes the bits ``held``
+  lost back to the link bits, one non-zero field at a time.
 
 A failed protection attempt reserves nothing: ``provision_backups`` picks
 its backups on a private copy of the free bits and claims them only once
@@ -47,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rsa import CandidatePath, LightpathRequest, candidate_paths, select_best
-from .spectrum import SlotBlock, first_fit, is_feasible, SpectrumBitmap
+from .spectrum import SlotBlock, run_steps
 from .availability import ava_dsbpss_update
 from .topology import Link, NetworkGraph
 
@@ -62,22 +65,20 @@ class SharingConflictError(Exception):
 
 @dataclass(frozen=True)
 class BackupPath:
+    """One backup of a working path, with the packed mask it is claimed by.
+
+    ``packed`` holds ``block``'s slots in the ``slot_count``-bit field of
+    each link of ``links``, at the link's ``LinkIndex.position``.
+    """
+
     id: str
     vertices: tuple[str, ...]
     links: tuple[Link, ...]
     block: SlotBlock
+    packed: int
 
     def link_ids(self) -> frozenset[str]:
         return frozenset(link.id for link in self.links)
-
-
-def _pack(bp: BackupPath, position: dict[str, int], width: int) -> int:
-    """The backup's block in the ``width``-bit field of each of its links."""
-    mask = bp.block.mask()
-    packed = 0
-    for link in bp.links:
-        packed |= mask << position[link.id] * width
-    return packed
 
 
 def _field(g: NetworkGraph, bad: int, packed: int) -> tuple[str, int, int]:
@@ -178,16 +179,21 @@ def provision_backups(
     """
     wp_links = best_path.link_ids()
     index = g.link_index()
+    position = index.position
     bits = index.free_bits()
     free_backup_slots(g, bits, reg, wp_links)
     # After free_backup_slots, which ORs shareable slots into the working
     # path's links too: backups avoid those links.
     for link in best_path.links:
-        bits[index.position[link.id]] = 0
-    candidates = candidate_paths(g, lr.s, lr.d, lr.slots_needed, lr.k, bits)
+        bits[position[link.id]] = 0
+    need = lr.slots_needed
+    candidates = candidate_paths(g, lr.s, lr.d, need, lr.k, bits)
 
+    width = g.slot_count
+    steps = run_steps(need)
     a_pp = a_pp_max
     backups: list[BackupPath] = []
+    packed = 0
     while a_pp < a_th:
         if not candidates:
             return [], a_pp_max
@@ -195,31 +201,35 @@ def provision_backups(
         candidates.remove(chosen)
         # Backups picked earlier in this call may have taken slots the stale
         # candidate bitmap still shows free; re-intersect on the search bits.
-        positions = [index.position[link.id] for link in chosen.links]
-        common = (1 << g.slot_count) - 1
+        positions = [position[link.id] for link in chosen.links]
+        common = (1 << width) - 1
         for li in positions:
             common &= bits[li]
-        live = SpectrumBitmap(g.slot_count, common)
-        if not is_feasible(live, lr.slots_needed):
+        for step in steps:
+            common &= common >> step
+        if not common:
             continue
-        block = first_fit(live, lr.slots_needed)
-        mask = block.mask()
+        # The lowest start of a free run of ``need`` slots: first fit.
+        low = common & -common
+        mask = (low << need) - low
+        own = 0
         for li in positions:
             # Own backups are not shareable with this same WP.
             bits[li] &= ~mask
-        backups.append(
-            BackupPath(f"{wp_id}/bp{len(backups) + 1}", chosen.vertices, chosen.links, block)
-        )
+            own |= mask << li * width
+        block = SlotBlock(low.bit_length() - 1, need)
+        backups.append(BackupPath(
+            f"{wp_id}/bp{len(backups) + 1}", chosen.vertices, chosen.links, block, own
+        ))
+        packed |= own
         a_pp = ava_dsbpss_update(a_pp, chosen.availability)
-    if backups:
-        packed = 0
-        for bp in backups:
-            packed |= _pack(bp, index.position, g.slot_count)
+    if packed:
         reg.claim(g, wp_links, packed)
     for bp in backups:
+        busy = ~bp.block.mask()
         for link in bp.links:
             # Shared slots are busy already; the rest were free until now.
-            link.bitmap.set_busy(bp.block)
+            link.bitmap.bits &= busy
     return backups, a_pp
 
 
@@ -232,17 +242,14 @@ def release_wp(
     """Drop a departed working path's claims and free the slots left unclaimed.
 
     ``wp_links`` are the working path's link ids and ``backups`` the list
-    ``provision_backups`` returned for it.  If a slot of a backup is not
-    claimed on one of its links for a failure of every link in ``wp_links``,
-    or two of the backups name the same slot on a link, raises
-    ``UnknownClaimError`` and changes nothing.
+    ``provision_backups`` returned for it, whose packed masks are released.
+    If a slot of a backup is not claimed on one of its links for a failure
+    of every link in ``wp_links``, or two of the backups name the same slot
+    on a link, raises ``UnknownClaimError`` and changes nothing.
     """
-    index = g.link_index()
-    position = index.position
-    width = g.slot_count
     packed = 0
     for bp in backups:
-        own = _pack(bp, position, width)
+        own = bp.packed
         if packed & own:
             raise _unknown(g, packed & own, own)
         packed |= own
@@ -253,8 +260,9 @@ def release_wp(
         missing = packed & ~claims.get(failed, 0)
         if missing:
             raise _unknown(g, missing, packed)
+    keep = ~packed
     for failed in wp_links:
-        left = claims[failed] & ~packed
+        left = claims[failed] & keep
         if left:
             claims[failed] = left
         else:
@@ -267,11 +275,19 @@ def release_wp(
     if not freed:
         return
     reg.reserved -= freed.bit_count()
-    for bp in backups:
-        mask = bp.block.mask()
-        for link in bp.links:
-            li = position[link.id]
-            index.links[li].bitmap.bits |= freed >> li * width & mask
+    # Every freed bit lies in the pack, so in the field of a backup link:
+    # skip to the next field holding one, free its bits, go past it.
+    width = g.slot_count
+    field = (1 << width) - 1
+    links = g.link_index().links
+    li = 0
+    while freed:
+        skip = ((freed & -freed).bit_length() - 1) // width
+        freed >>= skip * width
+        li += skip
+        links[li].bitmap.bits |= freed & field
+        freed >>= width
+        li += 1
 
 
 def _unknown(g: NetworkGraph, bad: int, packed: int) -> UnknownClaimError:

@@ -210,12 +210,15 @@ class Simulation:
         """Process events; optionally pause after a number of arrivals."""
         arrivals, departures = self._arrivals, self._departures
         i = self._arrivals_done
+        n = len(arrivals)
+        # The next arrival's time, read once per arrival.
+        next_s = arrivals[i].arrival_s if i < n else None
         while max_arrivals is None or i < max_arrivals:
-            lr = arrivals[i] if i < len(arrivals) else None
-            if lr is not None and (not departures or lr.arrival_s <= departures[0][0]):
-                self._integrate_to(lr.arrival_s)
-                self._handle_arrival(lr)
+            if i < n and (not departures or next_s <= departures[0][0]):
+                self._integrate_to(next_s)
+                self._handle_arrival(arrivals[i])
                 self._arrivals_done = i = i + 1
+                next_s = arrivals[i].arrival_s if i < n else None
             elif departures:
                 t, _, conn_id = heapq.heappop(departures)
                 self._integrate_to(t)
@@ -230,7 +233,9 @@ class Simulation:
         return self.report
 
     def _handle_arrival(self, lr: LightpathRequest) -> None:
-        counted = lr.arrival_s >= self._warm
+        # Each field read once: a read on the namedtuple is not cheap.
+        slots, arrival_s, holding_s = lr.slots_needed, lr.arrival_s, lr.holding_s
+        counted = arrival_s >= self._warm
         self._conn_counter += 1
         conn_id = f"c{self._conn_counter}"
         result = rsacs_with_protection(
@@ -239,20 +244,20 @@ class Simulation:
         )
         if counted:
             self.report.arrived += 1
-            self.report.slots_requested += lr.slots_needed
+            self.report.slots_requested += slots
         if result.blocked:
             if counted:
                 self.report.blocked += 1
-                self.report.slots_blocked += lr.slots_needed
+                self.report.slots_blocked += slots
             return
-        working = lr.slots_needed * result.path.hops
+        working = slots * result.path.hops
         self._working_busy += working
         if counted and result.needs_protection:
             self.report.needing_protection += 1
             if result.protected:
                 self.report.protected_count += 1
         self.live[conn_id] = Connection(conn_id, lr, result)
-        departure = (lr.arrival_s + lr.holding_s, self._conn_counter, conn_id)
+        departure = (arrival_s + holding_s, self._conn_counter, conn_id)
         heapq.heappush(self._departures, departure)
 
     def _handle_departure(self, conn_id: str) -> None:

@@ -199,6 +199,16 @@ class TestMonteCarloOracle:
         with pytest.raises(ValueError):
             monte_carlo_availability(SeriesSystem((0.9,)), 0)
 
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_rejects_chunk_below_one_before_any_draw(self, chunk):
+        class NoDraws(SeriesSystem):
+            def evaluate(self, up):
+                # A zero-row chunk never shrinks what is left to draw.
+                raise AssertionError(f"drew a {up.shape} chunk")
+
+        with pytest.raises(ValueError, match="chunk must be >= 1"):
+            monte_carlo_availability(NoDraws((0.9,)), 100, chunk=chunk)
+
     def test_seeded_repeatability(self):
         sys = ParallelSystem(((0.6, 0.7), (0.8,)))
         assert monte_carlo_availability(sys, 50000, seed=9) == monte_carlo_availability(

@@ -65,6 +65,14 @@ def packed_on(g, link_id, mask):
     return mask << g.link_index().position[link_id] * g.slot_count
 
 
+def _pack(g, links, block):
+    """The oracle of ``BackupPath.packed``: the block in the field of each link."""
+    packed = 0
+    for link in links:
+        packed |= packed_on(g, link.id, block.mask())
+    return packed
+
+
 def unpacked_claims(reg, g):
     """The packed claims as ``{b: {f: bits}}``: slots on ``b`` held for a failure of ``f``."""
     assert all(reg.claims.values()), "a failure link holds an empty claim"
@@ -179,7 +187,8 @@ class TestCanShare:
         g = six_node_net()
         reg = BackupRegistry()
         block = SlotBlock(0, 3)
-        backup = BackupPath("w1/bp1", ("E", "F"), (g.links["E-F"],), block)
+        links = (g.links["E-F"],)
+        backup = BackupPath("w1/bp1", ("E", "F"), links, block, _pack(g, links, block))
         reg.claim(g, W1, packed_on(g, "E-F", block.mask()))
         g.links["E-F"].bitmap.set_busy(block)
         # The last claim gone, every slot it held is free for anyone.
@@ -459,6 +468,42 @@ class TestRelease:
                 res.block.length for res in results.values() if lid in res.path.link_ids()
             )
 
+    @pytest.mark.parametrize("slot_count,low,high,kept", [
+        (1, SlotBlock(0, 1), SlotBlock(0, 1), None),
+        (13, SlotBlock(0, 13), SlotBlock(9, 4), SlotBlock(5, 4)),
+    ])
+    def test_release_writes_back_the_first_and_last_fields(
+        self, slot_count, low, high, kept
+    ):
+        # Freed bits in the fields at positions 0 and 1, both whole fields,
+        # and in the last link's field, up to its top slot: a write-back
+        # that skips a field or masks with the wrong width sets a wrong bit.
+        g = six_node_net(slot_count=slot_count)
+        links = g.link_index().links
+        first, second, last = links[0], links[1], links[-1]
+        for link in links:
+            link.bitmap.bits = 0
+        reg = BackupRegistry()
+        wp = frozenset({links[3].id})
+        backups = [
+            BackupPath("w/bp1", (), (first, second), low, _pack(g, (first, second), low)),
+            BackupPath("w/bp2", (), (last,), high, _pack(g, (last,), high)),
+        ]
+        reg.claim(g, wp, backups[0].packed | backups[1].packed)
+        kept_mask = 0
+        if kept is not None:
+            # A sharer over another link keeps the middle of the second field.
+            kept_mask = kept.mask()
+            reg.claim(g, frozenset({links[4].id}), packed_on(g, second.id, kept_mask))
+        release_wp(reg, wp, backups, g)
+        want = {link.id: 0 for link in links}
+        want[first.id] = low.mask()
+        want[second.id] = low.mask() & ~kept_mask
+        want[last.id] = high.mask()
+        assert {link.id: link.bitmap.bits for link in links} == want
+        assert reg.held == packed_on(g, second.id, kept_mask)
+        assert reg.reserved == kept_mask.bit_count()
+
 
 class TestClaimInvariant:
     def test_protected_wps_pairwise_disjoint_after_mutations(self):
@@ -640,9 +685,10 @@ def reference_provision_backups(g, lr, best_path, reg, wp_id, a_pp_max, a_th):
         block = first_fit(live, lr.slots_needed)
         for li in positions:
             bits[li] &= ~block.mask()
-        backups.append(
-            BackupPath(f"{wp_id}/bp{len(backups) + 1}", chosen.vertices, chosen.links, block)
-        )
+        backups.append(BackupPath(
+            f"{wp_id}/bp{len(backups) + 1}", chosen.vertices, chosen.links, block,
+            _pack(g, chosen.links, block),
+        ))
         a_pp = ava_dsbpss_update(a_pp, chosen.availability)
     reference_claim_backups(reg, wp_links, backups)
     for bp in backups:
@@ -692,7 +738,9 @@ def outcome(call, *args):
 def on_graph(g, backups):
     """The same backups over the links of another copy of the graph."""
     return [
-        BackupPath(bp.id, bp.vertices, tuple(g.links[link.id] for link in bp.links), bp.block)
+        BackupPath(
+            bp.id, bp.vertices, tuple(g.links[link.id] for link in bp.links), bp.block, bp.packed
+        )
         for bp in backups
     ]
 
@@ -737,6 +785,8 @@ def test_packed_registry_matches_per_link_reference(g, data):
                 assert [(bp.vertices, bp.block) for bp in backups] == [
                     (bp.vertices, bp.block) for bp in ref_backups
                 ]
+                for bp in backups:
+                    assert bp.packed == _pack(g, bp.links, bp.block)
                 live.append((best.link_ids(), backups, (best.links, block)))
         elif op == "release" and live:
             i = data.draw(st.integers(0, len(live) - 1))
@@ -775,13 +825,14 @@ def test_packed_registry_matches_per_link_reference(g, data):
                 block = SlotBlock(data.draw(st.integers(0, g.slot_count - length)), length)
                 if not link.bitmap.is_free(block):
                     continue
-                backups = [BackupPath("fresh", (link.u, link.v), (link,), block)]
+                backups = [BackupPath(
+                    "fresh", (link.u, link.v), (link,), block, _pack(g, (link,), block)
+                )]
             if not backups:
                 continue
             packed = 0
             for bp in backups:
-                for link in bp.links:
-                    packed |= bp.block.mask() << index.position[link.id] * g.slot_count
+                packed |= _pack(g, bp.links, bp.block)
             got_err, _ = outcome(reg.claim, g, wp_links, packed)
             want_err, _ = outcome(
                 reference_claim_backups, ref, wp_links, on_graph(ref_g, backups)

@@ -444,7 +444,11 @@ class TestInjectSingleFailuresMatchesReference:
         full = (1 << g.slot_count) - 1
         on_wp = tuple(index.position[link.id] for link in links(wp))
         path = CandidatePath(index.links, wp[0], g.slot_count, on_wp, full)
-        backup = BackupPath(f"{cid}/bp1", bp, links(bp), SlotBlock(start, length))
+        block = SlotBlock(start, length)
+        packed = 0
+        for link in links(bp):
+            packed |= block.mask() << index.position[link.id] * g.slot_count
+        backup = BackupPath(f"{cid}/bp1", bp, links(bp), block, packed)
         result = ProvisionResult(
             blocked=False, path=path, block=SlotBlock(0, length),
             needs_protection=True, protected=True, backup_paths=[backup],
