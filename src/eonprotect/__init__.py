@@ -23,6 +23,7 @@ from .metrics import (
 from .rsa import (
     CandidatePath,
     LightpathRequest,
+    NoProtection,
     ProvisionResult,
     candidate_paths,
     rsacs_with_protection,

@@ -8,8 +8,11 @@ extended and dismantled as traffic comes and goes; distinct protected
 working links may share one cycle's slots because only one of them can fail
 at a time.
 
-Cycle slot blocks are chosen first-fit per link and need not line up across
-links (spectrum conversion happens at the failed link's end nodes).
+Cycle slot blocks are chosen first fit on each link separately, so they
+need not line up across links.  A restored arc then changes slot offset at
+every cycle node where its neighbouring blocks differ: the model assumes
+spectrum conversion at each such node, not only at the failed link's end
+nodes (ROADMAP item 7 makes one block hold around the ring).
 
 Cycle ids come from a counter and are never reused, and a rollback restores
 an extended cycle in place, so ``DCycleSet.cycles`` iterates in id order
@@ -122,6 +125,7 @@ class UnknownGrantError(Exception):
 class DCycleSet:
     """Live cycles by id.
 
+    The protection of mode ``dcycles`` (protocol: ``rsa.NoProtection``).
     Ids only grow and are never reused, and ``_rollback`` restores a cycle
     in place, so dict order is id order.
     """
@@ -140,6 +144,28 @@ class DCycleSet:
 
     def new_id(self) -> int:
         return next(self._cid)
+
+    # The module-level functions are looked up at call time, so a wrapper
+    # set on the module sees every call.
+    def protect(self, g, lr, result, wp_id, a_th) -> None:
+        granted, result.a_pp_max = provision_cycles(g, lr, result.path, self, wp_id, a_th)
+        result.protected_links = granted or []
+
+    def release(self, g, wp_id, result) -> None:
+        if result.protected_links:
+            release_wp(self, wp_id, result.protected_links, g)
+
+    def recovery(self, g, result, failed_link) -> list[tuple[str, int]] | None:
+        """The block of every arc of the cycle granted for the failed link."""
+        for cid, lid in result.protected_links:
+            if lid == failed_link:
+                cycle = self.cycles[cid]
+                return [
+                    (link.id, cycle.blocks[link.id].mask())
+                    for arc in cycle.arcs(g.links[lid], g)
+                    for link in arc
+                ]
+        return None
 
 
 def check_cycles(
@@ -328,7 +354,6 @@ def provision_cycles(
     best_path: CandidatePath,
     cs: DCycleSet,
     wp_id: str,
-    a_pp_max: float,
     a_th: float,
 ) -> tuple[list[tuple[int, str]] | None, float]:
     """Protect the working path's weakest links by cycles until the threshold.
@@ -336,12 +361,12 @@ def provision_cycles(
     Links are taken by availability, ties by link id.  Returns ([(cycle id,
     link id), ...], final availability) on success.  If the next link cannot
     be protected, or every link is and the threshold is still missed, all
-    reservations from this call are rolled back and (None, original
-    availability) is returned.
+    reservations from this call are rolled back and (None, the working
+    path's availability) is returned.
     """
     granted: list[tuple[int, str]] = []
     extended: list = []
-    a_pp = a_pp_max
+    a_pp = best_path.availability
     for link in sorted(best_path.links, key=lambda l: (l.availability, l.id)):
         if a_pp >= a_th:
             break
@@ -357,7 +382,7 @@ def provision_cycles(
     if a_pp >= a_th:
         return granted, a_pp
     _rollback(g, cs, granted, extended)
-    return None, a_pp_max
+    return None, best_path.availability
 
 
 def release_wp(

@@ -93,6 +93,7 @@ def _field(g: NetworkGraph, bad: int, packed: int) -> tuple[str, int, int]:
 class BackupRegistry:
     """All live shared-backup state: packed failure claims and held slots.
 
+    The protection of mode ``dsbpss`` (protocol: ``rsa.NoProtection``).
     The backups of each WP live in its ``ProvisionResult``, not here.
     """
 
@@ -106,6 +107,25 @@ class BackupRegistry:
 
     def is_empty(self) -> bool:
         return not self.claims
+
+    # The module-level functions are looked up at call time, so a wrapper
+    # set on the module sees every call.
+    def protect(self, g, lr, result, wp_id, a_th) -> None:
+        result.backup_paths, result.a_pp_max = provision_backups(
+            g, lr, result.path, self, wp_id, a_th
+        )
+
+    def release(self, g, wp_id, result) -> None:
+        if result.backup_paths:
+            release_wp(self, result.path.link_ids(), result.backup_paths, g)
+
+    def recovery(self, g, result, failed_link) -> list[tuple[str, int]] | None:
+        """The first backup that avoids the failed link, read from ``result``."""
+        for bp in result.backup_paths:
+            if failed_link not in bp.link_ids():
+                mask = bp.block.mask()
+                return [(link.id, mask) for link in bp.links]
+        return None
 
     def claim(self, g: NetworkGraph, wp_links: frozenset[str], packed: int) -> None:
         """Hold the packed slots for a failure of any of ``wp_links``.
@@ -167,7 +187,6 @@ def provision_backups(
     best_path: CandidatePath,
     reg: BackupRegistry,
     wp_id: str,
-    a_pp_max: float,
     a_th: float,
 ) -> tuple[list[BackupPath], float]:
     """Stack link-disjoint shared backups until the threshold is met.
@@ -175,7 +194,7 @@ def provision_backups(
     Returns (backup paths, final availability).  Backups are picked on a
     private copy of the free bits and claimed only once the threshold is
     met, so if the candidates run out first nothing has been reserved and
-    ([], original availability) is returned.
+    ([], the working path's availability) is returned.
     """
     wp_links = best_path.link_ids()
     index = g.link_index()
@@ -191,12 +210,12 @@ def provision_backups(
 
     width = g.slot_count
     steps = run_steps(need)
-    a_pp = a_pp_max
+    a_pp = best_path.availability
     backups: list[BackupPath] = []
     packed = 0
     while a_pp < a_th:
         if not candidates:
-            return [], a_pp_max
+            return [], best_path.availability
         chosen = select_best(candidates)
         candidates.remove(chosen)
         # Backups picked earlier in this call may have taken slots the stale

@@ -260,24 +260,49 @@ class ProvisionResult:
     protected_links: list = field(default_factory=list)
 
 
+class NoProtection:
+    """Mode ``none``, and the protocol every mode's protection state follows.
+
+    ``dsbpss.BackupRegistry`` and ``dcycles.DCycleSet`` implement it too:
+
+    - ``protect(g, lr, result, wp_id, a_th)`` tries to lift the working path
+      of ``result`` to ``a_th``.  It sets the mode's own field of ``result``
+      (``backup_paths`` or ``protected_links``) and ``a_pp_max``, and
+      reserves nothing when the threshold is missed;
+    - ``release(g, wp_id, result)`` frees what ``protect`` reserved for a
+      departing working path;
+    - ``recovery(g, result, failed_link)`` gives the reserved (link id, slot
+      mask) pairs the path would use after ``failed_link`` fails, or None;
+    - ``reserved`` counts the slots the mode holds over all links.
+    """
+
+    reserved = 0
+
+    def protect(self, g, lr, result, wp_id, a_th) -> None:
+        pass
+
+    def release(self, g, wp_id, result) -> None:
+        pass
+
+    def recovery(self, g, result, failed_link) -> list[tuple[str, int]] | None:
+        return None
+
+
 def rsacs_with_protection(
     g: NetworkGraph,
     lr: LightpathRequest,
     a_th: float,
-    mode: str,
+    protection,
     wp_id: str,
-    backup_registry=None,
-    cycle_set=None,
 ) -> ProvisionResult:
     """Provision a working path, then protect it if its availability is low.
 
-    The working path is kept even when protection cannot reach the
-    threshold; the result records whether the threshold was met.
+    ``protection`` is the mode's state (see ``NoProtection``).  The working
+    path is kept even when protection cannot reach the threshold; the
+    result records whether the threshold was met.
     """
     if not 0.0 < a_th <= 1.0:
         raise ValueError("a_th must lie in (0, 1]")
-    if mode not in MODES:
-        raise ValueError(f"unknown protection mode {mode!r}")
 
     paths = candidate_paths(g, lr.s, lr.d, lr.slots_needed, lr.k)
     if not paths:
@@ -294,22 +319,6 @@ def rsacs_with_protection(
         return result
 
     result.needs_protection = True
-    if mode == "dsbpss":
-        from .dsbpss import provision_backups
-
-        backups, a_pp = provision_backups(
-            g, lr, best, backup_registry, wp_id, best.availability, a_th
-        )
-        result.backup_paths = backups
-        result.a_pp_max = a_pp
-        result.protected = a_pp >= a_th
-    elif mode == "dcycles":
-        from .dcycles import provision_cycles
-
-        protected_links, a_pp = provision_cycles(
-            g, lr, best, cycle_set, wp_id, best.availability, a_th
-        )
-        result.protected_links = protected_links or []
-        result.a_pp_max = a_pp
-        result.protected = a_pp >= a_th
+    protection.protect(g, lr, result, wp_id, a_th)
+    result.protected = result.a_pp_max >= a_th
     return result

@@ -14,10 +14,14 @@ departures of live connections, as (departure time, connection number,
 conn id).  An arrival goes before a departure at the same time, and
 departures at the same time leave in the order their connections arrived.
 
+The scenario's mode picks one protection object (``rsa.NoProtection``
+states its protocol): ``BackupRegistry`` for ``dsbpss``, ``DCycleSet`` for
+``dcycles`` and ``NoProtection`` for ``none``.  The engine protects,
+releases and audits through it and never branches on the mode.
+
 Busy slots are integrated as counters, never recounted from the links: the
-working slots of live connections plus ``BackupRegistry.reserved`` and
-``DCycleSet.reserved``, which the protection code keeps exact as it
-reserves and frees.
+working slots of live connections plus the protection's ``reserved``, which
+it keeps exact as it reserves and frees.
 """
 
 from __future__ import annotations
@@ -28,11 +32,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dcycles, dsbpss
 from .dcycles import DCycleSet
 from .dsbpss import BackupRegistry
 from .metrics import MetricsReport
-from .rsa import MODES, LightpathRequest, ProvisionResult, rsacs_with_protection
+from .rsa import MODES, LightpathRequest, NoProtection, ProvisionResult, rsacs_with_protection
 from .spectrum import demand_to_slots, release
 from .topology import (
     JitteredAvailability,
@@ -71,6 +74,12 @@ class Scenario:
         for name in ("n_requests", "seed", "k", "slot_count"):
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an int, not {getattr(self, name)!r}")
+        # A truthy string such as "false" would keep the default behaviour.
+        for name in ("load_per_node", "jitter_availability"):
+            if type(getattr(self, name)) is not bool:
+                raise ValueError(f"{name} must be a bool, not {getattr(self, name)!r}")
+        if self.topology_text is not None and not isinstance(self.topology_text, str):
+            raise ValueError(f"topology_text must be a str or None, not {self.topology_text!r}")
         for name in ("load_erlang", "mean_holding_s", "b_max_gbps", "slot_ghz", "guard_ghz"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, not {getattr(self, name)!r}")
@@ -185,6 +194,9 @@ class Simulation:
         self.graph = sc.build_graph()
         self.registry = BackupRegistry()
         self.cycles = DCycleSet()
+        self.protection = {
+            "none": NoProtection(), "dsbpss": self.registry, "dcycles": self.cycles,
+        }[sc.mode]
         self.live: dict[str, Connection] = {}
         self.report = MetricsReport()
         self._arrivals = generate_arrivals(sc, self.graph)
@@ -201,7 +213,7 @@ class Simulation:
         lo = max(self._now, self._warm)
         if t > lo:
             dt = t - lo
-            reserved = self.registry.reserved + self.cycles.reserved
+            reserved = self.protection.reserved
             self.report.slot_time_used += (self._working_busy + reserved) * dt
             self.report.protection_slot_time += reserved * dt
         self._now = t
@@ -239,8 +251,7 @@ class Simulation:
         self._conn_counter += 1
         conn_id = f"c{self._conn_counter}"
         result = rsacs_with_protection(
-            self.graph, lr, self.scenario.a_th, self.scenario.mode,
-            conn_id, self.registry, self.cycles,
+            self.graph, lr, self.scenario.a_th, self.protection, conn_id
         )
         if counted:
             self.report.arrived += 1
@@ -266,12 +277,7 @@ class Simulation:
         release([link.bitmap for link in result.path.links], result.block)
         working = conn.request.slots_needed * result.path.hops
         self._working_busy -= working
-        if result.backup_paths:
-            dsbpss.release_wp(
-                self.registry, result.path.link_ids(), result.backup_paths, self.graph
-            )
-        if result.protected_links:
-            dcycles.release_wp(self.cycles, conn.id, result.protected_links, self.graph)
+        self.protection.release(self.graph, conn_id, result)
 
 
 def run(sc: Scenario) -> MetricsReport:
@@ -284,11 +290,12 @@ def inject_single_failures(sim: Simulation) -> RestorationReport:
 
     For every live working path crossing the failed link, checks that a
     reserved recovery route avoiding the link exists (a backup path, or the
-    protecting cycle's arcs) and that no reserved slot is claimed by two
-    simultaneously affected paths.  Reads only the live results and the
-    cycle blocks, never the registry's claims, so it checks them
-    independently.  A recovery names each (link, slot) at most once, so the
-    conflicts are the bits each path's recovery finds already held.
+    protecting cycle's arcs, from ``sim.protection.recovery``) and that no
+    reserved slot is claimed by two simultaneously affected paths.  The
+    recoveries read only the live results and the cycle blocks, never the
+    registry's claims, so this checks them independently.  A recovery names
+    each (link, slot) at most once, so the conflicts are the bits each
+    path's recovery finds already held.
     """
     report = RestorationReport()
     for fid in sorted(sim.graph.links):
@@ -299,7 +306,7 @@ def inject_single_failures(sim: Simulation) -> RestorationReport:
         held: dict[str, int] = {}
         restored = unrestored = 0
         for conn in affected:
-            recovery = _recovery_masks(sim, conn, fid)
+            recovery = sim.protection.recovery(sim.graph, conn.result, fid)
             if recovery is None:
                 unrestored += 1
                 continue
@@ -310,29 +317,3 @@ def inject_single_failures(sim: Simulation) -> RestorationReport:
                 held[lid] = on_link | mask
         report.per_link[fid] = (restored, unrestored)
     return report
-
-
-def _recovery_masks(
-    sim: Simulation, conn: Connection, failed_link: str
-) -> list[tuple[str, int]] | None:
-    """Reserved (link id, slot mask) pairs the connection would use after a failure."""
-    result = conn.result
-    if result.backup_paths:
-        for bp in result.backup_paths:
-            if failed_link not in bp.link_ids():
-                mask = bp.block.mask()
-                return [(link.id, mask) for link in bp.links]
-        return None
-    if result.protected_links:
-        for cid, lid in result.protected_links:
-            if lid != failed_link:
-                continue
-            cycle = sim.cycles.cycles[cid]
-            failed = sim.graph.links[failed_link]
-            return [
-                (link.id, cycle.blocks[link.id].mask())
-                for arc in cycle.arcs(failed, sim.graph)
-                for link in arc
-            ]
-        return None
-    return None

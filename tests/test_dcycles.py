@@ -24,7 +24,7 @@ from eonprotect.dcycles import (
     provision_cycles,
     release_wp,
 )
-from eonprotect.rsa import CandidatePath, LightpathRequest, rsacs_with_protection
+from eonprotect.rsa import CandidatePath, LightpathRequest, NoProtection, rsacs_with_protection
 from eonprotect.sim import Scenario, Simulation
 from eonprotect.spectrum import SlotBlock, SpectrumBitmap, allocate, first_fit
 from eonprotect.topology import NetworkGraph
@@ -111,7 +111,7 @@ class TestMinAvailabilityLink:
     def protect(self, g, vertices, a_th):
         path = hand_path(g, vertices)
         lr = LightpathRequest(vertices[0], vertices[-1], 2)
-        return provision_cycles(g, lr, path, DCycleSet(), "w1", path.availability, a_th)
+        return provision_cycles(g, lr, path, DCycleSet(), "w1", a_th)
 
     def test_strict_min(self):
         g = square({"a-b": 0.99, "b-c": 0.9, "c-d": 0.999, "a-d": 0.999})
@@ -135,7 +135,7 @@ class TestMinAvailabilityLink:
         cs = DCycleSet()
         before = snapshot(cs, g)
         lr = LightpathRequest("a", "c", 2)
-        assert provision_cycles(g, lr, path, cs, "w1", path.availability, 1.0) == (
+        assert provision_cycles(g, lr, path, cs, "w1", 1.0) == (
             None, path.availability
         )
         assert snapshot(cs, g) == before
@@ -256,7 +256,7 @@ class TestFindCycleFor:
 
 def provision(g, cs, wp_id, s, d, slots, a_th):
     lr = LightpathRequest(s, d, slots)
-    return rsacs_with_protection(g, lr, a_th, "dcycles", wp_id, None, cs)
+    return rsacs_with_protection(g, lr, a_th, cs, wp_id)
 
 
 class TestProvisionCycles:
@@ -309,13 +309,11 @@ class TestProvisionCycles:
         cs = DCycleSet()
         before = {lid: l.bitmap.copy() for lid, l in g.links.items()}
         path = rsacs_with_protection(
-            g, LightpathRequest("a", "b", 2), 0.5, "none", "w0"
+            g, LightpathRequest("a", "b", 2), 0.5, NoProtection(), "w0"
         ).path
-        granted, a_pp = provision_cycles(
-            g, LightpathRequest("a", "b", 2), path, cs, "w1", 0.95, 1.0
-        )
+        granted, a_pp = provision_cycles(g, LightpathRequest("a", "b", 2), path, cs, "w1", 1.0)
         assert granted is None
-        assert a_pp == 0.95
+        assert a_pp == path.availability
         for lid, bmp in before.items():
             if lid != "a-b":
                 assert g.links[lid].bitmap == bmp
@@ -332,14 +330,14 @@ class TestProvisionCycles:
             return g, DCycleSet(), LightpathRequest("D", "B", 2), path
 
         g, cs, lr, path = setup()
-        granted, _ = provision_cycles(g, lr, path, cs, "w1", path.availability, 0.99)
+        granted, _ = provision_cycles(g, lr, path, cs, "w1", 0.99)
         ((cid, _),) = cs.cycles.items()
         assert granted == [(cid, "B-C"), (cid, "C-D")]
         assert cs.cycles[cid].vertex_order == ("B", "F", "E", "D", "C")
 
         g, cs, lr, path = setup()
         before = snapshot(cs, g)
-        assert provision_cycles(g, lr, path, cs, "w1", path.availability, 1.0)[0] is None
+        assert provision_cycles(g, lr, path, cs, "w1", 1.0)[0] is None
         assert snapshot(cs, g) == before
 
 
@@ -366,7 +364,7 @@ class TestProvisionCycles:
 
         monkeypatch.setattr(dcycles, "_try_extend", spy)
         lr = LightpathRequest("D", "G", 2)
-        granted, _ = provision_cycles(g, lr, path, cs, "w1", path.availability, 1.0)
+        granted, _ = provision_cycles(g, lr, path, cs, "w1", 1.0)
         assert granted is None
         assert orders == [("A", "B", "C", "D", "E", "F"), ("A", "B", "C", "D", "E", "F", "G")]
         assert snapshot(cs, g) == before
@@ -389,7 +387,7 @@ class TestProvisionCycles:
 
         monkeypatch.setattr(dcycles, "release_wp", spy)
         lr = LightpathRequest("D", "B", 2)
-        assert provision_cycles(g, lr, path, cs, "w1", path.availability, 1.0)[0] is None
+        assert provision_cycles(g, lr, path, cs, "w1", 1.0)[0] is None
         assert calls == []
         assert snapshot(cs, g) == before
 
@@ -738,7 +736,7 @@ class TestRollbackRestoresState:
                     before = snapshot(cs, g)
                     live_before = set(cs.cycles)
                     res = rsacs_with_protection(
-                        g, LightpathRequest(s, d, demand), 1.0, "dcycles", "probe", None, cs
+                        g, LightpathRequest(s, d, demand), 1.0, cs, "probe"
                     )
                     if res.blocked:
                         continue

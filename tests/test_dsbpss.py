@@ -49,7 +49,7 @@ def six_node_net(slot_count=16, avail=0.9):
 
 def provision(g, reg, wp_id, s, d, slots, a_th):
     lr = LightpathRequest(s, d, slots)
-    return rsacs_with_protection(g, lr, a_th, "dsbpss", wp_id, reg, None)
+    return rsacs_with_protection(g, lr, a_th, reg, wp_id)
 
 
 def search_bitmaps(g, bits):
@@ -571,8 +571,7 @@ class TestClaimInvariant:
             reg = BackupRegistry()
             reg.claims["A-B"] = 0b111 << g.link_index().position["E-F"] * g.slot_count
             try:
-                rsacs_with_protection(g, LightpathRequest("A", "D", 3), 0.92,
-                                      "dsbpss", "w1", reg, None)
+                rsacs_with_protection(g, LightpathRequest("A", "D", 3), 0.92, reg, "w1")
             except SharingConflictError:
                 print("raised")
         """)
@@ -660,7 +659,7 @@ def reference_free_backup_slots(g, bits, reg, new_wp_links):
         bits[position[lid]] |= reg.shareable(lid, new_wp_links)
 
 
-def reference_provision_backups(g, lr, best_path, reg, wp_id, a_pp_max, a_th):
+def reference_provision_backups(g, lr, best_path, reg, wp_id, a_th):
     wp_links = best_path.link_ids()
     index = g.link_index()
     bits = index.free_bits()
@@ -668,11 +667,11 @@ def reference_provision_backups(g, lr, best_path, reg, wp_id, a_pp_max, a_th):
     for link in best_path.links:
         bits[index.position[link.id]] = 0
     candidates = candidate_paths(g, lr.s, lr.d, lr.slots_needed, lr.k, bits)
-    a_pp = a_pp_max
+    a_pp = best_path.availability
     backups = []
     while a_pp < a_th:
         if not candidates:
-            return [], a_pp_max
+            return [], best_path.availability
         chosen = select_best(candidates)
         candidates.remove(chosen)
         positions = [index.position[link.id] for link in chosen.links]
@@ -773,9 +772,9 @@ def test_packed_registry_matches_per_link_reference(g, data):
             allocate([link.bitmap for link in best.links], block)
             allocate([link.bitmap for link in ref_best.links], block)
             a_th = data.draw(st.sampled_from((0.9, 0.95, 0.99, 1.0)))
-            args = (lr, best, reg, f"w{step}", best.availability, a_th)
+            args = (lr, best, reg, f"w{step}", a_th)
             got_err, got = outcome(provision_backups, g, *args)
-            ref_args = (lr, ref_best, ref, f"w{step}", ref_best.availability, a_th)
+            ref_args = (lr, ref_best, ref, f"w{step}", a_th)
             want_err, want = outcome(reference_provision_backups, ref_g, *ref_args)
             assert got_err is want_err
             if got is not None:

@@ -5,10 +5,10 @@ import math
 import pytest
 
 from eonprotect.dsbpss import BackupRegistry
-from eonprotect.dcycles import DCycleSet
 from eonprotect.rsa import (
     CandidatePath,
     LightpathRequest,
+    NoProtection,
     candidate_paths,
     rsacs_with_protection,
     select_best,
@@ -196,9 +196,7 @@ class TestRsacsWithProtection:
     def test_high_availability_needs_no_protection(self):
         g = triangle(avail=0.999)
         lr = LightpathRequest("a", "b", 2)
-        res = rsacs_with_protection(
-            g, lr, 0.9, "dsbpss", "w1", BackupRegistry(), DCycleSet()
-        )
+        res = rsacs_with_protection(g, lr, 0.9, BackupRegistry(), "w1")
         assert not res.blocked
         assert not res.needs_protection
         assert res.backup_paths == []
@@ -209,7 +207,7 @@ class TestRsacsWithProtection:
         g = triangle(slot_count=4)
         for link in g.links.values():
             link.bitmap.set_busy(SlotBlock(0, 4))
-        res = rsacs_with_protection(g, LightpathRequest("a", "c", 2), 0.9, "none", "w1")
+        res = rsacs_with_protection(g, LightpathRequest("a", "c", 2), 0.9, NoProtection(), "w1")
         assert res.blocked
 
     def test_unreachable_threshold_keeps_working_path(self):
@@ -218,7 +216,7 @@ class TestRsacsWithProtection:
         g = triangle(avail=0.9)
         reg = BackupRegistry()
         lr = LightpathRequest("a", "c", 2)
-        res = rsacs_with_protection(g, lr, 1.0, "dsbpss", "w1", reg, DCycleSet())
+        res = rsacs_with_protection(g, lr, 1.0, reg, "w1")
         assert not res.blocked
         assert res.needs_protection and not res.protected
         assert res.backup_paths == []
@@ -227,14 +225,14 @@ class TestRsacsWithProtection:
 
     def test_mode_none_never_protects(self):
         g = triangle(avail=0.9)
-        res = rsacs_with_protection(g, LightpathRequest("a", "c", 1), 0.999, "none", "w1")
+        res = rsacs_with_protection(g, LightpathRequest("a", "c", 1), 0.999, NoProtection(), "w1")
         assert res.needs_protection and not res.protected
 
     def test_never_disturbs_existing_allocations(self):
         g = build_nsfnet(16)
-        first = rsacs_with_protection(g, LightpathRequest("1", "5", 4), 0.5, "none", "w1")
+        first = rsacs_with_protection(g, LightpathRequest("1", "5", 4), 0.5, NoProtection(), "w1")
         snapshot = {lid: l.bitmap.copy() for lid, l in g.links.items()}
-        rsacs_with_protection(g, LightpathRequest("2", "9", 4), 0.5, "none", "w2")
+        rsacs_with_protection(g, LightpathRequest("2", "9", 4), 0.5, NoProtection(), "w2")
         for link in first.path.links:
             busy = snapshot[link.id].busy_count()
             assert g.links[link.id].bitmap.is_busy(first.block)
@@ -243,6 +241,4 @@ class TestRsacsWithProtection:
     def test_rejects_bad_arguments(self):
         g = triangle()
         with pytest.raises(ValueError):
-            rsacs_with_protection(g, LightpathRequest("a", "b", 1), 0.0, "none", "w")
-        with pytest.raises(ValueError):
-            rsacs_with_protection(g, LightpathRequest("a", "b", 1), 0.9, "magic", "w")
+            rsacs_with_protection(g, LightpathRequest("a", "b", 1), 0.0, NoProtection(), "w")

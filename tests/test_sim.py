@@ -1,8 +1,11 @@
 """Discrete-event engine: traffic generation, runs, warm-up, fault injection."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from eonprotect import dcycles, dsbpss
 from eonprotect import sim as sim_module
 from eonprotect.dsbpss import BackupPath
 from eonprotect.rsa import (
@@ -83,6 +86,19 @@ class TestScenario:
     def test_rejects_count_that_is_not_an_int(self, name, bad):
         for value in bad:
             with pytest.raises(ValueError, match=f"{name} must be an int"):
+                small_scenario(**{name: value})
+
+    # A non-bool flag would keep the default whenever it is truthy
+    # ("false" keeps jitter and the per-node rate), and non-str topology text
+    # would fail only inside load_topology.
+    @pytest.mark.parametrize("name, bad", [
+        ("load_per_node", ("false", 0, 1, None)),
+        ("jitter_availability", ("false", 0, 1, None)),
+        ("topology_text", (b"link a b 100\n", 7, ["link a b 100"])),
+    ])
+    def test_rejects_flag_or_text_of_wrong_type(self, name, bad):
+        for value in bad:
+            with pytest.raises(ValueError, match=name):
                 small_scenario(**{name: value})
 
     def test_any_positive_average_without_jitter(self):
@@ -298,6 +314,45 @@ class TestReservedCounts:
         assert sim.registry.reserved == sim.cycles.reserved == 0
 
 
+class TestProtectionCallsModuleNames:
+    """Each mode's protection calls its module's functions by their names.
+
+    perfbench's span tracer wraps a function at its module-level name, so a
+    protection object that called a reference captured elsewhere would
+    read 0 on every per-layer metric of its mode without failing.
+    """
+
+    FUNCTIONS = {
+        "dsbpss": (dsbpss, ("provision_backups", "release_wp")),
+        "dcycles": (dcycles, ("provision_cycles", "release_wp", "check_cycles", "find_cycle_for")),
+    }
+
+    @staticmethod
+    def counting(calls, key, real):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    @pytest.mark.parametrize("mode,avail,ath", [
+        ("none", 0.9, 0.99),
+        ("dsbpss", 0.9, 0.99),
+        ("dcycles", 0.99, 0.999),
+    ])
+    def test_mode_calls_its_own_functions_only(self, monkeypatch, mode, avail, ath):
+        calls = Counter()
+        for module_name, (module, names) in self.FUNCTIONS.items():
+            for name in names:
+                key = f"{module_name}.{name}"
+                monkeypatch.setattr(module, name, self.counting(calls, key, getattr(module, name)))
+        Simulation(small_scenario(
+            mode=mode, avg_link_availability=avail, a_th=ath, load_erlang=20, n_requests=300,
+        )).run()
+        _, own = self.FUNCTIONS.get(mode, (None, ()))
+        assert set(calls) == {f"{mode}.{name}" for name in own}
+
+
 class TestInjectSingleFailures:
     def make_sim(self, mode="dsbpss"):
         sc = small_scenario(
@@ -306,19 +361,17 @@ class TestInjectSingleFailures:
         )
         return Simulation(sc)
 
-    def add_conn(self, sim, s, d, slots, a_th, mode):
+    def add_conn(self, sim, s, d, slots, a_th):
         lr = LightpathRequest(s, d, slots)
         cid = f"t{len(sim.live) + 1}"
-        res = rsacs_with_protection(
-            sim.graph, lr, a_th, mode, cid, sim.registry, sim.cycles
-        )
+        res = rsacs_with_protection(sim.graph, lr, a_th, sim.protection, cid)
         assert not res.blocked
         sim.live[cid] = Connection(cid, lr, res)
         return res
 
     def test_single_protected_wp_restored_on_all_its_links(self):
         sim = self.make_sim()
-        res = self.add_conn(sim, "1", "2", 2, a_th=0.95, mode="dsbpss")
+        res = self.add_conn(sim, "1", "2", 2, a_th=0.95)
         assert res.protected
         report = inject_single_failures(sim)
         assert report.conflicts == 0
@@ -331,7 +384,7 @@ class TestInjectSingleFailures:
 
     def test_unprotected_wp_reports_unrestored(self):
         sim = self.make_sim(mode="none")
-        res = self.add_conn(sim, "1", "2", 2, a_th=0.95, mode="none")
+        res = self.add_conn(sim, "1", "2", 2, a_th=0.95)
         assert res.needs_protection and not res.protected
         report = inject_single_failures(sim)
         for l in res.path.links:
@@ -339,7 +392,7 @@ class TestInjectSingleFailures:
 
     def test_dcycle_protected_links_restore_via_arcs(self):
         sim = self.make_sim(mode="dcycles")
-        res = self.add_conn(sim, "9", "12", 2, a_th=0.95, mode="dcycles")
+        res = self.add_conn(sim, "9", "12", 2, a_th=0.95)
         assert res.protected
         report = inject_single_failures(sim)
         assert report.conflicts == 0

@@ -35,3 +35,20 @@ def test_no_cached_property():
         or (isinstance(node, ast.alias) and node.name == "cached_property")
     ]
     assert found == []
+
+
+def test_rsa_imports_no_protection_module():
+    # Each mode's protection is handed to rsa as an object, so rsa needs
+    # neither module, not even inside a function body.
+    tree = ast.parse((PACKAGE / "rsa.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        else:
+            continue
+        if any(part in ("dsbpss", "dcycles") for name in names for part in name.split(".")):
+            found.append(node.lineno)
+    assert found == []
