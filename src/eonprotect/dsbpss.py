@@ -194,17 +194,17 @@ def provision_backups(
     Returns (backup paths, final availability).  Backups are picked on a
     private copy of the free bits and claimed only once the threshold is
     met, so if the candidates run out first nothing has been reserved and
-    ([], the working path's availability) is returned.
+    ([], the working path's availability) is returned.  Each backup takes
+    first fit from its candidate's run mask; only a candidate that crosses
+    a link an earlier backup of this call took slots on is re-intersected.
     """
     wp_links = best_path.link_ids()
-    index = g.link_index()
-    position = index.position
-    bits = index.free_bits()
+    bits = g.link_index().free_bits()
     free_backup_slots(g, bits, reg, wp_links)
     # After free_backup_slots, which ORs shareable slots into the working
     # path's links too: backups avoid those links.
-    for link in best_path.links:
-        bits[position[link.id]] = 0
+    for li in best_path.link_indices:
+        bits[li] = 0
     need = lr.slots_needed
     candidates = candidate_paths(g, lr.s, lr.d, need, lr.k, bits)
 
@@ -213,21 +213,26 @@ def provision_backups(
     a_pp = best_path.availability
     backups: list[BackupPath] = []
     packed = 0
+    # Link positions on which a backup of this call took slots.
+    taken: set[int] = set()
     while a_pp < a_th:
         if not candidates:
             return [], best_path.availability
         chosen = select_best(candidates)
         candidates.remove(chosen)
-        # Backups picked earlier in this call may have taken slots the stale
-        # candidate bitmap still shows free; re-intersect on the search bits.
-        positions = [position[link.id] for link in chosen.links]
-        common = (1 << width) - 1
-        for li in positions:
-            common &= bits[li]
-        for step in steps:
-            common &= common >> step
-        if not common:
-            continue
+        positions = chosen.link_indices
+        common = chosen.run
+        if not taken.isdisjoint(positions):
+            # An earlier backup took slots the candidate's run mask still
+            # shows free; re-intersect on the search bits.
+            common = (1 << width) - 1
+            for li in positions:
+                common &= bits[li]
+            for step in steps:
+                common &= common >> step
+            if not common:
+                continue
+        taken.update(positions)
         # The lowest start of a free run of ``need`` slots: first fit.
         low = common & -common
         mask = (low << need) - low

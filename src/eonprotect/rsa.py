@@ -11,28 +11,35 @@ pruned graph copy.
 Most searches need no BFS.  The graph's index keeps, per
 (s, d, k), the s-d simple paths in the order the same BFS finds them when
 no branch is pruned, through the whole hop level of the k-th path
-(``LinkIndex.structural_paths``).  A search scans that table first: a path
-there is feasible iff the run mask of the AND of its links' free bits,
-taken once, is non-zero, and that AND is the returned path's bitmap.  So a
-search the table answers reads only the links of the paths it scans.
+(``LinkIndex.structural_paths``); every graph of one structure shares that
+table.  A search scans it first: a path there is feasible iff the run mask
+of the AND of its links' free bits, taken once, is non-zero.  A search of
+the live bits reads them off the scanned paths' own links, so a search the
+table answers reads only the links of the paths it scans.
 Pruning drops a branch with all its extensions and never reorders the
 survivors, so the pruned BFS returns the first k feasible paths of the
 unpruned order; when the table holds k feasible paths, they are those, and
-when it holds every s-d path, its feasible ones are all there are.
+when it holds every s-d path, its feasible ones are all there are.  A scan
+of a table that is not complete stops at the first infeasible path that
+leaves it short of k feasible ones: the search falls back from there.
 
-Otherwise the pruned BFS runs.  It takes every link's run mask once; a
-partial path is its end vertex, a mask of the vertices it visited, the
-running AND of its links' run masks and the tuple of its link indices, so
-extending a branch costs one ``&``.  A branch is pruned as soon as its
-links no longer share n contiguous free slots, exactly as if contiguity
-were re-derived from the AND of their free bits.  The common free bits of
-a path are ANDed only for the returned paths.
+Otherwise the pruned BFS runs, over every link's free bits.  It takes every
+link's run mask once; a partial path is its end vertex, a mask of the
+vertices it visited, the running AND of its links' run masks and the tuple
+of its link indices, so extending a branch costs one ``&``.  A branch is
+pruned as soon as its links no longer share n contiguous free slots,
+exactly as if contiguity were re-derived from the AND of their free bits.
+The common free bits of a path are ANDed only for the returned paths.
 
-A returned ``CandidatePath`` carries its availability (the product of link
-availabilities in path order, from 1.0), its hop count and its link
-indices; its vertex walk, link tuple and bitmap are built from those on
-first read.  A caller that keeps the ``select_best`` path builds that
-path's fields only, plus the vertex walks of any paths tied with it on
+Either way the search ends with each returned path's run mask, the AND of
+its links' run masks, which is the run mask of its common free bits.  A
+returned ``CandidatePath`` keeps it with its availability (the product of
+link availabilities in path order, from 1.0), its hop count and its link
+indices.  Its first-fit block (the lowest set bit of the run mask), vertex
+walk, link tuple and bitmap are built from those on first read, so
+provisioning allocates ``first_block`` with no bitmap built and no second
+pass over the slots.  A caller that keeps the ``select_best`` path builds
+that path's fields only, plus the vertex walks of any paths tied with it on
 availability and hops.
 """
 
@@ -41,7 +48,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, field
 
-from .spectrum import SlotBlock, SpectrumBitmap, allocate, first_fit, run_steps
+from .spectrum import SlotBlock, SpectrumBitmap, allocate, run_steps
 from .topology import Link, LinkIndex, NetworkGraph
 
 # Protection modes, in the order the CLI and the results schema list them.
@@ -102,34 +109,53 @@ class _BuiltOnFirstRead:
 
 
 class CandidatePath:
-    """A feasible path found by ``candidate_paths``.
+    """A feasible path found by ``candidate_paths`` for a demand of ``need``
+    slots.
 
-    Its availability and hop count are set at once; its links, vertex walk
-    and bitmap of common free slots are built on first read.
+    Its availability and hop count are set at once.  It keeps its link
+    indices and its run mask: bit i is set iff slots i..i+need-1 are free
+    on every link in the bits it was found in.  Its first-fit block, links,
+    vertex walk and bitmap of common free slots are built on first read.
     """
 
     def __init__(
         self, table: tuple[Link, ...], s: str, size: int,
-        path: tuple[int, ...], common: int,
+        path: tuple[int, ...], common: int, run: int, need: int,
     ) -> None:
         # (graph links by index, source vertex, slot count, link indices,
-        # common free bits); it holds no per-call list, so a live connection
-        # keeps no search state alive.
-        self._found = (table, s, size, path, common)
+        # common free bits, run mask, demand); it holds no per-call list, so
+        # a live connection keeps no search state alive.
+        self._found = (table, s, size, path, common, run, need)
         avail = 1.0
         for li in path:
             avail *= table[li].availability
         self.availability = avail
         self.hops = len(path)
 
+    @property
+    def link_indices(self) -> tuple[int, ...]:
+        """The path's links by ``LinkIndex`` position, in path order."""
+        return self._found[3]
+
+    @property
+    def run(self) -> int:
+        """Run mask of the common free bits for the path's demand."""
+        return self._found[5]
+
+    @_BuiltOnFirstRead
+    def first_block(self) -> SlotBlock:
+        """Lowest-start block of ``need`` slots free on every link."""
+        *_, run, need = self._found
+        return SlotBlock((run & -run).bit_length() - 1, need)
+
     @_BuiltOnFirstRead
     def links(self) -> tuple[Link, ...]:
-        table, _, _, path, _ = self._found
+        table, _, _, path, *_ = self._found
         return tuple([table[li] for li in path])
 
     @_BuiltOnFirstRead
     def vertices(self) -> tuple[str, ...]:
-        table, s, _, path, _ = self._found
+        table, s, _, path, *_ = self._found
         walk = [s]
         for li in path:
             walk.append(table[li].other(walk[-1]))
@@ -137,7 +163,7 @@ class CandidatePath:
 
     @_BuiltOnFirstRead
     def bitmap(self) -> SpectrumBitmap:
-        _, _, size, _, common = self._found
+        _, _, size, _, common, *_ = self._found
         return SpectrumBitmap(size, common)
 
     def link_ids(self) -> frozenset[str]:
@@ -158,9 +184,12 @@ def candidate_paths(
     Returns as soon as k paths are collected; empty list when nothing fits.
     The graph's table of structural s-d paths is scanned first; only when
     it holds fewer than k feasible paths and is not complete does the
-    pruned BFS run, over every link's run mask.
+    pruned BFS run, over every link's run mask, and the scan stops as soon
+    as that is certain.  Each path keeps the run
+    mask the search tested it by, from which ``first_block`` is read.
     ``bits`` replaces the links' live free bits, in ``g.link_index()``
-    order; a link whose entry is 0 is left out.  Neither the graph nor
+    order; a link whose entry is 0 is left out.  Without ``bits``, the
+    table scan reads the scanned paths' links only.  Neither the graph nor
     ``bits`` is written to.  Raises ``ValueError`` if ``slots_needed`` or
     ``k`` is below 1.
     """
@@ -172,42 +201,58 @@ def candidate_paths(
     if slots_needed > size or s == d:
         return []
     index = g.link_index()
-    if bits is None:
-        bits = index.free_bits()
+    table = index.links
     steps = run_steps(slots_needed)
     full = (1 << size) - 1
-    # (link indices, common free bits) of each feasible path found.
+    # (link indices, common free bits, run mask) of each feasible path found.
     found = []
     paths, complete = index.structural_paths(s, d, k)
+    # Infeasible paths the scan can pass and still answer: a table that is
+    # not complete answers only with k feasible paths, so past that many
+    # the search falls back and the rest of the scan would be wasted.
+    spare = len(paths) if complete else len(paths) - k
     for path in paths:
         common = full
-        for li in path:
-            common &= bits[li]
+        if bits is None:
+            for li in path:
+                common &= table[li].bitmap.bits
+        else:
+            for li in path:
+                common &= bits[li]
         run = common
         for step in steps:
             run &= run >> step
         if run:
-            found.append((path, common))
+            found.append((path, common, run))
             if len(found) == k:
                 break
+        elif not spare:
+            break
+        else:
+            spare -= 1
     if len(found) < k and not complete:
+        if bits is None:
+            bits = index.free_bits()
         runs = bits
         for step in steps:
             runs = [r & r >> step for r in runs]
         found = []
-        for path in _pruned_bfs(index, runs, s, d, k):
+        for path, run in _pruned_bfs(index, runs, s, d, k):
             common = full
             for li in path:
                 common &= bits[li]
-            found.append((path, common))
-    table = index.links
-    return [CandidatePath(table, s, size, path, common) for path, common in found]
+            found.append((path, common, run))
+    return [
+        CandidatePath(table, s, size, path, common, run, slots_needed)
+        for path, common, run in found
+    ]
 
 
 def _pruned_bfs(
     index: LinkIndex, runs: list[int], s: str, d: str, k: int,
-) -> list[tuple[int, ...]]:
-    """Link indices of up to k paths whose run masks meet, in BFS order."""
+) -> list[tuple[tuple[int, ...], int]]:
+    """(link indices, AND of their run masks) of up to k paths whose run
+    masks meet, in BFS order."""
     neighbors = index.neighbors
     found = []
     # frontier entries: (vertex, visited-vertex mask, AND of the path's run
@@ -223,7 +268,7 @@ def _pruned_bfs(
                 if not new:
                     continue
                 if v == d:
-                    found.append(path + (li,))
+                    found.append((path + (li,), new))
                     if len(found) == k:
                         return found
                 else:
@@ -308,7 +353,8 @@ def rsacs_with_protection(
     if not paths:
         return ProvisionResult(blocked=True)
     best = select_best(paths)
-    block = first_fit(best.bitmap, lr.slots_needed)
+    # The search read the live bits, so its first fit is free on every link.
+    block = best.first_block
     allocate([link.bitmap for link in best.links], block)
 
     result = ProvisionResult(

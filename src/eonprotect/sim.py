@@ -80,6 +80,15 @@ class Scenario:
                 raise ValueError(f"{name} must be a bool, not {getattr(self, name)!r}")
         if self.topology_text is not None and not isinstance(self.topology_text, str):
             raise ValueError(f"topology_text must be a str or None, not {self.topology_text!r}")
+        # A bool would run as 0 or 1, and a string would fail the range
+        # checks below with a TypeError.
+        for name in (
+            "load_erlang", "a_th", "avg_link_availability", "mean_holding_s",
+            "b_max_gbps", "slot_ghz", "guard_ghz",
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be an int or a float, not {value!r}")
         for name in ("load_erlang", "mean_holding_s", "b_max_gbps", "slot_ghz", "guard_ghz"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, not {getattr(self, name)!r}")

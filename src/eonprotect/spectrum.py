@@ -174,10 +174,11 @@ def allocate(bitmaps: list[SpectrumBitmap], block: SlotBlock) -> None:
     them all as they were.
     """
     m = block.mask()
+    end = block.end
     for i, bm in enumerate(bitmaps):
-        if block.end > bm.size or bm.bits & m != m:
+        if end > bm.size or bm.bits & m != m:
             raise AllocationConflictError(
-                f"slots {block.start}..{block.end - 1} not free on link {i} of path"
+                f"slots {block.start}..{end - 1} not free on link {i} of path"
             )
     for bm in bitmaps:
         bm.bits &= ~m
@@ -190,10 +191,11 @@ def release(bitmaps: list[SpectrumBitmap], block: SlotBlock) -> None:
     it hold no bits, so they would read as busy and be set on release.
     """
     m = block.mask()
+    end = block.end
     for bm in bitmaps:
-        if block.end > bm.size or bm.bits & m:
+        if end > bm.size or bm.bits & m:
             raise DoubleFreeError(
-                f"slots {block.start}..{block.end - 1} are not fully allocated"
+                f"slots {block.start}..{end - 1} are not fully allocated"
             )
     for bm in bitmaps:
         bm.bits |= m

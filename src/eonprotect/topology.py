@@ -10,6 +10,7 @@ consume them.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
@@ -22,6 +23,11 @@ from .spectrum import SpectrumBitmap
 DEFAULT_SLOT_COUNT = 320
 # Every link's MTTF (one year); its MTTR is set to give the link availability.
 MTTF_H = 8760.0
+# Graph structures whose structural-path tables are kept, least recently
+# used dropped first.
+PATH_TABLES_KEPT = 8
+# LinkIndex.neighbors items -> that structure's structural-path table.
+_path_tables: OrderedDict[tuple, dict] = OrderedDict()
 
 
 class TopologyError(Exception):
@@ -157,6 +163,11 @@ class LinkIndex:
     Link ``i`` (in ``links`` order) is entry ``i`` of a per-link list and
     each vertex owns one bit of a vertex mask.  No spectrum state is cached:
     the current free bits are read from the links themselves.
+
+    The table of structural paths holds link indices only, so every index
+    of one structure shares one table (see ``NetworkGraph.link_index``):
+    graphs that differ in availabilities, slot count or spectrum alone
+    build each (s, d, k) entry once between them.
     """
 
     links: tuple[Link, ...]
@@ -164,8 +175,9 @@ class LinkIndex:
     vertex_bit: dict[str, int]
     # vertex -> (neighbour, neighbour's vertex bit, link index), by neighbour name
     neighbors: dict[str, tuple[tuple[str, int, int], ...]]
-    # (s, d, k) -> structural_paths(s, d, k), filled on first use
-    _paths: dict = field(default_factory=dict, repr=False, compare=False)
+    # (s, d, k) -> structural_paths(s, d, k), filled on first use; shared
+    # by every index of the same structure
+    _paths: dict = field(repr=False, compare=False)
 
     def free_bits(self) -> list[int]:
         """Current free bits of every link, by link index."""
@@ -250,7 +262,11 @@ class NetworkGraph:
         """The cached int index, built on first use after a structural change.
 
         ``add_vertex`` and ``add_link`` reset it, so change the structure only
-        through them.
+        through them.  A new index takes the structural-path table of its
+        structure from a process-wide cache of the ``PATH_TABLES_KEPT`` most
+        recently used ones.  The key is ``tuple(neighbors.items())``: the
+        vertex order, each vertex's bit, its name-sorted neighbours and the
+        index of each link, which is all that ``structural_paths`` reads.
         """
         if self._index is None:
             position = {lid: i for i, lid in enumerate(self.links)}
@@ -264,7 +280,8 @@ class NetworkGraph:
                 out.sort(key=lambda t: t[0])
                 neighbors[u] = tuple(out)
             self._index = LinkIndex(
-                tuple(self.links.values()), position, vertex_bit, neighbors
+                tuple(self.links.values()), position, vertex_bit, neighbors,
+                _path_table(tuple(neighbors.items())),
             )
         return self._index
 
@@ -299,6 +316,19 @@ class NetworkGraph:
         g.links = {lid: link.copy() for lid, link in self.links.items()}
         g.adjacency = {v: list(lids) for v, lids in self.adjacency.items()}
         return g
+
+
+def _path_table(key: tuple) -> dict:
+    """The structural-path table of the structure ``key``, marked most
+    recently used; a new one drops the least recently used past the bound."""
+    table = _path_tables.get(key)
+    if table is None:
+        table = _path_tables[key] = {}
+        if len(_path_tables) > PATH_TABLES_KEPT:
+            _path_tables.popitem(last=False)
+    else:
+        _path_tables.move_to_end(key)
+    return table
 
 
 def build_nsfnet(

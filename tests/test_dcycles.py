@@ -100,7 +100,9 @@ def hand_path(g, vertices):
     allocate([link.bitmap for link in links], first_fit(common, 2))
     index = g.link_index()
     path = tuple(index.position[link.id] for link in links)
-    return CandidatePath(index.links, vertices[0], g.slot_count, path, common.bits)
+    # Its run mask for the 2-slot demand, as the search found it.
+    run = common.bits & common.bits >> 1
+    return CandidatePath(index.links, vertices[0], g.slot_count, path, common.bits, run, 2)
 
 
 class TestMinAvailabilityLink:

@@ -294,6 +294,23 @@ class TestProvisioningAndSharing:
             for link in bp.links:
                 assert g.links[link.id].bitmap.is_busy(bp.block)
 
+    def test_second_backup_skips_the_window_the_first_took(self):
+        # WP a-b; backups a-c-b (0.81, lifting it to 0.981) and a-c-d-b
+        # (0.729, to 0.99485) both cross a-c.  The second was found with
+        # slot 0 free on a-c, which the first backup then took.
+        g = NetworkGraph(slot_count=4)
+        for u, v in (("a", "b"), ("a", "c"), ("c", "b"), ("c", "d"), ("d", "b")):
+            g.add_link(u, v, 100, availability=0.9)
+        reg = BackupRegistry()
+        res = provision(g, reg, "w1", "a", "b", 1, a_th=0.99)
+        assert res.path.vertices == ("a", "b") and res.protected
+        assert [(bp.vertices, bp.block) for bp in res.backup_paths] == [
+            (("a", "c", "b"), SlotBlock(0, 1)),
+            (("a", "c", "d", "b"), SlotBlock(1, 1)),
+        ]
+        assert g.links["a-c"].bitmap.to_string() == "0011"
+        assert g.links["b-d"].bitmap.to_string() == "1011"
+
     def test_rollback_when_no_disjoint_route_exists(self):
         g = NetworkGraph(slot_count=8)
         g.add_link("a", "b", 1, availability=0.9)

@@ -1,14 +1,18 @@
 """The int-mask path search and path selection against the code they replaced."""
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eonprotect import rsa
+from eonprotect import rsa, topology
 from eonprotect.rsa import candidate_paths, select_best
-from eonprotect.spectrum import SpectrumBitmap, is_feasible
-from eonprotect.topology import Link, NetworkGraph, UniformAvailability, remove_links
+from eonprotect.spectrum import SpectrumBitmap, first_fit, is_feasible
+from eonprotect.topology import (
+    JitteredAvailability, Link, NetworkGraph, UniformAvailability, build_nsfnet,
+    remove_links,
+)
 
 
 @dataclass(frozen=True)
@@ -186,6 +190,9 @@ def test_matches_reference_on_pruned_copy(case):
         if got:
             assert summary([picked]) == summary([select_best(want)])
             assert summary([picked]) == summary([reference_select_best(want)])
+        # The first fit read off the search's run mask is the first fit of
+        # the path's common free bits, from the table or the pruned search.
+        assert all(p.first_block == first_fit(p.bitmap, slots_needed) for p in got)
         # The search writes neither to the graph nor to the caller's bits.
         assert index.free_bits() == live
         assert given_bits == passed
@@ -236,10 +243,21 @@ def fallbacks(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def fresh_path_tables(monkeypatch):
+    """An empty cache of structural-path tables, so a test builds its own."""
+    tables = OrderedDict()
+    monkeypatch.setattr(topology, "_path_tables", tables)
+    return tables
+
+
+LADDER = (("a", "b"), ("a", "c"), ("c", "b"), ("a", "d"), ("d", "e"), ("e", "b"))
+
+
 def ladder() -> NetworkGraph:
     """a-b direct, a-c-b and a-d-e-b: three a-b paths of 1, 2 and 3 hops."""
     g = NetworkGraph(slot_count=4)
-    for u, v in (("a", "b"), ("a", "c"), ("c", "b"), ("a", "d"), ("d", "e"), ("e", "b")):
+    for u, v in LADDER:
         g.add_link(u, v, 100)
     return g
 
@@ -251,10 +269,11 @@ def walks(paths):
 def test_same_endpoints_find_nothing(fallbacks):
     g = ladder()
     assert candidate_paths(g, "a", "a", 1, 5) == []
-    assert g.link_index()._paths == {} and fallbacks == []
+    assert not [key for key in g.link_index()._paths if key[:2] == ("a", "a")]
+    assert fallbacks == []
 
 
-def test_complete_table_answers_short_search(fallbacks):
+def test_complete_table_answers_short_search(fallbacks, fresh_path_tables):
     g = ladder()
     # k = 5 exceeds the three simple paths: the table holds them all.
     assert walks(candidate_paths(g, "a", "b", 1, 5)) == [
@@ -268,7 +287,7 @@ def test_complete_table_answers_short_search(fallbacks):
     assert fallbacks == []
 
 
-def test_table_hit_answers_search(fallbacks):
+def test_table_hit_answers_search(fallbacks, fresh_path_tables):
     g = ladder()
     # k = 1 stops the table at the one-hop level: a-b alone, not complete.
     assert walks(candidate_paths(g, "a", "b", 1, 1)) == [("a", "b")]
@@ -322,7 +341,52 @@ def test_table_hit_reads_only_scanned_links(fallbacks):
     assert fallbacks == []
 
 
-def test_table_holds_structure_only(fallbacks):
+class UnreadableBitmap:
+    """A link bitmap whose free bits raise when read."""
+
+    @property
+    def bits(self):
+        raise AssertionError("read the bitmap of a link off the scanned paths")
+
+
+def test_live_table_hit_reads_only_scanned_links(fallbacks):
+    g = ladder()
+    for lid in ("a-d", "d-e", "b-e"):
+        g.links[lid].bitmap = UnreadableBitmap()
+    assert walks(candidate_paths(g, "a", "b", 2, 2)) == [
+        ("a", "b"), ("a", "c", "b"),
+    ]
+    assert fallbacks == []
+
+
+class ReadLog(list):
+    """Per-link bits that log the index of every entry read."""
+
+    def __init__(self, bits):
+        super().__init__(bits)
+        self.reads = []
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return super().__getitem__(i)
+
+
+def test_scan_stops_once_the_table_cannot_answer(fallbacks):
+    g = ladder()
+    index = g.link_index()
+    bits = ReadLog(index.free_bits())
+    bits[index.position["a-b"]] = 0
+    # The k = 2 table is a-b, a-c-b and not complete: with a-b left out it
+    # cannot hold two feasible paths, so the scan stops there and a-c is
+    # read once, for the returned path's common bits.
+    assert walks(candidate_paths(g, "a", "b", 2, 2, bits)) == [
+        ("a", "c", "b"), ("a", "d", "e", "b"),
+    ]
+    assert bits.reads.count(index.position["a-c"]) == 1
+    assert fallbacks == [("a", "b", 2)]
+
+
+def test_table_holds_structure_only(fallbacks, fresh_path_tables):
     g = ladder()
     # Built by a search with a-b busy, the table still starts with a-b.
     g.links["a-b"].bitmap.bits = 0
@@ -349,3 +413,65 @@ def test_structure_change_resets_index():
     assert [p.vertices for p in candidate_paths(g, "a", "d", 1, 5)] == [
         ("a", "c", "d"), ("a", "b", "c", "d"),
     ]
+
+
+def test_graphs_of_one_structure_share_a_table():
+    # Availabilities, slot count and spectrum are not structure.
+    g = build_nsfnet(policy=UniformAvailability(0.9))
+    h = build_nsfnet(slot_count=64, policy=JitteredAvailability(0.99, seed=3))
+    candidate_paths(g, g.vertices[0], g.vertices[-1], 1, 3)
+    assert h.link_index()._paths is g.link_index()._paths
+    assert (g.vertices[0], g.vertices[-1], 3) in h.link_index()._paths
+
+
+def test_other_structures_get_other_tables(fresh_path_tables):
+    table = ladder().link_index()._paths
+    links_reversed = NetworkGraph(slot_count=4)
+    for u, v in reversed(LADDER):
+        links_reversed.add_link(u, v, 100)
+    vertices_reversed = NetworkGraph(slot_count=4)
+    for vx in reversed(ladder().vertices):
+        vertices_reversed.add_vertex(vx)
+    for u, v in LADDER:
+        vertices_reversed.add_link(u, v, 100)
+    one_more = ladder()
+    one_more.add_link("c", "d", 100)
+    for g in (links_reversed, vertices_reversed, one_more):
+        assert g.link_index()._paths is not table
+    assert ladder().link_index()._paths is table
+    assert len(fresh_path_tables) == 4
+
+
+def test_add_link_after_search_gives_new_table(fresh_path_tables):
+    g = ladder()
+    candidate_paths(g, "a", "b", 1, 5)
+    before = g.link_index()._paths
+    assert ("a", "b", 5) in before
+    g.add_link("c", "d", 100)
+    after = g.link_index()._paths
+    assert after is not before and ("a", "b", 5) not in after
+    assert walks(candidate_paths(g, "a", "d", 1, 5))[0] == ("a", "d")
+
+
+def chain(n: int) -> NetworkGraph:
+    """Vertices 0..n-1 linked in a line: one structure per n."""
+    g = NetworkGraph(slot_count=4)
+    for i in range(n - 1):
+        g.add_link(str(i), str(i + 1), 100)
+    return g
+
+
+def test_path_table_cache_keeps_its_bound(fresh_path_tables):
+    kept = topology.PATH_TABLES_KEPT
+    tables = {}
+    for n in range(2, kept + 2):
+        tables[n] = chain(n).link_index()._paths
+    assert len(fresh_path_tables) == kept
+    # A hit marks the table most recently used, so the next new structure
+    # drops the least recently used one, n = 3, and not n = 2.
+    assert chain(2).link_index()._paths is tables[2]
+    chain(kept + 2).link_index()
+    assert len(fresh_path_tables) == kept
+    assert chain(kept + 1).link_index()._paths is tables[kept + 1]
+    assert chain(3).link_index()._paths is not tables[3]
+    assert len(fresh_path_tables) == kept

@@ -164,7 +164,8 @@ class TestSelectBest:
             g.add_link(u, v, 100, availability=1.0 if i else avail)
         index = g.link_index()
         path = tuple(index.position[g.link_between(u, v).id] for u, v in zip(verts, verts[1:]))
-        return CandidatePath(index.links, verts[0], g.slot_count, path, 0b1111)
+        # All four slots free, for a demand of one slot.
+        return CandidatePath(index.links, verts[0], g.slot_count, path, 0b1111, 0b1111, 1)
 
     def test_strict_max(self):
         lo = self.mk(0.98, ("a", "b"))

@@ -88,6 +88,17 @@ class TestScenario:
             with pytest.raises(ValueError, match=f"{name} must be an int"):
                 small_scenario(**{name: value})
 
+    # A bool is an int to Python, so it would run as 0 or 1 (a_th = 1.0,
+    # 1 Erlang, 1 GHz slots); a string would raise TypeError in a range check.
+    @pytest.mark.parametrize("name", [
+        "load_erlang", "a_th", "avg_link_availability", "mean_holding_s",
+        "b_max_gbps", "slot_ghz", "guard_ghz",
+    ])
+    def test_rejects_real_that_is_not_a_number(self, name):
+        for value in (True, False, "20", None, 1 + 0j):
+            with pytest.raises(ValueError, match=f"{name} must be an int or a float"):
+                small_scenario(**{name: value})
+
     # A non-bool flag would keep the default whenever it is truthy
     # ("false" keeps jitter and the per-node rate), and non-str topology text
     # would fail only inside load_topology.
@@ -496,7 +507,10 @@ class TestInjectSingleFailuresMatchesReference:
 
         full = (1 << g.slot_count) - 1
         on_wp = tuple(index.position[link.id] for link in links(wp))
-        path = CandidatePath(index.links, wp[0], g.slot_count, on_wp, full)
+        # With every slot free, a window of ``length`` starts at any slot
+        # up to slot_count - length.
+        run = full >> length - 1
+        path = CandidatePath(index.links, wp[0], g.slot_count, on_wp, full, run, length)
         block = SlotBlock(start, length)
         packed = 0
         for link in links(bp):
