@@ -1,14 +1,12 @@
 """Availability-aware dynamic RSA with protection for flex-grid optical networks."""
 
 from .availability import (
+    ProtectedPath,
     ava_dcyc_update,
     ava_dsbpss_update,
     link_availability,
     monte_carlo_availability,
     parallel_availability,
-    series_availability,
-    series_parallel_availability,
-    structure_series,
 )
 from .dcycles import DCycle, DCycleSet
 from .dsbpss import BackupPath, BackupRegistry

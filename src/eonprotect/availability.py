@@ -1,10 +1,16 @@
-"""Availability and reliability math for paths and protected systems.
+"""Availability math for paths and what protects them.
 
-All functions are pure.  A path is a series system (product of link
-availabilities); redundant backups compose in parallel; a path whose
-individual links carry dedicated backups is a series-parallel system.
-The Monte-Carlo estimator is an independent oracle used by the tests: it
-draws link up/down states and evaluates the structure function directly.
+All functions are pure.  A working path is a series system: its
+availability is the product of its link availabilities (``rsa`` takes it
+in path order).  Protection lifts it by two recurrences: one more shared
+backup in parallel (``ava_dsbpss_update``), and one link in parallel with
+a cycle's backup (``ava_dcyc_update``), whose two arcs for a straddler
+combine by ``parallel_availability``.
+
+``ProtectedPath`` holds what a mode's ``options`` (see ``rsa.NoProtection``)
+say protects a path, and ``monte_carlo_availability`` samples it: it draws
+independent component states and evaluates the structure function directly.
+It is the oracle the tests hold the recurrences to.
 """
 
 from __future__ import annotations
@@ -13,16 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def structure_series(x: list[int]) -> int:
-    """Structure function of a series system: 1 iff every link is up."""
-    if not x:
-        raise ValueError("state vector must be nonempty")
-    for xi in x:
-        if xi not in (0, 1):
-            raise ValueError(f"state indicator must be 0 or 1, got {xi}")
-    return int(all(x))
 
 
 def link_availability(mttf_h: float, mttr_h: float) -> float:
@@ -34,33 +30,11 @@ def link_availability(mttf_h: float, mttr_h: float) -> float:
     return mttf_h / (mttf_h + mttr_h)
 
 
-def series_availability(links: list[float]) -> float:
-    """Product over the links; empty product is 1 by convention."""
-    return math.prod(links)
-
-
 def parallel_availability(paths: list[float]) -> float:
     """1 - product of branch unavailabilities."""
     if not paths:
         raise ValueError("parallel system needs at least one branch")
     return 1.0 - math.prod(1.0 - a for a in paths)
-
-
-def series_parallel_availability(
-    protected: list[tuple[float, float]],
-    unprotected: list[float],
-) -> float:
-    """Series path where some links carry a dedicated backup route.
-
-    ``protected`` holds (link availability, backup availability) pairs; each
-    contributes 1-(1-A)(1-A'), unprotected links contribute A directly.
-    """
-    out = 1.0
-    for a, a_backup in protected:
-        out *= 1.0 - (1.0 - a) * (1.0 - a_backup)
-    for a in unprotected:
-        out *= a
-    return out
 
 
 def ava_dsbpss_update(a_pp: float, a_bp: float) -> float:
@@ -85,53 +59,40 @@ def ava_dcyc_update(a_pp: float, a_l: float, a_bp: float) -> tuple[float, float]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeriesSystem:
-    links: tuple[float, ...]
-
-    def component_availabilities(self) -> tuple[float, ...]:
-        return self.links
-
-    def evaluate(self, up: np.ndarray) -> np.ndarray:
-        return up.all(axis=1)
+def _positions(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 @dataclass(frozen=True)
-class ParallelSystem:
-    """Branches are series chains; the system is up if any branch is up."""
+class ProtectedPath:
+    """A working path and the options that protect it, as a structure.
 
-    branches: tuple[tuple[float, ...], ...]
+    ``avail`` holds each component's availability by position; ``wp`` and
+    each option's ``covers`` and ``needs`` are masks over those positions,
+    as a mode's ``options`` gives them (``pack`` is not read).  The path is
+    up when each of its links is up or covered by an option whose needed
+    links are all up.
+    """
 
-    def component_availabilities(self) -> tuple[float, ...]:
-        return tuple(a for branch in self.branches for a in branch)
-
-    def evaluate(self, up: np.ndarray) -> np.ndarray:
-        out = np.zeros(up.shape[0], dtype=bool)
-        i = 0
-        for branch in self.branches:
-            out |= up[:, i : i + len(branch)].all(axis=1)
-            i += len(branch)
-        return out
-
-
-@dataclass(frozen=True)
-class SeriesParallelSystem:
-    """Series chain where some links have a single-component backup in parallel."""
-
-    protected: tuple[tuple[float, float], ...]
-    unprotected: tuple[float, ...]
+    avail: tuple[float, ...]
+    wp: int
+    options: tuple[tuple[int, int, int], ...]
 
     def component_availabilities(self) -> tuple[float, ...]:
-        flat = [a for pair in self.protected for a in pair]
-        return tuple(flat) + self.unprotected
+        return self.avail
 
     def evaluate(self, up: np.ndarray) -> np.ndarray:
+        usable = [
+            (covers, up[:, _positions(needs)].all(axis=1))
+            for covers, needs, _ in self.options
+        ]
         out = np.ones(up.shape[0], dtype=bool)
-        for j in range(len(self.protected)):
-            out &= up[:, 2 * j] | up[:, 2 * j + 1]
-        base = 2 * len(self.protected)
-        if self.unprotected:
-            out &= up[:, base:].all(axis=1)
+        for pos in _positions(self.wp):
+            link = up[:, pos].copy()
+            for covers, works in usable:
+                if covers >> pos & 1:
+                    link |= works
+            out &= link
         return out
 
 

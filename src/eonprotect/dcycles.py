@@ -155,17 +155,29 @@ class DCycleSet:
         if result.protected_links:
             release_wp(self, wp_id, result.protected_links, g)
 
-    def recovery(self, g, result, failed_link) -> list[tuple[str, int]] | None:
-        """The block of every arc of the cycle granted for the failed link."""
+    def options(self, g, result) -> list[tuple[int, int, int]]:
+        """One option per arc of the cycle of each grant, in grant order,
+        covering the granted link and packing the arc's cycle blocks.
+
+        A straddler whose demand is above the cycle's capacity needs both
+        arcs at once, so its two arcs make one option.
+        """
+        position = g.link_index().position
+        width = g.slot_count
+        options = []
         for cid, lid in result.protected_links:
-            if lid == failed_link:
-                cycle = self.cycles[cid]
-                return [
-                    (link.id, cycle.blocks[link.id].mask())
-                    for arc in cycle.arcs(g.links[lid], g)
-                    for link in arc
-                ]
-        return None
+            cycle = self.cycles[cid]
+            arcs = cycle.arcs(g.links[lid], g)
+            if result.block.length > cycle.capacity_slots:
+                arcs = [[link for arc in arcs for link in arc]]
+            for arc in arcs:
+                needs = pack = 0
+                for link in arc:
+                    pos = position[link.id]
+                    needs |= 1 << pos
+                    pack |= cycle.blocks[link.id].mask() << pos * width
+                options.append((1 << position[lid], needs, pack))
+        return options
 
 
 def check_cycles(

@@ -119,13 +119,22 @@ class BackupRegistry:
         if result.backup_paths:
             release_wp(self, result.path.link_ids(), result.backup_paths, g)
 
-    def recovery(self, g, result, failed_link) -> list[tuple[str, int]] | None:
-        """The first backup that avoids the failed link, read from ``result``."""
+    def options(self, g, result) -> list[tuple[int, int, int]]:
+        """One option per backup of ``result``, in order: each covers every
+        working link and packs as ``BackupPath.packed``."""
+        if not result.backup_paths:
+            return []
+        position = g.link_index().position
+        wp = 0
+        for li in result.path.link_indices:
+            wp |= 1 << li
+        options = []
         for bp in result.backup_paths:
-            if failed_link not in bp.link_ids():
-                mask = bp.block.mask()
-                return [(link.id, mask) for link in bp.links]
-        return None
+            needs = 0
+            for link in bp.links:
+                needs |= 1 << position[link.id]
+            options.append((wp, needs, bp.packed))
+        return options
 
     def claim(self, g: NetworkGraph, wp_links: frozenset[str], packed: int) -> None:
         """Hold the packed slots for a failure of any of ``wp_links``.

@@ -316,8 +316,14 @@ class NoProtection:
       reserves nothing when the threshold is missed;
     - ``release(g, wp_id, result)`` frees what ``protect`` reserved for a
       departing working path;
-    - ``recovery(g, result, failed_link)`` gives the reserved (link id, slot
-      mask) pairs the path would use after ``failed_link`` fails, or None;
+    - ``options(g, result)`` says what protects the working path of
+      ``result``: (covers, needs, pack) triples, in the order a restoration
+      tries them.  ``covers`` is the mask of the working links, by
+      ``LinkIndex.position``, that the option stands in for, ``needs`` the
+      mask of the links that must be up for it to work, and ``pack`` its
+      slots in the ``slot_count``-bit field of each of those links (the
+      layout of ``dsbpss.BackupPath.packed``).  It is built only when asked
+      for (fault injection, tests), never on the arrival path;
     - ``reserved`` counts the slots the mode holds over all links.
     """
 
@@ -329,8 +335,8 @@ class NoProtection:
     def release(self, g, wp_id, result) -> None:
         pass
 
-    def recovery(self, g, result, failed_link) -> list[tuple[str, int]] | None:
-        return None
+    def options(self, g, result) -> list[tuple[int, int, int]]:
+        return []
 
 
 def rsacs_with_protection(

@@ -16,8 +16,9 @@ departures at the same time leave in the order their connections arrived.
 
 The scenario's mode picks one protection object (``rsa.NoProtection``
 states its protocol): ``BackupRegistry`` for ``dsbpss``, ``DCycleSet`` for
-``dcycles`` and ``NoProtection`` for ``none``.  The engine protects,
-releases and audits through it and never branches on the mode.
+``dcycles`` and ``NoProtection`` for ``none``.  The engine protects and
+releases through it, and fault injection reads its ``options``, so the
+engine never branches on the mode.
 
 Busy slots are integrated as counters, never recounted from the links: the
 working slots of live connections plus the protection's ``reserved``, which
@@ -295,34 +296,39 @@ def run(sc: Scenario) -> MetricsReport:
 
 
 def inject_single_failures(sim: Simulation) -> RestorationReport:
-    """Fail each link in turn and audit the reserved recoveries.
+    """Fail each link in turn and audit what protects the paths it carries.
 
-    For every live working path crossing the failed link, checks that a
-    reserved recovery route avoiding the link exists (a backup path, or the
-    protecting cycle's arcs, from ``sim.protection.recovery``) and that no
-    reserved slot is claimed by two simultaneously affected paths.  The
-    recoveries read only the live results and the cycle blocks, never the
-    registry's claims, so this checks them independently.  A recovery names
-    each (link, slot) at most once, so the conflicts are the bits each
-    path's recovery finds already held.
+    Each live working path's options (``sim.protection.options``) are read
+    once.  When link f fails, every live path crossing f is restored by its
+    first option that covers f and does not need f, or counted unrestored.
+    ``held`` packs the slots of the options taken for f so far; a pack names
+    each (link, slot) at most once, so the conflicts are the bits each taken
+    pack finds already held.  The options come from the live results and
+    cycle blocks, never from the backup registry's claims, so this checks
+    the claims independently.
     """
+    g = sim.graph
+    paths = []
+    for conn in sim.live.values():
+        wp = 0
+        for li in conn.result.path.link_indices:
+            wp |= 1 << li
+        paths.append((wp, sim.protection.options(g, conn.result)))
+    position = g.link_index().position
     report = RestorationReport()
-    for fid in sorted(sim.graph.links):
-        affected = [
-            conn for conn in sim.live.values()
-            if any(link.id == fid for link in conn.result.path.links)
-        ]
-        held: dict[str, int] = {}
-        restored = unrestored = 0
-        for conn in affected:
-            recovery = sim.protection.recovery(sim.graph, conn.result, fid)
-            if recovery is None:
-                unrestored += 1
+    for fid in sorted(g.links):
+        bit = 1 << position[fid]
+        held = restored = unrestored = 0
+        for wp, options in paths:
+            if not wp & bit:
                 continue
-            restored += 1
-            for lid, mask in recovery:
-                on_link = held.get(lid, 0)
-                report.conflicts += (on_link & mask).bit_count()
-                held[lid] = on_link | mask
+            for covers, needs, pack in options:
+                if covers & bit and not needs & bit:
+                    restored += 1
+                    report.conflicts += (held & pack).bit_count()
+                    held |= pack
+                    break
+            else:
+                unrestored += 1
         report.per_link[fid] = (restored, unrestored)
     return report

@@ -10,19 +10,15 @@ import random
 import statistics
 import time
 
+import numpy as np
 import pytest
 
 from eonprotect.availability import (
-    ParallelSystem,
-    SeriesParallelSystem,
-    SeriesSystem,
+    ProtectedPath,
     ava_dcyc_update,
     ava_dsbpss_update,
     monte_carlo_availability,
     parallel_availability,
-    series_availability,
-    series_parallel_availability,
-    structure_series,
 )
 from eonprotect.cli import CSV_COLUMNS, emit, run_cell
 from eonprotect.sim import Scenario, Simulation, inject_single_failures
@@ -55,33 +51,66 @@ def hundred_k_run():
 # ---------------------------------------------------------------------------
 
 
+def _mask(lo, hi):
+    """Components lo..hi-1."""
+    return (1 << hi) - (1 << lo)
+
+
 def _random_system(rng):
+    """A random protected path and the values the simulator's recurrences
+    give it: the path product, chained ``ava_dsbpss_update`` over backups
+    (and ``parallel_availability``, its closed form, which also combines a
+    straddler's two arcs), or chained ``ava_dcyc_update`` over links that
+    each have one arc.  No two branches share a component, which is where
+    the recurrences are exact.
+    """
     a = lambda: rng.uniform(0.4, 0.9)
     kind = rng.choice(("series", "parallel", "series-parallel"))
     if kind == "series":
         links = tuple(a() for _ in range(rng.randint(2, 6)))
-        return SeriesSystem(links), series_availability(list(links))
+        return ProtectedPath(links, _mask(0, len(links)), ()), (math.prod(links),)
     if kind == "parallel":
+        # The first branch is the working path, the others its backups.
         branches = tuple(
             tuple(a() for _ in range(rng.randint(1, 4)))
             for _ in range(rng.randint(2, 4))
         )
+        wp = _mask(0, len(branches[0]))
+        options, lo = [], len(branches[0])
+        stacked = math.prod(branches[0])
+        for branch in branches[1:]:
+            options.append((wp, _mask(lo, lo + len(branch)), 0))
+            lo += len(branch)
+            stacked = ava_dsbpss_update(stacked, math.prod(branch))
+        avail = tuple(x for branch in branches for x in branch)
         exact = parallel_availability([math.prod(b) for b in branches])
-        return ParallelSystem(branches), exact
+        return ProtectedPath(avail, wp, tuple(options)), (stacked, exact)
+    # Working links 0, 2, ... carry a one-link arc at 1, 3, ...; the
+    # unprotected working links come after them.
     protected = tuple((a(), a()) for _ in range(rng.randint(1, 4)))
     unprotected = tuple(a() for _ in range(rng.randint(0, 4)))
-    exact = series_parallel_availability(list(protected), list(unprotected))
-    return SeriesParallelSystem(protected, unprotected), exact
+    n = 2 * len(protected)
+    wp = _mask(n, n + len(unprotected))
+    options = []
+    for j in range(len(protected)):
+        wp |= 1 << 2 * j
+        options.append((1 << 2 * j, 1 << 2 * j + 1, 0))
+    a_pp = math.prod(a_l for a_l, _ in protected) * math.prod(unprotected)
+    for a_l, a_bp in protected:
+        a_pp, _ = ava_dcyc_update(a_pp, a_l, a_bp)
+    avail = tuple(x for pair in protected for x in pair) + unprotected
+    return ProtectedPath(avail, wp, tuple(options)), (a_pp,)
 
 
 def test_availability_calculus_vs_oracle():
     rng = random.Random(20240901)
     t0 = time.perf_counter()
     for i in range(200):
-        system, exact = _random_system(rng)
+        system, exacts = _random_system(rng)
         est, err = monte_carlo_availability(system, 10**6, seed=i)
         assert err > 0
-        assert abs(est - exact) < 3 * err, (system, exact, est, err)
+        for exact in exacts:
+            assert abs(est - exact) < 3 * err, (system, exact, est, err)
     assert time.perf_counter() - t0 < 60
 
 
@@ -91,9 +120,10 @@ def test_availability_calculus_vs_oracle():
 
 
 def test_structure_function_table():
-    for bits in range(8):
-        x = [(bits >> j) & 1 for j in range(3)]
-        assert structure_series(x) == (1 if bits == 7 else 0)
+    # A 3-link working path with no options is up only when all 3 links are.
+    path = ProtectedPath((0.9, 0.9, 0.9), 0b111, ())
+    states = np.array([[(bits >> j) & 1 for j in range(3)] for bits in range(8)], dtype=bool)
+    assert path.evaluate(states).tolist() == [bits == 7 for bits in range(8)]
 
 
 # ---------------------------------------------------------------------------

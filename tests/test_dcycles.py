@@ -24,7 +24,9 @@ from eonprotect.dcycles import (
     provision_cycles,
     release_wp,
 )
-from eonprotect.rsa import CandidatePath, LightpathRequest, NoProtection, rsacs_with_protection
+from eonprotect.rsa import (
+    CandidatePath, LightpathRequest, NoProtection, ProvisionResult, rsacs_with_protection,
+)
 from eonprotect.sim import Scenario, Simulation
 from eonprotect.spectrum import SlotBlock, SpectrumBitmap, allocate, first_fit
 from eonprotect.topology import NetworkGraph
@@ -203,6 +205,69 @@ class TestArcsAndBackupAvailability:
         )
         expect = parallel_availability([0.9**3, 0.9**2])
         assert cycle.backup_availability(chord, g) == pytest.approx(expect, abs=1e-12)
+
+
+class TestOptions:
+    @staticmethod
+    def placed(g, cycle, ids):
+        """The cycle's blocks on links ``ids`` in the packed field layout."""
+        position = g.link_index().position
+        pack = 0
+        for lid in ids:
+            pack |= cycle.blocks[lid].mask() << position[lid] * g.slot_count
+        return pack
+
+    @staticmethod
+    def mask(g, ids):
+        position = g.link_index().position
+        return sum(1 << position[lid] for lid in set(ids))
+
+    def granted(self, g, cycle, vertices):
+        """A 2-slot working path over ``vertices`` whose link is granted ``cycle``."""
+        path = hand_path(g, vertices)
+        (link,) = path.links
+        return ProvisionResult(
+            blocked=False, path=path, block=SlotBlock(0, 2),
+            protected_links=[(cycle.id, link.id)],
+        )
+
+    def test_on_cycle_grant_is_one_option_over_the_complement_arc(self):
+        g = triangle(avail=0.95)
+        cs = DCycleSet()
+        res = provision(g, cs, "w1", "a", "b", 2, a_th=0.99)
+        ((cid, lid),) = res.protected_links
+        arc = ["a-c", "b-c"]
+        assert cs.options(g, res) == [
+            (self.mask(g, [lid]), self.mask(g, arc), self.placed(g, cs.cycles[cid], arc)),
+        ]
+
+    def test_straddler_within_capacity_has_one_option_per_arc(self):
+        g = pentagon_with_chord()
+        cs = DCycleSet()
+        cycle = hand_built_cycle(g, cs, ("A", "B", "C", "E", "F"), 2)
+        res = self.granted(g, cycle, ("B", "F"))
+        covers = self.mask(g, ["B-F"])
+        arcs = [["B-C", "C-E", "E-F"], ["A-F", "A-B"]]
+        assert cs.options(g, res) == [
+            (covers, self.mask(g, arc), self.placed(g, cycle, arc)) for arc in arcs
+        ]
+
+    def test_straddler_above_capacity_needs_both_arcs_in_one_option(self):
+        g = pentagon_with_chord()
+        cs = DCycleSet()
+        cycle = hand_built_cycle(g, cs, ("A", "B", "C", "E", "F"), 1)
+        res = self.granted(g, cycle, ("B", "F"))
+        ring = cycle.link_ids
+        assert cs.options(g, res) == [
+            (self.mask(g, ["B-F"]), self.mask(g, ring), self.placed(g, cycle, ring)),
+        ]
+
+    def test_path_without_grants_has_no_options(self):
+        g = triangle(avail=0.999)
+        cs = DCycleSet()
+        res = provision(g, cs, "w1", "a", "b", 2, a_th=0.99)
+        assert not res.needs_protection
+        assert cs.options(g, res) == []
 
 
 class TestFindCycleFor:

@@ -368,6 +368,36 @@ class TestProvisioningAndSharing:
         assert {lid: l.bitmap.bits for lid, l in g.links.items()} == bits_before
 
 
+class TestOptions:
+    def test_one_option_per_backup_in_backup_order(self):
+        # WP a-b with backups a-c-b and then a-c-d-b (see
+        # test_second_backup_skips_the_window_the_first_took).
+        g = NetworkGraph(slot_count=4)
+        for u, v in (("a", "b"), ("a", "c"), ("c", "b"), ("c", "d"), ("d", "b")):
+            g.add_link(u, v, 100, availability=0.9)
+        reg = BackupRegistry()
+        res = provision(g, reg, "w1", "a", "b", 1, a_th=0.99)
+        position = g.link_index().position
+
+        def mask(ids):
+            return _or(1 << position[lid] for lid in ids)
+
+        first, second = res.backup_paths
+        assert reg.options(g, res) == [
+            (mask(["a-b"]), mask(["a-c", "b-c"]), first.packed),
+            (mask(["a-b"]), mask(["a-c", "c-d", "b-d"]), second.packed),
+        ]
+        for bp in res.backup_paths:
+            assert bp.packed == _pack(g, bp.links, bp.block)
+
+    def test_path_without_backups_has_no_options(self):
+        g = six_node_net()
+        reg = BackupRegistry()
+        res = provision(g, reg, "w1", "B", "E", 2, a_th=0.5)
+        assert not res.needs_protection
+        assert reg.options(g, res) == []
+
+
 class TestRelease:
     def build_shared_state(self):
         g = six_node_net()

@@ -229,6 +229,12 @@ class TestRsacsWithProtection:
         res = rsacs_with_protection(g, LightpathRequest("a", "c", 1), 0.999, NoProtection(), "w1")
         assert res.needs_protection and not res.protected
 
+    def test_mode_none_offers_no_options(self):
+        g = triangle(avail=0.9)
+        protection = NoProtection()
+        res = rsacs_with_protection(g, LightpathRequest("a", "c", 1), 0.999, protection, "w1")
+        assert protection.options(g, res) == []
+
     def test_never_disturbs_existing_allocations(self):
         g = build_nsfnet(16)
         first = rsacs_with_protection(g, LightpathRequest("1", "5", 4), 0.5, NoProtection(), "w1")

@@ -1,5 +1,6 @@
 """Discrete-event engine: traffic generation, runs, warm-up, fault injection."""
 
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from eonprotect import dcycles, dsbpss
 from eonprotect import sim as sim_module
+from eonprotect.availability import ProtectedPath, monte_carlo_availability
 from eonprotect.dsbpss import BackupPath
 from eonprotect.rsa import (
     CandidatePath,
@@ -476,6 +478,7 @@ def reference_recovery_slots(sim, conn, failed_link):
 
 class TestInjectSingleFailuresMatchesReference:
     @pytest.mark.parametrize("mode,avail,ath", [
+        ("none", 0.9, 0.99),
         ("dsbpss", 0.9, 0.99),
         ("dcycles", 0.99, 0.999),
     ])
@@ -483,7 +486,7 @@ class TestInjectSingleFailuresMatchesReference:
         sim = Simulation(small_scenario(
             mode=mode, avg_link_availability=avail, a_th=ath, n_requests=1200,
         ))
-        restored = 0
+        restored = affected = 0
         for done in range(200, 1201, 200):
             sim.run(max_arrivals=done)
             report = inject_single_failures(sim)
@@ -491,7 +494,10 @@ class TestInjectSingleFailuresMatchesReference:
             assert report.per_link == reference.per_link
             assert report.conflicts == reference.conflicts == 0
             restored += sum(r for r, _ in report.per_link.values())
-        assert restored > 0
+            affected += sum(r + u for r, u in report.per_link.values())
+        assert affected > 0
+        # Mode none has no options, so nothing is ever restored.
+        assert (restored > 0) is (mode != "none")
 
     @staticmethod
     def add_hand_conn(sim, cid, wp, bp, start, length=3):
@@ -540,3 +546,30 @@ class TestInjectSingleFailuresMatchesReference:
         assert report.conflicts == reference.conflicts == expected
         assert report.per_link == reference.per_link
         assert report.per_link["1-2"] == (len(starts), 0)
+
+
+def test_options_match_the_recurrence_where_it_is_exact():
+    """A live WP whose backups share no link is a parallel system, where
+    the stacked ``ava_dsbpss_update`` is exact: ``a_pp_max`` must agree
+    with the oracle run on the structure its options describe.  (Backups
+    that share links make the recurrence overstate it: ROADMAP item 6.)
+    """
+    sim = Simulation(Scenario(
+        load_erlang=20, a_th=0.99, mode="dsbpss", avg_link_availability=0.9,
+        n_requests=3000, seed=1,
+    ))
+    sim.run(max_arrivals=3000)
+    g = sim.graph
+    avail = tuple(link.availability for link in g.link_index().links)
+    checked = 0
+    for conn in sim.live.values():
+        options = sim.protection.options(g, conn.result)
+        needs = [n for _, n, _ in options]
+        if not options or any(a & b for a, b in itertools.combinations(needs, 2)):
+            continue
+        wp = options[0][0]
+        path = ProtectedPath(avail, wp, tuple(options))
+        est, err = monte_carlo_availability(path, 200_000, seed=checked)
+        assert abs(est - conn.result.a_pp_max) < 3 * err, (conn.id, est, err)
+        checked += 1
+    assert checked > 0

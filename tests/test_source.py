@@ -1,7 +1,12 @@
 """Checks on the package source itself."""
 
 import ast
+import inspect
 from pathlib import Path
+
+from eonprotect.dcycles import DCycleSet
+from eonprotect.dsbpss import BackupRegistry
+from eonprotect.rsa import NoProtection
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "eonprotect"
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -51,4 +56,31 @@ def test_rsa_imports_no_protection_module():
             continue
         if any(part in ("dsbpss", "dcycles") for name in names for part in name.split(".")):
             found.append(node.lineno)
+    assert found == []
+
+
+def test_protection_objects_follow_the_protocol():
+    # Every mode's object has each public method of NoProtection, with the
+    # same parameter names, so the engine can call any of them blindly.
+    protocol = {
+        name: list(inspect.signature(member).parameters)
+        for name, member in vars(NoProtection).items()
+        if not name.startswith("_") and inspect.isfunction(member)
+    }
+    assert set(protocol) >= {"protect", "release", "options"}
+    for cls in (BackupRegistry, DCycleSet):
+        for name, params in protocol.items():
+            assert list(inspect.signature(getattr(cls, name)).parameters) == params, (cls, name)
+
+
+def test_no_class_defines_recovery():
+    # ``options`` is the one description of what protects a path.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "recovery"
+    ]
     assert found == []
