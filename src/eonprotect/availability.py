@@ -78,9 +78,6 @@ class ProtectedPath:
     wp: int
     options: tuple[tuple[int, int, int], ...]
 
-    def component_availabilities(self) -> tuple[float, ...]:
-        return self.avail
-
     def evaluate(self, up: np.ndarray) -> np.ndarray:
         usable = [
             (covers, up[:, _positions(needs)].all(axis=1))
@@ -97,22 +94,21 @@ class ProtectedPath:
 
 
 def monte_carlo_availability(
-    system,
+    system: ProtectedPath,
     samples: int,
     seed: int = 0,
     chunk: int = 200_000,
 ) -> tuple[float, float]:
     """Estimate system availability by sampling independent link states.
 
-    Returns (estimate, standard error).  ``system`` is any object exposing
-    ``component_availabilities()`` and a vectorized ``evaluate(up_matrix)``.
-    States are drawn ``chunk`` samples at a time.
+    Returns (estimate, standard error).  Each link of ``system`` is up
+    with its ``avail`` entry; states are drawn ``chunk`` samples at a time.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if chunk < 1:
         raise ValueError("chunk must be >= 1")
-    avails = np.asarray(system.component_availabilities(), dtype=float)
+    avails = np.asarray(system.avail, dtype=float)
     rng = np.random.default_rng(seed)
     successes = 0
     remaining = samples

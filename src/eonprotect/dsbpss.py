@@ -6,13 +6,15 @@ shared by several WPs as long as those WPs are pairwise link-disjoint: a
 single link failure then hits at most one of them, so a shared slot is never
 needed twice at once.
 
-The registry keeps failure claims as one packed int per failure link: bit
-``position(b) * slot_count + i`` of ``claims[f]`` is set when slot ``i`` on
-backup link ``b`` is held for the live WP that crosses link ``f``, that is,
-when a failure of ``f`` would put that slot to use.  ``position`` is
-``LinkIndex.position``, so link ``b`` owns the ``slot_count``-bit field at
-its position, and a backup path is one packed mask, ``BackupPath.packed``:
-its block's slots in the field of each of its links.  ``provision_backups``
+Links are named by their ``LinkIndex.position`` throughout: ``f`` and
+``b`` below are link positions, and a WP's links ``W`` the tuple of its
+positions (``CandidatePath.link_indices``).  The registry keeps failure
+claims as one packed int per failure link: bit ``b * slot_count + i`` of
+``claims[f]`` is set when slot ``i`` on backup link ``b`` is held for the
+live WP that crosses link ``f``, that is, when a failure of ``f`` would put
+that slot to use.  So link ``b`` owns the ``slot_count``-bit field at its
+position, and a backup path is one packed mask, ``BackupPath.packed``: its
+block's slots in the field of each of its links.  ``provision_backups``
 builds that mask once, while it picks the backup, and the claim and the
 release both use it.  Sharers are pairwise disjoint, so for each
 (b, f, slot) at most one WP crosses ``f``, and one bit records the claim
@@ -38,8 +40,8 @@ the threshold is met, so there is nothing to roll back.
 
 The registry holds the claims only, not which backups belong to which WP:
 the caller keeps the backups ``provision_backups`` returned and hands them
-back, with the WP's links, to ``release_wp``, which checks every claim
-before it changes anything.
+back, with the WP's link positions, to ``release_wp``, which checks every
+claim before it changes anything.
 
 ``reserved`` is the popcount of ``held``, kept exact by ``claim`` and
 ``release_wp`` from the bits each one adds to or drops from ``held``.
@@ -77,9 +79,6 @@ class BackupPath:
     block: SlotBlock
     packed: int
 
-    def link_ids(self) -> frozenset[str]:
-        return frozenset(link.id for link in self.links)
-
 
 def _field(g: NetworkGraph, bad: int, packed: int) -> tuple[str, int, int]:
     """Id and field offset of the lowest-position link with a bit in ``bad``,
@@ -98,8 +97,9 @@ class BackupRegistry:
     """
 
     def __init__(self) -> None:
-        # failure link id -> packed backup slots held for the WP crossing it
-        self.claims: dict[str, int] = {}
+        # failure link position -> packed backup slots held for the WP
+        # crossing it
+        self.claims: dict[int, int] = {}
         # packed backup slots held on every link: the OR of all claims
         self.held = 0
         # backup slots reserved over all links: the popcount of held
@@ -117,7 +117,7 @@ class BackupRegistry:
 
     def release(self, g, wp_id, result) -> None:
         if result.backup_paths:
-            release_wp(self, result.path.link_ids(), result.backup_paths, g)
+            release_wp(self, result.path.link_indices, result.backup_paths, g)
 
     def options(self, g, result) -> list[tuple[int, int, int]]:
         """One option per backup of ``result``, in order: each covers every
@@ -136,29 +136,33 @@ class BackupRegistry:
             options.append((wp, needs, bp.packed))
         return options
 
-    def claim(self, g: NetworkGraph, wp_links: frozenset[str], packed: int) -> None:
-        """Hold the packed slots for a failure of any of ``wp_links``.
+    def claim(self, g: NetworkGraph, wp: tuple[int, ...], packed: int) -> None:
+        """Hold the packed slots for a failure of any link of ``wp``, the
+        working path's link positions.
 
         Checks every failure link before it changes anything.
         """
         claims = self.claims
-        for failed in wp_links:
+        for failed in wp:
             if claims.get(failed, 0) & packed:
-                raise self._conflict(g, wp_links, packed)
-        for failed in wp_links:
+                raise self._conflict(g, wp, packed)
+        for failed in wp:
             claims[failed] = claims.get(failed, 0) | packed
         held = self.held
         self.reserved += (packed & ~held).bit_count()
         self.held = held | packed
 
     def _conflict(
-        self, g: NetworkGraph, wp_links: frozenset[str], packed: int
+        self, g: NetworkGraph, wp: tuple[int, ...], packed: int
     ) -> SharingConflictError:
         clash_bits = 0
-        for failed in wp_links:
+        for failed in wp:
             clash_bits |= self.claims.get(failed, 0) & packed
         link_id, offset, mask = _field(g, clash_bits, packed)
-        clash = sorted(f for f in wp_links if self.claims.get(f, 0) >> offset & mask)
+        links = g.link_index().links
+        clash = sorted(
+            links[f].id for f in wp if self.claims.get(f, 0) >> offset & mask
+        )
         return SharingConflictError(
             f"slots {mask:#x} on {link_id} already claimed for failures of {clash}"
         )
@@ -168,16 +172,17 @@ def free_backup_slots(
     g: NetworkGraph,
     bits: list[int],
     reg: BackupRegistry,
-    new_wp_links: frozenset[str],
+    wp: tuple[int, ...],
 ) -> None:
-    """OR the slots a newcomer over ``new_wp_links`` may share into ``bits``.
+    """OR the slots a newcomer over the link positions ``wp`` may share
+    into ``bits``.
 
     ``bits`` are per-link free bits in ``g.link_index()`` order; ``g`` is
     left unchanged.
     """
     claims = reg.claims
     blocked = 0
-    for failed in new_wp_links:
+    for failed in wp:
         blocked |= claims.get(failed, 0)
     shared = reg.held & ~blocked
     # One field per link, lowest position first, whatever the slot count.
@@ -207,12 +212,12 @@ def provision_backups(
     first fit from its candidate's run mask; only a candidate that crosses
     a link an earlier backup of this call took slots on is re-intersected.
     """
-    wp_links = best_path.link_ids()
+    wp = best_path.link_indices
     bits = g.link_index().free_bits()
-    free_backup_slots(g, bits, reg, wp_links)
+    free_backup_slots(g, bits, reg, wp)
     # After free_backup_slots, which ORs shareable slots into the working
     # path's links too: backups avoid those links.
-    for li in best_path.link_indices:
+    for li in wp:
         bits[li] = 0
     need = lr.slots_needed
     candidates = candidate_paths(g, lr.s, lr.d, need, lr.k, bits)
@@ -257,7 +262,7 @@ def provision_backups(
         packed |= own
         a_pp = ava_dsbpss_update(a_pp, chosen.availability)
     if packed:
-        reg.claim(g, wp_links, packed)
+        reg.claim(g, wp, packed)
     for bp in backups:
         busy = ~bp.block.mask()
         for link in bp.links:
@@ -268,16 +273,16 @@ def provision_backups(
 
 def release_wp(
     reg: BackupRegistry,
-    wp_links: frozenset[str],
+    wp: tuple[int, ...],
     backups: list[BackupPath],
     g: NetworkGraph,
 ) -> None:
     """Drop a departed working path's claims and free the slots left unclaimed.
 
-    ``wp_links`` are the working path's link ids and ``backups`` the list
+    ``wp`` is the working path's link positions and ``backups`` the list
     ``provision_backups`` returned for it, whose packed masks are released.
     If a slot of a backup is not claimed on one of its links for a failure
-    of every link in ``wp_links``, or two of the backups name the same slot
+    of every link of ``wp``, or two of the backups name the same slot
     on a link, raises ``UnknownClaimError`` and changes nothing.
     """
     packed = 0
@@ -289,12 +294,12 @@ def release_wp(
     if not packed:
         return
     claims = reg.claims
-    for failed in wp_links:
+    for failed in wp:
         missing = packed & ~claims.get(failed, 0)
         if missing:
             raise _unknown(g, missing, packed)
     keep = ~packed
-    for failed in wp_links:
+    for failed in wp:
         left = claims[failed] & keep
         if left:
             claims[failed] = left

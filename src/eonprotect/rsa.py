@@ -29,18 +29,16 @@ vertices it visited, the running AND of its links' run masks and the tuple
 of its link indices, so extending a branch costs one ``&``.  A branch is
 pruned as soon as its links no longer share n contiguous free slots,
 exactly as if contiguity were re-derived from the AND of their free bits.
-The common free bits of a path are ANDed only for the returned paths.
 
 Either way the search ends with each returned path's run mask, the AND of
-its links' run masks, which is the run mask of its common free bits.  A
-returned ``CandidatePath`` keeps it with its availability (the product of
-link availabilities in path order, from 1.0), its hop count and its link
-indices.  Its first-fit block (the lowest set bit of the run mask), vertex
-walk, link tuple and bitmap are built from those on first read, so
-provisioning allocates ``first_block`` with no bitmap built and no second
-pass over the slots.  A caller that keeps the ``select_best`` path builds
-that path's fields only, plus the vertex walks of any paths tied with it on
-availability and hops.
+its links' run masks.  A returned ``CandidatePath`` is that mask, its link
+indices, its availability (the product of link availabilities in path
+order, from 1.0) and its hop count.  Its first-fit block (the lowest set
+bit of the run mask), vertex walk and link tuple are built from those on
+first read, so provisioning allocates ``first_block`` with no bitmap built
+and no second pass over the slots.  A caller that keeps the ``select_best``
+path builds that path's fields only, plus the vertex walks of any paths
+tied with it on availability and hops.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, field
 
-from .spectrum import SlotBlock, SpectrumBitmap, allocate, run_steps
+from .spectrum import SlotBlock, allocate, run_steps
 from .topology import Link, LinkIndex, NetworkGraph
 
 # Protection modes, in the order the CLI and the results schema list them.
@@ -114,18 +112,18 @@ class CandidatePath:
 
     Its availability and hop count are set at once.  It keeps its link
     indices and its run mask: bit i is set iff slots i..i+need-1 are free
-    on every link in the bits it was found in.  Its first-fit block, links,
-    vertex walk and bitmap of common free slots are built on first read.
+    on every link in the bits it was found in.  Its first-fit block, links
+    and vertex walk are built on first read.
     """
 
     def __init__(
-        self, table: tuple[Link, ...], s: str, size: int,
-        path: tuple[int, ...], common: int, run: int, need: int,
+        self, table: tuple[Link, ...], s: str,
+        path: tuple[int, ...], run: int, need: int,
     ) -> None:
-        # (graph links by index, source vertex, slot count, link indices,
-        # common free bits, run mask, demand); it holds no per-call list, so
-        # a live connection keeps no search state alive.
-        self._found = (table, s, size, path, common, run, need)
+        # (graph links by index, source vertex, link indices, run mask,
+        # demand); it holds no per-call list, so a live connection keeps no
+        # search state alive.
+        self._found = (table, s, path, run, need)
         avail = 1.0
         for li in path:
             avail *= table[li].availability
@@ -135,12 +133,12 @@ class CandidatePath:
     @property
     def link_indices(self) -> tuple[int, ...]:
         """The path's links by ``LinkIndex`` position, in path order."""
-        return self._found[3]
+        return self._found[2]
 
     @property
     def run(self) -> int:
-        """Run mask of the common free bits for the path's demand."""
-        return self._found[5]
+        """The AND of the path's links' run masks for its demand."""
+        return self._found[3]
 
     @_BuiltOnFirstRead
     def first_block(self) -> SlotBlock:
@@ -150,24 +148,16 @@ class CandidatePath:
 
     @_BuiltOnFirstRead
     def links(self) -> tuple[Link, ...]:
-        table, _, _, path, *_ = self._found
+        table, _, path, *_ = self._found
         return tuple([table[li] for li in path])
 
     @_BuiltOnFirstRead
     def vertices(self) -> tuple[str, ...]:
-        table, s, _, path, *_ = self._found
+        table, s, path, *_ = self._found
         walk = [s]
         for li in path:
             walk.append(table[li].other(walk[-1]))
         return tuple(walk)
-
-    @_BuiltOnFirstRead
-    def bitmap(self) -> SpectrumBitmap:
-        _, _, size, _, common, *_ = self._found
-        return SpectrumBitmap(size, common)
-
-    def link_ids(self) -> frozenset[str]:
-        return frozenset(link.id for link in self.links)
 
 
 def candidate_paths(
@@ -184,8 +174,7 @@ def candidate_paths(
     Returns as soon as k paths are collected; empty list when nothing fits.
     The graph's table of structural s-d paths is scanned first; only when
     it holds fewer than k feasible paths and is not complete does the
-    pruned BFS run, over every link's run mask, and the scan stops as soon
-    as that is certain.  Each path keeps the run
+    pruned BFS run, over every link's run mask.  Each path keeps the run
     mask the search tested it by, from which ``first_block`` is read.
     ``bits`` replaces the links' live free bits, in ``g.link_index()``
     order; a link whose entry is 0 is left out.  Without ``bits``, the
@@ -204,26 +193,24 @@ def candidate_paths(
     table = index.links
     steps = run_steps(slots_needed)
     full = (1 << size) - 1
-    # (link indices, common free bits, run mask) of each feasible path found.
+    # (link indices, run mask) of each feasible path found.
     found = []
     paths, complete = index.structural_paths(s, d, k)
-    # Infeasible paths the scan can pass and still answer: a table that is
-    # not complete answers only with k feasible paths, so past that many
-    # the search falls back and the rest of the scan would be wasted.
+    # Infeasible paths the scan can pass and still answer (see the module
+    # docstring).
     spare = len(paths) if complete else len(paths) - k
     for path in paths:
-        common = full
+        run = full
         if bits is None:
             for li in path:
-                common &= table[li].bitmap.bits
+                run &= table[li].bitmap.bits
         else:
             for li in path:
-                common &= bits[li]
-        run = common
+                run &= bits[li]
         for step in steps:
             run &= run >> step
         if run:
-            found.append((path, common, run))
+            found.append((path, run))
             if len(found) == k:
                 break
         elif not spare:
@@ -231,21 +218,11 @@ def candidate_paths(
         else:
             spare -= 1
     if len(found) < k and not complete:
-        if bits is None:
-            bits = index.free_bits()
-        runs = bits
+        runs = index.free_bits() if bits is None else bits
         for step in steps:
             runs = [r & r >> step for r in runs]
-        found = []
-        for path, run in _pruned_bfs(index, runs, s, d, k):
-            common = full
-            for li in path:
-                common &= bits[li]
-            found.append((path, common, run))
-    return [
-        CandidatePath(table, s, size, path, common, run, slots_needed)
-        for path, common, run in found
-    ]
+        found = _pruned_bfs(index, runs, s, d, k)
+    return [CandidatePath(table, s, path, run, slots_needed) for path, run in found]
 
 
 def _pruned_bfs(

@@ -24,7 +24,7 @@ unit = st.floats(0.0, 1.0, allow_nan=False)
 def path_product(links):
     """The availability ``rsa`` gives a path over links of these availabilities."""
     table = tuple(SimpleNamespace(availability=a) for a in links)
-    return CandidatePath(table, "s", 1, tuple(range(len(links))), 1, 1, 1).availability
+    return CandidatePath(table, "s", tuple(range(len(links))), 1, 1).availability
 
 
 class TestStructureSeries:
@@ -65,10 +65,6 @@ class TestProtectedPath:
         states = np.array(list(itertools.product((0, 1), repeat=3)), dtype=bool)
         x0, x1, x2 = states.T
         assert path.evaluate(states).tolist() == ((x0 | x2) & x1).tolist()
-
-    def test_components_are_its_availabilities(self):
-        avail = (0.9, 0.8, 0.7)
-        assert ProtectedPath(avail, 0b1, ()).component_availabilities() == avail
 
 
 class TestLinkAvailability:

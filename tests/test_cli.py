@@ -22,6 +22,12 @@ from eonprotect.sim import Scenario
 FAST_TEMPLATE = dict(n_requests=900, mean_holding_s=1.0)
 
 
+def read_csv(path):
+    """The rows of a CSV file, the file closed once they are read."""
+    with path.open() as f:
+        return list(csv.DictReader(f))
+
+
 def fast_cell(**overrides):
     cell = dict(
         FAST_TEMPLATE,
@@ -132,13 +138,13 @@ class TestEmit:
     def test_csv_absent_restorability_is_empty_field(self, tmp_path):
         out = tmp_path / "r.csv"
         emit(self.rows(), "csv", str(out))
-        reader = list(csv.DictReader(out.open()))
+        reader = read_csv(out)
         assert reader[1]["restorability"] == ""
 
     def test_csv_parse_emit_parse_fixpoint(self, tmp_path):
         first = tmp_path / "a.csv"
         emit(self.rows(), "csv", str(first))
-        parsed = list(csv.DictReader(first.open()))
+        parsed = read_csv(first)
         second = tmp_path / "b.csv"
         emit(parsed, "csv", str(second))
         assert first.read_bytes() == second.read_bytes()
@@ -200,7 +206,7 @@ class TestMain:
         out = tmp_path / "sweep.csv"
         code = main(["sweep", "--config", str(cfg), "--out", str(out)])
         assert code == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = read_csv(out)
         assert len(rows) == 2
         assert [r["seed"] for r in rows] == ["5", "6"]
 
@@ -221,7 +227,7 @@ class TestMain:
             "--seed", "0", "--out", str(out),
         ])
         assert code == 0
-        assert [r["seed"] for r in csv.DictReader(out.open())] == ["0", "1"]
+        assert [r["seed"] for r in read_csv(out)] == ["0", "1"]
 
     def test_sweep_requests_zero_overrides_config(self, tmp_path, capsys):
         # The config's requests = 900 would run; the override's 0 is refused.
@@ -253,7 +259,7 @@ class TestMain:
         code = main(["sweep", "--config", str(cfg), "--out", str(out)])
         assert code == 2
         assert "cell failed" in capsys.readouterr().err
-        rows = list(csv.DictReader(out.open()))
+        rows = read_csv(out)
         assert [(r["seed"], r["bp"] != "") for r in rows] == [("1", True), ("2", False)]
 
     def test_custom_topology_file(self, tmp_path):

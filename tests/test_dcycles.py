@@ -104,7 +104,7 @@ def hand_path(g, vertices):
     path = tuple(index.position[link.id] for link in links)
     # Its run mask for the 2-slot demand, as the search found it.
     run = common.bits & common.bits >> 1
-    return CandidatePath(index.links, vertices[0], g.slot_count, path, common.bits, run, 2)
+    return CandidatePath(index.links, vertices[0], path, run, 2)
 
 
 class TestMinAvailabilityLink:

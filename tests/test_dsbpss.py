@@ -31,6 +31,13 @@ from eonprotect.topology import NetworkGraph
 W1 = frozenset({"A-B", "B-C", "C-D"})
 
 
+SIX_NODE_LINKS = (
+    ("A", "B"), ("B", "C"), ("C", "D"),
+    ("A", "F"), ("F", "E"), ("E", "D"),
+    ("B", "E"), ("B", "F"),
+)
+
+
 def six_node_net(slot_count=16, avail=0.9):
     """Two edge-disjoint routes between most pairs; supports shared backups.
 
@@ -38,13 +45,33 @@ def six_node_net(slot_count=16, avail=0.9):
     sharing slots on link E-F.
     """
     g = NetworkGraph(slot_count=slot_count)
-    for u, v in (
-        ("A", "B"), ("B", "C"), ("C", "D"),
-        ("A", "F"), ("F", "E"), ("E", "D"),
-        ("B", "E"), ("B", "F"),
-    ):
+    for u, v in SIX_NODE_LINKS:
         g.add_link(u, v, 100, availability=avail)
     return g
+
+
+def reversed_six_node_net(slot_count=16, avail=0.9):
+    """``six_node_net`` with its links added in reverse id order.
+
+    It has eight links, so no link's position equals the rank of its id:
+    code that names a link by position where it means by id, or the
+    reverse, gets another link.
+    """
+    g = NetworkGraph(slot_count=slot_count)
+    for u, v in sorted(SIX_NODE_LINKS, key=sorted, reverse=True):
+        g.add_link(u, v, 100, availability=avail)
+    return g
+
+
+def at(g, link_ids):
+    """The positions of the links named, as a working path's positions."""
+    position = g.link_index().position
+    return tuple(sorted(position[lid] for lid in link_ids))
+
+
+def ids(links):
+    """The ids of ``links``."""
+    return frozenset(link.id for link in links)
 
 
 def provision(g, reg, wp_id, s, d, slots, a_th):
@@ -74,17 +101,20 @@ def _pack(g, links, block):
 
 
 def unpacked_claims(reg, g):
-    """The packed claims as ``{b: {f: bits}}``: slots on ``b`` held for a failure of ``f``."""
+    """The packed claims as ``{b: {f: bits}}`` by link id: slots on ``b``
+    held for a failure of ``f``."""
     assert all(reg.claims.values()), "a failure link holds an empty claim"
+    assert all(type(failed) is int for failed in reg.claims)
     field = (1 << g.slot_count) - 1
     out = {}
     past_last = len(g.links) * g.slot_count
+    links = g.link_index().links
     for failed, packed in reg.claims.items():
         assert not packed >> past_last, "claim bits past the last link"
         for lid, i in g.link_index().position.items():
             on_link = packed >> i * g.slot_count & field
             if on_link:
-                out.setdefault(lid, {})[failed] = on_link
+                out.setdefault(lid, {})[links[failed].id] = on_link
     return out
 
 
@@ -103,17 +133,23 @@ def unpacked_held(reg, g):
 def shareable(g, reg, link_id, wp_links):
     """Reserved slots on the link that a WP over ``wp_links`` may share."""
     bits = [0] * len(g.links)
-    free_backup_slots(g, bits, reg, wp_links)
+    free_backup_slots(g, bits, reg, at(g, wp_links))
     return bits[g.link_index().position[link_id]]
 
 
 def live_backups(results):
-    """``{wp_id: (wp_links, backups)}`` of the protected results by WP id."""
+    """``{wp_id: (wp_links, backups)}`` of the protected results by WP id,
+    ``wp_links`` the working path's link ids."""
     return {
-        wp_id: (res.path.link_ids(), res.backup_paths)
+        wp_id: (ids(res.path.links), res.backup_paths)
         for wp_id, res in results.items()
         if res.backup_paths
     }
+
+
+def release_by_ids(reg, wp_links, backups, g):
+    """``release_wp`` for a working path given by its link ids."""
+    release_wp(reg, at(g, wp_links), backups, g)
 
 
 def rebuilt_claims(wps):
@@ -156,25 +192,25 @@ class TestCanShare:
     def test_disjoint_newcomer_shares(self):
         g = six_node_net()
         reg = BackupRegistry()
-        reg.claim(g, W1, packed_on(g, "E-F", SlotBlock(0, 3).mask()))
+        reg.claim(g, at(g, W1), packed_on(g, "E-F", SlotBlock(0, 3).mask()))
         assert shareable(g, reg, "E-F", frozenset({"B-E"})) == 0b111
 
     def test_shared_working_link_forbids(self):
         g = six_node_net()
         reg = BackupRegistry()
-        reg.claim(g, frozenset({"B-C"}), packed_on(g, "E-F", SlotBlock(0, 3).mask()))
+        reg.claim(g, at(g, {"B-C"}), packed_on(g, "E-F", SlotBlock(0, 3).mask()))
         assert shareable(g, reg, "E-F", frozenset({"B-C", "C-D"})) == 0
         with pytest.raises(SharingConflictError):
-            reg.claim(g, frozenset({"B-C", "C-D"}), packed_on(g, "E-F", SlotBlock(2, 2).mask()))
+            reg.claim(g, at(g, {"B-C", "C-D"}), packed_on(g, "E-F", SlotBlock(2, 2).mask()))
 
     def test_conflict_names_every_clashing_failure_and_changes_nothing(self):
         g = six_node_net()
         reg = BackupRegistry()
-        reg.claim(g, frozenset({"C-D", "B-C"}), packed_on(g, "E-F", SlotBlock(0, 3).mask()))
+        reg.claim(g, at(g, {"C-D", "B-C"}), packed_on(g, "E-F", SlotBlock(0, 3).mask()))
         claims, held, reserved = dict(reg.claims), reg.held, reg.reserved
         with pytest.raises(SharingConflictError) as err:
             reg.claim(
-                g, frozenset({"C-D", "A-B", "B-C"}),
+                g, at(g, {"C-D", "A-B", "B-C"}),
                 packed_on(g, "A-F", SlotBlock(2, 2).mask())
                 | packed_on(g, "E-F", SlotBlock(2, 2).mask()),
             )
@@ -189,13 +225,13 @@ class TestCanShare:
         block = SlotBlock(0, 3)
         links = (g.links["E-F"],)
         backup = BackupPath("w1/bp1", ("E", "F"), links, block, _pack(g, links, block))
-        reg.claim(g, W1, packed_on(g, "E-F", block.mask()))
+        reg.claim(g, at(g, W1), packed_on(g, "E-F", block.mask()))
         g.links["E-F"].bitmap.set_busy(block)
         # The last claim gone, every slot it held is free for anyone.
-        release_wp(reg, W1, [backup], g)
+        release_wp(reg, at(g, W1), [backup], g)
         assert g.links["E-F"].bitmap.is_free(block)
         assert reg.is_empty() and reg.held == 0 and reg.reserved == 0
-        reg.claim(g, W1, packed_on(g, "E-F", block.mask()))
+        reg.claim(g, at(g, W1), packed_on(g, "E-F", block.mask()))
         assert unpacked_claims(reg, g) == {"E-F": {lid: block.mask() for lid in W1}}
 
 
@@ -205,7 +241,7 @@ class TestFreeBackupSlots:
         g.links["E-F"].bitmap.set_busy(SlotBlock(0, 4))
         bits = g.link_index().free_bits()
         before = list(bits)
-        free_backup_slots(g, bits, BackupRegistry(), frozenset({"A-B"}))
+        free_backup_slots(g, bits, BackupRegistry(), at(g, {"A-B"}))
         assert bits == before
 
     def test_shareable_group_bits_flip_in_copy_only(self):
@@ -213,9 +249,9 @@ class TestFreeBackupSlots:
         reg = BackupRegistry()
         block = SlotBlock(0, 3)
         g.links["E-F"].bitmap.set_busy(block)
-        reg.claim(g, W1, packed_on(g, "E-F", block.mask()))
+        reg.claim(g, at(g, W1), packed_on(g, "E-F", block.mask()))
         bits = g.link_index().free_bits()
-        free_backup_slots(g, bits, reg, frozenset({"B-E"}))
+        free_backup_slots(g, bits, reg, at(g, {"B-E"}))
         assert search_bitmaps(g, bits)["E-F"].is_free(block)
         assert g.links["E-F"].bitmap.is_busy(block)
 
@@ -224,10 +260,83 @@ class TestFreeBackupSlots:
         reg = BackupRegistry()
         block = SlotBlock(0, 3)
         g.links["E-F"].bitmap.set_busy(block)
-        reg.claim(g, frozenset({"B-C"}), packed_on(g, "E-F", block.mask()))
+        reg.claim(g, at(g, {"B-C"}), packed_on(g, "E-F", block.mask()))
         bits = g.link_index().free_bits()
-        free_backup_slots(g, bits, reg, frozenset({"B-C", "C-D"}))
+        free_backup_slots(g, bits, reg, at(g, {"B-C", "C-D"}))
         assert search_bitmaps(g, bits)["E-F"].is_busy(block)
+
+
+class TestPositionsNotInIdOrder:
+    """On a graph whose link positions do not follow id order, errors name
+    links by id and sharing matches the per-link reference."""
+
+    def state(self, reg, g):
+        return (
+            dict(reg.claims), reg.held, reg.reserved,
+            {lid: link.bitmap.bits for lid, link in g.links.items()},
+        )
+
+    def test_positions_differ_from_id_ranks(self):
+        g = reversed_six_node_net()
+        ranks = {lid: i for i, lid in enumerate(sorted(g.links))}
+        position = g.link_index().position
+        assert all(position[lid] != ranks[lid] for lid in g.links)
+
+    def test_conflict_names_clashing_failures_sorted_by_id(self):
+        g = reversed_six_node_net()
+        reg = BackupRegistry()
+        # C-D and B-C share slots 0-2 of E-F; A-B holds slots 4-5.
+        reg.claim(g, at(g, {"C-D"}), packed_on(g, "E-F", SlotBlock(0, 3).mask()))
+        reg.claim(g, at(g, {"B-C"}), packed_on(g, "E-F", SlotBlock(0, 3).mask()))
+        reg.claim(g, at(g, {"A-B"}), packed_on(g, "E-F", SlotBlock(4, 2).mask()))
+        before = self.state(reg, g)
+        with pytest.raises(SharingConflictError) as err:
+            reg.claim(
+                g, at(g, {"A-B", "B-C", "C-D", "D-E"}),
+                packed_on(g, "E-F", SlotBlock(2, 1).mask()),
+            )
+        assert str(err.value) == (
+            "slots 0x4 on E-F already claimed for failures of ['B-C', 'C-D']"
+        )
+        assert self.state(reg, g) == before
+
+    def test_unknown_claim_names_the_link_id(self):
+        g = reversed_six_node_net()
+        reg = BackupRegistry()
+        block = SlotBlock(0, 3)
+        links = (g.links["E-F"],)
+        backup = BackupPath("w1/bp1", ("E", "F"), links, block, _pack(g, links, block))
+        reg.claim(g, at(g, {"B-C"}), backup.packed)
+        g.links["E-F"].bitmap.set_busy(block)
+        before = self.state(reg, g)
+        with pytest.raises(UnknownClaimError) as err:
+            release_wp(reg, at(g, {"A-B", "B-C"}), [backup], g)
+        assert str(err.value) == "slots 0x7 on E-F not held for this WP"
+        assert self.state(reg, g) == before
+        release_wp(reg, at(g, {"B-C"}), [backup], g)
+        assert reg.is_empty() and g.links["E-F"].bitmap.is_free(block)
+
+    def test_free_backup_slots_matches_per_link_reference(self):
+        g = reversed_six_node_net()
+        reg, ref = BackupRegistry(), ReferenceRegistry()
+        held = [
+            ({"A-B", "B-C", "C-D"}, ("A-F", "E-F", "D-E"), SlotBlock(0, 3)),
+            ({"B-E"}, ("B-F", "E-F"), SlotBlock(1, 2)),
+            ({"C-D"}, ("B-C",), SlotBlock(5, 4)),
+        ]
+        for wp_links, on, block in held:
+            links = tuple(g.links[lid] for lid in on)
+            backup = BackupPath("bp", (), links, block, _pack(g, links, block))
+            reg.claim(g, at(g, wp_links), backup.packed)
+            reference_claim_backups(ref, wp_links, [backup])
+            for link in links:
+                link.bitmap.set_busy(block)
+        assert unpacked_claims(reg, g) == ref.claims
+        for newcomer in ({"A-B"}, {"B-E", "E-F"}, {"C-D"}, {"D-E"}, set(g.links)):
+            bits, ref_bits = g.link_index().free_bits(), g.link_index().free_bits()
+            free_backup_slots(g, bits, reg, at(g, newcomer))
+            reference_free_backup_slots(g, ref_bits, ref, newcomer)
+            assert bits == ref_bits
 
 
 class TestProvisioningAndSharing:
@@ -259,9 +368,9 @@ class TestProvisioningAndSharing:
         g = six_node_net()
         reg = BackupRegistry()
         res = provision(g, reg, "w1", "A", "D", 2, a_th=0.95)
-        working = res.path.link_ids()
+        working = ids(res.path.links)
         for bp in res.backup_paths:
-            assert not (bp.link_ids() & working)
+            assert not (ids(bp.links) & working)
 
     def test_backups_avoid_working_link_that_holds_shareable_slots(self):
         # Slots 0-1 of a-c back up a WP over a-b, so a WP over a-c may share
@@ -270,7 +379,7 @@ class TestProvisioningAndSharing:
         for u, v in (("a", "b"), ("b", "c"), ("a", "c")):
             g.add_link(u, v, 100, availability=0.9)
         reg = BackupRegistry()
-        reg.claim(g, frozenset({"a-b"}), packed_on(g, "a-c", SlotBlock(0, 2).mask()))
+        reg.claim(g, at(g, {"a-b"}), packed_on(g, "a-c", SlotBlock(0, 2).mask()))
         g.links["a-c"].bitmap.set_busy(SlotBlock(0, 2))
         res = provision(g, reg, "w1", "a", "c", 2, a_th=0.95)
         assert res.path.vertices == ("a", "c")
@@ -412,13 +521,13 @@ class TestRelease:
         g = six_node_net()
         reg = BackupRegistry()
         res = provision(g, reg, "w1", "A", "D", 3, a_th=0.92)
-        release_wp(reg, res.path.link_ids(), res.backup_paths, g)
+        release_wp(reg, res.path.link_indices, res.backup_paths, g)
         assert reg.is_empty()
         assert g.busy_slot_count() == 3 * res.path.hops
 
     def test_one_of_two_sharers_keeps_slots_busy(self):
         g, reg, wps = self.build_shared_state()
-        release_wp(reg, *wps.pop("w1"), g)
+        release_by_ids(reg, *wps.pop("w1"), g)
         # w2's shared block (2 slots) survives on E-F; w1's extra slot frees.
         assert g.links["E-F"].bitmap.busy_count() == 2
         claims = unpacked_claims(reg, g)
@@ -427,11 +536,11 @@ class TestRelease:
 
     def test_released_block_becomes_globally_shareable(self):
         g, reg, wps = self.build_shared_state()
-        release_wp(reg, *wps["w1"], g)
-        release_wp(reg, *wps["w2"], g)
+        release_by_ids(reg, *wps["w1"], g)
+        release_by_ids(reg, *wps["w2"], g)
         assert reg.is_empty()
         bits = g.link_index().free_bits()
-        free_backup_slots(g, bits, reg, frozenset({"A-B"}))
+        free_backup_slots(g, bits, reg, at(g, {"A-B"}))
         assert search_bitmaps(g, bits)["E-F"].bits.bit_count() == g.slot_count
 
     def test_unknown_wp_rejected(self):
@@ -447,17 +556,17 @@ class TestRelease:
         # w1's backups under w2's links: no claim on A-F for a failure of B-E.
         before = state()
         with pytest.raises(UnknownClaimError):
-            release_wp(reg, w2_links, w1_backups, g)
+            release_wp(reg, at(g, w2_links), w1_backups, g)
         assert state() == before
         # w1's own backup is claimed, w2's after it is not: checked before any change.
         with pytest.raises(UnknownClaimError):
-            release_wp(reg, w1_links, w1_backups + w2_backups, g)
+            release_wp(reg, at(g, w1_links), w1_backups + w2_backups, g)
         assert state() == before
         # A second release of w1's backups, after w2 reused their E-F slots.
-        release_wp(reg, w1_links, w1_backups, g)
+        release_wp(reg, at(g, w1_links), w1_backups, g)
         before = state()
         with pytest.raises(UnknownClaimError):
-            release_wp(reg, w1_links, w1_backups, g)
+            release_wp(reg, at(g, w1_links), w1_backups, g)
         assert state() == before
         assert unpacked_claims(reg, g) == rebuilt_claims({"w2": wps["w2"]})
 
@@ -469,13 +578,13 @@ class TestRelease:
             {lid: link.bitmap.copy() for lid, link in g.links.items()},
         )
         with pytest.raises(UnknownClaimError):
-            release_wp(reg, w1_links, w1_backups + w1_backups, g)
+            release_wp(reg, at(g, w1_links), w1_backups + w1_backups, g)
         after = (
             unpacked_claims(reg, g), unpacked_held(reg, g), reg.reserved,
             {lid: link.bitmap.copy() for lid, link in g.links.items()},
         )
         assert after == before and reg.reserved == 11
-        release_wp(reg, w1_links, w1_backups, g)
+        release_wp(reg, at(g, w1_links), w1_backups, g)
         assert unpacked_claims(reg, g) == rebuilt_claims({"w2": wps["w2"]})
 
     def test_share_and_release_with_fields_that_end_mid_byte(self):
@@ -499,20 +608,20 @@ class TestRelease:
         # claim for a failure of the newcomer's links blocks.
         for newcomer in (frozenset({"A-B"}), frozenset({"B-E", "E-F"}), W1):
             bits = g.link_index().free_bits()
-            free_backup_slots(g, bits, reg, newcomer)
+            free_backup_slots(g, bits, reg, at(g, newcomer))
             for lid, i in g.link_index().position.items():
                 blocked = _or(claims.get(lid, {}).get(f, 0) for f in newcomer)
                 want = g.links[lid].bitmap.bits | held.get(lid, 0) & ~blocked
                 assert bits[i] == want
-        release_wp(reg, *wps.pop("w1"), g)
+        release_by_ids(reg, *wps.pop("w1"), g)
         assert unpacked_claims(reg, g) == rebuilt_claims(wps)
         assert g.links["E-F"].bitmap.busy_count() == 2
-        release_wp(reg, *wps.pop("w2"), g)
+        release_by_ids(reg, *wps.pop("w2"), g)
         assert reg.is_empty() and reg.held == 0 and reg.reserved == 0
         # Only the working paths' slots remain busy.
         for lid, link in g.links.items():
             assert link.bitmap.busy_count() == sum(
-                res.block.length for res in results.values() if lid in res.path.link_ids()
+                res.block.length for res in results.values() if lid in ids(res.path.links)
             )
 
     @pytest.mark.parametrize("slot_count,low,high,kept", [
@@ -531,7 +640,7 @@ class TestRelease:
         for link in links:
             link.bitmap.bits = 0
         reg = BackupRegistry()
-        wp = frozenset({links[3].id})
+        wp = (3,)
         backups = [
             BackupPath("w/bp1", (), (first, second), low, _pack(g, (first, second), low)),
             BackupPath("w/bp2", (), (last,), high, _pack(g, (last,), high)),
@@ -541,7 +650,7 @@ class TestRelease:
         if kept is not None:
             # A sharer over another link keeps the middle of the second field.
             kept_mask = kept.mask()
-            reg.claim(g, frozenset({links[4].id}), packed_on(g, second.id, kept_mask))
+            reg.claim(g, (4,), packed_on(g, second.id, kept_mask))
         release_wp(reg, wp, backups, g)
         want = {link.id: 0 for link in links}
         want[first.id] = low.mask()
@@ -564,7 +673,7 @@ class TestClaimInvariant:
         assert set(wps) == {"w1", "w2"}
         assert_sharers_pairwise_disjoint(wps)
         assert unpacked_claims(reg, g) == rebuilt_claims(wps)
-        release_wp(reg, *wps.pop("w1"), g)
+        release_by_ids(reg, *wps.pop("w1"), g)
         assert_sharers_pairwise_disjoint(wps)
         assert unpacked_claims(reg, g) == rebuilt_claims(wps)
 
@@ -616,7 +725,8 @@ class TestClaimInvariant:
                          ("F", "E"), ("E", "D"), ("B", "E"), ("B", "F")):
                 g.add_link(u, v, 100, availability=0.9)
             reg = BackupRegistry()
-            reg.claims["A-B"] = 0b111 << g.link_index().position["E-F"] * g.slot_count
+            position = g.link_index().position
+            reg.claims[position["A-B"]] = 0b111 << position["E-F"] * g.slot_count
             try:
                 rsacs_with_protection(g, LightpathRequest("A", "D", 3), 0.92, reg, "w1")
             except SharingConflictError:
@@ -707,7 +817,7 @@ def reference_free_backup_slots(g, bits, reg, new_wp_links):
 
 
 def reference_provision_backups(g, lr, best_path, reg, wp_id, a_th):
-    wp_links = best_path.link_ids()
+    wp_links = ids(best_path.links)
     index = g.link_index()
     bits = index.free_bits()
     reference_free_backup_slots(g, bits, reg, wp_links)
@@ -791,8 +901,9 @@ def on_graph(g, backups):
     ]
 
 
-@settings(deadline=None, derandomize=True, max_examples=150)
-@given(small_nets(), st.data())
+# ``small_nets`` adds links in id order; the reversed six-node net does not.
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(st.one_of(small_nets(), st.builds(reversed_six_node_net)), st.data())
 def test_packed_registry_matches_per_link_reference(g, data):
     ref_g = g.copy()
     reg, ref = BackupRegistry(), ReferenceRegistry()
@@ -815,7 +926,10 @@ def test_packed_registry_matches_per_link_reference(g, data):
                 p for p in candidate_paths(ref_g, s, d, lr.slots_needed, lr.k)
                 if p.vertices == best.vertices
             ]
-            block = first_fit(best.bitmap, lr.slots_needed)
+            common = (1 << g.slot_count) - 1
+            for link in best.links:
+                common &= link.bitmap.bits
+            block = first_fit(SpectrumBitmap(g.slot_count, common), lr.slots_needed)
             allocate([link.bitmap for link in best.links], block)
             allocate([link.bitmap for link in ref_best.links], block)
             a_th = data.draw(st.sampled_from((0.9, 0.95, 0.99, 1.0)))
@@ -833,7 +947,7 @@ def test_packed_registry_matches_per_link_reference(g, data):
                 ]
                 for bp in backups:
                     assert bp.packed == _pack(g, bp.links, bp.block)
-                live.append((best.link_ids(), backups, (best.links, block)))
+                live.append((ids(best.links), backups, (best.links, block)))
         elif op == "release" and live:
             i = data.draw(st.integers(0, len(live) - 1))
             wp_links, backups, working = live[i]
@@ -847,7 +961,7 @@ def test_packed_registry_matches_per_link_reference(g, data):
                     wp_links, backups = data.draw(st.sampled_from(gone))
                 else:
                     how = "own"
-            got_err, _ = outcome(release_wp, reg, wp_links, backups, g)
+            got_err, _ = outcome(release_wp, reg, at(g, wp_links), backups, g)
             want_err, _ = outcome(
                 reference_release_wp, ref, wp_links, on_graph(ref_g, backups), ref_g
             )
@@ -879,7 +993,7 @@ def test_packed_registry_matches_per_link_reference(g, data):
             packed = 0
             for bp in backups:
                 packed |= _pack(g, bp.links, bp.block)
-            got_err, _ = outcome(reg.claim, g, wp_links, packed)
+            got_err, _ = outcome(reg.claim, g, at(g, wp_links), packed)
             want_err, _ = outcome(
                 reference_claim_backups, ref, wp_links, on_graph(ref_g, backups)
             )
@@ -899,6 +1013,6 @@ def test_packed_registry_matches_per_link_reference(g, data):
         }
         for newcomer in [entry[0] for entry in live] + [data.draw(some_links)]:
             bits, ref_bits = index.free_bits(), index.free_bits()
-            free_backup_slots(g, bits, reg, newcomer)
+            free_backup_slots(g, bits, reg, at(g, newcomer))
             reference_free_backup_slots(ref_g, ref_bits, ref, newcomer)
             assert bits == ref_bits

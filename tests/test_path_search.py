@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from eonprotect import rsa, topology
 from eonprotect.rsa import candidate_paths, select_best
-from eonprotect.spectrum import SpectrumBitmap, first_fit, is_feasible
+from eonprotect.spectrum import SpectrumBitmap, _run_mask, first_fit, is_feasible
 from eonprotect.topology import (
     JitteredAvailability, Link, NetworkGraph, UniformAvailability, build_nsfnet,
     remove_links,
@@ -81,8 +81,7 @@ def reference_select_best(paths: list[ReferencePath]) -> ReferencePath:
 
 def summary(paths):
     return [
-        (p.vertices, tuple(link.id for link in p.links), p.bitmap.size,
-         p.bitmap.bits, p.availability)
+        (p.vertices, tuple(link.id for link in p.links), p.availability)
         for p in paths
     ]
 
@@ -190,9 +189,12 @@ def test_matches_reference_on_pruned_copy(case):
         if got:
             assert summary([picked]) == summary([select_best(want)])
             assert summary([picked]) == summary([reference_select_best(want)])
-        # The first fit read off the search's run mask is the first fit of
-        # the path's common free bits, from the table or the pruned search.
-        assert all(p.first_block == first_fit(p.bitmap, slots_needed) for p in got)
+        # The run mask the search keeps, from the table or the pruned search,
+        # is the run mask of the path's common free bits, and the first fit
+        # read off it is the first fit of those bits.
+        for p, ref in zip(got, want):
+            assert p.run == _run_mask(ref.bitmap.bits, slots_needed)
+            assert p.first_block == first_fit(ref.bitmap, slots_needed)
         # The search writes neither to the graph nor to the caller's bits.
         assert index.free_bits() == live
         assert given_bits == passed
@@ -377,12 +379,13 @@ def test_scan_stops_once_the_table_cannot_answer(fallbacks):
     bits = ReadLog(index.free_bits())
     bits[index.position["a-b"]] = 0
     # The k = 2 table is a-b, a-c-b and not complete: with a-b left out it
-    # cannot hold two feasible paths, so the scan stops there and a-c is
-    # read once, for the returned path's common bits.
+    # cannot hold two feasible paths, so the scan stops there, before a-c.
+    # The fallback takes every run mask in one pass and ANDs no free bits
+    # for the paths it returns, so a-b is the only entry read by index.
     assert walks(candidate_paths(g, "a", "b", 2, 2, bits)) == [
         ("a", "c", "b"), ("a", "d", "e", "b"),
     ]
-    assert bits.reads.count(index.position["a-c"]) == 1
+    assert bits.reads == [index.position["a-b"]]
     assert fallbacks == [("a", "b", 2)]
 
 

@@ -13,7 +13,7 @@ from eonprotect.rsa import (
     rsacs_with_protection,
     select_best,
 )
-from eonprotect.spectrum import SlotBlock, SpectrumBitmap
+from eonprotect.spectrum import SlotBlock, SpectrumBitmap, _run_mask, first_fit
 from eonprotect.topology import (
     JitteredAvailability,
     NetworkGraph,
@@ -134,25 +134,28 @@ class TestCandidatePaths:
                 math.prod(l.availability for l in p.links), abs=1e-12
             )
 
-    def test_bitmap_is_link_intersection(self):
+    def test_run_is_run_mask_of_link_intersection(self):
         g = triangle()
         g.links["a-b"].bitmap.set_busy(SlotBlock(0, 2))
-        g.links["b-c"].bitmap.set_busy(SlotBlock(4, 2))
+        g.links["b-c"].bitmap.set_busy(SlotBlock(3, 2))
         (path,) = [
-            p for p in candidate_paths(g, "a", "c", 1, k=3) if p.hops == 2
+            p for p in candidate_paths(g, "a", "c", 2, k=3) if p.hops == 2
         ]
         bits = g.links["a-b"].bitmap.bits & g.links["b-c"].bitmap.bits
-        assert path.bitmap == SpectrumBitmap(g.slot_count, bits)
+        assert path.run == _run_mask(bits, 2)
+        assert path.first_block == first_fit(SpectrumBitmap(g.slot_count, bits), 2)
+        assert path.first_block == SlotBlock(5, 2)
 
     def test_fields_built_on_first_read(self):
         g = build_nsfnet(16, JitteredAvailability(0.99, seed=4))
         paths = candidate_paths(g, "1", "10", 3, k=5)
         best = select_best(paths)
         # Jittered availabilities do not tie, so no walk was needed.
-        assert all(not {"vertices", "links", "bitmap"} & set(vars(p)) for p in paths)
-        assert best.bitmap is best.bitmap
+        built = {"vertices", "links", "first_block"}
+        assert all(not built & set(vars(p)) for p in paths)
+        assert best.first_block is best.first_block
         assert best.hops == len(best.links) == len(best.vertices) - 1
-        assert set(vars(best)) >= {"vertices", "links", "bitmap"}
+        assert set(vars(best)) >= built
 
 
 class TestSelectBest:
@@ -165,7 +168,7 @@ class TestSelectBest:
         index = g.link_index()
         path = tuple(index.position[g.link_between(u, v).id] for u, v in zip(verts, verts[1:]))
         # All four slots free, for a demand of one slot.
-        return CandidatePath(index.links, verts[0], g.slot_count, path, 0b1111, 0b1111, 1)
+        return CandidatePath(index.links, verts[0], path, 0b1111, 1)
 
     def test_strict_max(self):
         lo = self.mk(0.98, ("a", "b"))

@@ -453,7 +453,7 @@ def reference_recovery_slots(sim, conn, failed_link):
     result = conn.result
     if result.backup_paths:
         for bp in result.backup_paths:
-            if failed_link not in bp.link_ids():
+            if failed_link not in {link.id for link in bp.links}:
                 return [
                     (link.id, s)
                     for link in bp.links
@@ -516,7 +516,7 @@ class TestInjectSingleFailuresMatchesReference:
         # With every slot free, a window of ``length`` starts at any slot
         # up to slot_count - length.
         run = full >> length - 1
-        path = CandidatePath(index.links, wp[0], g.slot_count, on_wp, full, run, length)
+        path = CandidatePath(index.links, wp[0], on_wp, run, length)
         block = SlotBlock(start, length)
         packed = 0
         for link in links(bp):
