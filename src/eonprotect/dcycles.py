@@ -23,8 +23,11 @@ only the cycles they leave empty are freed.  A failed protection attempt is
 undone by ``_release``, the same deletion without ``release_wp``'s grant
 check, plus the saved rings of the cycles it extended.
 
+A cycle's ring is held once, as the keys of its ``blocks`` in order.
 ``_set_ring`` is the only code that writes cycle blocks to the links: it
-builds, extends, restores and frees every ring.
+builds, extends, restores and frees every ring, through the checked
+``spectrum.allocate`` and ``release``, so a block written onto taken slots
+or freed where a slot is already free raises.
 
 Each cycle carries two derived maps, both tied to its ring:
 
@@ -49,7 +52,7 @@ from dataclasses import dataclass, field
 
 from .availability import ava_dcyc_update, parallel_availability
 from .rsa import CandidatePath, LightpathRequest, candidate_paths, select_best
-from .spectrum import SlotBlock, first_fit, is_feasible
+from .spectrum import SlotBlock, allocate, first_fit, is_feasible, release
 from .topology import Link, NetworkGraph
 
 
@@ -58,11 +61,11 @@ STRADDLING = 2
 
 
 def coverage(
-    g: NetworkGraph, vertex_order: tuple[str, ...], link_ids: tuple[str, ...]
+    g: NetworkGraph, vertex_order: tuple[str, ...], ring: dict[str, SlotBlock]
 ) -> dict[str, int]:
-    """Every link of ``g`` with both endpoints on the cycle: ON_CYCLE or STRADDLING."""
+    """Every link of ``g`` with both endpoints on the cycle: ON_CYCLE if it
+    is a key of the ring's blocks, else STRADDLING."""
     on = set(vertex_order)
-    ring = set(link_ids)
     covers = {}
     for vx in vertex_order:
         for lid in g.adjacency[vx]:
@@ -73,11 +76,15 @@ def coverage(
 
 @dataclass
 class DCycle:
-    """One protection cycle: an ordered closed walk of distinct vertices."""
+    """One protection cycle: an ordered closed walk of distinct vertices.
+
+    ``blocks`` is the ring: its key t is the link joining vertex t and
+    vertex t+1 mod n of ``vertex_order``.  ``_set_ring`` writes both,
+    through ``spectrum.allocate`` and ``release``.
+    """
 
     id: int
     vertex_order: tuple[str, ...]
-    link_ids: tuple[str, ...]
     blocks: dict[str, SlotBlock]
     capacity_slots: int
     # link id -> ON_CYCLE or STRADDLING, as ``coverage`` builds it
@@ -87,23 +94,21 @@ class DCycle:
     # link id -> backup_availability(link); valid until the ring changes
     arc_avail: dict[str, float] = field(default_factory=dict, repr=False, compare=False)
 
-    def is_on_cycle(self, link: Link) -> bool:
-        return link.id in self.link_ids
-
     def arcs(self, link: Link, g: NetworkGraph) -> list[list[Link]]:
         """Backup routes around the cycle between the link's endpoints.
 
         One arc (the complement) for an on-cycle link, both arcs for a
         straddler.
         """
-        if self.is_on_cycle(link):
-            return [[g.links[lid] for lid in self.link_ids if lid != link.id]]
+        if link.id in self.blocks:
+            return [[g.links[lid] for lid in self.blocks if lid != link.id]]
         order = self.vertex_order
         i, j = sorted((order.index(link.u), order.index(link.v)))
-        # link_ids[t] joins order[t] and order[t+1 mod n]
-        arc1 = [g.links[self.link_ids[t]] for t in range(i, j)]
-        arc2 = [g.links[self.link_ids[t % len(order)]] for t in range(j, i + len(order))]
-        return [arc1, arc2]
+        ring = tuple(self.blocks)
+        return [
+            [g.links[lid] for lid in ring[i:j]],
+            [g.links[lid] for lid in ring[j:] + ring[:i]],
+        ]
 
     def backup_availability(self, link: Link, g: NetworkGraph) -> float:
         a_bp = self.arc_avail.get(link.id)
@@ -138,12 +143,6 @@ class DCycleSet:
 
     def is_empty(self) -> bool:
         return not self.cycles
-
-    def add(self, cycle: DCycle) -> None:
-        self.cycles[cycle.id] = cycle
-
-    def new_id(self) -> int:
-        return next(self._cid)
 
     # The module-level functions are looked up at call time, so a wrapper
     # set on the module sees every call.
@@ -222,23 +221,24 @@ def _set_ring(
     """Give ``cycle`` a new ring; the only writer of cycle blocks.
 
     ``blocks`` maps the ring's link ids, in ring order, to their slot blocks.
-    Blocks the cycle holds and ``blocks`` lacks are freed, new ones are
-    reserved, and ``cs.reserved`` moves with both.  The coverage map is
-    rebuilt and the arc cache cleared.
+    Blocks the cycle holds and ``blocks`` lacks are freed by
+    ``spectrum.release``, new ones are reserved by ``spectrum.allocate``,
+    and ``cs.reserved`` moves with both.  The coverage map is rebuilt and
+    the arc cache cleared.  A conflicting write raises with the ring part
+    written; only a corrupted ledger gets there.
     """
     held = cycle.blocks
     for lid, block in held.items():
         if blocks.get(lid) != block:
-            g.links[lid].bitmap.set_free(block)
+            release([g.links[lid].bitmap], block)
             cs.reserved -= block.length
     for lid, block in blocks.items():
         if held.get(lid) != block:
-            g.links[lid].bitmap.set_busy(block)
+            allocate([g.links[lid].bitmap], block)
             cs.reserved += block.length
     cycle.vertex_order = tuple(vertex_order)
-    cycle.link_ids = tuple(blocks)
     cycle.blocks = blocks
-    cycle.covers = coverage(g, cycle.vertex_order, cycle.link_ids)
+    cycle.covers = coverage(g, cycle.vertex_order, blocks)
     cycle.arc_avail = {}
 
 
@@ -294,9 +294,9 @@ def _build_cycle(
     blocks = {
         lid: first_fit(g.links[lid].bitmap, capacity) for lid in _ring(g, vertex_order)
     }
-    cycle = DCycle(cs.new_id(), (), (), {}, capacity, {})
+    cycle = DCycle(next(cs._cid), (), {}, capacity, {})
     _set_ring(g, cs, cycle, vertex_order, blocks)
-    cs.add(cycle)
+    cs.cycles[cycle.id] = cycle
     return cycle
 
 

@@ -98,12 +98,6 @@ class SpectrumBitmap:
     def is_busy(self, block: SlotBlock) -> bool:
         return block.end <= self.size and self.bits & block.mask() == 0
 
-    def set_busy(self, block: SlotBlock) -> None:
-        self.bits &= ~block.mask()
-
-    def set_free(self, block: SlotBlock) -> None:
-        self.bits |= block.mask()
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, SpectrumBitmap)

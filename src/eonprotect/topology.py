@@ -10,9 +10,8 @@ consume them.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from importlib import resources
 
 import numpy as np
@@ -26,8 +25,6 @@ MTTF_H = 8760.0
 # Graph structures whose structural-path tables are kept, least recently
 # used dropped first.
 PATH_TABLES_KEPT = 8
-# LinkIndex.neighbors items -> that structure's structural-path table.
-_path_tables: OrderedDict[tuple, dict] = OrderedDict()
 
 
 class TopologyError(Exception):
@@ -318,17 +315,11 @@ class NetworkGraph:
         return g
 
 
+@lru_cache(maxsize=PATH_TABLES_KEPT)
 def _path_table(key: tuple) -> dict:
-    """The structural-path table of the structure ``key``, marked most
-    recently used; a new one drops the least recently used past the bound."""
-    table = _path_tables.get(key)
-    if table is None:
-        table = _path_tables[key] = {}
-        if len(_path_tables) > PATH_TABLES_KEPT:
-            _path_tables.popitem(last=False)
-    else:
-        _path_tables.move_to_end(key)
-    return table
+    """The structural-path table of the structure ``key``
+    (``LinkIndex.neighbors`` items)."""
+    return {}
 
 
 def build_nsfnet(

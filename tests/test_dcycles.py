@@ -12,14 +12,13 @@ from eonprotect.availability import parallel_availability
 from eonprotect.dcycles import (
     ON_CYCLE,
     STRADDLING,
-    DCycle,
     DCycleSet,
     UnknownGrantError,
     _build_cycle,
     _rollback,
+    _set_ring,
     _try_extend,
     check_cycles,
-    coverage,
     find_cycle_for,
     provision_cycles,
     release_wp,
@@ -28,7 +27,10 @@ from eonprotect.rsa import (
     CandidatePath, LightpathRequest, NoProtection, ProvisionResult, rsacs_with_protection,
 )
 from eonprotect.sim import Scenario, Simulation
-from eonprotect.spectrum import SlotBlock, SpectrumBitmap, allocate, first_fit
+from eonprotect.spectrum import (
+    AllocationConflictError, DoubleFreeError, SlotBlock, SpectrumBitmap, allocate, first_fit,
+    release,
+)
 from eonprotect.topology import NetworkGraph
 
 
@@ -50,28 +52,10 @@ def pentagon_with_chord(slot_count=16, avail=0.99):
     return g
 
 
-def hand_built_cycle(g, cs, vertex_order, capacity):
-    link_ids = tuple(
-        g.link_between(u, v).id
-        for u, v in zip(vertex_order, vertex_order[1:] + (vertex_order[0],))
-    )
-    blocks = {}
-    for lid in link_ids:
-        block = first_fit(g.links[lid].bitmap, capacity)
-        g.links[lid].bitmap.set_busy(block)
-        blocks[lid] = block
-    cycle = DCycle(
-        cs.new_id(), vertex_order, link_ids, blocks, capacity,
-        coverage(g, vertex_order, link_ids),
-    )
-    cs.add(cycle)
-    cs.reserved += capacity * len(link_ids)
-    return cycle
-
-
 def cycle_fields(cycle):
+    """The ring (vertex order, blocks in ring order) and the maps tied to it."""
     return (
-        cycle.vertex_order, cycle.link_ids, dict(cycle.blocks), dict(cycle.covers),
+        cycle.vertex_order, list(cycle.blocks.items()), dict(cycle.covers),
         dict(cycle.protected),
     )
 
@@ -149,7 +133,7 @@ class TestCheckCycles:
     def setup_method(self):
         self.g = pentagon_with_chord()
         self.cs = DCycleSet()
-        self.cycle = hand_built_cycle(self.g, self.cs, ("A", "B", "C", "E", "F"), 2)
+        self.cycle = _build_cycle(self.cs, self.g, ["A", "B", "C", "E", "F"], 2)
 
     def test_straddler_within_double_capacity(self):
         chord = self.g.links["B-F"]
@@ -160,7 +144,7 @@ class TestCheckCycles:
 
     def test_on_cycle_within_capacity(self):
         edge = self.g.links["A-B"]
-        assert self.cycle.is_on_cycle(edge)
+        assert edge.id in self.cycle.blocks
         assert check_cycles(self.cs, edge, 2) is self.cycle
         assert check_cycles(self.cs, edge, 3) is None
 
@@ -174,8 +158,8 @@ class TestCheckCycles:
         # even though the on-cycle one has the lower id.
         g = pentagon_with_chord()
         cs = DCycleSet()
-        on = hand_built_cycle(g, cs, ("A", "B", "F"), 2)
-        straddle = hand_built_cycle(g, cs, ("A", "B", "C", "E", "F"), 2)
+        on = _build_cycle(cs, g, ["A", "B", "F"], 2)
+        straddle = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2)
         assert on.id < straddle.id
         assert check_cycles(cs, g.links["B-F"], 2) is straddle
 
@@ -187,7 +171,7 @@ class TestArcsAndBackupAvailability:
     def test_on_cycle_complementary_arc(self):
         g = pentagon_with_chord(avail=0.9)
         cs = DCycleSet()
-        cycle = hand_built_cycle(g, cs, ("A", "B", "C", "E", "F"), 2)
+        cycle = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2)
         edge = g.links["A-B"]
         (arc,) = cycle.arcs(edge, g)
         assert {l.id for l in arc} == {"B-C", "C-E", "E-F", "A-F"}
@@ -196,7 +180,7 @@ class TestArcsAndBackupAvailability:
     def test_straddler_uses_both_arcs_in_parallel(self):
         g = pentagon_with_chord(avail=0.9)
         cs = DCycleSet()
-        cycle = hand_built_cycle(g, cs, ("A", "B", "C", "E", "F"), 2)
+        cycle = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2)
         chord = g.links["B-F"]
         arcs = cycle.arcs(chord, g)
         arc_ids = sorted(frozenset(l.id for l in arc) for arc in arcs)
@@ -244,7 +228,7 @@ class TestOptions:
     def test_straddler_within_capacity_has_one_option_per_arc(self):
         g = pentagon_with_chord()
         cs = DCycleSet()
-        cycle = hand_built_cycle(g, cs, ("A", "B", "C", "E", "F"), 2)
+        cycle = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2)
         res = self.granted(g, cycle, ("B", "F"))
         covers = self.mask(g, ["B-F"])
         arcs = [["B-C", "C-E", "E-F"], ["A-F", "A-B"]]
@@ -255,9 +239,9 @@ class TestOptions:
     def test_straddler_above_capacity_needs_both_arcs_in_one_option(self):
         g = pentagon_with_chord()
         cs = DCycleSet()
-        cycle = hand_built_cycle(g, cs, ("A", "B", "C", "E", "F"), 1)
+        cycle = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 1)
         res = self.granted(g, cycle, ("B", "F"))
-        ring = cycle.link_ids
+        ring = list(cycle.blocks)
         assert cs.options(g, res) == [
             (self.mask(g, ["B-F"]), self.mask(g, ring), self.placed(g, cycle, ring)),
         ]
@@ -276,10 +260,8 @@ class TestFindCycleFor:
         cs = DCycleSet()
         cycle = find_cycle_for(g, g.links["a-b"], 2, cs, k=5, extended=[])
         assert cycle is not None
-        assert set(cycle.link_ids) == {"a-b", "a-c", "b-c"} or set(
-            cycle.link_ids
-        ) == {"a-c", "b-c", "a-b"}
-        for lid in cycle.link_ids:
+        assert set(cycle.blocks) == {"a-b", "a-c", "b-c"}
+        for lid in cycle.blocks:
             assert g.links[lid].bitmap.is_busy(cycle.blocks[lid])
 
     def test_new_straddling_cycle_from_two_disjoint_routes(self):
@@ -290,27 +272,27 @@ class TestFindCycleFor:
         cycle = find_cycle_for(g, g.links["a-b"], 2, cs, k=5, extended=[])
         assert cycle is not None
         assert reference_is_straddling(cycle, g.links["a-b"])
-        assert set(cycle.link_ids) == {"a-c", "b-c", "b-d", "a-d"}
+        assert set(cycle.blocks) == {"a-c", "b-c", "b-d", "a-d"}
         # The straddler's own slots are untouched.
         assert g.links["a-b"].bitmap.bits.bit_count() == 16
 
     def test_extension_inserts_vertex_between_cycle_neighbours(self):
         g = pentagon_with_chord()
         cs = DCycleSet()
-        cycle = hand_built_cycle(g, cs, ("A", "B", "C", "E", "F"), 2)
+        cycle = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2)
         cycle.protected["A-B"] = "w0"
         new_link = g.links["D-E"]
         got = find_cycle_for(g, new_link, 2, cs, k=5, extended=[])
         assert got is cycle
         assert got.vertex_order == ("A", "B", "C", "D", "E", "F")
-        assert got.is_on_cycle(new_link)
+        assert new_link.id in got.blocks
         # The displaced edge C-E freed its slots and is now a straddler.
         assert "C-E" not in got.blocks
         assert g.links["C-E"].bitmap.bits.bit_count() == 16
         assert reference_is_straddling(got, g.links["C-E"])
         # Previously protected links stay protected on-cycle.
-        assert got.is_on_cycle(g.links["A-B"])
-        for lid in got.link_ids:
+        assert "A-B" in got.blocks
+        for lid in got.blocks:
             assert g.links[lid].bitmap.is_busy(got.blocks[lid])
 
     def test_bridge_link_yields_none(self):
@@ -418,7 +400,7 @@ class TestProvisionCycles:
         g.links["F-G"].availability = 0.91
         cs = DCycleSet()
         path = hand_path(g, ["D", "E", "F", "G"])
-        ring = hand_built_cycle(g, cs, ("A", "B", "C", "E", "F"), 2)
+        ring = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2)
         ring.protected["A-B"] = "w0"
         before = snapshot(cs, g)
         orders = []
@@ -487,7 +469,7 @@ class TestReleaseAndDismantle:
         r2 = provision(g, cs, "w2", "b", "c", 2, a_th=0.99)
         for res, wp in ((r1, "w1"), (r2, "w2")):
             for link in res.path.links:
-                link.bitmap.set_free(res.block)
+                release([link.bitmap], res.block)
             release_wp(cs, wp, res.protected_links, g)
         assert {lid: l.bitmap for lid, l in g.links.items()} == baseline
 
@@ -496,12 +478,12 @@ class TestReleaseAndDismantle:
         g = triangle(avail=0.95)
         cs = DCycleSet()
         res = provision(g, cs, "w1", "a", "b", 2, a_th=0.99)
-        idle = hand_built_cycle(g, cs, ("a", "b", "c"), 2)
+        idle = _build_cycle(cs, g, ["a", "b", "c"], 2)
         busy = g.busy_slot_count()
         release_wp(cs, "w1", res.protected_links, g)
         assert list(cs.cycles.values()) == [idle]
         assert g.busy_slot_count() == busy - 2 * 3
-        for lid in idle.link_ids:
+        for lid in idle.blocks:
             assert g.links[lid].bitmap.is_busy(idle.blocks[lid])
 
     def test_unknown_or_foreign_entry_raises_and_changes_nothing(self):
@@ -540,17 +522,49 @@ class TestReleaseAndDismantle:
         assert all("w1" not in c.protected.values() for c in cs.cycles.values())
 
 
+class TestCheckedRingWrites:
+    """Cycle blocks are written through ``spectrum.allocate``/``release``:
+    a ring written over taken slots, or freed where a slot is already
+    free, raises instead of corrupting the ledger."""
+
+    def test_ring_over_taken_slots_raises(self):
+        g = triangle(avail=0.95)
+        cs = DCycleSet()
+        provision(g, cs, "w1", "a", "b", 2, a_th=0.99)
+        (cycle,) = cs.cycles.values()
+        lid = next(iter(cycle.blocks))
+        taken = SlotBlock(8, 2)
+        allocate([g.links[lid].bitmap], taken)
+        with pytest.raises(AllocationConflictError):
+            _set_ring(g, cs, cycle, cycle.vertex_order, {**cycle.blocks, lid: taken})
+
+    def test_release_where_a_cycle_slot_is_free_raises(self):
+        g = triangle(avail=0.95)
+        cs = DCycleSet()
+        res = provision(g, cs, "w1", "a", "b", 2, a_th=0.99)
+        (cycle,) = cs.cycles.values()
+        lid, block = next(iter(cycle.blocks.items()))
+        # A plain bit write frees one slot of the block behind the ledger.
+        g.links[lid].bitmap.bits |= 1 << block.start
+        with pytest.raises(DoubleFreeError):
+            release_wp(cs, "w1", res.protected_links, g)
+
+
 class TestCycleWellFormedness:
     def test_extension_preserves_simple_cycle(self):
         g = pentagon_with_chord()
         cs = DCycleSet()
-        hand_built_cycle(g, cs, ("A", "B", "C", "E", "F"), 2)
+        _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2)
         cycle = find_cycle_for(g, g.links["D-E"], 2, cs, k=5, extended=[])
         assert len(set(cycle.vertex_order)) == len(cycle.vertex_order)
-        assert len(set(cycle.link_ids)) == len(cycle.link_ids)
+        # Key t of the ring joins vertex t and vertex t+1 mod n.
+        order = cycle.vertex_order
+        assert list(cycle.blocks) == [
+            g.link_between(u, v).id for u, v in zip(order, order[1:] + order[:1])
+        ]
         # Each cycle vertex touches exactly two cycle links.
         degree = {}
-        for lid in cycle.link_ids:
+        for lid in cycle.blocks:
             for vx in (g.links[lid].u, g.links[lid].v):
                 degree[vx] = degree.get(vx, 0) + 1
         assert all(d == 2 for d in degree.values())
@@ -561,8 +575,8 @@ class TestCycleSetOrder:
     def test_dict_order_is_id_order_after_rolled_back_extension(self):
         g = pentagon_with_chord()
         cs = DCycleSet()
-        ring = hand_built_cycle(g, cs, ("A", "B", "C", "E", "F"), 2)
-        other = hand_built_cycle(g, cs, ("A", "B", "F"), 2)
+        ring = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2)
+        other = _build_cycle(cs, g, ["A", "B", "F"], 2)
         ring.protected["A-B"] = "w0"
         other.protected["B-F"] = "w0"
         before = cycle_fields(ring)
@@ -574,7 +588,7 @@ class TestCycleSetOrder:
         assert list(cs.cycles.values()) == [ring, other]
         assert cs.cycles[ring.id] is ring and cycle_fields(ring) == before
         assert ring.vertex_order == ("A", "B", "C", "E", "F")
-        added = hand_built_cycle(g, cs, ("C", "D", "E"), 2)
+        added = _build_cycle(cs, g, ["C", "D", "E"], 2)
         assert list(cs.cycles) == [ring.id, other.id, added.id]
 
 
@@ -590,7 +604,7 @@ def reference_ordered(cs):
 def reference_is_straddling(cycle, link):
     vertex_set = frozenset(cycle.vertex_order)
     return (
-        link.id not in cycle.link_ids
+        link.id not in cycle.blocks
         and link.u in vertex_set
         and link.v in vertex_set
     )
@@ -601,7 +615,7 @@ def reference_admits(cycle, link, demand):
         return False
     if reference_is_straddling(cycle, link):
         return demand <= 2 * cycle.capacity_slots
-    if link.id in cycle.link_ids:
+    if link.id in cycle.blocks:
         return demand <= cycle.capacity_slots
     return False
 
@@ -630,14 +644,14 @@ def reference_dismantle_unused(cs, g):
     for cycle in reference_ordered(cs):
         if not cycle.protected:
             for lid, block in cycle.blocks.items():
-                g.links[lid].bitmap.set_free(block)
+                release([g.links[lid].bitmap], block)
             del cs.cycles[cycle.id]
 
 
 def reference_covers(cycle, g):
     out = {}
     for link in g.links.values():
-        if link.id in cycle.link_ids:
+        if link.id in cycle.blocks:
             out[link.id] = ON_CYCLE
         elif reference_is_straddling(cycle, link):
             out[link.id] = STRADDLING
@@ -676,7 +690,7 @@ class TestDerivedCycleState:
         for i, link in enumerate(g.links.values()):
             link.availability = 0.9 + i / 100
         cs = DCycleSet()
-        cycle = hand_built_cycle(g, cs, ("A", "B", "C", "E", "F"), 2)
+        cycle = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2)
         edge, chord = g.links["A-B"], g.links["B-F"]
         for link in (edge, chord):
             assert cycle.backup_availability(link, g) == fresh_backup_availability(cycle, link, g)
@@ -686,7 +700,7 @@ class TestDerivedCycleState:
         assert cycle.arc_avail == {}
         arc = cycle.backup_availability(edge, g)
         assert arc == fresh_backup_availability(cycle, edge, g)
-        assert arc == math.prod(g.links[lid].availability for lid in cycle.link_ids[1:])
+        assert arc == math.prod(g.links[lid].availability for lid in list(cycle.blocks)[1:])
         assert set(cycle.arc_avail) == {"A-B"}
         _rollback(g, cs, [], extended)
         assert cs.cycles[cycle.id] is cycle and cycle.arc_avail == {}
@@ -809,7 +823,7 @@ class TestRollbackRestoresState:
                         continue
                     assert res.needs_protection and not res.protected
                     for link in res.path.links:
-                        link.bitmap.set_free(res.block)
+                        release([link.bitmap], res.block)
                     assert snapshot(cs, g) == before
                     rolled_back += 1
         assert rolled_back

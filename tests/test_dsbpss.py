@@ -226,7 +226,7 @@ class TestCanShare:
         links = (g.links["E-F"],)
         backup = BackupPath("w1/bp1", ("E", "F"), links, block, _pack(g, links, block))
         reg.claim(g, at(g, W1), packed_on(g, "E-F", block.mask()))
-        g.links["E-F"].bitmap.set_busy(block)
+        allocate([g.links["E-F"].bitmap], block)
         # The last claim gone, every slot it held is free for anyone.
         release_wp(reg, at(g, W1), [backup], g)
         assert g.links["E-F"].bitmap.is_free(block)
@@ -238,7 +238,7 @@ class TestCanShare:
 class TestFreeBackupSlots:
     def test_empty_registry_is_identity(self):
         g = six_node_net()
-        g.links["E-F"].bitmap.set_busy(SlotBlock(0, 4))
+        allocate([g.links["E-F"].bitmap], SlotBlock(0, 4))
         bits = g.link_index().free_bits()
         before = list(bits)
         free_backup_slots(g, bits, BackupRegistry(), at(g, {"A-B"}))
@@ -248,7 +248,7 @@ class TestFreeBackupSlots:
         g = six_node_net()
         reg = BackupRegistry()
         block = SlotBlock(0, 3)
-        g.links["E-F"].bitmap.set_busy(block)
+        allocate([g.links["E-F"].bitmap], block)
         reg.claim(g, at(g, W1), packed_on(g, "E-F", block.mask()))
         bits = g.link_index().free_bits()
         free_backup_slots(g, bits, reg, at(g, {"B-E"}))
@@ -259,7 +259,7 @@ class TestFreeBackupSlots:
         g = six_node_net()
         reg = BackupRegistry()
         block = SlotBlock(0, 3)
-        g.links["E-F"].bitmap.set_busy(block)
+        allocate([g.links["E-F"].bitmap], block)
         reg.claim(g, at(g, {"B-C"}), packed_on(g, "E-F", block.mask()))
         bits = g.link_index().free_bits()
         free_backup_slots(g, bits, reg, at(g, {"B-C", "C-D"}))
@@ -307,7 +307,7 @@ class TestPositionsNotInIdOrder:
         links = (g.links["E-F"],)
         backup = BackupPath("w1/bp1", ("E", "F"), links, block, _pack(g, links, block))
         reg.claim(g, at(g, {"B-C"}), backup.packed)
-        g.links["E-F"].bitmap.set_busy(block)
+        allocate([g.links["E-F"].bitmap], block)
         before = self.state(reg, g)
         with pytest.raises(UnknownClaimError) as err:
             release_wp(reg, at(g, {"A-B", "B-C"}), [backup], g)
@@ -329,8 +329,9 @@ class TestPositionsNotInIdOrder:
             backup = BackupPath("bp", (), links, block, _pack(g, links, block))
             reg.claim(g, at(g, wp_links), backup.packed)
             reference_claim_backups(ref, wp_links, [backup])
+            # Shared backup slots are set busy again: a plain bit write.
             for link in links:
-                link.bitmap.set_busy(block)
+                link.bitmap.bits &= ~block.mask()
         assert unpacked_claims(reg, g) == ref.claims
         for newcomer in ({"A-B"}, {"B-E", "E-F"}, {"C-D"}, {"D-E"}, set(g.links)):
             bits, ref_bits = g.link_index().free_bits(), g.link_index().free_bits()
@@ -380,7 +381,7 @@ class TestProvisioningAndSharing:
             g.add_link(u, v, 100, availability=0.9)
         reg = BackupRegistry()
         reg.claim(g, at(g, {"a-b"}), packed_on(g, "a-c", SlotBlock(0, 2).mask()))
-        g.links["a-c"].bitmap.set_busy(SlotBlock(0, 2))
+        allocate([g.links["a-c"].bitmap], SlotBlock(0, 2))
         res = provision(g, reg, "w1", "a", "c", 2, a_th=0.95)
         assert res.path.vertices == ("a", "c")
         assert [bp.vertices for bp in res.backup_paths] == [("a", "b", "c")]
@@ -473,7 +474,7 @@ class TestProvisioningAndSharing:
         assert unpacked_claims(reg, g) == claims_before
         assert unpacked_held(reg, g) == held_before and reg.reserved == reserved_before
         for link in res.path.links:
-            link.bitmap.set_free(res.block)
+            release([link.bitmap], res.block)
         assert {lid: l.bitmap.bits for lid, l in g.links.items()} == bits_before
 
 
@@ -847,9 +848,10 @@ def reference_provision_backups(g, lr, best_path, reg, wp_id, a_th):
         ))
         a_pp = ava_dsbpss_update(a_pp, chosen.availability)
     reference_claim_backups(reg, wp_links, backups)
+    # Shared backup slots are set busy again: a plain bit write.
     for bp in backups:
         for link in bp.links:
-            link.bitmap.set_busy(bp.block)
+            link.bitmap.bits &= ~bp.block.mask()
     return backups, a_pp
 
 
@@ -1002,7 +1004,8 @@ def test_packed_registry_matches_per_link_reference(g, data):
                 for g_side, side in ((g, backups), (ref_g, on_graph(ref_g, backups))):
                     for bp in side:
                         for link in bp.links:
-                            g_side.links[link.id].bitmap.set_busy(bp.block)
+                            # Shared slots are set busy again: a plain bit write.
+                            g_side.links[link.id].bitmap.bits &= ~bp.block.mask()
                 live.append((wp_links, backups, None))
         assert unpacked_claims(reg, g) == ref.claims
         assert unpacked_held(reg, g) == ref.held

@@ -1,6 +1,5 @@
 """The int-mask path search and path selection against the code they replaced."""
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import pytest
@@ -246,11 +245,14 @@ def fallbacks(monkeypatch):
 
 
 @pytest.fixture
-def fresh_path_tables(monkeypatch):
-    """An empty cache of structural-path tables, so a test builds its own."""
-    tables = OrderedDict()
-    monkeypatch.setattr(topology, "_path_tables", tables)
-    return tables
+def fresh_path_tables():
+    """An empty cache of structural-path tables, so a test builds its own.
+
+    The value is the cached function; ``cache_info().currsize`` counts the
+    tables it keeps.
+    """
+    topology._path_table.cache_clear()
+    return topology._path_table
 
 
 LADDER = (("a", "b"), ("a", "c"), ("c", "b"), ("a", "d"), ("d", "e"), ("e", "b"))
@@ -442,7 +444,7 @@ def test_other_structures_get_other_tables(fresh_path_tables):
     for g in (links_reversed, vertices_reversed, one_more):
         assert g.link_index()._paths is not table
     assert ladder().link_index()._paths is table
-    assert len(fresh_path_tables) == 4
+    assert fresh_path_tables.cache_info().currsize == 4
 
 
 def test_add_link_after_search_gives_new_table(fresh_path_tables):
@@ -469,12 +471,12 @@ def test_path_table_cache_keeps_its_bound(fresh_path_tables):
     tables = {}
     for n in range(2, kept + 2):
         tables[n] = chain(n).link_index()._paths
-    assert len(fresh_path_tables) == kept
+    assert fresh_path_tables.cache_info().currsize == kept
     # A hit marks the table most recently used, so the next new structure
     # drops the least recently used one, n = 3, and not n = 2.
     assert chain(2).link_index()._paths is tables[2]
     chain(kept + 2).link_index()
-    assert len(fresh_path_tables) == kept
+    assert fresh_path_tables.cache_info().currsize == kept
     assert chain(kept + 1).link_index()._paths is tables[kept + 1]
     assert chain(3).link_index()._paths is not tables[3]
-    assert len(fresh_path_tables) == kept
+    assert fresh_path_tables.cache_info().currsize == kept

@@ -13,7 +13,7 @@ from eonprotect.rsa import (
     rsacs_with_protection,
     select_best,
 )
-from eonprotect.spectrum import SlotBlock, SpectrumBitmap, _run_mask, first_fit
+from eonprotect.spectrum import SlotBlock, SpectrumBitmap, _run_mask, allocate, first_fit
 from eonprotect.topology import (
     JitteredAvailability,
     NetworkGraph,
@@ -95,7 +95,7 @@ class TestCandidatePaths:
 
     def test_busy_direct_link_leaves_detour_only(self):
         g = triangle()
-        g.links["a-c"].bitmap.set_busy(SlotBlock(0, g.slot_count))
+        allocate([g.links["a-c"].bitmap], SlotBlock(0, g.slot_count))
         paths = candidate_paths(g, "a", "c", 1, k=2)
         assert [p.vertices for p in paths] == [("a", "b", "c")]
 
@@ -136,8 +136,8 @@ class TestCandidatePaths:
 
     def test_run_is_run_mask_of_link_intersection(self):
         g = triangle()
-        g.links["a-b"].bitmap.set_busy(SlotBlock(0, 2))
-        g.links["b-c"].bitmap.set_busy(SlotBlock(3, 2))
+        allocate([g.links["a-b"].bitmap], SlotBlock(0, 2))
+        allocate([g.links["b-c"].bitmap], SlotBlock(3, 2))
         (path,) = [
             p for p in candidate_paths(g, "a", "c", 2, k=3) if p.hops == 2
         ]
@@ -210,7 +210,7 @@ class TestRsacsWithProtection:
     def test_blocked_when_nothing_fits(self):
         g = triangle(slot_count=4)
         for link in g.links.values():
-            link.bitmap.set_busy(SlotBlock(0, 4))
+            allocate([link.bitmap], SlotBlock(0, 4))
         res = rsacs_with_protection(g, LightpathRequest("a", "c", 2), 0.9, NoProtection(), "w1")
         assert res.blocked
 

@@ -2,6 +2,7 @@
 
 import itertools
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +42,21 @@ def small_scenario(**overrides):
     )
     base.update(overrides)
     return Scenario(**base)
+
+
+MESH24 = (Path(__file__).parent / "data" / "mesh24.topo").read_text()
+
+
+def on_nsfnet_and_mesh24(cases):
+    """Each (mode, avail, ath) case on the bundled NSFNET under its plain id,
+    then on the 24-node Waxman mesh, as a fourth ``topology_text`` value."""
+    def case_id(case):
+        return "-".join(map(str, case))
+
+    return (
+        [pytest.param(*case, None, id=case_id(case)) for case in cases]
+        + [pytest.param(*case, MESH24, id="mesh24-" + case_id(case)) for case in cases]
+    )
 
 
 class TestScenario:
@@ -282,15 +298,15 @@ class TestRun:
 class TestReservedCounts:
     """Working slots plus the reserved counters equal a recount after every arrival."""
 
-    @pytest.mark.parametrize("mode,avail,ath", [
+    @pytest.mark.parametrize("mode,avail,ath,topology_text", on_nsfnet_and_mesh24([
         ("dsbpss", 0.9, 0.99),
         ("dcycles", 0.99, 0.999),
-    ])
-    def test_counters_match_recount_at_every_step(self, mode, avail, ath):
+    ]))
+    def test_counters_match_recount_at_every_step(self, mode, avail, ath, topology_text):
         n = 400
         sim = Simulation(small_scenario(
             mode=mode, avg_link_availability=avail, a_th=ath, load_erlang=20,
-            n_requests=n,
+            n_requests=n, topology_text=topology_text,
         ))
         rollbacks = shared = cycled = 0
         for i in range(1, n + 1):
@@ -477,14 +493,15 @@ def reference_recovery_slots(sim, conn, failed_link):
 
 
 class TestInjectSingleFailuresMatchesReference:
-    @pytest.mark.parametrize("mode,avail,ath", [
+    @pytest.mark.parametrize("mode,avail,ath,topology_text", on_nsfnet_and_mesh24([
         ("none", 0.9, 0.99),
         ("dsbpss", 0.9, 0.99),
         ("dcycles", 0.99, 0.999),
-    ])
-    def test_equal_at_pause_points(self, mode, avail, ath):
+    ]))
+    def test_equal_at_pause_points(self, mode, avail, ath, topology_text):
         sim = Simulation(small_scenario(
             mode=mode, avg_link_availability=avail, a_th=ath, n_requests=1200,
+            topology_text=topology_text,
         ))
         restored = affected = 0
         for done in range(200, 1201, 200):

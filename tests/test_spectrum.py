@@ -240,7 +240,7 @@ class TestAllocateRelease:
         # A conflict on a middle bitmap and on the last one.
         for busy in (1, 2):
             maps = [SpectrumBitmap(8), SpectrumBitmap(8), SpectrumBitmap(8)]
-            maps[busy].set_busy(SlotBlock(2, 2))
+            allocate([maps[busy]], SlotBlock(2, 2))
             before = [m.copy() for m in maps]
             with pytest.raises(AllocationConflictError, match=f"on link {busy} of path"):
                 allocate(maps, SlotBlock(0, 4))

@@ -280,7 +280,7 @@ class TestRemoveLinks:
     def test_copies_are_independent(self):
         g = load_topology(TRIANGLE)
         out = remove_links(g, [g.links["a-c"]])
-        from eonprotect.spectrum import SlotBlock
+        from eonprotect.spectrum import SlotBlock, allocate
 
-        out.links["a-b"].bitmap.set_busy(SlotBlock(0, 4))
+        allocate([out.links["a-b"].bitmap], SlotBlock(0, 4))
         assert g.links["a-b"].bitmap.bits.bit_count() == g.slot_count
