@@ -322,7 +322,7 @@ def find_cycle_for(
     index = g.link_index()
     bits = index.free_bits()
     bits[index.position[link.id]] = 0
-    alternates = candidate_paths(g, link.u, link.v, demand, k, bits)
+    alternates = candidate_paths(g, link.u, link.v, demand, k, bits, best_only=True)
     if not alternates:
         return None
     p1 = select_best(alternates)
@@ -332,7 +332,7 @@ def find_cycle_for(
     for vx in p1.vertices[1:-1]:
         for _, _, li in index.neighbors[vx]:
             bits[li] = 0
-    disjoint = candidate_paths(g, link.u, link.v, demand, k, bits)
+    disjoint = candidate_paths(g, link.u, link.v, demand, k, bits, best_only=True)
     if disjoint:
         p2 = select_best(disjoint)
         order = list(p1.vertices) + list(reversed(p2.vertices[1:-1]))

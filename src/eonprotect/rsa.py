@@ -21,7 +21,8 @@ survivors, so the pruned BFS returns the first k feasible paths of the
 unpruned order; when the table holds k feasible paths, they are those, and
 when it holds every s-d path, its feasible ones are all there are.  A scan
 of a table that is not complete stops at the first infeasible path that
-leaves it short of k feasible ones: the search falls back from there.
+leaves it short of k feasible ones: the search falls back from there,
+unless a best-only search (below) can answer from the table alone.
 
 Otherwise the pruned BFS runs, over every link's free bits.  It takes every
 link's run mask once; a partial path is its end vertex, a mask of the
@@ -29,6 +30,21 @@ vertices it visited, the running AND of its links' run masks and the tuple
 of its link indices, so extending a branch costs one ``&``.  A branch is
 pruned as soon as its links no longer share n contiguous free slots,
 exactly as if contiguity were re-derived from the AND of their free bits.
+
+A caller that keeps only ``select_best``'s pick passes ``best_only``, and
+the search stops at the first hop level no unseen path can win from.
+``select_best`` ranks availability first, and no path of h hops or more
+has a computed availability above ``LinkIndex.stop_above[h]``: the h-th
+power of the graph's largest link availability, with a relative slack of
+1e-12 that covers the rounding of the product.  Once the best path found
+is above that bound before the first path of h hops, every later path is
+strictly worse, so the search returns the paths found so far.  That is a
+prefix of the full list, empty only if the full list is, and
+``select_best`` picks the same path from it.  The bound is checked at each
+hop level of the table scan and at each BFS level.  Where the scan would
+fall back, it checks the bound of the first hop level off the table; if
+that holds, it scans the rest of the table and returns without the BFS.
+With every link availability 1.0 the bound never holds.
 
 Either way the search ends with each returned path's run mask, the AND of
 its links' run masks.  A returned ``CandidatePath`` is that mask, its link
@@ -110,24 +126,25 @@ class CandidatePath:
     """A feasible path found by ``candidate_paths`` for a demand of ``need``
     slots.
 
-    Its availability and hop count are set at once.  It keeps its link
-    indices and its run mask: bit i is set iff slots i..i+need-1 are free
-    on every link in the bits it was found in.  Its first-fit block, links
-    and vertex walk are built on first read.
+    Its availability and hop count are set at once; the search passes the
+    availability it computed, and a path built without one computes it.
+    It keeps its link indices and its run mask: bit i is set iff slots
+    i..i+need-1 are free on every link in the bits it was found in.  Its
+    first-fit block, links and vertex walk are built on first read.
     """
 
     def __init__(
         self, table: tuple[Link, ...], s: str,
         path: tuple[int, ...], run: int, need: int,
+        availability: float | None = None,
     ) -> None:
         # (graph links by index, source vertex, link indices, run mask,
         # demand); it holds no per-call list, so a live connection keeps no
         # search state alive.
         self._found = (table, s, path, run, need)
-        avail = 1.0
-        for li in path:
-            avail *= table[li].availability
-        self.availability = avail
+        if availability is None:
+            availability = _availability(table, path)
+        self.availability = availability
         self.hops = len(path)
 
     @property
@@ -160,6 +177,14 @@ class CandidatePath:
         return tuple(walk)
 
 
+def _availability(table: tuple[Link, ...], path: tuple[int, ...]) -> float:
+    """Product of the path's link availabilities in path order, from 1.0."""
+    avail = 1.0
+    for li in path:
+        avail *= table[li].availability
+    return avail
+
+
 def candidate_paths(
     g: NetworkGraph,
     s: str,
@@ -167,6 +192,8 @@ def candidate_paths(
     slots_needed: int,
     k: int,
     bits: list[int] | None = None,
+    *,
+    best_only: bool = False,
 ) -> list[CandidatePath]:
     """Up to k loop-free paths s->d with >= slots_needed contiguous common slots.
 
@@ -181,6 +208,12 @@ def candidate_paths(
     table scan reads the scanned paths' links only.  Neither the graph nor
     ``bits`` is written to.  Raises ``ValueError`` if ``slots_needed`` or
     ``k`` is below 1.
+
+    ``best_only`` is for a caller that keeps only ``select_best``'s pick:
+    the search may then return a prefix of the full list, cut at a hop
+    level no unseen path can win from (see the module docstring).  The
+    prefix is empty only when the full list is, and ``select_best`` picks
+    the same path from it.
     """
     if slots_needed < 1 or k < 1:
         raise ValueError("slots_needed and k must be >= 1")
@@ -191,15 +224,24 @@ def candidate_paths(
         return []
     index = g.link_index()
     table = index.links
+    stop_above = index.stop_above
     steps = run_steps(slots_needed)
     full = (1 << size) - 1
-    # (link indices, run mask) of each feasible path found.
+    # (link indices, run mask, availability or None) of each feasible path
+    # found, and the highest of those availabilities.
     found = []
+    top = 0.0
     paths, complete = index.structural_paths(s, d, k)
     # Infeasible paths the scan can pass and still answer (see the module
     # docstring).
     spare = len(paths) if complete else len(paths) - k
+    level = 0
+    fall_back = False
     for path in paths:
+        if len(path) != level:
+            level = len(path)
+            if best_only and top > stop_above[level]:
+                break
         run = full
         if bits is None:
             for li in path:
@@ -210,32 +252,50 @@ def candidate_paths(
         for step in steps:
             run &= run >> step
         if run:
-            found.append((path, run))
+            # A full search may throw its table paths away for the BFS's:
+            # their CandidatePaths compute the availabilities instead.
+            avail = None
+            if best_only:
+                avail = _availability(table, path)
+                if avail > top:
+                    top = avail
+            found.append((path, run, avail))
             if len(found) == k:
                 break
-        elif not spare:
-            break
-        else:
+        elif spare:
             spare -= 1
-    if len(found) < k and not complete:
+        elif not (best_only and top > stop_above[len(paths[-1]) + 1]):
+            # Too few feasible paths here, and a path off the table, which
+            # has more hops than any on it, may still win.
+            fall_back = True
+            break
+    if fall_back:
         runs = index.free_bits() if bits is None else bits
         for step in steps:
             runs = [r & r >> step for r in runs]
-        found = _pruned_bfs(index, runs, s, d, k)
-    return [CandidatePath(table, s, path, run, slots_needed) for path, run in found]
+        found = _pruned_bfs(index, runs, s, d, k, best_only)
+    return [
+        CandidatePath(table, s, path, run, slots_needed, avail)
+        for path, run, avail in found
+    ]
 
 
 def _pruned_bfs(
-    index: LinkIndex, runs: list[int], s: str, d: str, k: int,
-) -> list[tuple[tuple[int, ...], int]]:
-    """(link indices, AND of their run masks) of up to k paths whose run
-    masks meet, in BFS order."""
+    index: LinkIndex, runs: list[int], s: str, d: str, k: int, best_only: bool,
+) -> list[tuple[tuple[int, ...], int, float]]:
+    """(link indices, AND of their run masks, availability) of up to k paths
+    whose run masks meet, in BFS order; with ``best_only``, cut at the first
+    hop level that no unseen path can win from."""
     neighbors = index.neighbors
+    table = index.links
+    stop_above = index.stop_above
     found = []
+    top = 0.0
+    hops = 1
     # frontier entries: (vertex, visited-vertex mask, AND of the path's run
     # masks, link indices); -1 has every bit set, so no window is ruled out.
     frontier = [(s, index.vertex_bit[s], -1, ())]
-    while frontier:
+    while frontier and not (best_only and top > stop_above[hops]):
         nxt = []
         for u, seen, run, path in frontier:
             for v, vbit, li in neighbors[u]:
@@ -245,12 +305,17 @@ def _pruned_bfs(
                 if not new:
                     continue
                 if v == d:
-                    found.append((path + (li,), new))
+                    path_found = path + (li,)
+                    avail = _availability(table, path_found)
+                    if avail > top:
+                        top = avail
+                    found.append((path_found, new, avail))
                     if len(found) == k:
                         return found
                 else:
                     nxt.append((v, seen | vbit, new, path + (li,)))
         frontier = nxt
+        hops += 1
     return found
 
 
@@ -332,7 +397,7 @@ def rsacs_with_protection(
     if not 0.0 < a_th <= 1.0:
         raise ValueError("a_th must lie in (0, 1]")
 
-    paths = candidate_paths(g, lr.s, lr.d, lr.slots_needed, lr.k)
+    paths = candidate_paths(g, lr.s, lr.d, lr.slots_needed, lr.k, best_only=True)
     if not paths:
         return ProvisionResult(blocked=True)
     best = select_best(paths)

@@ -155,7 +155,8 @@ class JitteredAvailability(AvailabilityPolicy):
 
 @dataclass(frozen=True)
 class LinkIndex:
-    """Structure-only int view of a graph for path search.
+    """Int view of a graph's structure for path search, with per-hop bounds
+    on path availability.
 
     Link ``i`` (in ``links`` order) is entry ``i`` of a per-link list and
     each vertex owns one bit of a vertex mask.  No spectrum state is cached:
@@ -165,6 +166,11 @@ class LinkIndex:
     of one structure shares one table (see ``NetworkGraph.link_index``):
     graphs that differ in availabilities, slot count or spectrum alone
     build each (s, d, k) entry once between them.
+
+    ``stop_above[h]`` is ``a_max**h * (1 + 1e-12)``, where ``a_max`` is the
+    largest link availability when the index is built: no path of h hops or
+    more has a computed availability above it.  The slack covers the
+    rounding of a product of up to one factor per vertex.
     """
 
     links: tuple[Link, ...]
@@ -172,6 +178,8 @@ class LinkIndex:
     vertex_bit: dict[str, int]
     # vertex -> (neighbour, neighbour's vertex bit, link index), by neighbour name
     neighbors: dict[str, tuple[tuple[str, int, int], ...]]
+    # by hop count 0..len(vertex_bit)
+    stop_above: tuple[float, ...] = field(repr=False, compare=False)
     # (s, d, k) -> structural_paths(s, d, k), filled on first use; shared
     # by every index of the same structure
     _paths: dict = field(repr=False, compare=False)
@@ -264,6 +272,8 @@ class NetworkGraph:
         recently used ones.  The key is ``tuple(neighbors.items())``: the
         vertex order, each vertex's bit, its name-sorted neighbours and the
         index of each link, which is all that ``structural_paths`` reads.
+        The index reads link availabilities once, for ``stop_above``, so
+        set them before the first search.
         """
         if self._index is None:
             position = {lid: i for i, lid in enumerate(self.links)}
@@ -276,8 +286,10 @@ class NetworkGraph:
                     out.append((v, vertex_bit[v], position[lid]))
                 out.sort(key=lambda t: t[0])
                 neighbors[u] = tuple(out)
+            a_max = max((link.availability for link in self.links.values()), default=1.0)
             self._index = LinkIndex(
                 tuple(self.links.values()), position, vertex_bit, neighbors,
+                tuple([a_max**h * (1 + 1e-12) for h in range(len(vertex_bit) + 1)]),
                 _path_table(tuple(neighbors.items())),
             )
         return self._index

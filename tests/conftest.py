@@ -3,7 +3,7 @@ ACCEPTANCE_LABELS = {
     "test_structure_function_table": "3-link structure-function table (8 rows exact)",
     "test_update_formula_identities": "update-formula identities (composition, 1e-12)",
     "test_threshold_gating_zero_protection": "threshold gating: no protection capacity above threshold",
-    "test_single_fault_restorability_soundness": "single-fault soundness: 100 prefixes, 22 failures each",
+    "test_single_fault_restorability_soundness": "single-fault soundness: 100 NSFNET prefixes, 6 on the 24-node mesh, every link failed",
     "test_blocking_probability_trends": "blocking-probability trends across loads and modes",
     "test_conservation_and_deterministic_replay": "conservation and deterministic replay",
     "test_hundred_k_run_performance": "100k-request run under 5 minutes",

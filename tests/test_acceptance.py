@@ -9,6 +9,7 @@ import math
 import random
 import statistics
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from eonprotect.availability import (
 )
 from eonprotect.cli import CSV_COLUMNS, emit, run_cell
 from eonprotect.sim import Scenario, Simulation, inject_single_failures
+
+MESH24 = (Path(__file__).parent / "data" / "mesh24.topo").read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -202,28 +205,31 @@ def test_single_fault_restorability_soundness():
     rng = random.Random(777)
     t0 = time.perf_counter()
     prefixes = 0
-    for _ in range(50):
-        avail, ath = rng.choice([(0.9, 0.99), (0.99, 0.999)])
-        load = rng.choice([15, 20, 25])
-        seed = rng.randint(0, 10**6)
-        for mode in ("dsbpss", "dcycles"):
-            sc = Scenario(
-                load_erlang=load,
-                a_th=ath,
-                mode=mode,
-                avg_link_availability=avail,
-                n_requests=500,
-                seed=seed,
-                mean_holding_s=1.0,
-            )
-            sim = Simulation(sc)
-            sim.run(max_arrivals=500)
-            report = inject_single_failures(sim)
-            assert report.conflicts == 0, (mode, seed)
-            assert len(report.per_link) == 22
-            _assert_protected_paths_restorable(sim)
-            prefixes += 1
-    assert prefixes == 100
+    # 50 draws on the bundled NSFNET, then 3 on the 24-node Waxman mesh.
+    for topology_text, draws in ((None, 50), (MESH24, 3)):
+        for _ in range(draws):
+            avail, ath = rng.choice([(0.9, 0.99), (0.99, 0.999)])
+            load = rng.choice([15, 20, 25])
+            seed = rng.randint(0, 10**6)
+            for mode in ("dsbpss", "dcycles"):
+                sc = Scenario(
+                    load_erlang=load,
+                    a_th=ath,
+                    mode=mode,
+                    avg_link_availability=avail,
+                    n_requests=500,
+                    seed=seed,
+                    mean_holding_s=1.0,
+                    topology_text=topology_text,
+                )
+                sim = Simulation(sc)
+                sim.run(max_arrivals=500)
+                report = inject_single_failures(sim)
+                assert report.conflicts == 0, (mode, seed)
+                assert len(report.per_link) == len(sim.graph.links)
+                _assert_protected_paths_restorable(sim)
+                prefixes += 1
+    assert prefixes == 106
     assert time.perf_counter() - t0 < 600
 
 

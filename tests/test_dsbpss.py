@@ -421,6 +421,26 @@ class TestProvisioningAndSharing:
         assert g.links["a-c"].bitmap.to_string() == "0011"
         assert g.links["b-d"].bitmap.to_string() == "1011"
 
+    def test_backup_search_keeps_every_candidate(self):
+        # WP a-b (0.9); backups a-c-b (0.99**2, lifting it to 0.99801) and
+        # a-d-e-b (0.99**3, to 0.99994).  A best-only search stops after
+        # a-c-b, which beats every path of three hops: the second backup
+        # lies past that stop.
+        g = NetworkGraph(slot_count=4)
+        for u, v in (("a", "b"), ("a", "c"), ("c", "b"), ("a", "d"), ("d", "e"), ("e", "b")):
+            g.add_link(u, v, 100, availability=0.9 if u + v == "ab" else 0.99)
+        (wp,) = candidate_paths(g, "a", "b", 1, 1)
+        bits = g.link_index().free_bits()
+        bits[g.link_index().position["a-b"]] = 0
+        assert [p.vertices for p in candidate_paths(g, "a", "b", 1, 5, bits, best_only=True)] == [
+            ("a", "c", "b"),
+        ]
+        backups, a_pp = provision_backups(
+            g, LightpathRequest("a", "b", 1), wp, BackupRegistry(), "w1", 0.999,
+        )
+        assert [bp.vertices for bp in backups] == [("a", "c", "b"), ("a", "d", "e", "b")]
+        assert a_pp == pytest.approx(1 - 0.1 * (1 - 0.99**2) * (1 - 0.99**3), abs=1e-12)
+
     def test_rollback_when_no_disjoint_route_exists(self):
         g = NetworkGraph(slot_count=8)
         g.add_link("a", "b", 1, availability=0.9)

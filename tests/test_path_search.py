@@ -10,7 +10,7 @@ from eonprotect.rsa import candidate_paths, select_best
 from eonprotect.spectrum import SpectrumBitmap, _run_mask, first_fit, is_feasible
 from eonprotect.topology import (
     JitteredAvailability, Link, NetworkGraph, UniformAvailability, build_nsfnet,
-    remove_links,
+    link_id, remove_links,
 )
 
 
@@ -120,6 +120,12 @@ def search_cases(draw):
     availability = st.floats(0.5, 1.0, exclude_min=True)
     if uniform:
         avails = UniformAvailability(draw(availability)).availabilities(len(edges))
+    elif draw(st.booleans()):
+        # Jittered as the simulator's availabilities are, so that a path
+        # may beat one of fewer hops, and the best-only stop fires as it
+        # does in a run.
+        target = draw(st.floats(0.9, 0.999))
+        avails = JitteredAvailability(target, draw(st.integers(0, 99))).availabilities(len(edges))
     else:
         avails = [draw(availability) for _ in edges]
     g = NetworkGraph(slot_count=slot_count)
@@ -176,6 +182,8 @@ def test_matches_reference_on_pruned_copy(case):
         got = candidate_paths(g, s, d, slots_needed, k, given_bits)
         # Picked before any field is read, so only tied paths build their walks.
         picked = select_best(got) if got else None
+        best_only = candidate_paths(g, s, d, slots_needed, k, given_bits, best_only=True)
+        best_pick = select_best(best_only) if best_only else None
 
         pruned = remove_links(g, [g.links[lid] for lid in sorted(excluded)])
         if bits is not None:
@@ -188,6 +196,12 @@ def test_matches_reference_on_pruned_copy(case):
         if got:
             assert summary([picked]) == summary([select_best(want)])
             assert summary([picked]) == summary([reference_select_best(want)])
+        # A best-only search returns a prefix of the full list, empty only
+        # when the full list is, holding the path the reference picks.
+        assert summary(best_only) == summary(got)[:len(best_only)]
+        assert bool(best_only) == bool(got)
+        if got:
+            assert summary([best_pick]) == summary([reference_select_best(want)])
         # The run mask the search keeps, from the table or the pruned search,
         # is the run mask of the path's common free bits, and the first fit
         # read off it is the first fit of those bits.
@@ -235,9 +249,9 @@ def fallbacks(monkeypatch):
     """Arguments of every pruned search that the table did not answer."""
     calls = []
 
-    def spy(index, runs, s, d, k):
+    def spy(index, runs, s, d, k, best_only):
         calls.append((s, d, k))
-        return pruned_bfs(index, runs, s, d, k)
+        return pruned_bfs(index, runs, s, d, k, best_only)
 
     pruned_bfs = rsa._pruned_bfs
     monkeypatch.setattr(rsa, "_pruned_bfs", spy)
@@ -401,6 +415,87 @@ def test_table_holds_structure_only(fallbacks, fresh_path_tables):
     g.links["a-b"].bitmap.bits = 0b1111
     assert walks(candidate_paths(g, "a", "b", 1, 2)) == [("a", "b"), ("a", "c", "b")]
     assert fallbacks == [("a", "b", 2)]
+
+
+def avail_ladder(avails=None) -> NetworkGraph:
+    """``ladder`` with the link availabilities ``avails`` gives by link id,
+    and 0.99 on every other link."""
+    avails = avails or {}
+    g = NetworkGraph(slot_count=4)
+    for u, v in LADDER:
+        g.add_link(u, v, 100, availability=avails.get(link_id(u, v), 0.99))
+    return g
+
+
+def test_best_only_stops_inside_the_table(fallbacks):
+    g = avail_ladder()
+    # The k = 3 table holds all three a-b paths.  a-b (0.99) beats any
+    # path of two hops or more (at most 0.99**2), so the scan stops there.
+    assert walks(candidate_paths(g, "a", "b", 1, 3)) == [
+        ("a", "b"), ("a", "c", "b"), ("a", "d", "e", "b"),
+    ]
+    assert walks(candidate_paths(g, "a", "b", 1, 3, best_only=True)) == [("a", "b")]
+    assert fallbacks == []
+
+
+def test_best_only_answers_from_the_table_end(fallbacks):
+    # a-b at 0.975 is below 0.99**2, so it does not end the scan before
+    # a-c-b, but above 0.99**3, the bound of every path off the k = 2
+    # table (a-b, a-c-b).  With b-c busy that table holds one feasible
+    # path: the full search falls back, the best-only one need not.
+    g = avail_ladder({"a-b": 0.975})
+    g.links["b-c"].bitmap.bits = 0
+    assert walks(candidate_paths(g, "a", "b", 1, 2, best_only=True)) == [("a", "b")]
+    assert fallbacks == []
+    assert walks(candidate_paths(g, "a", "b", 1, 2)) == [
+        ("a", "b"), ("a", "d", "e", "b"),
+    ]
+    assert fallbacks == [("a", "b", 2)]
+
+
+def test_best_only_stops_at_a_bfs_level(fallbacks):
+    # With a-b busy the k = 2 table (a-b, a-c-b) cannot hold two feasible
+    # paths, so both searches fall back.  The BFS finds a-c-b (0.99**2)
+    # on its second level, which beats every path of three hops or more.
+    g = avail_ladder()
+    g.links["a-b"].bitmap.bits = 0
+    assert walks(candidate_paths(g, "a", "b", 1, 2)) == [
+        ("a", "c", "b"), ("a", "d", "e", "b"),
+    ]
+    assert walks(candidate_paths(g, "a", "b", 1, 2, best_only=True)) == [("a", "c", "b")]
+    assert fallbacks == [("a", "b", 2), ("a", "b", 2)]
+
+
+def test_best_only_keeps_a_longer_path_that_can_win(fallbacks):
+    # The bound of the next hop level, not of the one after, decides.  In
+    # the table: a-b (0.986) is above 0.9945**3 but not 0.9945**2, and
+    # a-c-b (0.9945**2) beats it.
+    g = avail_ladder({"a-b": 0.986, "a-c": 0.9945, "b-c": 0.9945})
+    found = candidate_paths(g, "a", "b", 1, 2, best_only=True)
+    assert walks(found) == [("a", "b"), ("a", "c", "b")]
+    assert select_best(found).vertices == ("a", "c", "b")
+    assert fallbacks == []
+    # In the BFS, with a-b busy: a-c-b (0.99**2) is above 0.9945**4 but not
+    # 0.9945**3, and a-d-e-b (0.9945**3) beats it.
+    g = avail_ladder({"a-d": 0.9945, "d-e": 0.9945, "b-e": 0.9945})
+    g.links["a-b"].bitmap.bits = 0
+    found = candidate_paths(g, "a", "b", 1, 2, best_only=True)
+    assert walks(found) == [("a", "c", "b"), ("a", "d", "e", "b")]
+    assert select_best(found).vertices == ("a", "d", "e", "b")
+    assert fallbacks == [("a", "b", 2)]
+
+
+def test_best_only_never_stops_with_every_availability_one(fallbacks):
+    g = ladder()
+    assert set(g.link_index().stop_above) == {1 + 1e-12}
+    # a-b, then b-c as well, made busy between rounds.
+    for busy in (None, "a-b", "b-c"):
+        if busy:
+            g.links[busy].bitmap.bits = 0
+        for k in (1, 2, 3, 5):
+            assert walks(candidate_paths(g, "a", "b", 1, k, best_only=True)) == walks(
+                candidate_paths(g, "a", "b", 1, k)
+            )
 
 
 def test_structure_change_resets_index():
