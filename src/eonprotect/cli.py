@@ -21,6 +21,7 @@ import configparser
 import csv
 import io
 import json
+import multiprocessing
 import os
 import sys
 import time
@@ -120,7 +121,10 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     cells = spec.cells()
     workers = min(spec.workers, len(cells))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # Spawned, not forked: numpy's import leaves a second thread running,
+        # and forking a threaded process is unsafe.
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
             return list(pool.map(_cell_safe, cells))
     return [_cell_safe(cell) for cell in cells]
 

@@ -38,13 +38,20 @@ has a computed availability above ``LinkIndex.stop_above[h]``: the h-th
 power of the graph's largest link availability, with a relative slack of
 1e-12 that covers the rounding of the product.  Once the best path found
 is above that bound before the first path of h hops, every later path is
-strictly worse, so the search returns the paths found so far.  That is a
-prefix of the full list, empty only if the full list is, and
-``select_best`` picks the same path from it.  The bound is checked at each
-hop level of the table scan and at each BFS level.  Where the scan would
-fall back, it checks the bound of the first hop level off the table; if
-that holds, it scans the rest of the table and returns without the BFS.
-With every link availability 1.0 the bound never holds.
+strictly worse, so the search stops with the paths found so far: a prefix
+of the full list, empty only if the full list is, from which
+``select_best`` picks the same path.  The bound is checked at each hop
+level of the table scan and at each BFS level.  Where the scan would fall
+back, it checks the bound of the first hop level off the table; if that
+holds, it scans the rest of the table and returns without the BFS.  With
+every link availability 1.0 the bound never holds.
+
+Every search extends a branch over its end vertex's neighbours in name
+order, so paths of one hop count are found in the order of their vertex
+walks, and the first found path of the highest availability is the one
+``select_best`` picks: ties on availability go to fewer hops, then to the
+lower vertex walk.  A best-only search returns a one-element list holding
+that path, so it builds one ``CandidatePath`` and no vertex walk.
 
 Either way the search ends with each returned path's run mask, the AND of
 its links' run masks.  A returned ``CandidatePath`` is that mask, its link
@@ -52,15 +59,15 @@ indices, its availability (the product of link availabilities in path
 order, from 1.0) and its hop count.  Its first-fit block (the lowest set
 bit of the run mask), vertex walk and link tuple are built from those on
 first read, so provisioning allocates ``first_block`` with no bitmap built
-and no second pass over the slots.  A caller that keeps the ``select_best``
-path builds that path's fields only, plus the vertex walks of any paths
-tied with it on availability and hops.
+and no second pass over the slots.  A caller that takes paths from a full
+list by ``select_best`` builds the taken paths' fields only, plus the
+vertex walks of any paths tied with them on availability and hops.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .spectrum import SlotBlock, allocate, run_steps
 from .topology import Link, LinkIndex, NetworkGraph
@@ -210,10 +217,9 @@ def candidate_paths(
     ``k`` is below 1.
 
     ``best_only`` is for a caller that keeps only ``select_best``'s pick:
-    the search may then return a prefix of the full list, cut at a hop
-    level no unseen path can win from (see the module docstring).  The
-    prefix is empty only when the full list is, and ``select_best`` picks
-    the same path from it.
+    the search stops at a hop level no unseen path can win from (see the
+    module docstring) and returns ``[select_best(full list)]``, or ``[]``
+    when the full list is empty.
     """
     if slots_needed < 1 or k < 1:
         raise ValueError("slots_needed and k must be >= 1")
@@ -274,6 +280,10 @@ def candidate_paths(
         for step in steps:
             runs = [r & r >> step for r in runs]
         found = _pruned_bfs(index, runs, s, d, k, best_only)
+    if best_only and len(found) > 1:
+        # Found in hop order, then vertex-walk order: the first of the
+        # highest availability is select_best's pick.
+        found = [max(found, key=itemgetter(2))]
     return [
         CandidatePath(table, s, path, run, slots_needed, avail)
         for path, run, avail in found
@@ -322,8 +332,12 @@ def _pruned_bfs(
 def select_best(paths: list[CandidatePath]) -> CandidatePath:
     """Highest availability; ties go to fewer hops, then vertex order.
 
-    Vertex walks are read only for paths tied on availability and hops.
+    A lone path, such as a best-only search returns, is returned at once.
+    Otherwise vertex walks are read only for paths tied on availability and
+    hops.
     """
+    if len(paths) == 1:
+        return paths[0]
     if not paths:
         raise ValueError("no candidate paths to select from")
     best = min(paths, key=lambda p: (-p.availability, p.hops))
@@ -332,19 +346,38 @@ def select_best(paths: list[CandidatePath]) -> CandidatePath:
     return best if len(tied) == 1 else min(tied, key=lambda p: p.vertices)
 
 
-@dataclass
 class ProvisionResult:
-    """Outcome of one provisioning attempt."""
+    """Outcome of one provisioning attempt.
 
-    blocked: bool
-    path: CandidatePath | None = None
-    block: SlotBlock | None = None
-    a_p_max: float = 0.0
-    a_pp_max: float = 0.0
-    needs_protection: bool = False
-    protected: bool = False
-    backup_paths: list = field(default_factory=list)
-    protected_links: list = field(default_factory=list)
+    A slotted record with a plain ``__init__``, built once per arrival: the
+    working path and its first-fit block (``None`` when blocked), the
+    path's availability ``a_p_max``, the availability ``a_pp_max`` with its
+    protection, whether it needed protection and got it to the threshold,
+    and the mode's own lists of what protects it.  Each result gets its own
+    ``backup_paths`` and ``protected_links`` lists unless given them.
+    """
+
+    __slots__ = (
+        "blocked", "path", "block", "a_p_max", "a_pp_max",
+        "needs_protection", "protected", "backup_paths", "protected_links",
+    )
+
+    def __init__(
+        self, blocked: bool, path: CandidatePath | None = None,
+        block: SlotBlock | None = None, a_p_max: float = 0.0,
+        a_pp_max: float = 0.0, needs_protection: bool = False,
+        protected: bool = False, backup_paths: list | None = None,
+        protected_links: list | None = None,
+    ) -> None:
+        self.blocked = blocked
+        self.path = path
+        self.block = block
+        self.a_p_max = a_p_max
+        self.a_pp_max = a_pp_max
+        self.needs_protection = needs_protection
+        self.protected = protected
+        self.backup_paths = [] if backup_paths is None else backup_paths
+        self.protected_links = [] if protected_links is None else protected_links
 
 
 class NoProtection:

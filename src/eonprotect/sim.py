@@ -181,11 +181,19 @@ def generate_arrivals(sc: Scenario, g: NetworkGraph) -> list[LightpathRequest]:
     return requests
 
 
-@dataclass
 class Connection:
-    id: str
-    request: LightpathRequest
-    result: ProvisionResult
+    """A live connection: its id, its request and what provisioning gave it.
+
+    A slotted record with a plain ``__init__``, built once per accepted
+    arrival.
+    """
+
+    __slots__ = ("id", "request", "result")
+
+    def __init__(self, id: str, request: LightpathRequest, result: ProvisionResult) -> None:
+        self.id = id
+        self.request = request
+        self.result = result
 
 
 @dataclass

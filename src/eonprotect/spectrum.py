@@ -18,7 +18,7 @@ step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
 
@@ -38,16 +38,25 @@ class DoubleFreeError(SpectrumError):
     pass
 
 
-@dataclass(frozen=True)
-class SlotBlock:
-    """A contiguous run of slots: ``start`` (0-based) through ``start+length-1``."""
+class SlotBlock(namedtuple("SlotBlock", "start length")):
+    """A contiguous run of slots: ``start`` (0-based) through ``start+length-1``.
 
-    start: int
-    length: int
+    An immutable tuple with no per-instance dict, built once per allocation.
+    The constructor, ``_make`` and ``_replace`` all reject ``start < 0`` and
+    ``length < 1``.
+    """
 
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.length < 1:
-            raise ValueError(f"invalid slot block ({self.start}, {self.length})")
+    __slots__ = ()
+
+    def __new__(cls, start: int, length: int) -> SlotBlock:
+        if start < 0 or length < 1:
+            raise ValueError(f"invalid slot block ({start}, {length})")
+        return tuple.__new__(cls, (start, length))
+
+    @classmethod
+    def _make(cls, iterable) -> SlotBlock:
+        # namedtuple's own _make, which _replace calls, skips __new__.
+        return cls(*iterable)
 
     @property
     def end(self) -> int:

@@ -1,5 +1,5 @@
 ACCEPTANCE_LABELS = {
-    "test_availability_calculus_vs_oracle": "availability calculus vs Monte-Carlo oracle (3 sigma, <60 s)",
+    "test_availability_calculus_vs_oracle": "availability calculus vs Monte-Carlo oracle (1 % family-wise, <60 s)",
     "test_structure_function_table": "3-link structure-function table (8 rows exact)",
     "test_update_formula_identities": "update-formula identities (composition, 1e-12)",
     "test_threshold_gating_zero_protection": "threshold gating: no protection capacity above threshold",

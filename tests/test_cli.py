@@ -3,6 +3,7 @@
 import csv
 import importlib.resources
 import json
+import time
 
 import jsonschema
 import pytest
@@ -613,12 +614,13 @@ class TestWorkers:
 
     @pytest.fixture
     def pools(self, monkeypatch):
-        """The ``max_workers`` of every pool made, with the pool faked."""
+        """The ``max_workers`` and start method of every pool made, with the
+        pool faked."""
         made = []
 
         class FakePool:
-            def __init__(self, max_workers):
-                made.append(max_workers)
+            def __init__(self, max_workers, mp_context=None):
+                made.append((max_workers, mp_context and mp_context.get_start_method()))
 
             def __enter__(self):
                 return self
@@ -640,7 +642,9 @@ class TestWorkers:
         )
         return str(cfg)
 
-    @pytest.mark.parametrize("workers, pool", [("1", []), ("2", [2]), ("64", [2])])
+    @pytest.mark.parametrize(
+        "workers, pool", [("1", []), ("2", [(2, "spawn")]), ("64", [(2, "spawn")])]
+    )
     def test_pool_never_outnumbers_cells(self, cells, pools, tmp_path, capsys, workers, pool):
         code = main([
             "sweep", "--config", self.two_cell_config(tmp_path),
@@ -657,6 +661,28 @@ class TestWorkers:
         assert exc.value.code == 2
         assert f"--workers must be at least 1, not {workers}" in capsys.readouterr().err
         assert cells == [] and pools == []
+
+    def test_real_pool_matches_sequential_run(self):
+        # Spawned workers: numpy's import starts a second thread, forking a
+        # threaded process is unsafe, and Python 3.12+ warns about it.
+        spec = SweepSpec(
+            template=FAST_TEMPLATE,
+            avg_availability=[0.99],
+            a_th=[0.999],
+            loads=[15.0],
+            modes=["none", "dcycles"],
+            workers=2,
+        )
+        t0 = time.perf_counter()
+        pooled = run_sweep(spec)
+        assert time.perf_counter() - t0 < 60
+        spec.workers = 1
+        sequential = run_sweep(spec)
+        for row in pooled + sequential:
+            assert "error" not in row
+            del row["runtime_s"]
+        assert pooled == sequential
+        assert [row["mode"] for row in pooled] == ["none", "dcycles"]
 
 
 class TestNothingMeasured:

@@ -196,12 +196,12 @@ def test_matches_reference_on_pruned_copy(case):
         if got:
             assert summary([picked]) == summary([select_best(want)])
             assert summary([picked]) == summary([reference_select_best(want)])
-        # A best-only search returns a prefix of the full list, empty only
-        # when the full list is, holding the path the reference picks.
-        assert summary(best_only) == summary(got)[:len(best_only)]
-        assert bool(best_only) == bool(got)
+        # A best-only search returns select_best's pick of the full list
+        # and nothing else, and is empty only when the full list is.
+        assert summary(best_only) == summary([picked] if got else [])
         if got:
-            assert summary([best_pick]) == summary([reference_select_best(want)])
+            assert best_pick is best_only[0]
+            assert (best_pick.run, best_pick.first_block) == (picked.run, picked.first_block)
         # The run mask the search keeps, from the table or the pruned search,
         # is the run mask of the path's common free bits, and the first fit
         # read off it is the first fit of those bits.
@@ -430,11 +430,15 @@ def avail_ladder(avails=None) -> NetworkGraph:
 def test_best_only_stops_inside_the_table(fallbacks):
     g = avail_ladder()
     # The k = 3 table holds all three a-b paths.  a-b (0.99) beats any
-    # path of two hops or more (at most 0.99**2), so the scan stops there.
+    # path of two hops or more (at most 0.99**2), so the scan stops there
+    # and reads no other link's bits.
     assert walks(candidate_paths(g, "a", "b", 1, 3)) == [
         ("a", "b"), ("a", "c", "b"), ("a", "d", "e", "b"),
     ]
-    assert walks(candidate_paths(g, "a", "b", 1, 3, best_only=True)) == [("a", "b")]
+    index = g.link_index()
+    bits = ReadLog(index.free_bits())
+    assert walks(candidate_paths(g, "a", "b", 1, 3, bits, best_only=True)) == [("a", "b")]
+    assert bits.reads == [index.position["a-b"]]
     assert fallbacks == []
 
 
@@ -456,7 +460,8 @@ def test_best_only_answers_from_the_table_end(fallbacks):
 def test_best_only_stops_at_a_bfs_level(fallbacks):
     # With a-b busy the k = 2 table (a-b, a-c-b) cannot hold two feasible
     # paths, so both searches fall back.  The BFS finds a-c-b (0.99**2)
-    # on its second level, which beats every path of three hops or more.
+    # on its second level, which beats every path of three hops or more,
+    # so it returns before the third level.
     g = avail_ladder()
     g.links["a-b"].bitmap.bits = 0
     assert walks(candidate_paths(g, "a", "b", 1, 2)) == [
@@ -464,6 +469,11 @@ def test_best_only_stops_at_a_bfs_level(fallbacks):
     ]
     assert walks(candidate_paths(g, "a", "b", 1, 2, best_only=True)) == [("a", "c", "b")]
     assert fallbacks == [("a", "b", 2), ("a", "b", 2)]
+    index = g.link_index()
+    # A demand of one slot takes no shift step: the run masks are the bits.
+    found = rsa._pruned_bfs(index, index.free_bits(), "a", "b", 2, True)
+    position = index.position
+    assert [path for path, _, _ in found] == [(position["a-c"], position["b-c"])]
 
 
 def test_best_only_keeps_a_longer_path_that_can_win(fallbacks):
@@ -471,17 +481,13 @@ def test_best_only_keeps_a_longer_path_that_can_win(fallbacks):
     # the table: a-b (0.986) is above 0.9945**3 but not 0.9945**2, and
     # a-c-b (0.9945**2) beats it.
     g = avail_ladder({"a-b": 0.986, "a-c": 0.9945, "b-c": 0.9945})
-    found = candidate_paths(g, "a", "b", 1, 2, best_only=True)
-    assert walks(found) == [("a", "b"), ("a", "c", "b")]
-    assert select_best(found).vertices == ("a", "c", "b")
+    assert walks(candidate_paths(g, "a", "b", 1, 2, best_only=True)) == [("a", "c", "b")]
     assert fallbacks == []
     # In the BFS, with a-b busy: a-c-b (0.99**2) is above 0.9945**4 but not
     # 0.9945**3, and a-d-e-b (0.9945**3) beats it.
     g = avail_ladder({"a-d": 0.9945, "d-e": 0.9945, "b-e": 0.9945})
     g.links["a-b"].bitmap.bits = 0
-    found = candidate_paths(g, "a", "b", 1, 2, best_only=True)
-    assert walks(found) == [("a", "c", "b"), ("a", "d", "e", "b")]
-    assert select_best(found).vertices == ("a", "d", "e", "b")
+    assert walks(candidate_paths(g, "a", "b", 1, 2, best_only=True)) == [("a", "d", "e", "b")]
     assert fallbacks == [("a", "b", 2)]
 
 
@@ -493,9 +499,38 @@ def test_best_only_never_stops_with_every_availability_one(fallbacks):
         if busy:
             g.links[busy].bitmap.bits = 0
         for k in (1, 2, 3, 5):
-            assert walks(candidate_paths(g, "a", "b", 1, k, best_only=True)) == walks(
-                candidate_paths(g, "a", "b", 1, k)
-            )
+            before = len(fallbacks)
+            full = candidate_paths(g, "a", "b", 1, k)
+            full_fell_back = len(fallbacks) - before
+            best = candidate_paths(g, "a", "b", 1, k, best_only=True)
+            # It searches as far as the full search does, and picks from
+            # the same paths.
+            assert len(fallbacks) - before == 2 * full_fell_back
+            assert walks(best) == [select_best(full).vertices]
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(st.data())
+def test_best_only_breaks_ties_on_the_vertex_walk(data):
+    """On a fan of two-hop s-d paths of one availability, the paths found
+    tie on availability and hops, so the vertex walk decides the pick."""
+    m = data.draw(st.integers(2, 6))
+    # Links are added in an order apart from their names' order, which is
+    # the order the search extends a branch in.
+    names = data.draw(st.permutations([str(i) for i in range(m + 2)]))
+    s, d, middle = names[0], names[1], names[2:]
+    a = data.draw(st.floats(0.5, 1.0, exclude_min=True))
+    g = NetworkGraph(slot_count=4)
+    for v in middle:
+        for u in data.draw(st.permutations([s, d])):
+            g.add_link(u, v, 100, availability=a)
+    for link in g.links.values():
+        link.bitmap.bits = data.draw(st.integers(0, 0b1111))
+    k = data.draw(st.integers(1, m + 1))
+    full = candidate_paths(g, s, d, 1, k)
+    best = candidate_paths(g, s, d, 1, k, best_only=True)
+    assert walks(best) == ([min(walks(full))] if full else [])
+    assert walks(best) == ([select_best(full).vertices] if full else [])
 
 
 def test_structure_change_resets_index():

@@ -9,6 +9,7 @@ from eonprotect.rsa import (
     CandidatePath,
     LightpathRequest,
     NoProtection,
+    ProvisionResult,
     candidate_paths,
     rsacs_with_protection,
     select_best,
@@ -194,6 +195,38 @@ class TestSelectBest:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             select_best([])
+
+
+class TestProvisionResult:
+    def test_blocked_alone(self):
+        r = ProvisionResult(blocked=True)
+        assert r.blocked and r.path is None and r.block is None
+        assert (r.a_p_max, r.a_pp_max) == (0.0, 0.0)
+        assert not r.needs_protection and not r.protected
+        assert r.backup_paths == [] and r.protected_links == []
+
+    def test_positional_and_keyword_fields(self):
+        block = SlotBlock(0, 2)
+        r = ProvisionResult(False, None, block, 0.9, 0.95, True, False, ["bp"], ["l"])
+        assert (r.blocked, r.block, r.a_p_max, r.a_pp_max) == (False, block, 0.9, 0.95)
+        assert (r.needs_protection, r.protected) == (True, False)
+        assert (r.backup_paths, r.protected_links) == (["bp"], ["l"])
+        r = ProvisionResult(blocked=False, protected_links=[1], a_pp_max=0.5)
+        assert (r.protected_links, r.a_pp_max, r.backup_paths) == ([1], 0.5, [])
+
+    def test_each_result_gets_its_own_lists(self):
+        a, b = ProvisionResult(blocked=False), ProvisionResult(blocked=False)
+        a.backup_paths.append("bp")
+        a.protected_links.append("l")
+        assert b.backup_paths == [] and b.protected_links == []
+        assert a.backup_paths is not b.backup_paths
+        assert a.protected_links is not b.protected_links
+
+    def test_slotted(self):
+        r = ProvisionResult(blocked=True)
+        assert not hasattr(r, "__dict__")
+        with pytest.raises(AttributeError):
+            r.extra = 1
 
 
 class TestRsacsWithProtection:

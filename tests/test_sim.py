@@ -3,6 +3,7 @@
 import itertools
 from collections import Counter
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -570,6 +571,10 @@ def test_options_match_the_recurrence_where_it_is_exact():
     the stacked ``ava_dsbpss_update`` is exact: ``a_pp_max`` must agree
     with the oracle run on the structure its options describe.  (Backups
     that share links make the recurrence overstate it: ROADMAP item 6.)
+
+    Each of the 31 checks is held to the Sidak bound that keeps the family
+    at a 1 % false-alarm rate with fresh draws (about 3.6 sigma; at 3 sigma
+    each, about 8 %).
     """
     sim = Simulation(Scenario(
         load_erlang=20, a_th=0.99, mode="dsbpss", avg_link_availability=0.9,
@@ -578,7 +583,8 @@ def test_options_match_the_recurrence_where_it_is_exact():
     sim.run(max_arrivals=3000)
     g = sim.graph
     avail = tuple(link.availability for link in g.link_index().links)
-    checked = 0
+    # (conn id, estimate, standard error, deviation in standard errors)
+    checks = []
     for conn in sim.live.values():
         options = sim.protection.options(g, conn.result)
         needs = [n for _, n, _ in options]
@@ -586,7 +592,18 @@ def test_options_match_the_recurrence_where_it_is_exact():
             continue
         wp = options[0][0]
         path = ProtectedPath(avail, wp, tuple(options))
-        est, err = monte_carlo_availability(path, 200_000, seed=checked)
-        assert abs(est - conn.result.a_pp_max) < 3 * err, (conn.id, est, err)
-        checked += 1
-    assert checked > 0
+        est, err = monte_carlo_availability(path, 200_000, seed=len(checks))
+        checks.append((conn.id, est, err, abs(est - conn.result.a_pp_max) / err))
+    assert checks
+    per_check = 1 - (1 - 0.01) ** (1 / len(checks))
+    sigmas = NormalDist().inv_cdf(1 - per_check / 2)
+    assert [c for c in checks if not c[3] < sigmas] == []
+
+
+def test_connection_is_a_slotted_record():
+    lr = LightpathRequest("a", "b", 1)
+    result = ProvisionResult(blocked=True)
+    conn = Connection("c1", lr, result)
+    assert (conn.id, conn.request, conn.result) == ("c1", lr, result)
+    assert Connection(id="c2", request=lr, result=result).id == "c2"
+    assert not hasattr(conn, "__dict__")

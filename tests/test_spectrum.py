@@ -1,7 +1,9 @@
 """Slot bitmap arithmetic: intersection, contiguity, placement, allocation."""
 
+import copy
 import functools
 import operator
+import pickle
 import random
 
 import pytest
@@ -46,6 +48,43 @@ class TestSlotBlock:
             SlotBlock(-1, 2)
         with pytest.raises(ValueError):
             SlotBlock(0, 0)
+        with pytest.raises(ValueError):
+            SlotBlock(start=0, length=0)
+        for bad in ({"start": -1}, {"length": 0}):
+            with pytest.raises(ValueError):
+                SlotBlock(2, 3)._replace(**bad)
+        with pytest.raises(ValueError):
+            SlotBlock._make((-1, 2))
+
+    def test_fields(self):
+        b = SlotBlock(start=4, length=2)
+        assert (b.start, b.length, b.end, b.mask()) == (4, 2, 6, 0b110000)
+        assert b._replace(length=3) == SlotBlock(4, 3)
+        assert not hasattr(b, "__dict__")
+
+    def test_immutable(self):
+        b = SlotBlock(2, 3)
+        for name, value in (("start", 0), ("length", 1)):
+            with pytest.raises(AttributeError):
+                setattr(b, name, value)
+        with pytest.raises(AttributeError):
+            b.extra = 1
+        assert b == SlotBlock(2, 3)
+
+    def test_equal_blocks_are_equal_and_hash_alike(self):
+        a, b = SlotBlock(2, 3), SlotBlock(2, 3)
+        assert a == b and hash(a) == hash(b)
+        assert a != SlotBlock(2, 4) and a != SlotBlock(3, 3)
+        assert len({a, b, SlotBlock(3, 3)}) == 2
+
+    def test_survives_deepcopy_and_pickle(self):
+        b = SlotBlock(5, 7)
+        for twin in (copy.copy(b), copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
+            assert type(twin) is SlotBlock
+            assert twin == b and (twin.start, twin.end) == (5, 12)
+        # Inside a container, as dcycles' ring blocks are copied.
+        ring = {"a-b": b, "b-c": SlotBlock(0, 1)}
+        assert copy.deepcopy(ring) == ring
 
 
 class TestBitmap:
