@@ -325,21 +325,20 @@ def find_cycle_for(
     alternates = candidate_paths(g, link.u, link.v, demand, k, bits, best_only=True)
     if not alternates:
         return None
-    p1 = select_best(alternates)
+    walk = select_best(alternates).vertices
 
-    # The second route avoids every link at p1's interior vertices, p1's own
-    # links among them (p1 avoids ``link``, so it has two hops or more).
-    for vx in p1.vertices[1:-1]:
+    # The second route avoids every link at the first's interior vertices,
+    # the first's links among them (it avoids ``link``: two hops or more).
+    for vx in walk[1:-1]:
         for _, _, li in index.neighbors[vx]:
             bits[li] = 0
     disjoint = candidate_paths(g, link.u, link.v, demand, k, bits, best_only=True)
     if disjoint:
-        p2 = select_best(disjoint)
-        order = list(p1.vertices) + list(reversed(p2.vertices[1:-1]))
-        return _build_cycle(cs, g, order, demand)
+        back = select_best(disjoint).vertices
+        return _build_cycle(cs, g, list(walk) + list(reversed(back[1:-1])), demand)
 
     if is_feasible(link.bitmap, demand):
-        return _build_cycle(cs, g, list(p1.vertices), demand)
+        return _build_cycle(cs, g, list(walk), demand)
     return None
 
 

@@ -34,6 +34,12 @@ claims:
   ``held`` once as the OR of the claims left and writes the bits ``held``
   lost back to the link bits, one non-zero field at a time.
 
+The link bits are written only through that ledger, and checked first:
+the slots a claim adds to ``held`` must be free on their links
+(``AllocationConflictError``), and the slots a release drops from it must
+be busy (``DoubleFreeError``).  Either error leaves the registry and the
+links as they were.
+
 A failed protection attempt reserves nothing: ``provision_backups`` picks
 its backups on a private copy of the free bits and claims them only once
 the threshold is met, so there is nothing to roll back.
@@ -52,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rsa import CandidatePath, LightpathRequest, candidate_paths, select_best
-from .spectrum import SlotBlock, run_steps
+from .spectrum import AllocationConflictError, DoubleFreeError, SlotBlock, run_steps
 from .availability import ava_dsbpss_update
 from .topology import Link, NetworkGraph
 
@@ -211,6 +217,8 @@ def provision_backups(
     ([], the working path's availability) is returned.  Each backup takes
     first fit from its candidate's run mask; only a candidate that crosses
     a link an earlier backup of this call took slots on is re-intersected.
+    Raises ``AllocationConflictError``, and reserves nothing, if a slot the
+    backups newly hold is not free on its link.
     """
     wp = best_path.link_indices
     bits = g.link_index().free_bits()
@@ -227,8 +235,8 @@ def provision_backups(
     a_pp = best_path.availability
     backups: list[BackupPath] = []
     packed = 0
-    # Link positions on which a backup of this call took slots.
-    taken: set[int] = set()
+    # Link position -> the slots the backups of this call took on it.
+    taken: dict[int, int] = {}
     while a_pp < a_th:
         if not candidates:
             return [], best_path.availability
@@ -236,7 +244,7 @@ def provision_backups(
         candidates.remove(chosen)
         positions = chosen.link_indices
         common = chosen.run
-        if not taken.isdisjoint(positions):
+        if not taken.keys().isdisjoint(positions):
             # An earlier backup took slots the candidate's run mask still
             # shows free; re-intersect on the search bits.
             common = (1 << width) - 1
@@ -246,7 +254,6 @@ def provision_backups(
                 common &= common >> step
             if not common:
                 continue
-        taken.update(positions)
         # The lowest start of a free run of ``need`` slots: first fit.
         low = common & -common
         mask = (low << need) - low
@@ -255,19 +262,27 @@ def provision_backups(
             # Own backups are not shareable with this same WP.
             bits[li] &= ~mask
             own |= mask << li * width
+            taken[li] = taken.get(li, 0) | mask
         block = SlotBlock(low.bit_length() - 1, need)
         backups.append(BackupPath(
             f"{wp_id}/bp{len(backups) + 1}", chosen.vertices, chosen.links, block, own
         ))
         packed |= own
         a_pp = ava_dsbpss_update(a_pp, chosen.availability)
+    links = g.link_index().links
+    for li, slots in taken.items():
+        # Slots held already are shared, and busy; the rest must be free.
+        clash = slots & ~links[li].bitmap.bits
+        if clash:
+            clash &= ~(reg.held >> li * width)
+        if clash:
+            raise AllocationConflictError(
+                f"slots {clash:#x} on {links[li].id} not free for {wp_id}"
+            )
     if packed:
         reg.claim(g, wp, packed)
-    for bp in backups:
-        busy = ~bp.block.mask()
-        for link in bp.links:
-            # Shared slots are busy already; the rest were free until now.
-            link.bitmap.bits &= busy
+    for li, slots in taken.items():
+        links[li].bitmap.bits &= ~slots
     return backups, a_pp
 
 
@@ -283,7 +298,9 @@ def release_wp(
     ``provision_backups`` returned for it, whose packed masks are released.
     If a slot of a backup is not claimed on one of its links for a failure
     of every link of ``wp``, or two of the backups name the same slot
-    on a link, raises ``UnknownClaimError`` and changes nothing.
+    on a link, raises ``UnknownClaimError`` and changes nothing; if a slot
+    left unclaimed is not busy on its link, raises ``DoubleFreeError`` and
+    changes nothing.
     """
     packed = 0
     for bp in backups:
@@ -299,33 +316,41 @@ def release_wp(
         if missing:
             raise _unknown(g, missing, packed)
     keep = ~packed
-    for failed in wp:
-        left = claims[failed] & keep
-        if left:
-            claims[failed] = left
-        else:
-            del claims[failed]
+    left = {failed: claims[failed] & keep for failed in wp}
     held = 0
-    for claimed in claims.values():
-        held |= claimed
+    for failed, claimed in claims.items():
+        held |= left.get(failed, claimed)
     freed = reg.held & ~held
-    reg.held = held
-    if not freed:
-        return
-    reg.reserved -= freed.bit_count()
+    count = freed.bit_count()
     # Every freed bit lies in the pack, so in the field of a backup link:
-    # skip to the next field holding one, free its bits, go past it.
+    # skip to the next field holding one, check its bits, go past it.
     width = g.slot_count
     field = (1 << width) - 1
     links = g.link_index().links
+    writes = []
     li = 0
     while freed:
         skip = ((freed & -freed).bit_length() - 1) // width
         freed >>= skip * width
         li += skip
-        links[li].bitmap.bits |= freed & field
+        slots = freed & field
+        bitmap = links[li].bitmap
+        if slots & bitmap.bits:
+            raise DoubleFreeError(
+                f"slots {slots & bitmap.bits:#x} on {links[li].id} are not busy"
+            )
+        writes.append((bitmap, slots))
         freed >>= width
         li += 1
+    for failed, claimed in left.items():
+        if claimed:
+            claims[failed] = claimed
+        else:
+            del claims[failed]
+    reg.held = held
+    reg.reserved -= count
+    for bitmap, slots in writes:
+        bitmap.bits |= slots
 
 
 def _unknown(g: NetworkGraph, bad: int, packed: int) -> UnknownClaimError:

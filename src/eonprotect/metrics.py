@@ -36,6 +36,8 @@ class MetricsReport:
     def validate(self) -> None:
         if self.blocked > self.arrived:
             raise ValueError("blocked exceeds arrived")
+        if self.slots_blocked > self.slots_requested:
+            raise ValueError("slots blocked exceeds slots requested")
         if self.protected_count > self.needing_protection:
             raise ValueError("protected exceeds paths needing protection")
         for name in (

@@ -53,15 +53,14 @@ walks, and the first found path of the highest availability is the one
 lower vertex walk.  A best-only search returns a one-element list holding
 that path, so it builds one ``CandidatePath`` and no vertex walk.
 
-Either way the search ends with each returned path's run mask, the AND of
-its links' run masks.  A returned ``CandidatePath`` is that mask, its link
-indices, its availability (the product of link availabilities in path
-order, from 1.0) and its hop count.  Its first-fit block (the lowest set
-bit of the run mask), vertex walk and link tuple are built from those on
-first read, so provisioning allocates ``first_block`` with no bitmap built
-and no second pass over the slots.  A caller that takes paths from a full
-list by ``select_best`` builds the taken paths' fields only, plus the
-vertex walks of any paths tied with them on availability and hops.
+Either way the search ends with each feasible path's run mask, the AND of
+its links' run masks, and its availability, the product of its link
+availabilities in path order from 1.0.  A returned ``CandidatePath`` is a
+slotted record of those, its link indices and its hop count.  Its
+first-fit block (the lowest set bit of the run mask), vertex walk and link
+tuple are worked out on each read, so a caller that reads one twice keeps
+it in a local.  Provisioning allocates ``first_block`` on the links by
+position, with no bitmap built and no second pass over the slots.
 """
 
 from __future__ import annotations
@@ -110,76 +109,51 @@ class LightpathRequest(
         return cls(*iterable)
 
 
-class _BuiltOnFirstRead:
-    """A field built on first read and then stored on the instance.
-
-    A non-data descriptor: once built, the instance attribute shadows it and
-    later reads are plain attribute reads.  ``functools.cached_property``
-    does the same but takes a lock on every uncached read before Python 3.12.
-    """
-
-    def __init__(self, build) -> None:
-        self.build = build
-        self.name = build.__name__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.build(obj)
-        return value
-
-
 class CandidatePath:
     """A feasible path found by ``candidate_paths`` for a demand of ``need``
     slots.
 
-    Its availability and hop count are set at once; the search passes the
-    availability it computed, and a path built without one computes it.
-    It keeps its link indices and its run mask: bit i is set iff slots
-    i..i+need-1 are free on every link in the bits it was found in.  Its
-    first-fit block, links and vertex walk are built on first read.
+    A slotted record the search fills once: the path's links by
+    ``LinkIndex`` position in path order, its run mask (bit i is set iff
+    slots i..i+need-1 are free on every link in the bits it was found in),
+    the demand, the availability the search computed and the hop count,
+    plus the graph's links table and the source vertex.  It holds no
+    per-call list, so a live connection keeps no search state alive.  Its
+    first-fit block, links and vertex walk are worked out on each read.
     """
+
+    __slots__ = (
+        "_table", "_source", "link_indices", "run", "need", "availability", "hops",
+    )
 
     def __init__(
         self, table: tuple[Link, ...], s: str,
-        path: tuple[int, ...], run: int, need: int,
-        availability: float | None = None,
+        path: tuple[int, ...], run: int, need: int, availability: float,
     ) -> None:
-        # (graph links by index, source vertex, link indices, run mask,
-        # demand); it holds no per-call list, so a live connection keeps no
-        # search state alive.
-        self._found = (table, s, path, run, need)
-        if availability is None:
-            availability = _availability(table, path)
+        self._table = table
+        self._source = s
+        self.link_indices = path
+        self.run = run
+        self.need = need
         self.availability = availability
         self.hops = len(path)
 
     @property
-    def link_indices(self) -> tuple[int, ...]:
-        """The path's links by ``LinkIndex`` position, in path order."""
-        return self._found[2]
-
-    @property
-    def run(self) -> int:
-        """The AND of the path's links' run masks for its demand."""
-        return self._found[3]
-
-    @_BuiltOnFirstRead
     def first_block(self) -> SlotBlock:
         """Lowest-start block of ``need`` slots free on every link."""
-        *_, run, need = self._found
-        return SlotBlock((run & -run).bit_length() - 1, need)
+        run = self.run
+        return SlotBlock((run & -run).bit_length() - 1, self.need)
 
-    @_BuiltOnFirstRead
+    @property
     def links(self) -> tuple[Link, ...]:
-        table, _, path, *_ = self._found
-        return tuple([table[li] for li in path])
+        table = self._table
+        return tuple([table[li] for li in self.link_indices])
 
-    @_BuiltOnFirstRead
+    @property
     def vertices(self) -> tuple[str, ...]:
-        table, s, path, *_ = self._found
-        walk = [s]
-        for li in path:
+        table = self._table
+        walk = [self._source]
+        for li in self.link_indices:
             walk.append(table[li].other(walk[-1]))
         return tuple(walk)
 
@@ -233,8 +207,8 @@ def candidate_paths(
     stop_above = index.stop_above
     steps = run_steps(slots_needed)
     full = (1 << size) - 1
-    # (link indices, run mask, availability or None) of each feasible path
-    # found, and the highest of those availabilities.
+    # (link indices, run mask, availability) of each feasible path found,
+    # and the highest of those availabilities.
     found = []
     top = 0.0
     paths, complete = index.structural_paths(s, d, k)
@@ -258,13 +232,9 @@ def candidate_paths(
         for step in steps:
             run &= run >> step
         if run:
-            # A full search may throw its table paths away for the BFS's:
-            # their CandidatePaths compute the availabilities instead.
-            avail = None
-            if best_only:
-                avail = _availability(table, path)
-                if avail > top:
-                    top = avail
+            avail = _availability(table, path)
+            if avail > top:
+                top = avail
             found.append((path, run, avail))
             if len(found) == k:
                 break
@@ -436,7 +406,8 @@ def rsacs_with_protection(
     best = select_best(paths)
     # The search read the live bits, so its first fit is free on every link.
     block = best.first_block
-    allocate([link.bitmap for link in best.links], block)
+    table = g.link_index().links
+    allocate([table[li].bitmap for li in best.link_indices], block)
 
     result = ProvisionResult(
         blocked=False, path=best, block=block,

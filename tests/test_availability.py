@@ -16,7 +16,7 @@ from eonprotect.availability import (
     monte_carlo_availability,
     parallel_availability,
 )
-from eonprotect.rsa import CandidatePath
+from eonprotect.rsa import _availability
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -24,7 +24,7 @@ unit = st.floats(0.0, 1.0, allow_nan=False)
 def path_product(links):
     """The availability ``rsa`` gives a path over links of these availabilities."""
     table = tuple(SimpleNamespace(availability=a) for a in links)
-    return CandidatePath(table, "s", tuple(range(len(links))), 1, 1).availability
+    return _availability(table, tuple(range(len(links))))
 
 
 class TestStructureSeries:
@@ -83,7 +83,7 @@ class TestLinkAvailability:
 
 
 class TestSeriesAvailability:
-    """The path product, as ``CandidatePath`` takes it in path order."""
+    """The path product, as the path search takes it in path order."""
 
     def test_four_two_nine_links(self):
         assert path_product([0.99] * 4) == pytest.approx(0.96059601, abs=1e-12)

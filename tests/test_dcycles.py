@@ -24,7 +24,8 @@ from eonprotect.dcycles import (
     release_wp,
 )
 from eonprotect.rsa import (
-    CandidatePath, LightpathRequest, NoProtection, ProvisionResult, rsacs_with_protection,
+    CandidatePath, LightpathRequest, NoProtection, ProvisionResult, _availability,
+    rsacs_with_protection,
 )
 from eonprotect.sim import Scenario, Simulation
 from eonprotect.spectrum import (
@@ -88,7 +89,9 @@ def hand_path(g, vertices):
     path = tuple(index.position[link.id] for link in links)
     # Its run mask for the 2-slot demand, as the search found it.
     run = common.bits & common.bits >> 1
-    return CandidatePath(index.links, vertices[0], path, run, 2)
+    return CandidatePath(
+        index.links, vertices[0], path, run, 2, _availability(index.links, path)
+    )
 
 
 class TestMinAvailabilityLink:

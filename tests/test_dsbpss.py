@@ -24,7 +24,8 @@ from eonprotect.rsa import (
 )
 from eonprotect.sim import Scenario, Simulation
 from eonprotect.spectrum import (
-    SlotBlock, SpectrumBitmap, allocate, first_fit, is_feasible, release,
+    AllocationConflictError, DoubleFreeError, SlotBlock, SpectrumBitmap, allocate,
+    first_fit, is_feasible, release,
 )
 from eonprotect.topology import NetworkGraph
 
@@ -680,6 +681,54 @@ class TestRelease:
         assert {link.id: link.bitmap.bits for link in links} == want
         assert reg.held == packed_on(g, second.id, kept_mask)
         assert reg.reserved == kept_mask.bit_count()
+
+
+class TestLedgerChecks:
+    """Backup slots reach the link bits only after a check, and a failed
+    check changes neither the registry nor the links."""
+
+    @staticmethod
+    def state(g, reg):
+        return (
+            unpacked_claims(reg, g), unpacked_held(reg, g), reg.reserved,
+            {lid: link.bitmap.bits for lid, link in g.links.items()},
+        )
+
+    def test_newly_held_slot_busy_on_its_link_raises(self, monkeypatch):
+        g = six_node_net()
+        reg = BackupRegistry()
+        # w1 (A-B-C-D) holds slots 0-2 on A-F, E-F and D-E for its backup.
+        provision(g, reg, "w1", "A", "D", 3, a_th=0.92)
+        # Slots 0-1 of B-F carry a working path the registry knows nothing of.
+        allocate([g.links["B-F"].bitmap], SlotBlock(0, 2))
+
+        def offer_every_slot(g, bits, reg, wp):
+            bits[:] = [(1 << g.slot_count) - 1] * len(bits)
+
+        # A registry that offers busy, unheld slots for sharing.
+        monkeypatch.setattr(eonprotect.dsbpss, "free_backup_slots", offer_every_slot)
+        lr = LightpathRequest("B", "E", 2)
+        best = select_best(candidate_paths(g, "B", "E", 2, lr.k))
+        assert best.vertices == ("B", "E")
+        before = self.state(g, reg)
+        # The backup B-F-E takes slots 0-1: held already on E-F, so shared,
+        # but busy and unheld on B-F.
+        with pytest.raises(AllocationConflictError, match="0x3 on B-F"):
+            provision_backups(g, lr, best, reg, "w2", 0.92)
+        assert self.state(g, reg) == before
+
+    def test_freed_slot_not_busy_on_its_link_raises(self):
+        g = six_node_net()
+        reg = BackupRegistry()
+        res = provision(g, reg, "w1", "A", "D", 3, a_th=0.92)
+        (bp,) = res.backup_paths
+        assert bp.vertices == ("A", "F", "E", "D") and bp.block == SlotBlock(0, 3)
+        # Slot 1 of the backup on E-F reads free although the registry holds it.
+        g.links["E-F"].bitmap.bits |= 0b010
+        before = self.state(g, reg)
+        with pytest.raises(DoubleFreeError, match="0x2 on E-F"):
+            release_wp(reg, res.path.link_indices, res.backup_paths, g)
+        assert self.state(g, reg) == before
 
 
 class TestClaimInvariant:

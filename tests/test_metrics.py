@@ -23,6 +23,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             report(arrived=1, blocked=2)
 
+    def test_slots_blocked_cannot_exceed_slots_requested(self):
+        # Otherwise the bandwidth blocking probability would read above 1.
+        with pytest.raises(ValueError):
+            report(arrived=1, slots_requested=1, slots_blocked=2)
+        report(arrived=1, blocked=1, slots_requested=2, slots_blocked=2).validate()
+
     def test_protected_cannot_exceed_needing(self):
         with pytest.raises(ValueError):
             report(needing_protection=1, protected_count=2)

@@ -215,7 +215,10 @@ def test_matches_reference_on_pruned_copy(case):
         assert all(link is g.links[link.id] for p in got for link in p.links)
         # ... and no per-call list (free bits, run masks), which a live
         # connection would otherwise keep alive.
-        assert not any(holds_a_list(tuple(vars(p).values())) for p in got)
+        assert not any(
+            holds_a_list(tuple(getattr(p, name) for name in rsa.CandidatePath.__slots__))
+            for p in got
+        )
     assert g.link_index() is index
 
     # Each table holds tuples of ints only, and is the unpruned breadth-first

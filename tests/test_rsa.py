@@ -10,6 +10,7 @@ from eonprotect.rsa import (
     LightpathRequest,
     NoProtection,
     ProvisionResult,
+    _availability,
     candidate_paths,
     rsacs_with_protection,
     select_best,
@@ -147,16 +148,30 @@ class TestCandidatePaths:
         assert path.first_block == first_fit(SpectrumBitmap(g.slot_count, bits), 2)
         assert path.first_block == SlotBlock(5, 2)
 
-    def test_fields_built_on_first_read(self):
+    def test_slotted_record_views_agree_with_positions_and_run(self):
         g = build_nsfnet(16, JitteredAvailability(0.99, seed=4))
+        allocate([g.links["1-2"].bitmap], SlotBlock(0, 5))
         paths = candidate_paths(g, "1", "10", 3, k=5)
-        best = select_best(paths)
-        # Jittered availabilities do not tie, so no walk was needed.
-        built = {"vertices", "links", "first_block"}
-        assert all(not built & set(vars(p)) for p in paths)
-        assert best.first_block is best.first_block
-        assert best.hops == len(best.links) == len(best.vertices) - 1
-        assert set(vars(best)) >= built
+        table = g.link_index().links
+        for p in paths:
+            assert not hasattr(p, "__dict__")
+            assert p.links == tuple(table[li] for li in p.link_indices)
+            assert p.hops == len(p.links) == len(p.vertices) - 1
+            assert p.vertices[0] == "1" and p.vertices[-1] == "10"
+            for (u, v), link in zip(zip(p.vertices, p.vertices[1:]), p.links):
+                assert {u, v} == {link.u, link.v}
+            start = (p.run & -p.run).bit_length() - 1
+            assert p.first_block == SlotBlock(start, 3)
+            common = (1 << g.slot_count) - 1
+            for link in p.links:
+                common &= link.bitmap.bits
+            assert p.first_block == first_fit(SpectrumBitmap(g.slot_count, common), 3)
+        # The busy slots on 1-2 move the first fit of the paths over it.
+        assert {p.first_block.start for p in paths} == {0, 5}
+        # The search always passes the availability it computed.
+        p = paths[0]
+        with pytest.raises(TypeError):
+            CandidatePath(table, "1", p.link_indices, p.run, 3)
 
 
 class TestSelectBest:
@@ -169,7 +184,9 @@ class TestSelectBest:
         index = g.link_index()
         path = tuple(index.position[g.link_between(u, v).id] for u, v in zip(verts, verts[1:]))
         # All four slots free, for a demand of one slot.
-        return CandidatePath(index.links, verts[0], path, 0b1111, 1)
+        return CandidatePath(
+            index.links, verts[0], path, 0b1111, 1, _availability(index.links, path)
+        )
 
     def test_strict_max(self):
         lo = self.mk(0.98, ("a", "b"))

@@ -16,6 +16,7 @@ from eonprotect.rsa import (
     CandidatePath,
     LightpathRequest,
     ProvisionResult,
+    _availability,
     rsacs_with_protection,
 )
 from eonprotect.sim import (
@@ -534,7 +535,9 @@ class TestInjectSingleFailuresMatchesReference:
         # With every slot free, a window of ``length`` starts at any slot
         # up to slot_count - length.
         run = full >> length - 1
-        path = CandidatePath(index.links, wp[0], on_wp, run, length)
+        path = CandidatePath(
+            index.links, wp[0], on_wp, run, length, _availability(index.links, on_wp)
+        )
         block = SlotBlock(start, length)
         packed = 0
         for link in links(bp):

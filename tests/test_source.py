@@ -29,8 +29,9 @@ def test_no_assert_statements():
 
 def test_no_cached_property():
     # Before Python 3.12, functools.cached_property takes a lock on every
-    # uncached read; the package supports 3.10 and 3.11, and lazy fields
-    # sit on the per-arrival path (rsa.CandidatePath).
+    # uncached read, and the package supports 3.10 and 3.11.  The
+    # per-arrival records (rsa.CandidatePath, its first_block, links and
+    # vertices views among them) are slotted and hold no cache.
     found = [
         f"{path.name}:{node.lineno}"
         for path in SOURCES
