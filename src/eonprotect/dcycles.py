@@ -29,11 +29,12 @@ builds, extends, restores and frees every ring, through the checked
 ``spectrum.allocate`` and ``release``, so a block written onto taken slots
 or freed where a slot is already free raises.
 
-Each cycle carries two derived maps, both tied to its ring:
+Each cycle carries two derived values, both tied to its ring:
 
-- ``covers``, the coverage map: every graph link with both endpoints on the
-  cycle, mapped to ``ON_CYCLE`` or ``STRADDLING``.  ``check_cycles`` makes
-  one lookup in it per cycle.  ``_set_ring`` rebuilds it with the ring.
+- ``vertex_set``, the frozenset of its vertex order.  A link is covered
+  iff both its endpoints are in it; a covered link is on the cycle iff it
+  is a key of ``blocks``, else it straddles.  ``_set_ring`` sets it with
+  the ring.
 - the arc cache: the backup availability the cycle offers each link it was
   asked about.  ``_set_ring`` clears it with the ring.  Link
   availabilities are fixed for a run, so an entry stays exact until the
@@ -56,39 +57,23 @@ from .spectrum import SlotBlock, allocate, first_fit, is_feasible, release
 from .topology import Link, NetworkGraph
 
 
-ON_CYCLE = 1
-STRADDLING = 2
-
-
-def coverage(
-    g: NetworkGraph, vertex_order: tuple[str, ...], ring: dict[str, SlotBlock]
-) -> dict[str, int]:
-    """Every link of ``g`` with both endpoints on the cycle: ON_CYCLE if it
-    is a key of the ring's blocks, else STRADDLING."""
-    on = set(vertex_order)
-    covers = {}
-    for vx in vertex_order:
-        for lid in g.adjacency[vx]:
-            if g.links[lid].other(vx) in on:
-                covers[lid] = ON_CYCLE if lid in ring else STRADDLING
-    return covers
-
-
 @dataclass
 class DCycle:
     """One protection cycle: an ordered closed walk of distinct vertices.
 
     ``blocks`` is the ring: its key t is the link joining vertex t and
     vertex t+1 mod n of ``vertex_order``.  ``_set_ring`` writes both,
-    through ``spectrum.allocate`` and ``release``.
+    through ``spectrum.allocate`` and ``release``.  The cycle covers a
+    link iff both its endpoints are in ``vertex_set``; a covered link that
+    is not a key of ``blocks`` straddles the cycle.
     """
 
     id: int
     vertex_order: tuple[str, ...]
     blocks: dict[str, SlotBlock]
     capacity_slots: int
-    # link id -> ON_CYCLE or STRADDLING, as ``coverage`` builds it
-    covers: dict[str, int]
+    # frozenset(vertex_order)
+    vertex_set: frozenset[str] = frozenset()
     # protected working link -> id of the working path it belongs to
     protected: dict[str, str] = field(default_factory=dict)
     # link id -> backup_availability(link); valid until the ring changes
@@ -185,17 +170,18 @@ def check_cycles(
     """An existing cycle able to protect ``link``, straddling preferred.
 
     The first admitting straddler in id order wins, else the first
-    admitting cycle that carries the link.  A cycle admits a link it does
-    not protect yet if the demand fits its capacity, or twice its capacity
-    for a straddler.
+    admitting cycle that carries the link.  A cycle admits a link whose
+    endpoints are both in its vertex set, and that it does not protect
+    yet, if the demand fits its capacity, or twice its capacity for a
+    straddler.
     """
-    lid = link.id
+    lid, u, v = link.id, link.u, link.v
     on_cycle = None
     for cycle in cs.cycles.values():
-        kind = cycle.covers.get(lid)
-        if kind is None or lid in cycle.protected:
+        vs = cycle.vertex_set
+        if u not in vs or v not in vs or lid in cycle.protected:
             continue
-        if kind == STRADDLING:
+        if lid not in cycle.blocks:
             if demand <= 2 * cycle.capacity_slots:
                 return cycle
         elif on_cycle is None and demand <= cycle.capacity_slots:
@@ -223,8 +209,8 @@ def _set_ring(
     ``blocks`` maps the ring's link ids, in ring order, to their slot blocks.
     Blocks the cycle holds and ``blocks`` lacks are freed by
     ``spectrum.release``, new ones are reserved by ``spectrum.allocate``,
-    and ``cs.reserved`` moves with both.  The coverage map is rebuilt and
-    the arc cache cleared.  A conflicting write raises with the ring part
+    and ``cs.reserved`` moves with both.  The vertex set is reset and the
+    arc cache cleared.  A conflicting write raises with the ring part
     written; only a corrupted ledger gets there.
     """
     held = cycle.blocks
@@ -238,7 +224,7 @@ def _set_ring(
             cs.reserved += block.length
     cycle.vertex_order = tuple(vertex_order)
     cycle.blocks = blocks
-    cycle.covers = coverage(g, cycle.vertex_order, blocks)
+    cycle.vertex_set = frozenset(cycle.vertex_order)
     cycle.arc_avail = {}
 
 
@@ -247,21 +233,20 @@ def _try_extend(
 ) -> DCycle | None:
     """Insert ``link`` into an existing cycle through one off-cycle vertex.
 
-    If one endpoint u lies on a cycle and the other endpoint v connects to a
-    cycle neighbour w of u, the cycle edge u-w is replaced by u-v-w; the
-    link becomes on-cycle and the displaced edge becomes a straddler.  The
-    replaced ring (vertex order, blocks) is appended to ``extended`` for
-    ``_rollback``.
+    If one endpoint u lies on a cycle, the other endpoint v does not, and v
+    connects to a cycle neighbour w of u, the cycle edge u-w is replaced by
+    u-v-w; the link becomes on-cycle and the displaced edge becomes a
+    straddler.  The replaced ring (vertex order, blocks) is appended to
+    ``extended`` for ``_rollback``.
     """
     for cycle in cs.cycles.values():
-        if link.id in cycle.covers:
+        vs = cycle.vertex_set
+        u, v = link.u, link.v
+        if v in vs:
+            u, v = v, u
+        if u not in vs or v in vs:
             continue
         order = cycle.vertex_order
-        u, v = link.u, link.v
-        if v in order:
-            u, v = v, u
-        if u not in order:
-            continue
         cap = cycle.capacity_slots
         if demand > cap or not is_feasible(link.bitmap, cap):
             continue
@@ -294,7 +279,7 @@ def _build_cycle(
     blocks = {
         lid: first_fit(g.links[lid].bitmap, capacity) for lid in _ring(g, vertex_order)
     }
-    cycle = DCycle(next(cs._cid), (), {}, capacity, {})
+    cycle = DCycle(next(cs._cid), (), {}, capacity)
     _set_ring(g, cs, cycle, vertex_order, blocks)
     cs.cycles[cycle.id] = cycle
     return cycle

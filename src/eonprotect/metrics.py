@@ -7,6 +7,7 @@ working paths they protect.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -45,7 +46,11 @@ class MetricsReport:
             "slot_time_used", "slot_time_capacity", "protection_slot_time",
             "protected_count", "needing_protection",
         ):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            # NaN passes the sign check below; NaN or inf would reach the metrics.
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} is not finite")
+            if value < 0:
                 raise ValueError(f"{name} is negative")
 
 

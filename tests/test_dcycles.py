@@ -4,14 +4,13 @@ import copy
 import itertools
 import math
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from eonprotect import dcycles
 from eonprotect.availability import parallel_availability
 from eonprotect.dcycles import (
-    ON_CYCLE,
-    STRADDLING,
     DCycleSet,
     UnknownGrantError,
     _build_cycle,
@@ -30,9 +29,11 @@ from eonprotect.rsa import (
 from eonprotect.sim import Scenario, Simulation
 from eonprotect.spectrum import (
     AllocationConflictError, DoubleFreeError, SlotBlock, SpectrumBitmap, allocate, first_fit,
-    release,
+    is_feasible, release,
 )
 from eonprotect.topology import NetworkGraph
+
+MESH24 = (Path(__file__).parent / "data" / "mesh24.topo").read_text()
 
 
 def triangle(avail=0.95, slot_count=16):
@@ -54,9 +55,10 @@ def pentagon_with_chord(slot_count=16, avail=0.99):
 
 
 def cycle_fields(cycle):
-    """The ring (vertex order, blocks in ring order) and the maps tied to it."""
+    """The ring (vertex order, blocks in ring order), its vertex set and the
+    protected map."""
     return (
-        cycle.vertex_order, list(cycle.blocks.items()), dict(cycle.covers),
+        cycle.vertex_order, list(cycle.blocks.items()), cycle.vertex_set,
         dict(cycle.protected),
     )
 
@@ -651,14 +653,54 @@ def reference_dismantle_unused(cs, g):
             del cs.cycles[cycle.id]
 
 
-def reference_covers(cycle, g):
-    out = {}
-    for link in g.links.values():
-        if link.id in cycle.blocks:
-            out[link.id] = ON_CYCLE
-        elif reference_is_straddling(cycle, link):
-            out[link.id] = STRADDLING
-    return out
+def reference_try_extend(g, link, demand, cs):
+    """The extension ``_try_extend`` would make, without writing it.
+
+    A link whose two endpoints both lie on a cycle is skipped, and the
+    on-cycle endpoint is found by scanning the vertex order.  Returns
+    (cycle id, replaced vertex order, replaced blocks, new vertex order,
+    new blocks), or None.
+    """
+    for cycle in reference_ordered(cs):
+        order = cycle.vertex_order
+        if link.u in order and link.v in order:
+            continue
+        u, v = link.u, link.v
+        if v in order:
+            u, v = v, u
+        if u not in order:
+            continue
+        cap = cycle.capacity_slots
+        if demand > cap or not is_feasible(link.bitmap, cap):
+            continue
+        n = len(order)
+        ui = order.index(u)
+        for wi in ((ui - 1) % n, (ui + 1) % n):
+            bridge = g.link_between(v, order[wi])
+            if bridge is None or not is_feasible(bridge.bitmap, cap):
+                continue
+            new_order = list(order)
+            new_order.insert(ui if wi == (ui - 1) % n else ui + 1, v)
+            ring = [
+                g.link_between(a, b).id
+                for a, b in zip(new_order, new_order[1:] + new_order[:1])
+            ]
+            blocks = {
+                lid: cycle.blocks.get(lid) or first_fit(g.links[lid].bitmap, cap)
+                for lid in ring
+            }
+            return cycle.id, order, cycle.blocks, tuple(new_order), blocks
+    return None
+
+
+def straddles_in_check_cycles(cs, cycle, link):
+    """``check_cycles`` offers ``cycle`` for ``link`` up to twice the cycle's
+    capacity, as it does for a straddler alone, and no further."""
+    cap = cycle.capacity_slots
+    return (
+        check_cycles(cs, link, 2 * cap) is cycle
+        and check_cycles(cs, link, 2 * cap + 1) is None
+    )
 
 
 def fresh_backup_availability(cycle, link, g):
@@ -669,24 +711,28 @@ def fresh_backup_availability(cycle, link, g):
 
 
 class TestDerivedCycleState:
-    """The coverage map and the arc cache follow every change of the ring."""
+    """The vertex set and the arc cache follow every change of the ring."""
 
     def test_covers_after_build_extend_and_rollback(self):
         g = pentagon_with_chord()
         cs = DCycleSet()
         cycle = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2)
-        assert cycle.covers == reference_covers(cycle, g)
-        assert cycle.covers["B-F"] == STRADDLING and "C-D" not in cycle.covers
+        cd = g.links["C-D"]
+        assert cycle.vertex_set == frozenset(cycle.vertex_order)
+        assert straddles_in_check_cycles(cs, cycle, g.links["B-F"])
+        assert all(check_cycles(cs, cd, demand) is None for demand in range(1, 6))
         cycle.protected["A-B"] = "w0"
         extended = []
         assert _try_extend(g, g.links["D-E"], 2, cs, extended) is cycle
         assert cycle.vertex_order == ("A", "B", "C", "D", "E", "F")
-        assert cycle.covers == reference_covers(cycle, g)
-        assert cycle.covers["C-E"] == STRADDLING
+        assert cycle.vertex_set == frozenset(cycle.vertex_order)
+        assert straddles_in_check_cycles(cs, cycle, g.links["C-E"])
         _rollback(g, cs, [], extended)
         assert cs.cycles[cycle.id] is cycle
         assert cycle.vertex_order == ("A", "B", "C", "E", "F")
-        assert cycle.covers == reference_covers(cycle, g)
+        assert cycle.vertex_set == frozenset(cycle.vertex_order)
+        assert straddles_in_check_cycles(cs, cycle, g.links["B-F"])
+        assert all(check_cycles(cs, cd, demand) is None for demand in range(1, 6))
 
     def test_arc_cache_cleared_by_extension_and_rollback(self):
         g = pentagon_with_chord()
@@ -728,15 +774,17 @@ class TestDerivedCycleState:
 class TestAgainstReference:
     @pytest.fixture(scope="class")
     def paused(self):
-        """Deep copies of a dcycles run at six pause points."""
-        sim = Simulation(Scenario(
-            load_erlang=20, a_th=0.999, mode="dcycles", avg_link_availability=0.99,
-            n_requests=900, seed=4, mean_holding_s=1.0,
-        ))
+        """Deep copies of a dcycles run at six pause points, on NSFNET and
+        then on the 24-node mesh, whose cycles are longer."""
         states = []
-        for pause in range(150, 901, 150):
-            sim.run(max_arrivals=pause)
-            states.append(copy.deepcopy((sim.cycles, sim.graph, sim.live)))
+        for topology_text in (None, MESH24):
+            sim = Simulation(Scenario(
+                load_erlang=20, a_th=0.999, mode="dcycles", avg_link_availability=0.99,
+                n_requests=900, seed=4, mean_holding_s=1.0, topology_text=topology_text,
+            ))
+            for pause in range(150, 901, 150):
+                sim.run(max_arrivals=pause)
+                states.append(copy.deepcopy((sim.cycles, sim.graph, sim.live)))
         return states
 
     def test_check_cycles_matches_reference_scan(self, paused):
@@ -755,7 +803,34 @@ class TestAgainstReference:
     def test_covers_match_reference(self, paused):
         for cs, g, _ in paused:
             for cycle in cs.cycles.values():
-                assert cycle.covers == reference_covers(cycle, g)
+                assert cycle.vertex_set == frozenset(cycle.vertex_order)
+
+    def test_try_extend_matches_reference(self, paused):
+        extensions = misses = 0
+        for state in paused:
+            cs, g = copy.deepcopy(state[:2])
+            before = snapshot(cs, g)
+            top = 2 * max(c.capacity_slots for c in cs.cycles.values())
+            for link, demand in itertools.product(g.links.values(), range(1, top + 1)):
+                want = reference_try_extend(g, link, demand, cs)
+                extended = []
+                got = _try_extend(g, link, demand, cs, extended)
+                if want is None:
+                    assert got is None and extended == []
+                    misses += 1
+                else:
+                    cid, order, blocks, new_order, new_blocks = want
+                    assert got is cs.cycles[cid]
+                    assert got.vertex_order == new_order
+                    assert list(got.blocks.items()) == list(new_blocks.items())
+                    ((cycle, old_order, old_blocks),) = extended
+                    assert cycle is got and old_order == order
+                    assert list(old_blocks.items()) == list(blocks.items())
+                    # Undone in place, so every case starts from the paused state.
+                    _rollback(g, cs, [], extended)
+                    extensions += 1
+                assert snapshot(cs, g) == before
+        assert extensions and misses
 
     def test_cached_arc_availability_is_exact(self, paused):
         cached = 0

@@ -37,6 +37,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             report(slot_time_used=-1.0)
 
+    @pytest.mark.parametrize("name", [
+        "slot_time_used", "slot_time_capacity", "protection_slot_time",
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_slot_times_rejected(self, name, value):
+        # A NaN passes a sign check and spectrum_utilization would read nan.
+        with pytest.raises(ValueError):
+            report(**{"arrived": 1, "slot_time_capacity": 1.0, name: value})
+
 
 class TestBlockingProbability:
     def test_none_blocked(self):
