@@ -25,9 +25,10 @@ check, plus the saved rings of the cycles it extended.
 
 A cycle's ring is held once, as the keys of its ``blocks`` in order.
 ``_set_ring`` is the only code that writes cycle blocks to the links: it
-builds, extends, restores and frees every ring, through the checked
-``spectrum.allocate`` and ``release``, so a block written onto taken slots
-or freed where a slot is already free raises.
+builds, extends, restores and frees every ring, through one checked
+``spectrum.allocate`` of the blocks it adds and one ``release`` of those it
+drops.  A ring written onto taken slots raises with the ring and the links
+as they were; a block freed where a slot is already free raises too.
 
 Each cycle carries two derived values, both tied to its ring:
 
@@ -207,21 +208,26 @@ def _set_ring(
     """Give ``cycle`` a new ring; the only writer of cycle blocks.
 
     ``blocks`` maps the ring's link ids, in ring order, to their slot blocks.
-    Blocks the cycle holds and ``blocks`` lacks are freed by
-    ``spectrum.release``, new ones are reserved by ``spectrum.allocate``,
+    New blocks are reserved by one ``spectrum.allocate``, then blocks the
+    cycle holds and ``blocks`` lacks are freed by one ``spectrum.release``,
     and ``cs.reserved`` moves with both.  The vertex set is reset and the
-    arc cache cleared.  A conflicting write raises with the ring part
-    written; only a corrupted ledger gets there.
+    arc cache cleared.  The package never moves the block of a link the
+    ring keeps, so a ring written over taken slots raises before anything
+    changes.
     """
+    index = g.link_index()
+    position = index.position
     held = cycle.blocks
-    for lid, block in held.items():
-        if blocks.get(lid) != block:
-            release([g.links[lid].bitmap], block)
-            cs.reserved -= block.length
-    for lid, block in blocks.items():
-        if held.get(lid) != block:
-            allocate([g.links[lid].bitmap], block)
-            cs.reserved += block.length
+    allocate(index.links, {
+        position[lid]: b.mask() for lid, b in blocks.items() if held.get(lid) != b
+    })
+    release(index.links, {
+        position[lid]: b.mask() for lid, b in held.items() if blocks.get(lid) != b
+    })
+    # Kept blocks cancel out.
+    cs.reserved += sum(b.length for b in blocks.values()) - sum(
+        b.length for b in held.values()
+    )
     cycle.vertex_order = tuple(vertex_order)
     cycle.blocks = blocks
     cycle.vertex_set = frozenset(cycle.vertex_order)

@@ -27,18 +27,20 @@ claims:
   |W| lookups and wide ORs, then one split of the result into per-link
   search bits;
 - claiming a WP's backups checks their packed mask against ``claims[f]``
-  for each ``f`` in ``W``, then ORs it in: |W| ANDs and |W| ORs per WP,
-  whatever the number of backups and backup links;
+  for each ``f`` in ``W``, takes the slots it adds to ``held`` on their
+  links, then ORs it in: |W| ANDs and |W| ORs per WP, whatever the number
+  of backups and backup links;
 - releasing them ORs the backups' own packed masks, packing nothing again,
-  checks that mask the same way, clears it from each ``claims[f]``, rebuilds
-  ``held`` once as the OR of the claims left and writes the bits ``held``
-  lost back to the link bits, one non-zero field at a time.
+  checks that mask the same way, rebuilds ``held`` as the OR of the claims
+  left, frees the bits ``held`` loses on their links and clears the mask
+  from each ``claims[f]``.
 
-The link bits are written only through that ledger, and checked first:
-the slots a claim adds to ``held`` must be free on their links
-(``AllocationConflictError``), and the slots a release drops from it must
-be busy (``DoubleFreeError``).  Either error leaves the registry and the
-links as they were.
+``claim`` and ``release_wp`` write the link bits, through
+``spectrum.allocate`` and ``release`` with the changed bits of ``held``
+split into one mask per link field.  Those check every link first: the
+slots a claim adds must be free (``AllocationConflictError``) and the
+slots a release drops must be busy (``DoubleFreeError``).  Either error
+leaves the registry and the links as they were.
 
 A failed protection attempt reserves nothing: ``provision_backups`` picks
 its backups on a private copy of the free bits and claims them only once
@@ -58,7 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rsa import CandidatePath, LightpathRequest, candidate_paths, select_best
-from .spectrum import AllocationConflictError, DoubleFreeError, SlotBlock, run_steps
+from .spectrum import SlotBlock, allocate, release, run_steps
 from .availability import ava_dsbpss_update
 from .topology import Link, NetworkGraph
 
@@ -84,6 +86,23 @@ class BackupPath:
     links: tuple[Link, ...]
     block: SlotBlock
     packed: int
+
+
+def _split(g: NetworkGraph, packed: int) -> dict[int, int]:
+    """The non-zero link fields of ``packed``, by link position."""
+    width = g.slot_count
+    field = (1 << width) - 1
+    fields = {}
+    li = 0
+    while packed:
+        # Skip to the next field holding a bit, take it, go past it.
+        skip = ((packed & -packed).bit_length() - 1) // width
+        packed >>= skip * width
+        li += skip
+        fields[li] = packed & field
+        packed >>= width
+        li += 1
+    return fields
 
 
 def _field(g: NetworkGraph, bad: int, packed: int) -> tuple[str, int, int]:
@@ -146,16 +165,19 @@ class BackupRegistry:
         """Hold the packed slots for a failure of any link of ``wp``, the
         working path's link positions.
 
-        Checks every failure link before it changes anything.
+        Checks every failure link, then takes the slots not held yet on
+        their links, before it changes the claims.
         """
         claims = self.claims
         for failed in wp:
             if claims.get(failed, 0) & packed:
                 raise self._conflict(g, wp, packed)
+        held = self.held
+        new = packed & ~held
+        allocate(g.link_index().links, _split(g, new))
         for failed in wp:
             claims[failed] = claims.get(failed, 0) | packed
-        held = self.held
-        self.reserved += (packed & ~held).bit_count()
+        self.reserved += new.bit_count()
         self.held = held | packed
 
     def _conflict(
@@ -217,8 +239,8 @@ def provision_backups(
     ([], the working path's availability) is returned.  Each backup takes
     first fit from its candidate's run mask; only a candidate that crosses
     a link an earlier backup of this call took slots on is re-intersected.
-    Raises ``AllocationConflictError``, and reserves nothing, if a slot the
-    backups newly hold is not free on its link.
+    ``BackupRegistry.claim`` raises ``AllocationConflictError``, and nothing
+    is reserved, if a slot the backups newly hold is not free on its link.
     """
     wp = best_path.link_indices
     bits = g.link_index().free_bits()
@@ -235,8 +257,8 @@ def provision_backups(
     a_pp = best_path.availability
     backups: list[BackupPath] = []
     packed = 0
-    # Link position -> the slots the backups of this call took on it.
-    taken: dict[int, int] = {}
+    # Positions of the links the backups of this call took slots on.
+    taken: set[int] = set()
     while a_pp < a_th:
         if not candidates:
             return [], best_path.availability
@@ -244,7 +266,7 @@ def provision_backups(
         candidates.remove(chosen)
         positions = chosen.link_indices
         common = chosen.run
-        if not taken.keys().isdisjoint(positions):
+        if not taken.isdisjoint(positions):
             # An earlier backup took slots the candidate's run mask still
             # shows free; re-intersect on the search bits.
             common = (1 << width) - 1
@@ -262,27 +284,15 @@ def provision_backups(
             # Own backups are not shareable with this same WP.
             bits[li] &= ~mask
             own |= mask << li * width
-            taken[li] = taken.get(li, 0) | mask
+        taken.update(positions)
         block = SlotBlock(low.bit_length() - 1, need)
         backups.append(BackupPath(
             f"{wp_id}/bp{len(backups) + 1}", chosen.vertices, chosen.links, block, own
         ))
         packed |= own
         a_pp = ava_dsbpss_update(a_pp, chosen.availability)
-    links = g.link_index().links
-    for li, slots in taken.items():
-        # Slots held already are shared, and busy; the rest must be free.
-        clash = slots & ~links[li].bitmap.bits
-        if clash:
-            clash &= ~(reg.held >> li * width)
-        if clash:
-            raise AllocationConflictError(
-                f"slots {clash:#x} on {links[li].id} not free for {wp_id}"
-            )
     if packed:
         reg.claim(g, wp, packed)
-    for li, slots in taken.items():
-        links[li].bitmap.bits &= ~slots
     return backups, a_pp
 
 
@@ -321,36 +331,14 @@ def release_wp(
     for failed, claimed in claims.items():
         held |= left.get(failed, claimed)
     freed = reg.held & ~held
-    count = freed.bit_count()
-    # Every freed bit lies in the pack, so in the field of a backup link:
-    # skip to the next field holding one, check its bits, go past it.
-    width = g.slot_count
-    field = (1 << width) - 1
-    links = g.link_index().links
-    writes = []
-    li = 0
-    while freed:
-        skip = ((freed & -freed).bit_length() - 1) // width
-        freed >>= skip * width
-        li += skip
-        slots = freed & field
-        bitmap = links[li].bitmap
-        if slots & bitmap.bits:
-            raise DoubleFreeError(
-                f"slots {slots & bitmap.bits:#x} on {links[li].id} are not busy"
-            )
-        writes.append((bitmap, slots))
-        freed >>= width
-        li += 1
+    release(g.link_index().links, _split(g, freed))
     for failed, claimed in left.items():
         if claimed:
             claims[failed] = claimed
         else:
             del claims[failed]
     reg.held = held
-    reg.reserved -= count
-    for bitmap, slots in writes:
-        bitmap.bits |= slots
+    reg.reserved -= freed.bit_count()
 
 
 def _unknown(g: NetworkGraph, bad: int, packed: int) -> UnknownClaimError:

@@ -41,6 +41,8 @@ class MetricsReport:
             raise ValueError("slots blocked exceeds slots requested")
         if self.protected_count > self.needing_protection:
             raise ValueError("protected exceeds paths needing protection")
+        if self.needing_protection > self.arrived - self.blocked:
+            raise ValueError("paths needing protection exceed accepted arrivals")
         for name in (
             "arrived", "blocked", "slots_requested", "slots_blocked",
             "slot_time_used", "slot_time_capacity", "protection_slot_time",

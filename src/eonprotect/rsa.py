@@ -406,8 +406,7 @@ def rsacs_with_protection(
     best = select_best(paths)
     # The search read the live bits, so its first fit is free on every link.
     block = best.first_block
-    table = g.link_index().links
-    allocate([table[li].bitmap for li in best.link_indices], block)
+    allocate(g.link_index().links, dict.fromkeys(best.link_indices, block.mask()))
 
     result = ProvisionResult(
         blocked=False, path=best, block=block,

@@ -292,8 +292,8 @@ class Simulation:
     def _handle_departure(self, conn_id: str) -> None:
         conn = self.live.pop(conn_id)
         result = conn.result
-        table = self.graph.link_index().links
-        release([table[li].bitmap for li in result.path.link_indices], result.block)
+        links = self.graph.link_index().links
+        release(links, dict.fromkeys(result.path.link_indices, result.block.mask()))
         working = conn.request.slots_needed * result.path.hops
         self._working_busy -= working
         self.protection.release(self.graph, conn_id, result)

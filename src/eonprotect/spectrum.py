@@ -13,6 +13,11 @@ path by the run mask of the AND of its links' free bits, taken once, and a
 branching search can take each link's run mask once and AND run masks along
 a branch, one ``&`` per link, instead of re-deriving contiguity at every
 step.
+
+The link bits form the spectrum ledger, and ``allocate`` and ``release``
+are its only writers.  Both take a link table (``LinkIndex.links``) and a
+dict from link position to slot mask, check every entry before they write
+any, and name the link id and the slots at fault when a check fails.
 """
 
 from __future__ import annotations
@@ -170,35 +175,33 @@ def demand_to_slots(rate_gbps: float, slot_ghz: float, guard_ghz: float = 0.0) -
     return math.ceil(rate_gbps / slot_ghz) + math.ceil(guard_ghz / slot_ghz)
 
 
-def allocate(bitmaps: list[SpectrumBitmap], block: SlotBlock) -> None:
-    """Mark ``block`` busy on every bitmap, atomically (all links or none).
+def allocate(links, writes: dict[int, int]) -> None:
+    """Mark slots busy: ``writes`` maps a position in ``links`` (a
+    ``LinkIndex.links``) to the slot mask to take on that link.
 
-    Every bitmap is checked before any is written, so a conflict leaves
-    them all as they were.
+    Every entry is checked before any is written, so a slot that is busy,
+    or lies past the link's last slot, leaves all the links as they were.
     """
-    m = block.mask()
-    end = block.end
-    for i, bm in enumerate(bitmaps):
-        if end > bm.size or bm.bits & m != m:
+    for i, m in writes.items():
+        bits = links[i].bitmap.bits
+        if bits & m != m:
             raise AllocationConflictError(
-                f"slots {block.start}..{end - 1} not free on link {i} of path"
+                f"slots {m & ~bits:#x} on {links[i].id} not free"
             )
-    for bm in bitmaps:
-        bm.bits &= ~m
+    for i, m in writes.items():
+        links[i].bitmap.bits &= ~m
 
 
-def release(bitmaps: list[SpectrumBitmap], block: SlotBlock) -> None:
-    """Free ``block`` on every bitmap; rejects freeing slots that are not busy.
+def release(links, writes: dict[int, int]) -> None:
+    """Free slots, ``writes`` as for ``allocate``, all or none.
 
-    A block that runs past a bitmap's end is rejected too: the slots beyond
-    it hold no bits, so they would read as busy and be set on release.
+    A slot that is free already is rejected, and so is one past the link's
+    last slot: it holds no bit, so it would read as busy and be set.
     """
-    m = block.mask()
-    end = block.end
-    for bm in bitmaps:
-        if end > bm.size or bm.bits & m:
-            raise DoubleFreeError(
-                f"slots {block.start}..{end - 1} are not fully allocated"
-            )
-    for bm in bitmaps:
-        bm.bits |= m
+    for i, m in writes.items():
+        bitmap = links[i].bitmap
+        if m & bitmap.bits or m >> bitmap.size:
+            bad = m & (bitmap.bits | -1 << bitmap.size)
+            raise DoubleFreeError(f"slots {bad:#x} on {links[i].id} are not busy")
+    for i, m in writes.items():
+        links[i].bitmap.bits |= m

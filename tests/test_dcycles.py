@@ -54,6 +54,21 @@ def pentagon_with_chord(slot_count=16, avail=0.99):
     return g
 
 
+def _on(g, block, link_ids):
+    position = g.link_index().position
+    return dict.fromkeys((position[lid] for lid in link_ids), block.mask())
+
+
+def take(g, block, *link_ids):
+    """Mark ``block`` busy on each link named."""
+    allocate(g.link_index().links, _on(g, block, link_ids))
+
+
+def give_back(g, block, *link_ids):
+    """Free ``block`` on each link named."""
+    release(g.link_index().links, _on(g, block, link_ids))
+
+
 def cycle_fields(cycle):
     """The ring (vertex order, blocks in ring order), its vertex set and the
     protected map."""
@@ -86,7 +101,7 @@ def hand_path(g, vertices):
     common = SpectrumBitmap(g.slot_count)
     for link in links:
         common.bits &= link.bitmap.bits
-    allocate([link.bitmap for link in links], first_fit(common, 2))
+    take(g, first_fit(common, 2), *(link.id for link in links))
     index = g.link_index()
     path = tuple(index.position[link.id] for link in links)
     # Its run mask for the 2-slot demand, as the search found it.
@@ -473,8 +488,7 @@ class TestReleaseAndDismantle:
         r1 = provision(g, cs, "w1", "a", "b", 2, a_th=0.99)
         r2 = provision(g, cs, "w2", "b", "c", 2, a_th=0.99)
         for res, wp in ((r1, "w1"), (r2, "w2")):
-            for link in res.path.links:
-                release([link.bitmap], res.block)
+            give_back(g, res.block, *(link.id for link in res.path.links))
             release_wp(cs, wp, res.protected_links, g)
         assert {lid: l.bitmap for lid, l in g.links.items()} == baseline
 
@@ -539,9 +553,16 @@ class TestCheckedRingWrites:
         (cycle,) = cs.cycles.values()
         lid = next(iter(cycle.blocks))
         taken = SlotBlock(8, 2)
-        allocate([g.links[lid].bitmap], taken)
-        with pytest.raises(AllocationConflictError):
+        take(g, taken, lid)
+        bits = {l: link.bitmap.bits for l, link in g.links.items()}
+        blocks, order, reserved = dict(cycle.blocks), cycle.vertex_order, cs.reserved
+        # The ring moves the block of one link onto the taken slots: the
+        # block it drops there must stay reserved.
+        with pytest.raises(AllocationConflictError, match=f"^slots 0x300 on {lid} not free$"):
             _set_ring(g, cs, cycle, cycle.vertex_order, {**cycle.blocks, lid: taken})
+        assert {l: link.bitmap.bits for l, link in g.links.items()} == bits
+        assert cycle.blocks == blocks and cycle.vertex_order == order
+        assert cs.reserved == reserved
 
     def test_release_where_a_cycle_slot_is_free_raises(self):
         g = triangle(avail=0.95)
@@ -649,7 +670,7 @@ def reference_dismantle_unused(cs, g):
     for cycle in reference_ordered(cs):
         if not cycle.protected:
             for lid, block in cycle.blocks.items():
-                release([g.links[lid].bitmap], block)
+                give_back(g, block, lid)
             del cs.cycles[cycle.id]
 
 
@@ -900,8 +921,7 @@ class TestRollbackRestoresState:
                     if res.blocked:
                         continue
                     assert res.needs_protection and not res.protected
-                    for link in res.path.links:
-                        release([link.bitmap], res.block)
+                    give_back(g, res.block, *(link.id for link in res.path.links))
                     assert snapshot(cs, g) == before
                     rolled_back += 1
         assert rolled_back

@@ -64,6 +64,21 @@ def reversed_six_node_net(slot_count=16, avail=0.9):
     return g
 
 
+def _on(g, block, link_ids):
+    position = g.link_index().position
+    return dict.fromkeys((position[lid] for lid in link_ids), block.mask())
+
+
+def take(g, block, *link_ids):
+    """Mark ``block`` busy on each link named."""
+    allocate(g.link_index().links, _on(g, block, link_ids))
+
+
+def give_back(g, block, *link_ids):
+    """Free ``block`` on each link named."""
+    release(g.link_index().links, _on(g, block, link_ids))
+
+
 def at(g, link_ids):
     """The positions of the links named, as a working path's positions."""
     position = g.link_index().position
@@ -227,7 +242,8 @@ class TestCanShare:
         links = (g.links["E-F"],)
         backup = BackupPath("w1/bp1", ("E", "F"), links, block, _pack(g, links, block))
         reg.claim(g, at(g, W1), packed_on(g, "E-F", block.mask()))
-        allocate([g.links["E-F"].bitmap], block)
+        # The claim takes the slots on the link.
+        assert g.links["E-F"].bitmap.is_busy(block)
         # The last claim gone, every slot it held is free for anyone.
         release_wp(reg, at(g, W1), [backup], g)
         assert g.links["E-F"].bitmap.is_free(block)
@@ -239,7 +255,7 @@ class TestCanShare:
 class TestFreeBackupSlots:
     def test_empty_registry_is_identity(self):
         g = six_node_net()
-        allocate([g.links["E-F"].bitmap], SlotBlock(0, 4))
+        take(g, SlotBlock(0, 4), "E-F")
         bits = g.link_index().free_bits()
         before = list(bits)
         free_backup_slots(g, bits, BackupRegistry(), at(g, {"A-B"}))
@@ -249,7 +265,6 @@ class TestFreeBackupSlots:
         g = six_node_net()
         reg = BackupRegistry()
         block = SlotBlock(0, 3)
-        allocate([g.links["E-F"].bitmap], block)
         reg.claim(g, at(g, W1), packed_on(g, "E-F", block.mask()))
         bits = g.link_index().free_bits()
         free_backup_slots(g, bits, reg, at(g, {"B-E"}))
@@ -260,7 +275,6 @@ class TestFreeBackupSlots:
         g = six_node_net()
         reg = BackupRegistry()
         block = SlotBlock(0, 3)
-        allocate([g.links["E-F"].bitmap], block)
         reg.claim(g, at(g, {"B-C"}), packed_on(g, "E-F", block.mask()))
         bits = g.link_index().free_bits()
         free_backup_slots(g, bits, reg, at(g, {"B-C", "C-D"}))
@@ -308,7 +322,6 @@ class TestPositionsNotInIdOrder:
         links = (g.links["E-F"],)
         backup = BackupPath("w1/bp1", ("E", "F"), links, block, _pack(g, links, block))
         reg.claim(g, at(g, {"B-C"}), backup.packed)
-        allocate([g.links["E-F"].bitmap], block)
         before = self.state(reg, g)
         with pytest.raises(UnknownClaimError) as err:
             release_wp(reg, at(g, {"A-B", "B-C"}), [backup], g)
@@ -330,9 +343,6 @@ class TestPositionsNotInIdOrder:
             backup = BackupPath("bp", (), links, block, _pack(g, links, block))
             reg.claim(g, at(g, wp_links), backup.packed)
             reference_claim_backups(ref, wp_links, [backup])
-            # Shared backup slots are set busy again: a plain bit write.
-            for link in links:
-                link.bitmap.bits &= ~block.mask()
         assert unpacked_claims(reg, g) == ref.claims
         for newcomer in ({"A-B"}, {"B-E", "E-F"}, {"C-D"}, {"D-E"}, set(g.links)):
             bits, ref_bits = g.link_index().free_bits(), g.link_index().free_bits()
@@ -382,7 +392,6 @@ class TestProvisioningAndSharing:
             g.add_link(u, v, 100, availability=0.9)
         reg = BackupRegistry()
         reg.claim(g, at(g, {"a-b"}), packed_on(g, "a-c", SlotBlock(0, 2).mask()))
-        allocate([g.links["a-c"].bitmap], SlotBlock(0, 2))
         res = provision(g, reg, "w1", "a", "c", 2, a_th=0.95)
         assert res.path.vertices == ("a", "c")
         assert [bp.vertices for bp in res.backup_paths] == [("a", "b", "c")]
@@ -494,8 +503,7 @@ class TestProvisioningAndSharing:
         assert claimed == []
         assert unpacked_claims(reg, g) == claims_before
         assert unpacked_held(reg, g) == held_before and reg.reserved == reserved_before
-        for link in res.path.links:
-            release([link.bitmap], res.block)
+        give_back(g, res.block, *ids(res.path.links))
         assert {lid: l.bitmap.bits for lid, l in g.links.items()} == bits_before
 
 
@@ -659,8 +667,6 @@ class TestRelease:
         g = six_node_net(slot_count=slot_count)
         links = g.link_index().links
         first, second, last = links[0], links[1], links[-1]
-        for link in links:
-            link.bitmap.bits = 0
         reg = BackupRegistry()
         wp = (3,)
         backups = [
@@ -673,6 +679,9 @@ class TestRelease:
             # A sharer over another link keeps the middle of the second field.
             kept_mask = kept.mask()
             reg.claim(g, (4,), packed_on(g, second.id, kept_mask))
+        # Every slot the claims left free is taken too, so every bit the
+        # release sets shows.
+        allocate(links, {i: link.bitmap.bits for i, link in enumerate(links)})
         release_wp(reg, wp, backups, g)
         want = {link.id: 0 for link in links}
         want[first.id] = low.mask()
@@ -700,7 +709,7 @@ class TestLedgerChecks:
         # w1 (A-B-C-D) holds slots 0-2 on A-F, E-F and D-E for its backup.
         provision(g, reg, "w1", "A", "D", 3, a_th=0.92)
         # Slots 0-1 of B-F carry a working path the registry knows nothing of.
-        allocate([g.links["B-F"].bitmap], SlotBlock(0, 2))
+        take(g, SlotBlock(0, 2), "B-F")
 
         def offer_every_slot(g, bits, reg, wp):
             bits[:] = [(1 << g.slot_count) - 1] * len(bits)
@@ -715,6 +724,25 @@ class TestLedgerChecks:
         # but busy and unheld on B-F.
         with pytest.raises(AllocationConflictError, match="0x3 on B-F"):
             provision_backups(g, lr, best, reg, "w2", 0.92)
+        assert self.state(g, reg) == before
+
+    def test_claim_takes_on_the_links_only_the_slots_not_held(self):
+        g = six_node_net()
+        reg = BackupRegistry()
+        e_f = packed_on(g, "E-F", SlotBlock(0, 3).mask())
+        reg.claim(g, at(g, {"B-C"}), e_f)
+        assert g.links["E-F"].bitmap.to_string() == "0001111111111111"
+        # A sharer over a disjoint link: E-F's slots are held already, so
+        # shared and left as they are; its D-E slots are new.
+        reg.claim(g, at(g, {"A-B"}), e_f | packed_on(g, "D-E", SlotBlock(4, 2).mask()))
+        assert g.links["E-F"].bitmap.to_string() == "0001111111111111"
+        assert g.links["D-E"].bitmap.to_string() == "1111001111111111"
+        assert reg.reserved == g.busy_slot_count() == 5
+        # New slots busy on their link: nothing changes.
+        take(g, SlotBlock(8, 1), "A-F")
+        before = self.state(g, reg)
+        with pytest.raises(AllocationConflictError, match="^slots 0x100 on A-F not free$"):
+            reg.claim(g, at(g, {"C-D"}), packed_on(g, "A-F", SlotBlock(7, 2).mask()))
         assert self.state(g, reg) == before
 
     def test_freed_slot_not_busy_on_its_link_raises(self):
@@ -1001,8 +1029,8 @@ def test_packed_registry_matches_per_link_reference(g, data):
             for link in best.links:
                 common &= link.bitmap.bits
             block = first_fit(SpectrumBitmap(g.slot_count, common), lr.slots_needed)
-            allocate([link.bitmap for link in best.links], block)
-            allocate([link.bitmap for link in ref_best.links], block)
+            take(g, block, *ids(best.links))
+            take(ref_g, block, *ids(ref_best.links))
             a_th = data.draw(st.sampled_from((0.9, 0.95, 0.99, 1.0)))
             args = (lr, best, reg, f"w{step}", a_th)
             got_err, got = outcome(provision_backups, g, *args)
@@ -1042,8 +1070,8 @@ def test_packed_registry_matches_per_link_reference(g, data):
                 gone.append((wp_links, backups))
                 if working is not None:
                     links, block = working
-                    release([link.bitmap for link in links], block)
-                    release([ref_g.links[link.id].bitmap for link in links], block)
+                    give_back(g, block, *ids(links))
+                    give_back(ref_g, block, *ids(links))
         elif op in ("claim", "fresh"):
             wp_links = data.draw(some_links)
             if op == "claim" and live:
@@ -1070,11 +1098,11 @@ def test_packed_registry_matches_per_link_reference(g, data):
             )
             assert got_err is want_err
             if got_err is None:
-                for g_side, side in ((g, backups), (ref_g, on_graph(ref_g, backups))):
-                    for bp in side:
-                        for link in bp.links:
-                            # Shared slots are set busy again: a plain bit write.
-                            g_side.links[link.id].bitmap.bits &= ~bp.block.mask()
+                # The claim took its slots on g; the reference's are set
+                # busy by a plain bit write, shared ones again.
+                for bp in on_graph(ref_g, backups):
+                    for link in bp.links:
+                        link.bitmap.bits &= ~bp.block.mask()
                 live.append((wp_links, backups, None))
         assert unpacked_claims(reg, g) == ref.claims
         assert unpacked_held(reg, g) == ref.held

@@ -30,8 +30,17 @@ class TestValidation:
         report(arrived=1, blocked=1, slots_requested=2, slots_blocked=2).validate()
 
     def test_protected_cannot_exceed_needing(self):
-        with pytest.raises(ValueError):
-            report(needing_protection=1, protected_count=2)
+        with pytest.raises(ValueError, match="protected exceeds"):
+            report(arrived=2, needing_protection=1, protected_count=2)
+
+    def test_needing_cannot_exceed_accepted(self):
+        # Only an accepted arrival can need protection; otherwise the
+        # restorability of a window that accepted nothing would read 1.0.
+        with pytest.raises(ValueError, match="exceed accepted"):
+            report(arrived=2, blocked=2, needing_protection=5, protected_count=5)
+        with pytest.raises(ValueError, match="exceed accepted"):
+            report(arrived=4, blocked=1, needing_protection=4)
+        report(arrived=4, blocked=1, needing_protection=3, protected_count=3).validate()
 
     def test_negative_counters_rejected(self):
         with pytest.raises(ValueError):
@@ -116,7 +125,7 @@ class TestRestorability:
         assert restorability(report()) is None
 
     def test_all_protected(self):
-        assert restorability(report(needing_protection=5, protected_count=5)) == 1.0
+        assert restorability(report(arrived=5, needing_protection=5, protected_count=5)) == 1.0
 
     def test_three_of_four(self):
-        assert restorability(report(needing_protection=4, protected_count=3)) == 0.75
+        assert restorability(report(arrived=4, needing_protection=4, protected_count=3)) == 0.75

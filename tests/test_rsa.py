@@ -23,6 +23,12 @@ from eonprotect.topology import (
 )
 
 
+def take(g, lid, block):
+    """Mark ``block`` busy on link ``lid``."""
+    index = g.link_index()
+    allocate(index.links, {index.position[lid]: block.mask()})
+
+
 def triangle(slot_count=16, avail=0.99):
     g = NetworkGraph(slot_count=slot_count)
     for u, v in (("a", "b"), ("b", "c"), ("a", "c")):
@@ -97,7 +103,7 @@ class TestCandidatePaths:
 
     def test_busy_direct_link_leaves_detour_only(self):
         g = triangle()
-        allocate([g.links["a-c"].bitmap], SlotBlock(0, g.slot_count))
+        take(g, "a-c", SlotBlock(0, g.slot_count))
         paths = candidate_paths(g, "a", "c", 1, k=2)
         assert [p.vertices for p in paths] == [("a", "b", "c")]
 
@@ -138,8 +144,8 @@ class TestCandidatePaths:
 
     def test_run_is_run_mask_of_link_intersection(self):
         g = triangle()
-        allocate([g.links["a-b"].bitmap], SlotBlock(0, 2))
-        allocate([g.links["b-c"].bitmap], SlotBlock(3, 2))
+        take(g, "a-b", SlotBlock(0, 2))
+        take(g, "b-c", SlotBlock(3, 2))
         (path,) = [
             p for p in candidate_paths(g, "a", "c", 2, k=3) if p.hops == 2
         ]
@@ -150,7 +156,7 @@ class TestCandidatePaths:
 
     def test_slotted_record_views_agree_with_positions_and_run(self):
         g = build_nsfnet(16, JitteredAvailability(0.99, seed=4))
-        allocate([g.links["1-2"].bitmap], SlotBlock(0, 5))
+        take(g, "1-2", SlotBlock(0, 5))
         paths = candidate_paths(g, "1", "10", 3, k=5)
         table = g.link_index().links
         for p in paths:
@@ -259,8 +265,8 @@ class TestRsacsWithProtection:
 
     def test_blocked_when_nothing_fits(self):
         g = triangle(slot_count=4)
-        for link in g.links.values():
-            allocate([link.bitmap], SlotBlock(0, 4))
+        for lid in g.links:
+            take(g, lid, SlotBlock(0, 4))
         res = rsacs_with_protection(g, LightpathRequest("a", "c", 2), 0.9, NoProtection(), "w1")
         assert res.blocked
 

@@ -85,3 +85,19 @@ def test_no_class_defines_recovery():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "recovery"
     ]
     assert found == []
+
+
+def test_only_spectrum_writes_link_bits():
+    # spectrum.allocate and release check every write to the ledger; a
+    # plain write to ``bits`` anywhere else would go round the checks.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "spectrum.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.Assign, ast.AugAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for sub in ast.walk(target)
+        if isinstance(sub, ast.Attribute) and sub.attr == "bits"
+    ]
+    assert found == []

@@ -23,6 +23,7 @@ from eonprotect.spectrum import (
     run_steps,
     _run_mask,
 )
+from eonprotect.topology import NetworkGraph
 
 
 def bm(s: str) -> SpectrumBitmap:
@@ -259,50 +260,92 @@ class TestDemandToSlots:
             demand_to_slots(100, 12.5, -1)
 
 
+def chain(n: int, slots: int):
+    """The link table of a chain of ``n`` links of ``slots`` slots each."""
+    g = NetworkGraph(slot_count=slots)
+    for i in range(n):
+        g.add_link(f"v{i}", f"v{i + 1}", 1)
+    return g.link_index().links
+
+
+def on_all(links, block: SlotBlock) -> dict[int, int]:
+    return dict.fromkeys(range(len(links)), block.mask())
+
+
+def bitmaps(links) -> list[SpectrumBitmap]:
+    return [link.bitmap.copy() for link in links]
+
+
 class TestAllocateRelease:
     def test_round_trip_identity(self):
-        maps = [SpectrumBitmap(16) for _ in range(3)]
-        originals = [m.copy() for m in maps]
+        links = chain(3, 16)
+        originals = bitmaps(links)
         block = SlotBlock(4, 5)
-        allocate(maps, block)
-        assert all(m.is_busy(block) for m in maps)
-        release(maps, block)
-        assert maps == originals
+        allocate(links, on_all(links, block))
+        assert all(link.bitmap.is_busy(block) for link in links)
+        release(links, on_all(links, block))
+        assert bitmaps(links) == originals
 
     def test_two_disjoint_blocks(self):
-        maps = [SpectrumBitmap(16)]
-        allocate(maps, SlotBlock(0, 4))
-        allocate(maps, SlotBlock(4, 4))
-        assert maps[0].busy_count() == 8
+        links = chain(1, 16)
+        allocate(links, on_all(links, SlotBlock(0, 4)))
+        allocate(links, on_all(links, SlotBlock(4, 4)))
+        assert links[0].bitmap.busy_count() == 8
+
+    def test_one_mask_per_position(self):
+        links = chain(3, 8)
+        allocate(links, {0: 0b11, 2: 0b1100})
+        assert [link.bitmap.to_string() for link in links] == [
+            "00111111", "11111111", "11001111",
+        ]
+        release(links, {2: 0b1100, 0: 0b11})
+        assert all(link.bitmap.busy_count() == 0 for link in links)
 
     def test_conflict_rolls_back_atomically(self):
-        # A conflict on a middle bitmap and on the last one.
+        # A conflict on a middle link and on the last one.
         for busy in (1, 2):
-            maps = [SpectrumBitmap(8), SpectrumBitmap(8), SpectrumBitmap(8)]
-            allocate([maps[busy]], SlotBlock(2, 2))
-            before = [m.copy() for m in maps]
-            with pytest.raises(AllocationConflictError, match=f"on link {busy} of path"):
-                allocate(maps, SlotBlock(0, 4))
-            assert maps == before
+            links = chain(3, 8)
+            allocate(links, {busy: SlotBlock(2, 2).mask()})
+            before = bitmaps(links)
+            with pytest.raises(
+                AllocationConflictError, match=f"^slots 0xc on {links[busy].id} not free$"
+            ):
+                allocate(links, on_all(links, SlotBlock(0, 4)))
+            assert bitmaps(links) == before
+
+    def test_allocate_past_the_end_rejected(self):
+        links = chain(2, 8)
+        # Slots 8 and 9 lie past the end of the second link.
+        with pytest.raises(AllocationConflictError, match=f"0x300 on {links[1].id}"):
+            allocate(links, {0: 0b1, 1: SlotBlock(6, 4).mask()})
+        assert all(link.bitmap.busy_count() == 0 for link in links)
 
     def test_double_free(self):
-        maps = [SpectrumBitmap(8)]
-        allocate(maps, SlotBlock(0, 3))
-        release(maps, SlotBlock(0, 3))
-        with pytest.raises(DoubleFreeError):
-            release(maps, SlotBlock(0, 3))
+        links = chain(1, 8)
+        allocate(links, on_all(links, SlotBlock(0, 3)))
+        release(links, on_all(links, SlotBlock(0, 3)))
+        with pytest.raises(DoubleFreeError, match=f"^slots 0x7 on {links[0].id} are not busy$"):
+            release(links, on_all(links, SlotBlock(0, 3)))
+
+    def test_release_rolls_back_atomically(self):
+        links = chain(3, 8)
+        allocate(links, {0: 0b11, 1: 0b10, 2: 0b11})
+        before = bitmaps(links)
+        with pytest.raises(DoubleFreeError, match=f"0x1 on {links[1].id}"):
+            release(links, {0: 0b11, 1: 0b11, 2: 0b11})
+        assert bitmaps(links) == before
 
     def test_free_past_the_end_rejected(self):
-        maps = [SpectrumBitmap(8)]
-        allocate(maps, SlotBlock(4, 4))
-        before = maps[0].copy()
+        links = chain(1, 8)
+        allocate(links, on_all(links, SlotBlock(4, 4)))
+        before = bitmaps(links)
         # Slot 8 lies past the end: it holds no bit, yet must not read as busy.
-        with pytest.raises(DoubleFreeError):
-            release(maps, SlotBlock(4, 5))
-        assert maps[0] == before
+        with pytest.raises(DoubleFreeError, match=f"0x100 on {links[0].id}"):
+            release(links, on_all(links, SlotBlock(4, 5)))
+        assert bitmaps(links) == before
 
     def test_partial_free_rejected(self):
-        maps = [SpectrumBitmap(8)]
-        allocate(maps, SlotBlock(0, 2))
-        with pytest.raises(DoubleFreeError):
-            release(maps, SlotBlock(0, 4))
+        links = chain(1, 8)
+        allocate(links, on_all(links, SlotBlock(0, 2)))
+        with pytest.raises(DoubleFreeError, match="0xc on"):
+            release(links, on_all(links, SlotBlock(0, 4)))

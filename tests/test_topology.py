@@ -282,5 +282,6 @@ class TestRemoveLinks:
         out = remove_links(g, [g.links["a-c"]])
         from eonprotect.spectrum import SlotBlock, allocate
 
-        allocate([out.links["a-b"].bitmap], SlotBlock(0, 4))
+        index = out.link_index()
+        allocate(index.links, {index.position["a-b"]: SlotBlock(0, 4).mask()})
         assert g.links["a-b"].bitmap.bits.bit_count() == g.slot_count
