@@ -19,16 +19,16 @@ an extended cycle in place, so ``DCycleSet.cycles`` iterates in id order
 without sorting.  ``check_cycles`` walks it once and stops at the first
 straddling cycle that admits the link.  A departing working path hands back
 the (cycle id, link id) entries it was granted; only those are deleted, and
-only the cycles they leave empty are freed.  A failed protection attempt is
-undone by ``_release``, the same deletion without ``release_wp``'s grant
-check, plus the saved rings of the cycles it extended.
+only the cycles they leave empty are freed, all or none.  A failed
+protection attempt drops its grants and gives back, newest first, every
+ring it replaced.
 
 A cycle's ring is held once, as the keys of its ``blocks`` in order.
 ``_set_ring`` is the only code that writes cycle blocks to the links: it
 builds, extends, restores and frees every ring, through one checked
 ``spectrum.allocate`` of the blocks it adds and one ``release`` of those it
-drops.  A ring written onto taken slots raises with the ring and the links
-as they were; a block freed where a slot is already free raises too.
+drops.  A ring written onto taken slots, or freeing a slot already free,
+raises with the ring and the links as they were.
 
 Each cycle carries two derived values, both tied to its ring:
 
@@ -53,8 +53,8 @@ import math
 from dataclasses import dataclass, field
 
 from .availability import ava_dcyc_update, parallel_availability
-from .rsa import CandidatePath, LightpathRequest, candidate_paths, select_best
-from .spectrum import SlotBlock, allocate, first_fit, is_feasible, release
+from .rsa import CandidatePath, LightpathRequest, candidate_paths
+from .spectrum import DoubleFreeError, SlotBlock, allocate, first_fit, is_feasible, release
 from .topology import Link, NetworkGraph
 
 
@@ -212,18 +212,20 @@ def _set_ring(
     cycle holds and ``blocks`` lacks are freed by one ``spectrum.release``,
     and ``cs.reserved`` moves with both.  The vertex set is reset and the
     arc cache cleared.  The package never moves the block of a link the
-    ring keeps, so a ring written over taken slots raises before anything
-    changes.
+    ring keeps, so a ring written over taken slots, or one that frees a
+    slot already free, raises with nothing changed.
     """
     index = g.link_index()
     position = index.position
     held = cycle.blocks
-    allocate(index.links, {
-        position[lid]: b.mask() for lid, b in blocks.items() if held.get(lid) != b
-    })
-    release(index.links, {
-        position[lid]: b.mask() for lid, b in held.items() if blocks.get(lid) != b
-    })
+    added = {position[lid]: b.mask() for lid, b in blocks.items() if held.get(lid) != b}
+    dropped = {position[lid]: b.mask() for lid, b in held.items() if blocks.get(lid) != b}
+    allocate(index.links, added)
+    try:
+        release(index.links, dropped)
+    except DoubleFreeError:
+        release(index.links, added)
+        raise
     # Kept blocks cancel out.
     cs.reserved += sum(b.length for b in blocks.values()) - sum(
         b.length for b in held.values()
@@ -235,15 +237,15 @@ def _set_ring(
 
 
 def _try_extend(
-    g: NetworkGraph, link: Link, demand: int, cs: DCycleSet, extended: list
+    g: NetworkGraph, link: Link, demand: int, cs: DCycleSet, replaced: list
 ) -> DCycle | None:
     """Insert ``link`` into an existing cycle through one off-cycle vertex.
 
     If one endpoint u lies on a cycle, the other endpoint v does not, and v
     connects to a cycle neighbour w of u, the cycle edge u-w is replaced by
     u-v-w; the link becomes on-cycle and the displaced edge becomes a
-    straddler.  The replaced ring (vertex order, blocks) is appended to
-    ``extended`` for ``_rollback``.
+    straddler.  The replaced ring (cycle, vertex order, blocks) is
+    appended to ``replaced`` for ``_rollback``.
     """
     for cycle in cs.cycles.values():
         vs = cycle.vertex_set
@@ -264,7 +266,7 @@ def _try_extend(
                 continue
             # Every protected link must stay on-cycle or straddling: the
             # displaced edge keeps both endpoints on the cycle, so it does.
-            extended.append((cycle, order, cycle.blocks))
+            replaced.append((cycle, order, cycle.blocks))
             new_order = list(order)
             new_order.insert(ui if wi == (ui - 1) % n else ui + 1, v)
             blocks = {
@@ -281,12 +283,15 @@ def _build_cycle(
     g: NetworkGraph,
     vertex_order: list[str],
     capacity: int,
+    replaced: list,
 ) -> DCycle:
+    """A new cycle, first fit on each link; its empty ring goes to ``replaced``."""
     blocks = {
         lid: first_fit(g.links[lid].bitmap, capacity) for lid in _ring(g, vertex_order)
     }
     cycle = DCycle(next(cs._cid), (), {}, capacity)
     _set_ring(g, cs, cycle, vertex_order, blocks)
+    replaced.append((cycle, (), {}))
     cs.cycles[cycle.id] = cycle
     return cycle
 
@@ -297,16 +302,17 @@ def find_cycle_for(
     demand: int,
     cs: DCycleSet,
     k: int,
-    extended: list,
+    replaced: list,
 ) -> DCycle | None:
     """Create protection for a link no existing cycle can cover.
 
     Tries, in order: extending an existing cycle through the link, a new
     cycle with the link straddling (two disjoint alternate routes), and a
     new on-cycle arrangement (one alternate route plus spare slots on the
-    link itself).  An extension's replaced ring goes to ``extended``.
+    link itself).  The ring it replaces, empty for a new cycle, goes to
+    ``replaced``.
     """
-    cycle = _try_extend(g, link, demand, cs, extended)
+    cycle = _try_extend(g, link, demand, cs, replaced)
     if cycle is not None:
         return cycle
 
@@ -316,7 +322,7 @@ def find_cycle_for(
     alternates = candidate_paths(g, link.u, link.v, demand, k, bits, best_only=True)
     if not alternates:
         return None
-    walk = select_best(alternates).vertices
+    walk = alternates[0].vertices
 
     # The second route avoids every link at the first's interior vertices,
     # the first's links among them (it avoids ``link``: two hops or more).
@@ -325,29 +331,28 @@ def find_cycle_for(
             bits[li] = 0
     disjoint = candidate_paths(g, link.u, link.v, demand, k, bits, best_only=True)
     if disjoint:
-        back = select_best(disjoint).vertices
-        return _build_cycle(cs, g, list(walk) + list(reversed(back[1:-1])), demand)
+        back = disjoint[0].vertices
+        return _build_cycle(cs, g, list(walk) + list(reversed(back[1:-1])), demand, replaced)
 
     if is_feasible(link.bitmap, demand):
-        return _build_cycle(cs, g, list(walk), demand)
+        return _build_cycle(cs, g, list(walk), demand, replaced)
     return None
 
 
-def _rollback(g: NetworkGraph, cs: DCycleSet, granted: list, extended: list) -> None:
+def _rollback(g: NetworkGraph, cs: DCycleSet, granted: list, replaced: list) -> None:
     """Undo a failed ``provision_cycles`` call.
 
-    ``_release`` drops the call's grants and frees every cycle built in the
-    call, since such a cycle holds only those grants; it skips the grant
-    check of ``release_wp``, which times departures only.  Then, newest
-    first, ``_set_ring`` gives each extended cycle still live its replaced
-    ring back in place, which frees the blocks the extension reserved and
-    reserves the displaced block again.  A cycle built and then extended in
-    the call is gone by then and is skipped.
+    Its grants are dropped, then ``_set_ring`` gives back, newest first,
+    every ring the call replaced, in place: that frees the blocks the call
+    reserved and reserves again those it displaced.  A cycle the call built
+    gets its empty ring back and leaves ``cs.cycles``.
     """
-    _release(cs, granted, g)
-    for cycle, vertex_order, blocks in reversed(extended):
-        if cs.cycles.get(cycle.id) is cycle:
-            _set_ring(g, cs, cycle, vertex_order, blocks)
+    for cid, lid in granted:
+        del cs.cycles[cid].protected[lid]
+    for cycle, vertex_order, blocks in reversed(replaced):
+        _set_ring(g, cs, cycle, vertex_order, blocks)
+        if not blocks:
+            del cs.cycles[cycle.id]
 
 
 def provision_cycles(
@@ -367,14 +372,14 @@ def provision_cycles(
     path's availability) is returned.
     """
     granted: list[tuple[int, str]] = []
-    extended: list = []
+    replaced: list = []
     a_pp = best_path.availability
     for link in sorted(best_path.links, key=lambda l: (l.availability, l.id)):
         if a_pp >= a_th:
             break
         cycle = check_cycles(cs, link, lr.slots_needed)
         if cycle is None:
-            cycle = find_cycle_for(g, link, lr.slots_needed, cs, lr.k, extended)
+            cycle = find_cycle_for(g, link, lr.slots_needed, cs, lr.k, replaced)
         if cycle is None:
             break
         cycle.protected[link.id] = wp_id
@@ -383,7 +388,7 @@ def provision_cycles(
         a_pp, _ = ava_dcyc_update(a_pp, link.availability, a_bp)
     if a_pp >= a_th:
         return granted, a_pp
-    _rollback(g, cs, granted, extended)
+    _rollback(g, cs, granted, replaced)
     return None, best_path.availability
 
 
@@ -394,22 +399,27 @@ def release_wp(
 
     ``granted`` is the (cycle id, link id) list ``provision_cycles`` returned
     for ``wp_id``.  Nothing changes if any entry is not held for ``wp_id``
-    or is listed twice.
+    or is listed twice, nor if freeing an emptied ring raises
+    ``DoubleFreeError``: the freed rings and the grants are put back.
     """
-    seen = set()
     for entry in granted:
         cid, lid = entry
         cycle = cs.cycles.get(cid)
-        if entry in seen or cycle is None or cycle.protected.get(lid) != wp_id:
+        if granted.count(entry) > 1 or cycle is None or cycle.protected.get(lid) != wp_id:
             raise UnknownGrantError(f"cycle {cid} holds no entry on {lid} for {wp_id}")
-        seen.add(entry)
-    _release(cs, granted, g)
-
-
-def _release(cs: DCycleSet, granted: list[tuple[int, str]], g: NetworkGraph) -> None:
+    emptied = []
     for cid, lid in granted:
         cycle = cs.cycles[cid]
         del cycle.protected[lid]
         if not cycle.protected:
+            emptied.append((cycle, cycle.vertex_order, cycle.blocks))
+    for i, (cycle, _, _) in enumerate(emptied):
+        try:
             _set_ring(g, cs, cycle, (), {})
-            del cs.cycles[cid]
+        except DoubleFreeError:
+            _rollback(g, cs, [], emptied[:i])
+            for cid, lid in granted:
+                cs.cycles[cid].protected[lid] = wp_id
+            raise
+    for cycle, _, _ in emptied:
+        del cs.cycles[cycle.id]

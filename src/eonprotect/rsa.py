@@ -8,28 +8,27 @@ caller may pass per-link free bits in place of the live ones, and leaves a
 link out by putting 0 in its entry, so backup and cycle searches need no
 pruned graph copy.
 
-Most searches need no BFS.  The graph's index keeps, per
-(s, d, k), the s-d simple paths in the order the same BFS finds them when
-no branch is pruned, through the whole hop level of the k-th path
+Most searches need no BFS.  The graph's index keeps, per (s, d, k), the
+s-d simple paths in the order the same BFS finds them when no branch is
+pruned, through the whole hop level of the k-th path
 (``LinkIndex.structural_paths``); every graph of one structure shares that
 table.  A search scans it first: a path there is feasible iff the run mask
 of the AND of its links' free bits, taken once, is non-zero.  A search of
 the live bits reads them off the scanned paths' own links, so a search the
-table answers reads only the links of the paths it scans.
-Pruning drops a branch with all its extensions and never reorders the
-survivors, so the pruned BFS returns the first k feasible paths of the
-unpruned order; when the table holds k feasible paths, they are those, and
-when it holds every s-d path, its feasible ones are all there are.  A scan
-of a table that is not complete stops at the first infeasible path that
-leaves it short of k feasible ones: the search falls back from there,
-unless a best-only search (below) can answer from the table alone.
+table answers reads only the links of the paths it scans.  Pruning drops a
+branch with all its extensions and never reorders the survivors, so the
+pruned BFS returns the first k feasible paths of the unpruned order; when
+the table holds k feasible paths, they are those, and when it holds every
+s-d path, its feasible ones are all there are.  The scan stops at the k-th
+feasible path, at a best-only stop (below) or at the table's end; only at
+the end, short of k in a table that is not complete, does it fall back.
 
-Otherwise the pruned BFS runs, over every link's free bits.  It takes every
-link's run mask once; a partial path is its end vertex, a mask of the
-vertices it visited, the running AND of its links' run masks and the tuple
-of its link indices, so extending a branch costs one ``&``.  A branch is
-pruned as soon as its links no longer share n contiguous free slots,
-exactly as if contiguity were re-derived from the AND of their free bits.
+The fallback, the pruned BFS, takes every link's run mask once; a partial
+path is its end vertex, a mask of the vertices it visited, the running AND
+of its links' run masks and the tuple of its link indices, so extending a
+branch costs one ``&``.  A branch is pruned as soon as its links no longer
+share n contiguous free slots, exactly as if contiguity were re-derived
+from the AND of their free bits.
 
 A caller that keeps only ``select_best``'s pick passes ``best_only``, and
 the search stops at the first hop level no unseen path can win from.
@@ -41,10 +40,9 @@ is above that bound before the first path of h hops, every later path is
 strictly worse, so the search stops with the paths found so far: a prefix
 of the full list, empty only if the full list is, from which
 ``select_best`` picks the same path.  The bound is checked at each hop
-level of the table scan and at each BFS level.  Where the scan would fall
-back, it checks the bound of the first hop level off the table; if that
-holds, it scans the rest of the table and returns without the BFS.  With
-every link availability 1.0 the bound never holds.
+level of the table scan, at the first hop level off the table, which
+decides whether the BFS runs, and at each BFS level.  With every link
+availability 1.0 the bound never holds.
 
 Every search extends a branch over its end vertex's neighbours in name
 order, so paths of one hop count are found in the order of their vertex
@@ -181,19 +179,21 @@ def candidate_paths(
     Paths come out in breadth-first order, so hop counts are non-decreasing.
     Returns as soon as k paths are collected; empty list when nothing fits.
     The graph's table of structural s-d paths is scanned first; only when
-    it holds fewer than k feasible paths and is not complete does the
-    pruned BFS run, over every link's run mask.  Each path keeps the run
-    mask the search tested it by, from which ``first_block`` is read.
-    ``bits`` replaces the links' live free bits, in ``g.link_index()``
-    order; a link whose entry is 0 is left out.  Without ``bits``, the
-    table scan reads the scanned paths' links only.  Neither the graph nor
-    ``bits`` is written to.  Raises ``ValueError`` if ``slots_needed`` or
-    ``k`` is below 1.
+    the scan ends at the table's end with fewer than k feasible paths, and
+    the table is not complete, does the pruned BFS run, over every link's
+    run mask.  Each path keeps the run mask the search tested it by, from
+    which ``first_block`` is read.  ``bits`` replaces the links' live free
+    bits, in ``g.link_index()`` order; a link whose entry is 0 is left
+    out.  Without ``bits``, the table scan reads the scanned paths' links
+    only.  Neither the graph nor ``bits`` is written to.  Raises
+    ``ValueError`` if ``slots_needed`` or ``k`` is below 1.
 
     ``best_only`` is for a caller that keeps only ``select_best``'s pick:
-    the search stops at a hop level no unseen path can win from (see the
-    module docstring) and returns ``[select_best(full list)]``, or ``[]``
-    when the full list is empty.
+    the search stops at a hop level no unseen path can win from, the first
+    level off the table included, so the BFS runs only if a path off the
+    table may win (see the module docstring).  It returns ``[select_best(full
+    list)]``, or ``[]`` when the full list is empty; the caller reads that
+    one path directly.
     """
     if slots_needed < 1 or k < 1:
         raise ValueError("slots_needed and k must be >= 1")
@@ -212,11 +212,7 @@ def candidate_paths(
     found = []
     top = 0.0
     paths, complete = index.structural_paths(s, d, k)
-    # Infeasible paths the scan can pass and still answer (see the module
-    # docstring).
-    spare = len(paths) if complete else len(paths) - k
     level = 0
-    fall_back = False
     for path in paths:
         if len(path) != level:
             level = len(path)
@@ -238,18 +234,14 @@ def candidate_paths(
             found.append((path, run, avail))
             if len(found) == k:
                 break
-        elif spare:
-            spare -= 1
-        elif not (best_only and top > stop_above[len(paths[-1]) + 1]):
-            # Too few feasible paths here, and a path off the table, which
-            # has more hops than any on it, may still win.
-            fall_back = True
-            break
-    if fall_back:
-        runs = index.free_bits() if bits is None else bits
-        for step in steps:
-            runs = [r & r >> step for r in runs]
-        found = _pruned_bfs(index, runs, s, d, k, best_only)
+    else:
+        # Short of k at the table's end: fall back unless the table is
+        # complete or, best-only, no path of the next hop level can win.
+        if not (complete or best_only and top > stop_above[level + 1]):
+            runs = index.free_bits() if bits is None else bits
+            for step in steps:
+                runs = [r & r >> step for r in runs]
+            found = _pruned_bfs(index, runs, s, d, k, best_only)
     if best_only and len(found) > 1:
         # Found in hop order, then vertex-walk order: the first of the
         # highest availability is select_best's pick.
@@ -302,12 +294,9 @@ def _pruned_bfs(
 def select_best(paths: list[CandidatePath]) -> CandidatePath:
     """Highest availability; ties go to fewer hops, then vertex order.
 
-    A lone path, such as a best-only search returns, is returned at once.
-    Otherwise vertex walks are read only for paths tied on availability and
-    hops.
+    For a full search's list: a best-only search returns its pick alone.
+    Vertex walks are read only for paths tied on availability and hops.
     """
-    if len(paths) == 1:
-        return paths[0]
     if not paths:
         raise ValueError("no candidate paths to select from")
     best = min(paths, key=lambda p: (-p.availability, p.hops))
@@ -403,7 +392,7 @@ def rsacs_with_protection(
     paths = candidate_paths(g, lr.s, lr.d, lr.slots_needed, lr.k, best_only=True)
     if not paths:
         return ProvisionResult(blocked=True)
-    best = select_best(paths)
+    best = paths[0]
     # The search read the live bits, so its first fit is free on every link.
     block = best.first_block
     allocate(g.link_index().links, dict.fromkeys(best.link_indices, block.mask()))

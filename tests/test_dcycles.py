@@ -153,7 +153,7 @@ class TestCheckCycles:
     def setup_method(self):
         self.g = pentagon_with_chord()
         self.cs = DCycleSet()
-        self.cycle = _build_cycle(self.cs, self.g, ["A", "B", "C", "E", "F"], 2)
+        self.cycle = _build_cycle(self.cs, self.g, ["A", "B", "C", "E", "F"], 2, [])
 
     def test_straddler_within_double_capacity(self):
         chord = self.g.links["B-F"]
@@ -178,8 +178,8 @@ class TestCheckCycles:
         # even though the on-cycle one has the lower id.
         g = pentagon_with_chord()
         cs = DCycleSet()
-        on = _build_cycle(cs, g, ["A", "B", "F"], 2)
-        straddle = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2)
+        on = _build_cycle(cs, g, ["A", "B", "F"], 2, [])
+        straddle = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2, [])
         assert on.id < straddle.id
         assert check_cycles(cs, g.links["B-F"], 2) is straddle
 
@@ -191,7 +191,7 @@ class TestArcsAndBackupAvailability:
     def test_on_cycle_complementary_arc(self):
         g = pentagon_with_chord(avail=0.9)
         cs = DCycleSet()
-        cycle = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2)
+        cycle = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2, [])
         edge = g.links["A-B"]
         (arc,) = cycle.arcs(edge, g)
         assert {l.id for l in arc} == {"B-C", "C-E", "E-F", "A-F"}
@@ -200,7 +200,7 @@ class TestArcsAndBackupAvailability:
     def test_straddler_uses_both_arcs_in_parallel(self):
         g = pentagon_with_chord(avail=0.9)
         cs = DCycleSet()
-        cycle = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2)
+        cycle = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2, [])
         chord = g.links["B-F"]
         arcs = cycle.arcs(chord, g)
         arc_ids = sorted(frozenset(l.id for l in arc) for arc in arcs)
@@ -248,7 +248,7 @@ class TestOptions:
     def test_straddler_within_capacity_has_one_option_per_arc(self):
         g = pentagon_with_chord()
         cs = DCycleSet()
-        cycle = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2)
+        cycle = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2, [])
         res = self.granted(g, cycle, ("B", "F"))
         covers = self.mask(g, ["B-F"])
         arcs = [["B-C", "C-E", "E-F"], ["A-F", "A-B"]]
@@ -259,7 +259,7 @@ class TestOptions:
     def test_straddler_above_capacity_needs_both_arcs_in_one_option(self):
         g = pentagon_with_chord()
         cs = DCycleSet()
-        cycle = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 1)
+        cycle = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 1, [])
         res = self.granted(g, cycle, ("B", "F"))
         ring = list(cycle.blocks)
         assert cs.options(g, res) == [
@@ -278,7 +278,7 @@ class TestFindCycleFor:
     def test_triangle_builds_cycle_through_all_vertices(self):
         g = triangle()
         cs = DCycleSet()
-        cycle = find_cycle_for(g, g.links["a-b"], 2, cs, k=5, extended=[])
+        cycle = find_cycle_for(g, g.links["a-b"], 2, cs, k=5, replaced=[])
         assert cycle is not None
         assert set(cycle.blocks) == {"a-b", "a-c", "b-c"}
         for lid in cycle.blocks:
@@ -289,7 +289,7 @@ class TestFindCycleFor:
         for u, v in (("a", "b"), ("a", "c"), ("c", "b"), ("a", "d"), ("d", "b")):
             g.add_link(u, v, 1, availability=0.99)
         cs = DCycleSet()
-        cycle = find_cycle_for(g, g.links["a-b"], 2, cs, k=5, extended=[])
+        cycle = find_cycle_for(g, g.links["a-b"], 2, cs, k=5, replaced=[])
         assert cycle is not None
         assert reference_is_straddling(cycle, g.links["a-b"])
         assert set(cycle.blocks) == {"a-c", "b-c", "b-d", "a-d"}
@@ -299,10 +299,10 @@ class TestFindCycleFor:
     def test_extension_inserts_vertex_between_cycle_neighbours(self):
         g = pentagon_with_chord()
         cs = DCycleSet()
-        cycle = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2)
+        cycle = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2, [])
         cycle.protected["A-B"] = "w0"
         new_link = g.links["D-E"]
-        got = find_cycle_for(g, new_link, 2, cs, k=5, extended=[])
+        got = find_cycle_for(g, new_link, 2, cs, k=5, replaced=[])
         assert got is cycle
         assert got.vertex_order == ("A", "B", "C", "D", "E", "F")
         assert new_link.id in got.blocks
@@ -320,7 +320,7 @@ class TestFindCycleFor:
         g.add_link("a", "b", 1, availability=0.9)
         g.add_link("b", "c", 1, availability=0.9)
         cs = DCycleSet()
-        assert find_cycle_for(g, g.links["a-b"], 1, cs, k=5, extended=[]) is None
+        assert find_cycle_for(g, g.links["a-b"], 1, cs, k=5, replaced=[]) is None
 
 
 def provision(g, cs, wp_id, s, d, slots, a_th):
@@ -420,7 +420,7 @@ class TestProvisionCycles:
         g.links["F-G"].availability = 0.91
         cs = DCycleSet()
         path = hand_path(g, ["D", "E", "F", "G"])
-        ring = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2)
+        ring = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2, [])
         ring.protected["A-B"] = "w0"
         before = snapshot(cs, g)
         orders = []
@@ -497,7 +497,7 @@ class TestReleaseAndDismantle:
         g = triangle(avail=0.95)
         cs = DCycleSet()
         res = provision(g, cs, "w1", "a", "b", 2, a_th=0.99)
-        idle = _build_cycle(cs, g, ["a", "b", "c"], 2)
+        idle = _build_cycle(cs, g, ["a", "b", "c"], 2, [])
         busy = g.busy_slot_count()
         release_wp(cs, "w1", res.protected_links, g)
         assert list(cs.cycles.values()) == [idle]
@@ -569,19 +569,50 @@ class TestCheckedRingWrites:
         cs = DCycleSet()
         res = provision(g, cs, "w1", "a", "b", 2, a_th=0.99)
         (cycle,) = cs.cycles.values()
-        lid, block = next(iter(cycle.blocks.items()))
+        # A second cycle that w1 alone holds, emptied after the first.
+        other = _build_cycle(cs, g, ["a", "b", "c"], 2, [])
+        other.protected["b-c"] = "w1"
+        granted = res.protected_links + [(other.id, "b-c")]
+        lid, block = next(iter(other.blocks.items()))
         # A plain bit write frees one slot of the block behind the ledger.
         g.links[lid].bitmap.bits |= 1 << block.start
+        before = snapshot(cs, g)
+        # The first cycle's ring is freed, then the second's raises: the
+        # first gets its ring back, both keep w1's grants, and a retry
+        # raises the same.
+        for _ in range(2):
+            with pytest.raises(DoubleFreeError):
+                release_wp(cs, "w1", granted, g)
+            assert snapshot(cs, g) == before
+        take(g, SlotBlock(block.start, 1), lid)
+        release_wp(cs, "w1", granted, g)
+        assert cs.is_empty() and cs.reserved == 0
+        assert g.busy_slot_count() == 2 * res.path.hops
+
+    def test_ring_that_frees_a_free_slot_raises(self):
+        g = triangle(avail=0.95)
+        cs = DCycleSet()
+        provision(g, cs, "w1", "a", "b", 2, a_th=0.99)
+        (cycle,) = cs.cycles.values()
+        lid, block = next(iter(cycle.blocks.items()))
+        g.links[lid].bitmap.bits |= 1 << block.start
+        before = snapshot(cs, g)
+        # The ring moves the block of that link to free slots: they are
+        # taken first, then the release of the old block raises, and the
+        # new slots must be free again.
+        moved = SlotBlock(8, 2)
         with pytest.raises(DoubleFreeError):
-            release_wp(cs, "w1", res.protected_links, g)
+            _set_ring(g, cs, cycle, cycle.vertex_order, {**cycle.blocks, lid: moved})
+        assert snapshot(cs, g) == before
+        assert g.links[lid].bitmap.is_free(moved)
 
 
 class TestCycleWellFormedness:
     def test_extension_preserves_simple_cycle(self):
         g = pentagon_with_chord()
         cs = DCycleSet()
-        _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2)
-        cycle = find_cycle_for(g, g.links["D-E"], 2, cs, k=5, extended=[])
+        _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2, [])
+        cycle = find_cycle_for(g, g.links["D-E"], 2, cs, k=5, replaced=[])
         assert len(set(cycle.vertex_order)) == len(cycle.vertex_order)
         # Key t of the ring joins vertex t and vertex t+1 mod n.
         order = cycle.vertex_order
@@ -601,8 +632,8 @@ class TestCycleSetOrder:
     def test_dict_order_is_id_order_after_rolled_back_extension(self):
         g = pentagon_with_chord()
         cs = DCycleSet()
-        ring = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2)
-        other = _build_cycle(cs, g, ["A", "B", "F"], 2)
+        ring = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2, [])
+        other = _build_cycle(cs, g, ["A", "B", "F"], 2, [])
         ring.protected["A-B"] = "w0"
         other.protected["B-F"] = "w0"
         before = cycle_fields(ring)
@@ -614,7 +645,7 @@ class TestCycleSetOrder:
         assert list(cs.cycles.values()) == [ring, other]
         assert cs.cycles[ring.id] is ring and cycle_fields(ring) == before
         assert ring.vertex_order == ("A", "B", "C", "E", "F")
-        added = _build_cycle(cs, g, ["C", "D", "E"], 2)
+        added = _build_cycle(cs, g, ["C", "D", "E"], 2, [])
         assert list(cs.cycles) == [ring.id, other.id, added.id]
 
 
@@ -737,7 +768,7 @@ class TestDerivedCycleState:
     def test_covers_after_build_extend_and_rollback(self):
         g = pentagon_with_chord()
         cs = DCycleSet()
-        cycle = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2)
+        cycle = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2, [])
         cd = g.links["C-D"]
         assert cycle.vertex_set == frozenset(cycle.vertex_order)
         assert straddles_in_check_cycles(cs, cycle, g.links["B-F"])
@@ -760,7 +791,7 @@ class TestDerivedCycleState:
         for i, link in enumerate(g.links.values()):
             link.availability = 0.9 + i / 100
         cs = DCycleSet()
-        cycle = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2)
+        cycle = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2, [])
         edge, chord = g.links["A-B"], g.links["B-F"]
         for link in (edge, chord):
             assert cycle.backup_availability(link, g) == fresh_backup_availability(cycle, link, g)
@@ -780,7 +811,7 @@ class TestDerivedCycleState:
         g = pentagon_with_chord()
         cs = DCycleSet()
         busy = g.busy_slot_count
-        cycle = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2)
+        cycle = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2, [])
         assert cs.reserved == busy() == 10
         cycle.protected["A-B"] = "w0"
         extended = []

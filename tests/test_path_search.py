@@ -392,19 +392,21 @@ class ReadLog(list):
         return super().__getitem__(i)
 
 
-def test_scan_stops_once_the_table_cannot_answer(fallbacks):
+def test_scan_reads_the_table_once_then_falls_back(fallbacks):
     g = ladder()
     index = g.link_index()
     bits = ReadLog(index.free_bits())
     bits[index.position["a-b"]] = 0
     # The k = 2 table is a-b, a-c-b and not complete: with a-b left out it
-    # cannot hold two feasible paths, so the scan stops there, before a-c.
-    # The fallback takes every run mask in one pass and ANDs no free bits
-    # for the paths it returns, so a-b is the only entry read by index.
+    # holds one feasible path, so the scan reads each of its links once and
+    # falls back at its end.  The fallback takes every run mask in one pass
+    # and ANDs no free bits for the paths it returns, so it reads no entry
+    # by index.
     assert walks(candidate_paths(g, "a", "b", 2, 2, bits)) == [
         ("a", "c", "b"), ("a", "d", "e", "b"),
     ]
-    assert bits.reads == [index.position["a-b"]]
+    position = index.position
+    assert bits.reads == [position["a-b"], position["a-c"], position["b-c"]]
     assert fallbacks == [("a", "b", 2)]
 
 
@@ -462,16 +464,17 @@ def test_best_only_answers_from_the_table_end(fallbacks):
 
 def test_best_only_stops_at_a_bfs_level(fallbacks):
     # With a-b busy the k = 2 table (a-b, a-c-b) cannot hold two feasible
-    # paths, so both searches fall back.  The BFS finds a-c-b (0.99**2)
-    # on its second level, which beats every path of three hops or more,
-    # so it returns before the third level.
+    # paths, so the full search falls back.  The best-only one answers from
+    # the table: a-c-b (0.99**2) beats every path of three hops or more.
     g = avail_ladder()
     g.links["a-b"].bitmap.bits = 0
     assert walks(candidate_paths(g, "a", "b", 1, 2)) == [
         ("a", "c", "b"), ("a", "d", "e", "b"),
     ]
     assert walks(candidate_paths(g, "a", "b", 1, 2, best_only=True)) == [("a", "c", "b")]
-    assert fallbacks == [("a", "b", 2), ("a", "b", 2)]
+    assert fallbacks == [("a", "b", 2)]
+    # Run directly, the BFS finds a-c-b on its second level and returns
+    # before the third.
     index = g.link_index()
     # A demand of one slot takes no shift step: the run masks are the bits.
     found = rsa._pruned_bfs(index, index.free_bits(), "a", "b", 2, True)
