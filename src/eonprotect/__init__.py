@@ -25,7 +25,6 @@ from .rsa import (
     ProvisionResult,
     candidate_paths,
     rsacs_with_protection,
-    select_best,
 )
 from .sim import Scenario, Simulation, generate_arrivals, inject_single_failures, run
 from .spectrum import (

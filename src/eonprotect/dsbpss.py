@@ -59,7 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rsa import CandidatePath, LightpathRequest, candidate_paths, select_best
+from .rsa import CandidatePath, LightpathRequest, candidate_paths
 from .spectrum import SlotBlock, allocate, release, run_steps
 from .availability import ava_dsbpss_update
 from .topology import Link, NetworkGraph
@@ -231,14 +231,16 @@ def provision_backups(
     wp_id: str,
     a_th: float,
 ) -> tuple[list[BackupPath], float]:
-    """Stack link-disjoint shared backups until the threshold is met.
+    """Stack shared backups, best first, until the threshold is met.
 
-    Returns (backup paths, final availability).  Backups are picked on a
+    Returns (backup paths, final availability).  The backups avoid the
+    working path's links, but not each other's.  They are picked on a
     private copy of the free bits and claimed only once the threshold is
     met, so if the candidates run out first nothing has been reserved and
-    ([], the working path's availability) is returned.  Each backup takes
-    first fit from its candidate's run mask; only a candidate that crosses
-    a link an earlier backup of this call took slots on is re-intersected.
+    ([], the working path's availability) is returned.  The candidates are
+    walked once, in the search's ranking; each is re-intersected on the
+    search bits, which lose the slots of every backup taken so far, and
+    takes first fit from what is left, or is skipped when nothing is.
     ``BackupRegistry.claim`` raises ``AllocationConflictError``, and nothing
     is reserved, if a slot the backups newly hold is not free on its link.
     """
@@ -253,29 +255,22 @@ def provision_backups(
     candidates = candidate_paths(g, lr.s, lr.d, need, lr.k, bits)
 
     width = g.slot_count
+    full = (1 << width) - 1
     steps = run_steps(need)
     a_pp = best_path.availability
     backups: list[BackupPath] = []
     packed = 0
-    # Positions of the links the backups of this call took slots on.
-    taken: set[int] = set()
-    while a_pp < a_th:
-        if not candidates:
-            return [], best_path.availability
-        chosen = select_best(candidates)
-        candidates.remove(chosen)
+    for chosen in candidates:
+        if a_pp >= a_th:
+            break
         positions = chosen.link_indices
-        common = chosen.run
-        if not taken.isdisjoint(positions):
-            # An earlier backup took slots the candidate's run mask still
-            # shows free; re-intersect on the search bits.
-            common = (1 << width) - 1
-            for li in positions:
-                common &= bits[li]
-            for step in steps:
-                common &= common >> step
-            if not common:
-                continue
+        common = full
+        for li in positions:
+            common &= bits[li]
+        for step in steps:
+            common &= common >> step
+        if not common:
+            continue
         # The lowest start of a free run of ``need`` slots: first fit.
         low = common & -common
         mask = (low << need) - low
@@ -284,13 +279,14 @@ def provision_backups(
             # Own backups are not shareable with this same WP.
             bits[li] &= ~mask
             own |= mask << li * width
-        taken.update(positions)
         block = SlotBlock(low.bit_length() - 1, need)
         backups.append(BackupPath(
             f"{wp_id}/bp{len(backups) + 1}", chosen.vertices, chosen.links, block, own
         ))
         packed |= own
         a_pp = ava_dsbpss_update(a_pp, chosen.availability)
+    if a_pp < a_th:
+        return [], best_path.availability
     if packed:
         reg.claim(g, wp, packed)
     return backups, a_pp

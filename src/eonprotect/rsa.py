@@ -1,12 +1,12 @@
 """Routing and spectrum assignment over consecutive slots.
 
-Candidate paths come out in breadth-first (hop count) order over the
-graph's int index (``NetworkGraph.link_index``).  A link's run mask has
-bit i set iff slots i..i+n-1 are free on it, for a demand of n slots, and
-the run mask of an AND is the AND of the run masks (see ``spectrum``).  A
-caller may pass per-link free bits in place of the live ones, and leaves a
-link out by putting 0 in its entry, so backup and cycle searches need no
-pruned graph copy.
+Candidate paths are found in breadth-first (hop count) order over the
+graph's int index (``NetworkGraph.link_index``) and returned ranked, best
+first (below).  A link's run mask has bit i set iff slots i..i+n-1 are
+free on it, for a demand of n slots, and the run mask of an AND is the AND
+of the run masks (see ``spectrum``).  A caller may pass per-link free bits
+in place of the live ones, and leaves a link out by putting 0 in its
+entry, so backup and cycle searches need no pruned graph copy.
 
 Most searches need no BFS.  The graph's index keeps, per (s, d, k), the
 s-d simple paths in the order the same BFS finds them when no branch is
@@ -30,26 +30,28 @@ branch costs one ``&``.  A branch is pruned as soon as its links no longer
 share n contiguous free slots, exactly as if contiguity were re-derived
 from the AND of their free bits.
 
-A caller that keeps only ``select_best``'s pick passes ``best_only``, and
-the search stops at the first hop level no unseen path can win from.
-``select_best`` ranks availability first, and no path of h hops or more
-has a computed availability above ``LinkIndex.stop_above[h]``: the h-th
-power of the graph's largest link availability, with a relative slack of
-1e-12 that covers the rounding of the product.  Once the best path found
-is above that bound before the first path of h hops, every later path is
-strictly worse, so the search stops with the paths found so far: a prefix
-of the full list, empty only if the full list is, from which
-``select_best`` picks the same path.  The bound is checked at each hop
-level of the table scan, at the first hop level off the table, which
-decides whether the BFS runs, and at each BFS level.  With every link
-availability 1.0 the bound never holds.
-
 Every search extends a branch over its end vertex's neighbours in name
 order, so paths of one hop count are found in the order of their vertex
-walks, and the first found path of the highest availability is the one
-``select_best`` picks: ties on availability go to fewer hops, then to the
-lower vertex walk.  A best-only search returns a one-element list holding
-that path, so it builds one ``CandidatePath`` and no vertex walk.
+walks, and the k cut keeps the first k feasible paths of that BFS order.
+Only then are the kept paths ranked, by a stable sort on availability,
+highest first: ties on availability go to fewer hops, then to the lower
+vertex walk, and the first path returned is the best.
+
+A caller that keeps only the best path passes ``best_only``, and the
+search stops at the first hop level no unseen path can win from.  The
+ranking puts availability first, and no path of h hops or more has a
+computed availability above ``LinkIndex.stop_above[h]``: the h-th power
+of the graph's largest link availability, with a relative slack of 1e-12
+that covers the rounding of the product.  Once the best path found is
+above that bound before the first path of h hops, every later path is
+strictly worse, so the search stops with the paths found so far: a prefix,
+in BFS order, of the paths a full search keeps, empty only if those are,
+whose first-ranked path is the full search's.  The bound is checked at
+each hop level of the table scan, at the first hop level off the table,
+which decides whether the BFS runs, and at each BFS level.  With every
+link availability 1.0 the bound never holds.  A best-only search returns
+that first-ranked path alone, so it builds one ``CandidatePath`` and no
+vertex walk.
 
 Either way the search ends with each feasible path's run mask, the AND of
 its links' run masks, and its availability, the product of its link
@@ -174,26 +176,28 @@ def candidate_paths(
     *,
     best_only: bool = False,
 ) -> list[CandidatePath]:
-    """Up to k loop-free paths s->d with >= slots_needed contiguous common slots.
+    """Up to k loop-free paths s->d with >= slots_needed contiguous common
+    slots, ranked best first.
 
-    Paths come out in breadth-first order, so hop counts are non-decreasing.
-    Returns as soon as k paths are collected; empty list when nothing fits.
-    The graph's table of structural s-d paths is scanned first; only when
-    the scan ends at the table's end with fewer than k feasible paths, and
-    the table is not complete, does the pruned BFS run, over every link's
-    run mask.  Each path keeps the run mask the search tested it by, from
-    which ``first_block`` is read.  ``bits`` replaces the links' live free
-    bits, in ``g.link_index()`` order; a link whose entry is 0 is left
+    The k cut is in breadth-first order: the paths kept are the first k
+    feasible ones by hop count, then vertex walk.  Only then are they
+    ranked by availability, highest first; the sort is stable, so ties go
+    to fewer hops, then to the lower vertex walk.  Empty list when nothing
+    fits.  The graph's table of structural s-d paths is scanned first; only
+    when the scan ends at the table's end with fewer than k feasible paths,
+    and the table is not complete, does the pruned BFS run, over every
+    link's run mask.  Each path keeps the run mask the search tested it by,
+    from which ``first_block`` is read.  ``bits`` replaces the links' live
+    free bits, in ``g.link_index()`` order; a link whose entry is 0 is left
     out.  Without ``bits``, the table scan reads the scanned paths' links
     only.  Neither the graph nor ``bits`` is written to.  Raises
     ``ValueError`` if ``slots_needed`` or ``k`` is below 1.
 
-    ``best_only`` is for a caller that keeps only ``select_best``'s pick:
-    the search stops at a hop level no unseen path can win from, the first
-    level off the table included, so the BFS runs only if a path off the
-    table may win (see the module docstring).  It returns ``[select_best(full
-    list)]``, or ``[]`` when the full list is empty; the caller reads that
-    one path directly.
+    ``best_only`` is for a caller that keeps only the best path: the search
+    stops at a hop level no unseen path can win from, the first level off
+    the table included, so the BFS runs only if a path off the table may
+    win (see the module docstring).  It returns the full list's first path
+    alone, or ``[]`` when the full list is empty.
     """
     if slots_needed < 1 or k < 1:
         raise ValueError("slots_needed and k must be >= 1")
@@ -242,10 +246,11 @@ def candidate_paths(
             for step in steps:
                 runs = [r & r >> step for r in runs]
             found = _pruned_bfs(index, runs, s, d, k, best_only)
-    if best_only and len(found) > 1:
-        # Found in hop order, then vertex-walk order: the first of the
-        # highest availability is select_best's pick.
-        found = [max(found, key=itemgetter(2))]
+    # Found in hop order, then vertex-walk order, so a stable sort on
+    # availability ranks ties as that order does.
+    found.sort(key=itemgetter(2), reverse=True)
+    if best_only:
+        found = found[:1]
     return [
         CandidatePath(table, s, path, run, slots_needed, avail)
         for path, run, avail in found
@@ -289,20 +294,6 @@ def _pruned_bfs(
         frontier = nxt
         hops += 1
     return found
-
-
-def select_best(paths: list[CandidatePath]) -> CandidatePath:
-    """Highest availability; ties go to fewer hops, then vertex order.
-
-    For a full search's list: a best-only search returns its pick alone.
-    Vertex walks are read only for paths tied on availability and hops.
-    """
-    if not paths:
-        raise ValueError("no candidate paths to select from")
-    best = min(paths, key=lambda p: (-p.availability, p.hops))
-    a, hops = best.availability, best.hops
-    tied = [p for p in paths if p.availability == a and p.hops == hops]
-    return best if len(tied) == 1 else min(tied, key=lambda p: p.vertices)
 
 
 class ProvisionResult:

@@ -1,3 +1,7 @@
+import pytest
+
+from eonprotect import rsa
+
 ACCEPTANCE_LABELS = {
     "test_availability_calculus_vs_oracle": "availability calculus vs Monte-Carlo oracle (1 % family-wise, <60 s)",
     "test_structure_function_table": "3-link structure-function table (8 rows exact)",
@@ -8,6 +12,20 @@ ACCEPTANCE_LABELS = {
     "test_conservation_and_deterministic_replay": "conservation and deterministic replay",
     "test_hundred_k_run_performance": "100k-request run under 5 minutes",
 }
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Arguments of every pruned search that the table did not answer."""
+    calls = []
+
+    def spy(index, runs, s, d, k, best_only):
+        calls.append((s, d, k))
+        return pruned_bfs(index, runs, s, d, k, best_only)
+
+    pruned_bfs = rsa._pruned_bfs
+    monkeypatch.setattr(rsa, "_pruned_bfs", spy)
+    return calls
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -19,9 +19,7 @@ from eonprotect.dsbpss import (
     provision_backups,
     release_wp,
 )
-from eonprotect.rsa import (
-    LightpathRequest, candidate_paths, rsacs_with_protection, select_best,
-)
+from eonprotect.rsa import LightpathRequest, candidate_paths, rsacs_with_protection
 from eonprotect.sim import Scenario, Simulation
 from eonprotect.spectrum import (
     AllocationConflictError, DoubleFreeError, SlotBlock, SpectrumBitmap, allocate,
@@ -93,6 +91,12 @@ def ids(links):
 def provision(g, reg, wp_id, s, d, slots, a_th):
     lr = LightpathRequest(s, d, slots)
     return rsacs_with_protection(g, lr, a_th, reg, wp_id)
+
+
+def rank(p):
+    """Candidate paths rank by availability, highest first, then by fewer
+    hops, then by the lower vertex walk."""
+    return (-p.availability, p.hops, p.vertices)
 
 
 def search_bitmaps(g, bits):
@@ -431,6 +435,34 @@ class TestProvisioningAndSharing:
         assert g.links["a-c"].bitmap.to_string() == "0011"
         assert g.links["b-d"].bitmap.to_string() == "1011"
 
+    def test_candidate_with_no_window_left_is_skipped(self):
+        # WP a-b (0.9), one slot per link.  The ranked backup candidates are
+        # a-c-b (0.81), then a-c-d-b and a-e-f-b (0.729 each, tied on hops,
+        # so by vertex walk).  a-c-b takes the only slot of a-c, so a-c-d-b
+        # has no window left and is skipped; a-e-f-b is taken in its place.
+        g = NetworkGraph(slot_count=1)
+        for u, v in (
+            ("a", "b"), ("a", "c"), ("c", "b"), ("c", "d"), ("d", "b"),
+            ("a", "e"), ("e", "f"), ("f", "b"),
+        ):
+            g.add_link(u, v, 100, availability=0.9)
+        bits = g.link_index().free_bits()
+        bits[g.link_index().position["a-b"]] = 0
+        assert [p.vertices for p in candidate_paths(g, "a", "b", 1, 5, bits)] == [
+            ("a", "c", "b"), ("a", "c", "d", "b"), ("a", "e", "f", "b"),
+        ]
+        reg = BackupRegistry()
+        res = provision(g, reg, "w1", "a", "b", 1, a_th=0.99)
+        assert res.path.vertices == ("a", "b") and res.protected
+        assert [(bp.vertices, bp.block) for bp in res.backup_paths] == [
+            (("a", "c", "b"), SlotBlock(0, 1)),
+            (("a", "e", "f", "b"), SlotBlock(0, 1)),
+        ]
+        assert res.a_pp_max == pytest.approx(1 - 0.1 * (1 - 0.81) * (1 - 0.729), abs=1e-12)
+        assert g.links["c-d"].bitmap.to_string() == "1"
+        assert g.links["b-d"].bitmap.to_string() == "1"
+        assert reg.reserved == 5
+
     def test_backup_search_keeps_every_candidate(self):
         # WP a-b (0.9); backups a-c-b (0.99**2, lifting it to 0.99801) and
         # a-d-e-b (0.99**3, to 0.99994).  A best-only search stops after
@@ -717,7 +749,7 @@ class TestLedgerChecks:
         # A registry that offers busy, unheld slots for sharing.
         monkeypatch.setattr(eonprotect.dsbpss, "free_backup_slots", offer_every_slot)
         lr = LightpathRequest("B", "E", 2)
-        best = select_best(candidate_paths(g, "B", "E", 2, lr.k))
+        best = min(candidate_paths(g, "B", "E", 2, lr.k), key=rank)
         assert best.vertices == ("B", "E")
         before = self.state(g, reg)
         # The backup B-F-E takes slots 0-1: held already on E-F, so shared,
@@ -927,7 +959,7 @@ def reference_provision_backups(g, lr, best_path, reg, wp_id, a_th):
     while a_pp < a_th:
         if not candidates:
             return [], best_path.availability
-        chosen = select_best(candidates)
+        chosen = min(candidates, key=rank)
         candidates.remove(chosen)
         positions = [index.position[link.id] for link in chosen.links]
         common = (1 << g.slot_count) - 1
@@ -1020,7 +1052,7 @@ def test_packed_registry_matches_per_link_reference(g, data):
             paths = candidate_paths(g, s, d, lr.slots_needed, lr.k)
             if not paths:
                 continue
-            best = select_best(paths)
+            best = min(paths, key=rank)
             (ref_best,) = [
                 p for p in candidate_paths(ref_g, s, d, lr.slots_needed, lr.k)
                 if p.vertices == best.vertices

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eonprotect import rsa, topology
-from eonprotect.rsa import candidate_paths, select_best
+from eonprotect.rsa import candidate_paths
 from eonprotect.spectrum import SpectrumBitmap, _run_mask, first_fit, is_feasible
 from eonprotect.topology import (
     JitteredAvailability, Link, NetworkGraph, UniformAvailability, build_nsfnet,
@@ -73,9 +73,10 @@ def reference_candidate_paths(
     return found
 
 
-def reference_select_best(paths: list[ReferencePath]) -> ReferencePath:
-    """One key over every path, vertex walks included (the old code)."""
-    return min(paths, key=lambda p: (-p.availability, p.hops, p.vertices))
+def reference_ranked(paths: list[ReferencePath]) -> list[ReferencePath]:
+    """Ranked by one key over every path, vertex walks included (the old
+    code's pick order)."""
+    return sorted(paths, key=lambda p: (-p.availability, p.hops, p.vertices))
 
 
 def summary(paths):
@@ -95,7 +96,7 @@ def holds_a_list(value) -> bool:
 @st.composite
 def search_cases(draw):
     # "uniform": equal availabilities on denser graphs make paths of equal
-    # hop count tie on availability, so that select_best compares vertex
+    # hop count tie on availability, so that the ranking compares vertex
     # walks.  "dense": 10-16 vertices with 2-4 extra edges each and up to
     # 64 slots, so that run masks of several shift steps over wide ints
     # meet many branches of every length.
@@ -180,28 +181,21 @@ def test_matches_reference_on_pruned_copy(case):
         passed = None if given_bits is None else list(given_bits)
 
         got = candidate_paths(g, s, d, slots_needed, k, given_bits)
-        # Picked before any field is read, so only tied paths build their walks.
-        picked = select_best(got) if got else None
         best_only = candidate_paths(g, s, d, slots_needed, k, given_bits, best_only=True)
-        best_pick = select_best(best_only) if best_only else None
 
         pruned = remove_links(g, [g.links[lid] for lid in sorted(excluded)])
         if bits is not None:
             for lid, link in pruned.links.items():
                 link.bitmap.bits = bits[index.position[lid]]
-        want = reference_candidate_paths(pruned, s, d, slots_needed, k)
+        # The first k feasible paths in BFS order, then ranked, ties on
+        # (availability, hops) included.
+        want = reference_ranked(reference_candidate_paths(pruned, s, d, slots_needed, k))
         assert summary(got) == summary(want)
-        # Paths whose fields are built on first read are picked as the eagerly
-        # built ones are, ties on (availability, hops) included.
+        # A best-only search returns the full list's first path and nothing
+        # else, and is empty only when the full list is.
+        assert summary(best_only) == summary(got[:1])
         if got:
-            assert summary([picked]) == summary([select_best(want)])
-            assert summary([picked]) == summary([reference_select_best(want)])
-        # A best-only search returns select_best's pick of the full list
-        # and nothing else, and is empty only when the full list is.
-        assert summary(best_only) == summary([picked] if got else [])
-        if got:
-            assert best_pick is best_only[0]
-            assert (best_pick.run, best_pick.first_block) == (picked.run, picked.first_block)
+            assert (best_only[0].run, best_only[0].first_block) == (got[0].run, got[0].first_block)
         # The run mask the search keeps, from the table or the pruned search,
         # is the run mask of the path's common free bits, and the first fit
         # read off it is the first fit of those bits.
@@ -245,20 +239,6 @@ def test_matches_reference_on_pruned_copy(case):
             assert len(paths) >= k
         if len(unpruned) > len(paths):
             assert len(unpruned[-1]) > len(paths[-1])
-
-
-@pytest.fixture
-def fallbacks(monkeypatch):
-    """Arguments of every pruned search that the table did not answer."""
-    calls = []
-
-    def spy(index, runs, s, d, k, best_only):
-        calls.append((s, d, k))
-        return pruned_bfs(index, runs, s, d, k, best_only)
-
-    pruned_bfs = rsa._pruned_bfs
-    monkeypatch.setattr(rsa, "_pruned_bfs", spy)
-    return calls
 
 
 @pytest.fixture
@@ -512,7 +492,7 @@ def test_best_only_never_stops_with_every_availability_one(fallbacks):
             # It searches as far as the full search does, and picks from
             # the same paths.
             assert len(fallbacks) - before == 2 * full_fell_back
-            assert walks(best) == [select_best(full).vertices]
+            assert walks(best) == walks(full)[:1]
 
 
 @settings(deadline=None, derandomize=True, max_examples=200)
@@ -536,7 +516,7 @@ def test_best_only_breaks_ties_on_the_vertex_walk(data):
     full = candidate_paths(g, s, d, 1, k)
     best = candidate_paths(g, s, d, 1, k, best_only=True)
     assert walks(best) == ([min(walks(full))] if full else [])
-    assert walks(best) == ([select_best(full).vertices] if full else [])
+    assert walks(best) == walks(full)[:1]
 
 
 def test_structure_change_resets_index():

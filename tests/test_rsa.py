@@ -1,4 +1,4 @@
-"""Candidate path enumeration, best-path selection, and the provisioning driver."""
+"""Candidate path enumeration and ranking, and the provisioning driver."""
 
 import math
 
@@ -10,10 +10,8 @@ from eonprotect.rsa import (
     LightpathRequest,
     NoProtection,
     ProvisionResult,
-    _availability,
     candidate_paths,
     rsacs_with_protection,
-    select_best,
 )
 from eonprotect.spectrum import SlotBlock, SpectrumBitmap, _run_mask, allocate, first_fit
 from eonprotect.topology import (
@@ -180,44 +178,56 @@ class TestCandidatePaths:
             CandidatePath(table, "1", p.link_indices, p.run, 3)
 
 
-class TestSelectBest:
-    def mk(self, avail, verts):
-        """The path over ``verts``, built as the search builds it, of
-        availability ``avail``: its first link has it, the others 1.0."""
+class TestRanking:
+    """``candidate_paths`` returns its paths ranked: highest availability
+    first, then fewer hops, then the lower vertex walk.  Each case runs on
+    a search the structural-path table answers and on one that falls back
+    to the BFS."""
+
+    def walks(self, routes, fallback, fallbacks):
+        """Vertex walks of an s-d search over ``routes``, (vertex walk,
+        availability) pairs whose first link has the availability and the
+        others 1.0.  Two s-d detours of four and five hops are left out by
+        the search bits.  With k the number of routes the table answers;
+        one more, and the table, cut after the four-hop detour, comes up
+        short, so the search falls back."""
+        s, d = routes[0][0][0], routes[0][0][-1]
+        detours = ((s, "x1", "x2", "x3", d), (s, "y1", "y2", "y3", "y4", d))
         g = NetworkGraph(slot_count=4)
-        for i, (u, v) in enumerate(zip(verts, verts[1:])):
-            g.add_link(u, v, 100, availability=1.0 if i else avail)
+        for verts, avail in [*routes, *((v, 1.0) for v in detours)]:
+            for i, (u, v) in enumerate(zip(verts, verts[1:])):
+                g.add_link(u, v, 100, availability=1.0 if i else avail)
         index = g.link_index()
-        path = tuple(index.position[g.link_between(u, v).id] for u, v in zip(verts, verts[1:]))
-        # All four slots free, for a demand of one slot.
-        return CandidatePath(
-            index.links, verts[0], path, 0b1111, 1, _availability(index.links, path)
-        )
+        bits = index.free_bits()
+        for verts in detours:
+            for u, v in zip(verts, verts[1:]):
+                bits[index.position[g.link_between(u, v).id]] = 0
+        paths = candidate_paths(g, s, d, 1, len(routes) + fallback, bits)
+        assert fallbacks == ([(s, d, len(routes) + 1)] if fallback else [])
+        return [p.vertices for p in paths]
 
-    def test_strict_max(self):
-        lo = self.mk(0.98, ("a", "b"))
-        hi = self.mk(0.99, ("a", "c", "b"))
-        assert select_best([lo, hi]) is hi
+    @pytest.mark.parametrize("fallback", [False, True], ids=["table", "bfs"])
+    def test_strict_max_first(self, fallback, fallbacks):
+        # Found a-b first, then a-c-b; a-c-b is more available.
+        routes = [(("a", "b"), 0.98), (("a", "c", "b"), 0.99)]
+        assert self.walks(routes, fallback, fallbacks) == [("a", "c", "b"), ("a", "b")]
 
-    def test_tie_breaks_on_hops(self):
-        short = self.mk(0.99, ("a", "b"))
-        long = self.mk(0.99, ("a", "c", "b"))
-        assert (short.hops, long.hops) == (1, 2)
-        assert select_best([long, short]) is short
+    @pytest.mark.parametrize("fallback", [False, True], ids=["table", "bfs"])
+    def test_tie_breaks_on_hops(self, fallback, fallbacks):
+        # a-b and a-c-b tie on availability, behind a-d-e-b.
+        routes = [(("a", "b"), 0.99), (("a", "c", "b"), 0.99), (("a", "d", "e", "b"), 0.995)]
+        assert self.walks(routes, fallback, fallbacks) == [
+            ("a", "d", "e", "b"), ("a", "b"), ("a", "c", "b"),
+        ]
 
-    def test_tie_breaks_on_vertex_order(self):
-        p1 = self.mk(0.99, ("a", "b", "d"))
-        p2 = self.mk(0.99, ("a", "c", "d"))
-        assert p1.availability == p2.availability and p1.hops == p2.hops
-        assert select_best([p2, p1]) is p1
-
-    def test_singleton(self):
-        p = self.mk(0.5, ("a", "b"))
-        assert select_best([p]) is p
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            select_best([])
+    @pytest.mark.parametrize("fallback", [False, True], ids=["table", "bfs"])
+    def test_tie_breaks_on_vertex_walk(self, fallback, fallbacks):
+        # 1-2-9 is added before 1-10-9, but "10" sorts before "2"; both
+        # beat the direct 1-9.
+        routes = [(("1", "9"), 0.9), (("1", "2", "9"), 0.99), (("1", "10", "9"), 0.99)]
+        assert self.walks(routes, fallback, fallbacks) == [
+            ("1", "10", "9"), ("1", "2", "9"), ("1", "9"),
+        ]
 
 
 class TestProvisionResult:
