@@ -8,20 +8,19 @@ of the run masks (see ``spectrum``).  A caller may pass per-link free bits
 in place of the live ones, and leaves a link out by putting 0 in its
 entry, so backup and cycle searches need no pruned graph copy.
 
-Most searches need no BFS.  The graph's index keeps, per (s, d, k), the
-s-d simple paths in the order the same BFS finds them when no branch is
-pruned, through the whole hop level of the k-th path
-(``LinkIndex.structural_paths``); every graph of one structure shares that
-table.  A search scans it first: a path there is feasible iff the run mask
-of the AND of its links' free bits, taken once, is non-zero.  A search of
-the live bits reads them off the scanned paths' own links, so a search the
-table answers reads only the links of the paths it scans.  Pruning drops a
-branch with all its extensions and never reorders the survivors, so the
-pruned BFS returns the first k feasible paths of the unpruned order; when
-the table holds k feasible paths, they are those, and when it holds every
-s-d path, its feasible ones are all there are.  The scan stops at the k-th
-feasible path, at a best-only stop (below) or at the table's end; only at
-the end, short of k in a table that is not complete, does it fall back.
+Most searches need no BFS.  The first search for (s, d, k) stores in the
+graph's index (``LinkIndex.paths``) the s-d simple paths in the order the
+same BFS finds them when no branch is pruned, through the whole hop level
+of the k-th path (``_unpruned_bfs``); every graph of one structure shares
+that table.  A search scans it first: a path there is feasible iff the run
+mask of the AND of its links' free bits, taken once, is non-zero.  A
+search of the live bits reads them off the scanned paths' own links, so a
+search the table answers reads only the links of the paths it scans.
+Pruning drops a branch with all its extensions and never reorders the
+survivors, so the pruned BFS returns the first k feasible paths of the
+unpruned order; when the table holds k feasible paths, they are those.
+The scan stops at the k-th feasible path, at a best-only stop (below) or
+at the table's end; only at the end, short of k, does it fall back.
 
 The fallback, the pruned BFS, takes every link's run mask once; a partial
 path is its end vertex, a mask of the vertices it visited, the running AND
@@ -183,11 +182,11 @@ def candidate_paths(
     feasible ones by hop count, then vertex walk.  Only then are they
     ranked by availability, highest first; the sort is stable, so ties go
     to fewer hops, then to the lower vertex walk.  Empty list when nothing
-    fits.  The graph's table of structural s-d paths is scanned first; only
-    when the scan ends at the table's end with fewer than k feasible paths,
-    and the table is not complete, does the pruned BFS run, over every
-    link's run mask.  Each path keeps the run mask the search tested it by,
-    from which ``first_block`` is read.  ``bits`` replaces the links' live
+    fits.  The table of s-d paths in the graph's index is scanned first;
+    only when the scan ends at the table's end with fewer than k feasible
+    paths does the pruned BFS run, over every link's run mask.  Each path
+    keeps the run mask the search tested it by, from which ``first_block``
+    is read.  ``bits`` replaces the links' live
     free bits, in ``g.link_index()`` order; a link whose entry is 0 is left
     out.  Without ``bits``, the table scan reads the scanned paths' links
     only.  Neither the graph nor ``bits`` is written to.  Raises
@@ -201,12 +200,12 @@ def candidate_paths(
     """
     if slots_needed < 1 or k < 1:
         raise ValueError("slots_needed and k must be >= 1")
-    if s not in g.adjacency or d not in g.adjacency:
+    index = g.link_index()
+    if s not in index.vertex_bit or d not in index.vertex_bit:
         raise KeyError(f"unknown vertex in request {s}->{d}")
     size = g.slot_count
     if slots_needed > size or s == d:
         return []
-    index = g.link_index()
     table = index.links
     stop_above = index.stop_above
     steps = run_steps(slots_needed)
@@ -215,7 +214,9 @@ def candidate_paths(
     # and the highest of those availabilities.
     found = []
     top = 0.0
-    paths, complete = index.structural_paths(s, d, k)
+    paths = index.paths.get((s, d, k))
+    if paths is None:
+        paths = index.paths[s, d, k] = _unpruned_bfs(index, s, d, k)
     level = 0
     for path in paths:
         if len(path) != level:
@@ -239,9 +240,9 @@ def candidate_paths(
             if len(found) == k:
                 break
     else:
-        # Short of k at the table's end: fall back unless the table is
-        # complete or, best-only, no path of the next hop level can win.
-        if not (complete or best_only and top > stop_above[level + 1]):
+        # Short of k at the table's end: fall back unless, best-only, no
+        # path of the next hop level can win.
+        if not (best_only and top > stop_above[level + 1]):
             runs = index.free_bits() if bits is None else bits
             for step in steps:
                 runs = [r & r >> step for r in runs]
@@ -255,6 +256,29 @@ def candidate_paths(
         CandidatePath(table, s, path, run, slots_needed, avail)
         for path, run, avail in found
     ]
+
+
+def _unpruned_bfs(
+    index: LinkIndex, s: str, d: str, k: int,
+) -> tuple[tuple[int, ...], ...]:
+    """Link indices of the s-d simple paths through the hop level of the
+    k-th, in ``_pruned_bfs``'s order with spectrum ignored: the table that
+    ``candidate_paths`` scans."""
+    neighbors = index.neighbors
+    found = []
+    frontier = [(s, index.vertex_bit[s], ())]
+    while frontier and len(found) < k:
+        nxt = []
+        for u, seen, path in frontier:
+            for v, vbit, li in neighbors[u]:
+                if seen & vbit:
+                    continue
+                if v == d:
+                    found.append(path + (li,))
+                else:
+                    nxt.append((v, seen | vbit, path + (li,)))
+        frontier = nxt
+    return tuple(found)
 
 
 def _pruned_bfs(

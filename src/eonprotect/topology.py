@@ -22,8 +22,8 @@ from .spectrum import SpectrumBitmap
 DEFAULT_SLOT_COUNT = 320
 # Every link's MTTF (one year); its MTTR is set to give the link availability.
 MTTF_H = 8760.0
-# Graph structures whose structural-path tables are kept, least recently
-# used dropped first.
+# Graph structures whose path tables are kept, least recently used dropped
+# first.
 PATH_TABLES_KEPT = 8
 
 
@@ -162,10 +162,11 @@ class LinkIndex:
     each vertex owns one bit of a vertex mask.  No spectrum state is cached:
     the current free bits are read from the links themselves.
 
-    The table of structural paths holds link indices only, so every index
-    of one structure shares one table (see ``NetworkGraph.link_index``):
-    graphs that differ in availabilities, slot count or spectrum alone
-    build each (s, d, k) entry once between them.
+    ``paths`` is the path search's table (see ``rsa``), which holds link
+    indices only, so every index of one structure shares it (see
+    ``NetworkGraph.link_index``): graphs that differ in availabilities,
+    slot count or spectrum alone build each of its entries once between
+    them.
 
     ``stop_above[h]`` is ``a_max**h * (1 + 1e-12)``, where ``a_max`` is the
     largest link availability when the index is built: no path of h hops or
@@ -180,43 +181,13 @@ class LinkIndex:
     neighbors: dict[str, tuple[tuple[str, int, int], ...]]
     # by hop count 0..len(vertex_bit)
     stop_above: tuple[float, ...] = field(repr=False, compare=False)
-    # (s, d, k) -> structural_paths(s, d, k), filled on first use; shared
-    # by every index of the same structure
-    _paths: dict = field(repr=False, compare=False)
+    # (s, d, k) -> tuple of link-index tuples, filled by ``rsa`` on first
+    # use; shared by every index of the same structure
+    paths: dict = field(repr=False, compare=False)
 
     def free_bits(self) -> list[int]:
         """Current free bits of every link, by link index."""
         return [link.bitmap.bits for link in self.links]
-
-    def structural_paths(
-        self, s: str, d: str, k: int,
-    ) -> tuple[tuple[tuple[int, ...], ...], bool]:
-        """The s-d simple paths through the hop level of the k-th, and whether
-        they are all the s-d simple paths.
-
-        Paths are link-index tuples in breadth-first order over ``neighbors``
-        with spectrum ignored, the order in which the run-mask search finds
-        the feasible ones.  Built on first use for each (s, d, k).
-        """
-        key = (s, d, k)
-        entry = self._paths.get(key)
-        if entry is None:
-            neighbors = self.neighbors
-            found = []
-            frontier = [(s, self.vertex_bit[s], ())]
-            while frontier and len(found) < k:
-                nxt = []
-                for u, seen, path in frontier:
-                    for v, vbit, li in neighbors[u]:
-                        if seen & vbit:
-                            continue
-                        if v == d:
-                            found.append(path + (li,))
-                        else:
-                            nxt.append((v, seen | vbit, path + (li,)))
-                frontier = nxt
-            entry = self._paths[key] = (tuple(found), not frontier)
-        return entry
 
 
 @dataclass
@@ -226,14 +197,12 @@ class NetworkGraph:
     slot_count: int = DEFAULT_SLOT_COUNT
     vertices: list[str] = field(default_factory=list)
     links: dict[str, Link] = field(default_factory=dict)
-    adjacency: dict[str, list[str]] = field(default_factory=dict)
     _index: LinkIndex | None = field(default=None, init=False, repr=False, compare=False)
 
     def add_vertex(self, name: str) -> None:
         _check_vertex_name(name)
-        if name not in self.adjacency:
+        if name not in self.vertices:
             self.vertices.append(name)
-            self.adjacency[name] = []
             self._index = None
 
     def add_link(
@@ -258,8 +227,6 @@ class NetworkGraph:
         self.add_vertex(u)
         self.add_vertex(v)
         self.links[lid] = link
-        self.adjacency[u].append(lid)
-        self.adjacency[v].append(lid)
         self._index = None
         return link
 
@@ -267,25 +234,24 @@ class NetworkGraph:
         """The cached int index, built on first use after a structural change.
 
         ``add_vertex`` and ``add_link`` reset it, so change the structure only
-        through them.  A new index takes the structural-path table of its
+        through them.  A new index takes the path table (``paths``) of its
         structure from a process-wide cache of the ``PATH_TABLES_KEPT`` most
         recently used ones.  The key is ``tuple(neighbors.items())``: the
         vertex order, each vertex's bit, its name-sorted neighbours and the
-        index of each link, which is all that ``structural_paths`` reads.
-        The index reads link availabilities once, for ``stop_above``, so
-        set them before the first search.
+        index of each link, which is all that ``rsa`` reads to build a table.
+        ``neighbors`` is built from ``links``, so a vertex with no link gets
+        an empty entry.  The index reads link availabilities once, for
+        ``stop_above``, so set them before the first search.
         """
         if self._index is None:
             position = {lid: i for i, lid in enumerate(self.links)}
             vertex_bit = {vx: 1 << i for i, vx in enumerate(self.vertices)}
-            neighbors = {}
-            for u, lids in self.adjacency.items():
-                out = []
-                for lid in lids:
-                    v = self.links[lid].other(u)
-                    out.append((v, vertex_bit[v], position[lid]))
-                out.sort(key=lambda t: t[0])
-                neighbors[u] = tuple(out)
+            adjacent = {vx: [] for vx in self.vertices}
+            for i, link in enumerate(self.links.values()):
+                adjacent[link.u].append((link.v, vertex_bit[link.v], i))
+                adjacent[link.v].append((link.u, vertex_bit[link.u], i))
+            # Neighbour names are distinct, so a tuple sort is a name sort.
+            neighbors = {vx: tuple(sorted(out)) for vx, out in adjacent.items()}
             a_max = max((link.availability for link in self.links.values()), default=1.0)
             self._index = LinkIndex(
                 tuple(self.links.values()), position, vertex_bit, neighbors,
@@ -298,23 +264,25 @@ class NetworkGraph:
         return self.links.get(link_id(u, v))
 
     def neighbors(self, u: str) -> list[tuple[str, Link]]:
-        """Adjacent (vertex, link) pairs, sorted by vertex name."""
-        out = [(self.links[lid].other(u), self.links[lid]) for lid in self.adjacency[u]]
-        out.sort(key=lambda t: t[0])
-        return out
+        """Adjacent (vertex, link) pairs, sorted by vertex name, read off the
+        index (built if need be)."""
+        index = self.link_index()
+        return [(v, index.links[li]) for v, _, li in index.neighbors[u]]
 
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            u = stack.pop()
-            for v, _ in self.neighbors(u):
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == len(self.vertices)
+        """Whether every vertex reaches every other; true with no vertex.
+
+        Grows the set reached from the first vertex one pass over the links
+        at a time, and builds no index.
+        """
+        reached = set(self.vertices[:1])
+        size = -1
+        while size != len(reached):
+            size = len(reached)
+            for link in self.links.values():
+                if link.u in reached or link.v in reached:
+                    reached |= {link.u, link.v}
+        return len(reached) == len(self.vertices)
 
     def busy_slot_count(self) -> int:
         return sum(link.bitmap.busy_count() for link in self.links.values())
@@ -323,13 +291,12 @@ class NetworkGraph:
         g = NetworkGraph(self.slot_count)
         g.vertices = list(self.vertices)
         g.links = {lid: link.copy() for lid, link in self.links.items()}
-        g.adjacency = {v: list(lids) for v, lids in self.adjacency.items()}
         return g
 
 
 @lru_cache(maxsize=PATH_TABLES_KEPT)
 def _path_table(key: tuple) -> dict:
-    """The structural-path table of the structure ``key``
+    """The path table (``LinkIndex.paths``) of the structure ``key``
     (``LinkIndex.neighbors`` items)."""
     return {}
 
@@ -417,7 +384,4 @@ def remove_links(g: NetworkGraph, links: list[Link]) -> NetworkGraph:
     out = NetworkGraph(g.slot_count)
     out.vertices = list(g.vertices)
     out.links = {lid: link.copy() for lid, link in g.links.items() if lid not in gone}
-    out.adjacency = {
-        v: [lid for lid in lids if lid not in gone] for v, lids in g.adjacency.items()
-    }
     return out

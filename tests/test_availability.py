@@ -81,6 +81,10 @@ class TestLinkAvailability:
         with pytest.raises(ValueError):
             link_availability(0, 1)
 
+    def test_rejects_negative_mttr(self):
+        with pytest.raises(ValueError, match="^mttr_h must be non-negative$"):
+            link_availability(1, -0.5)
+
 
 class TestSeriesAvailability:
     """The path product, as the path search takes it in path order."""

@@ -388,6 +388,23 @@ class TestProvisionCycles:
                 assert g.links[lid].bitmap == bmp
 
 
+    def test_stops_granting_once_the_threshold_is_met(self):
+        # B-C, the weakest link, gets a new cycle B-F-E-C, which lifts the
+        # path to 0.995 * (1 - 0.1 * (1 - 0.99**3)) >= 0.99.  So C-D, next
+        # by availability, gets no grant, though it could extend that cycle
+        # through D.
+        g = pentagon_with_chord()
+        g.links["B-C"].availability = 0.9
+        g.links["C-D"].availability = 0.995
+        path = hand_path(g, ["D", "C", "B"])
+        cs = DCycleSet()
+        granted, a_pp = provision_cycles(g, LightpathRequest("D", "B", 2), path, cs, "w1", 0.99)
+        ((cid, cycle),) = cs.cycles.items()
+        assert granted == [(cid, "B-C")]
+        assert set(cycle.vertex_order) == {"B", "C", "E", "F"}
+        assert a_pp == pytest.approx(0.995 * (1 - 0.1 * (1 - 0.99**3)), abs=1e-12)
+        assert a_pp >= 0.99
+
     def test_rollback_of_cycle_built_then_extended_in_one_call(self):
         # B-C, the weakest link, gets a new cycle B-F-E-C; C-D then extends
         # that cycle through D.  Both happen inside one provision_cycles call.
@@ -940,7 +957,7 @@ class TestRollbackRestoresState:
         for pause in range(100, 601, 100):
             sim.run(max_arrivals=pause)
             cs, g = copy.deepcopy((sim.cycles, sim.graph))
-            pairs = list(itertools.permutations(sorted(g.adjacency), 2))
+            pairs = list(itertools.permutations(sorted(g.vertices), 2))
             with monkeypatch.context() as m:
                 m.setattr(dcycles, "_try_extend", spy)
                 for demand, (s, d) in itertools.product(range(1, 13), pairs):

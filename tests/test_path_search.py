@@ -36,7 +36,7 @@ def reference_candidate_paths(
     k: int,
 ) -> list[ReferencePath]:
     """Breadth-first search over vertex tuples and live bitmaps (the old code)."""
-    if s not in g.adjacency or d not in g.adjacency:
+    if s not in g.vertices or d not in g.vertices:
         raise KeyError(f"unknown vertex in request {s}->{d}")
     size = g.slot_count
     if slots_needed > size:
@@ -217,11 +217,15 @@ def test_matches_reference_on_pruned_copy(case):
 
     # Each table holds tuples of ints only, and is the unpruned breadth-first
     # order through the hop level of the k-th path: the next path, if any,
-    # has more hops.
+    # has more hops.  A table short of k holds every s-d path.  A search
+    # stores the table it builds, unless it returned before the scan.
     free = all_free_copy(g)
-    for _, k, _, _ in searches:
-        paths, complete = index.structural_paths(s, d, k)
-        assert type(paths) is tuple and type(complete) is bool
+    for slots_needed, k, _, _ in searches:
+        paths = rsa._unpruned_bfs(index, s, d, k)
+        assert index.paths.get((s, d, k), paths) == paths
+        if slots_needed <= g.slot_count:
+            assert (s, d, k) in index.paths
+        assert type(paths) is tuple
         assert all(
             type(path) is tuple and all(type(li) is int for li in path)
             for path in paths
@@ -233,10 +237,8 @@ def test_matches_reference_on_pruned_copy(case):
         assert tuple(unpruned[:len(paths)]) == paths
         if len(paths) >= k:
             assert len(paths[-1]) == len(paths[k - 1])
-        if complete:
-            assert len(unpruned) == len(paths)
         else:
-            assert len(paths) >= k
+            assert len(unpruned) == len(paths)
         if len(unpruned) > len(paths):
             assert len(unpruned[-1]) > len(paths[-1])
 
@@ -270,29 +272,30 @@ def walks(paths):
 def test_same_endpoints_find_nothing(fallbacks):
     g = ladder()
     assert candidate_paths(g, "a", "a", 1, 5) == []
-    assert not [key for key in g.link_index()._paths if key[:2] == ("a", "a")]
+    assert not [key for key in g.link_index().paths if key[:2] == ("a", "a")]
     assert fallbacks == []
 
 
-def test_complete_table_answers_short_search(fallbacks, fresh_path_tables):
+def test_table_of_every_path_still_falls_back(fallbacks, fresh_path_tables):
     g = ladder()
-    # k = 5 exceeds the three simple paths: the table holds them all.
+    # k = 5 exceeds the three simple paths: the table holds them all, and
+    # a search short of k falls back all the same, to the same paths.
     assert walks(candidate_paths(g, "a", "b", 1, 5)) == [
         ("a", "b"), ("a", "c", "b"), ("a", "d", "e", "b"),
     ]
-    assert g.link_index().structural_paths("a", "b", 5)[1] is True
+    assert g.link_index().paths["a", "b", 5] == ((0,), (1, 2), (3, 4, 5))
     g.links["a-b"].bitmap.bits = 0
     assert walks(candidate_paths(g, "a", "b", 1, 5)) == [
         ("a", "c", "b"), ("a", "d", "e", "b"),
     ]
-    assert fallbacks == []
+    assert fallbacks == [("a", "b", 5), ("a", "b", 5)]
 
 
 def test_table_hit_answers_search(fallbacks, fresh_path_tables):
     g = ladder()
-    # k = 1 stops the table at the one-hop level: a-b alone, not complete.
+    # k = 1 stops the table at the one-hop level: a-b alone.
     assert walks(candidate_paths(g, "a", "b", 1, 1)) == [("a", "b")]
-    assert g.link_index().structural_paths("a", "b", 1) == (((0,),), False)
+    assert g.link_index().paths["a", "b", 1] == ((0,),)
     # Other free bits and demands reuse the table.
     g.links["b-c"].bitmap.bits = 0
     assert walks(candidate_paths(g, "a", "b", 4, 1)) == [("a", "b")]
@@ -309,8 +312,8 @@ def test_short_table_falls_back_to_pruned_search(fallbacks):
     bits = index.free_bits()
     bits[index.position["b-c"]] = 0
     assert walks(candidate_paths(g, "a", "b", 1, 1, bits)) == [("a", "d", "e", "b")]
-    # With k = 2 and b-c busy the table (a-b, a-c-b) holds one feasible path
-    # and is not complete, so the search falls back.
+    # With k = 2 and b-c busy the table (a-b, a-c-b) holds one feasible path,
+    # so the search falls back.
     g.links["a-b"].bitmap.bits = 0b1111
     g.links["b-c"].bitmap.bits = 0
     assert walks(candidate_paths(g, "a", "b", 1, 2)) == [
@@ -377,8 +380,8 @@ def test_scan_reads_the_table_once_then_falls_back(fallbacks):
     index = g.link_index()
     bits = ReadLog(index.free_bits())
     bits[index.position["a-b"]] = 0
-    # The k = 2 table is a-b, a-c-b and not complete: with a-b left out it
-    # holds one feasible path, so the scan reads each of its links once and
+    # The k = 2 table is a-b, a-c-b: with a-b left out it holds one
+    # feasible path, so the scan reads each of its links once and
     # falls back at its end.  The fallback takes every run mask in one pass
     # and ANDs no free bits for the paths it returns, so it reads no entry
     # by index.
@@ -541,12 +544,12 @@ def test_graphs_of_one_structure_share_a_table():
     g = build_nsfnet(policy=UniformAvailability(0.9))
     h = build_nsfnet(slot_count=64, policy=JitteredAvailability(0.99, seed=3))
     candidate_paths(g, g.vertices[0], g.vertices[-1], 1, 3)
-    assert h.link_index()._paths is g.link_index()._paths
-    assert (g.vertices[0], g.vertices[-1], 3) in h.link_index()._paths
+    assert h.link_index().paths is g.link_index().paths
+    assert (g.vertices[0], g.vertices[-1], 3) in h.link_index().paths
 
 
 def test_other_structures_get_other_tables(fresh_path_tables):
-    table = ladder().link_index()._paths
+    table = ladder().link_index().paths
     links_reversed = NetworkGraph(slot_count=4)
     for u, v in reversed(LADDER):
         links_reversed.add_link(u, v, 100)
@@ -558,18 +561,18 @@ def test_other_structures_get_other_tables(fresh_path_tables):
     one_more = ladder()
     one_more.add_link("c", "d", 100)
     for g in (links_reversed, vertices_reversed, one_more):
-        assert g.link_index()._paths is not table
-    assert ladder().link_index()._paths is table
+        assert g.link_index().paths is not table
+    assert ladder().link_index().paths is table
     assert fresh_path_tables.cache_info().currsize == 4
 
 
 def test_add_link_after_search_gives_new_table(fresh_path_tables):
     g = ladder()
     candidate_paths(g, "a", "b", 1, 5)
-    before = g.link_index()._paths
+    before = g.link_index().paths
     assert ("a", "b", 5) in before
     g.add_link("c", "d", 100)
-    after = g.link_index()._paths
+    after = g.link_index().paths
     assert after is not before and ("a", "b", 5) not in after
     assert walks(candidate_paths(g, "a", "d", 1, 5))[0] == ("a", "d")
 
@@ -586,13 +589,13 @@ def test_path_table_cache_keeps_its_bound(fresh_path_tables):
     kept = topology.PATH_TABLES_KEPT
     tables = {}
     for n in range(2, kept + 2):
-        tables[n] = chain(n).link_index()._paths
+        tables[n] = chain(n).link_index().paths
     assert fresh_path_tables.cache_info().currsize == kept
     # A hit marks the table most recently used, so the next new structure
     # drops the least recently used one, n = 3, and not n = 2.
-    assert chain(2).link_index()._paths is tables[2]
+    assert chain(2).link_index().paths is tables[2]
     chain(kept + 2).link_index()
     assert fresh_path_tables.cache_info().currsize == kept
-    assert chain(kept + 1).link_index()._paths is tables[kept + 1]
-    assert chain(3).link_index()._paths is not tables[3]
+    assert chain(kept + 1).link_index().paths is tables[kept + 1]
+    assert chain(3).link_index().paths is not tables[3]
     assert fresh_path_tables.cache_info().currsize == kept

@@ -568,6 +568,16 @@ class TestInjectSingleFailuresMatchesReference:
         assert report.per_link == reference.per_link
         assert report.per_link["1-2"] == (len(starts), 0)
 
+    def test_option_needing_the_failed_link_restores_nothing(self):
+        # The one backup of 1-2-4 runs over 1-2, one of its own working
+        # links: it covers a failure of 2-4 but not one of 1-2.
+        sim = Simulation(small_scenario(mode="dsbpss", n_requests=10))
+        self.add_hand_conn(sim, "h0", ("1", "2", "4"), ("1", "2", "3", "6", "5", "4"), 0)
+        report = inject_single_failures(sim)
+        assert report.per_link["1-2"] == (0, 1)
+        assert report.per_link["2-4"] == (1, 0)
+        assert report.per_link == reference_inject_single_failures(sim).per_link
+
 
 def test_options_match_the_recurrence_where_it_is_exact():
     """A live WP whose backups share no link is a parallel system, where

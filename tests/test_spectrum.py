@@ -224,6 +224,11 @@ class TestFirstFit:
         with pytest.raises(NoFitError):
             first_fit(bm("1101"), 3)
 
+    @pytest.mark.parametrize("need", [0, -1])
+    def test_rejects_need_below_one(self, need):
+        with pytest.raises(ValueError, match="^need must be >= 1$"):
+            first_fit(bm("1111"), need)
+
     @given(st.integers(0, 2**64 - 1), st.integers(1, 8))
     def test_matches_exhaustive_scan(self, bits, need):
         b = SpectrumBitmap(64, bits)

@@ -4,10 +4,12 @@ import statistics
 
 import pytest
 
+from eonprotect.spectrum import SpectrumBitmap
 from eonprotect.topology import (
     DisconnectedGraphError,
     DuplicateLinkError,
     JitteredAvailability,
+    Link,
     NetworkGraph,
     TopologyError,
     TopologyParseError,
@@ -57,6 +59,11 @@ class TestLink:
         with pytest.raises(Exception, match="self-loop"):
             g.add_link("a", "a", 100)
 
+    @pytest.mark.parametrize("mttf,mttr", [(0.0, 1.0), (-1.0, 1.0), (1.0, -1.0)])
+    def test_rejects_bad_mttf_or_mttr(self, mttf, mttr):
+        with pytest.raises(TopologyError, match="^bad mttf/mttr on link a-b$"):
+            Link("a-b", "a", "b", 100, mttf, mttr, SpectrumBitmap(8))
+
     def test_link_id_is_order_independent(self):
         assert link_id("b", "a") == link_id("a", "b") == "a-b"
 
@@ -86,7 +93,6 @@ class TestRejectedAddLinkChangesNothing:
         with pytest.raises(TopologyError, match=match):
             g.add_link(u, v, length_km, availability=availability)
         assert g.vertices == vertices
-        assert set(g.adjacency) == set(vertices)
         assert list(g.links) == ["p-q"]
         assert g.link_index() is index
 
@@ -137,10 +143,30 @@ class TestBuildNsfnet:
 
     def test_degree_sequence_sums_to_44(self):
         g = build_nsfnet(8)
-        assert sum(len(lids) for lids in g.adjacency.values()) == 44
+        assert sum(len(g.neighbors(v)) for v in g.vertices) == 44
 
     def test_connected(self):
         assert build_nsfnet(8).is_connected()
+
+
+class TestIsConnected:
+    def test_empty_graph_is_connected(self):
+        assert NetworkGraph().is_connected()
+
+    def test_isolated_vertex_disconnects(self):
+        g = load_topology(TRIANGLE)
+        g.add_vertex("d")
+        assert not g.is_connected()
+        g.add_link("c", "d", 1)
+        assert g.is_connected()
+
+    def test_builds_no_index(self):
+        # The index reads availabilities once, so an availability set after
+        # loading (which checks connectivity) still counts.
+        g = load_topology(TRIANGLE)
+        assert g.is_connected()
+        g.links["a-b"].availability = 0.999
+        assert g.link_index().stop_above[1] == pytest.approx(0.999, abs=1e-9)
 
 
 class TestJitterPolicy:
@@ -152,6 +178,12 @@ class TestJitterPolicy:
         pol = JitteredAvailability(0.9, seed=3)
         for a in pol.availabilities(1000):
             assert 0.9 - pol.half_width <= a <= 0.9 + pol.half_width
+
+    @pytest.mark.parametrize("policy", [UniformAvailability, JitteredAvailability])
+    @pytest.mark.parametrize("value", [0.0, -0.5, 1.5])
+    def test_rejects_availability_outside_unit_interval(self, policy, value):
+        with pytest.raises(ValueError, match=r"^availability must lie in \(0, 1\]$"):
+            policy(value)
 
     @pytest.mark.parametrize("target", [0.2, 0.31, 0.3103])
     def test_rejects_band_reaching_zero(self, target):
@@ -183,6 +215,10 @@ class TestLoadTopology:
     def test_parse_error_carries_line_number(self):
         with pytest.raises(TopologyParseError, match="line 2"):
             load_topology("node a\nlink a\n")
+
+    def test_node_with_two_names(self):
+        with pytest.raises(TopologyParseError, match="^line 2: node takes exactly one name$"):
+            load_topology("node a\nnode b c\n")
 
     @pytest.mark.parametrize("text,line", [
         ("link a-b c 10 0.99\nlink a b-c 10 0.99\n", 1),
@@ -256,7 +292,8 @@ class TestRemoveLinks:
         g = load_topology("link a b 10 0.9\n")
         out = remove_links(g, [g.links["a-b"]])
         assert not out.links
-        assert out.adjacency == {"a": [], "b": []}
+        assert out.vertices == ["a", "b"]
+        assert out.neighbors("a") == out.neighbors("b") == []
 
     def test_nsfnet_minus_three_link_path(self):
         g = build_nsfnet(8)
@@ -268,7 +305,7 @@ class TestRemoveLinks:
         before = hash(frozenset(g.links))
         remove_links(g, [g.links["1-2"]])
         assert hash(frozenset(g.links)) == before
-        assert "1-2" in g.adjacency["1"]
+        assert ("2", g.links["1-2"]) in g.neighbors("1")
 
     def test_unknown_link(self):
         g = load_topology(TRIANGLE)
