@@ -240,7 +240,9 @@ def provision_backups(
     ([], the working path's availability) is returned.  The candidates are
     walked once, in the search's ranking; each is re-intersected on the
     search bits, which lose the slots of every backup taken so far, and
-    takes first fit from what is left, or is skipped when nothing is.
+    takes first fit from what is left, or is skipped when nothing is.  The
+    ``BackupPath``s (vertex walk, links, id) are built only once the
+    threshold is met and the slots are claimed.
     ``BackupRegistry.claim`` raises ``AllocationConflictError``, and nothing
     is reserved, if a slot the backups newly hold is not free on its link.
     """
@@ -258,7 +260,8 @@ def provision_backups(
     full = (1 << width) - 1
     steps = run_steps(need)
     a_pp = best_path.availability
-    backups: list[BackupPath] = []
+    # (candidate, block, packed mask) of each backup taken
+    picked = []
     packed = 0
     for chosen in candidates:
         if a_pp >= a_th:
@@ -279,16 +282,17 @@ def provision_backups(
             # Own backups are not shareable with this same WP.
             bits[li] &= ~mask
             own |= mask << li * width
-        block = SlotBlock(low.bit_length() - 1, need)
-        backups.append(BackupPath(
-            f"{wp_id}/bp{len(backups) + 1}", chosen.vertices, chosen.links, block, own
-        ))
+        picked.append((chosen, SlotBlock(low.bit_length() - 1, need), own))
         packed |= own
         a_pp = ava_dsbpss_update(a_pp, chosen.availability)
     if a_pp < a_th:
         return [], best_path.availability
     if packed:
         reg.claim(g, wp, packed)
+    backups = [
+        BackupPath(f"{wp_id}/bp{i}", chosen.vertices, chosen.links, block, own)
+        for i, (chosen, block, own) in enumerate(picked, 1)
+    ]
     return backups, a_pp
 
 

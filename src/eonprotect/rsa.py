@@ -38,19 +38,23 @@ vertex walk, and the first path returned is the best.
 
 A caller that keeps only the best path passes ``best_only``, and the
 search stops at the first hop level no unseen path can win from.  The
-ranking puts availability first, and no path of h hops or more has a
-computed availability above ``LinkIndex.stop_above[h]``: the h-th power
-of the graph's largest link availability, with a relative slack of 1e-12
-that covers the rounding of the product.  Once the best path found is
-above that bound before the first path of h hops, every later path is
-strictly worse, so the search stops with the paths found so far: a prefix,
-in BFS order, of the paths a full search keeps, empty only if those are,
-whose first-ranked path is the full search's.  The bound is checked at
-each hop level of the table scan, at the first hop level off the table,
-which decides whether the BFS runs, and at each BFS level.  With every
-link availability 1.0 the bound never holds.  A best-only search returns
-that first-ranked path alone, so it builds one ``CandidatePath`` and no
-vertex walk.
+ranking puts availability first, and no s-d path of h hops or more has a
+computed availability above ``LinkIndex.stop_above[s][d][h]``: the highest
+availability of any s-d walk of h to n hops on a graph of n vertices,
+with a relative slack of 1e-12 that covers the rounding of the product.
+Every simple path is such a walk, so the bound holds for every path not
+searched yet, and it counts only links that lead from s to d.  Once the
+best path found is above that bound before the first path of h hops,
+every later path is strictly worse, so the search stops with the paths
+found so far: a prefix, in BFS order, of the paths a full search keeps,
+empty only if those are, whose first-ranked path is the full search's.  A
+hop level that no s-d walk reaches has the bound 0, so a search that has
+found a path stops there; it could find none at that level.  The bound is
+checked at each hop level of the table scan, at the first hop level off
+the table, which decides whether the BFS runs, and at each BFS level.
+With every link availability 1.0 the bound holds only at such a level.  A
+best-only search returns that first-ranked path alone, so it builds one
+``CandidatePath`` and no vertex walk.
 
 Either way the search ends with each feasible path's run mask, the AND of
 its links' run masks, and its availability, the product of its link
@@ -207,7 +211,7 @@ def candidate_paths(
     if slots_needed > size or s == d:
         return []
     table = index.links
-    stop_above = index.stop_above
+    stop_above = index.stop_above[s][d]
     steps = run_steps(slots_needed)
     full = (1 << size) - 1
     # (link indices, run mask, availability) of each feasible path found,
@@ -289,7 +293,7 @@ def _pruned_bfs(
     hop level that no unseen path can win from."""
     neighbors = index.neighbors
     table = index.links
-    stop_above = index.stop_above
+    stop_above = index.stop_above[s][d]
     found = []
     top = 0.0
     hops = 1

@@ -168,10 +168,14 @@ class LinkIndex:
     slot count or spectrum alone build each of its entries once between
     them.
 
-    ``stop_above[h]`` is ``a_max**h * (1 + 1e-12)``, where ``a_max`` is the
-    largest link availability when the index is built: no path of h hops or
-    more has a computed availability above it.  The slack covers the
-    rounding of a product of up to one factor per vertex.
+    ``stop_above[s][d][h]``, for h = 0..n with n vertices, is the highest
+    availability of any s-d walk of h to n hops, with the link
+    availabilities read when the index is built, times ``1 + 1e-12``.
+    Every simple path is a walk of at most n - 1 hops, so no s-d path of h
+    hops or more has a computed availability above it; the slack covers the
+    rounding of a product of up to one factor per vertex taken in another
+    order.  A hop level that no s-d walk reaches gets 0, so a search that
+    has found a path stops there.
     """
 
     links: tuple[Link, ...]
@@ -179,8 +183,8 @@ class LinkIndex:
     vertex_bit: dict[str, int]
     # vertex -> (neighbour, neighbour's vertex bit, link index), by neighbour name
     neighbors: dict[str, tuple[tuple[str, int, int], ...]]
-    # by hop count 0..len(vertex_bit)
-    stop_above: tuple[float, ...] = field(repr=False, compare=False)
+    # s -> d -> bound by hop count 0..len(vertex_bit)
+    stop_above: dict[str, dict[str, tuple[float, ...]]] = field(repr=False, compare=False)
     # (s, d, k) -> tuple of link-index tuples, filled by ``rsa`` on first
     # use; shared by every index of the same structure
     paths: dict = field(repr=False, compare=False)
@@ -252,10 +256,9 @@ class NetworkGraph:
                 adjacent[link.v].append((link.u, vertex_bit[link.u], i))
             # Neighbour names are distinct, so a tuple sort is a name sort.
             neighbors = {vx: tuple(sorted(out)) for vx, out in adjacent.items()}
-            a_max = max((link.availability for link in self.links.values()), default=1.0)
             self._index = LinkIndex(
                 tuple(self.links.values()), position, vertex_bit, neighbors,
-                tuple([a_max**h * (1 + 1e-12) for h in range(len(vertex_bit) + 1)]),
+                _walk_bounds(self.vertices, self.links.values()),
                 _path_table(tuple(neighbors.items())),
             )
         return self._index
@@ -292,6 +295,30 @@ class NetworkGraph:
         g.vertices = list(self.vertices)
         g.links = {lid: link.copy() for lid, link in self.links.items()}
         return g
+
+
+def _walk_bounds(vertices: list[str], links) -> dict[str, dict[str, tuple[float, ...]]]:
+    """``LinkIndex.stop_above`` of a graph with these vertices and links.
+
+    One max-product recurrence over every destination at once: ``best[j]``
+    holds, for each (v, d), the highest availability of a v-d walk of
+    exactly j hops, ``best[j][v, d] = max_u a[v, u] * best[j - 1][u, d]``
+    from the identity; a reversed running max over j then gives h to n hops.
+    """
+    n = len(vertices)
+    at = {vx: i for i, vx in enumerate(vertices)}
+    a = np.zeros((n, n))
+    for link in links:
+        a[at[link.u], at[link.v]] = a[at[link.v], at[link.u]] = link.availability
+    best = np.empty((n + 1, n, n))
+    best[0] = np.eye(n)
+    for j in range(1, n + 1):
+        best[j] = (a[:, :, None] * best[j - 1]).max(axis=1)
+    bound = np.maximum.accumulate(best[::-1], axis=0)[::-1] * (1 + 1e-12)
+    return {
+        s: dict(zip(vertices, map(tuple, row)))
+        for s, row in zip(vertices, bound.transpose(1, 2, 0).tolist())
+    }
 
 
 @lru_cache(maxsize=PATH_TABLES_KEPT)

@@ -1,5 +1,6 @@
 """The int-mask path search and path selection against the code they replaced."""
 
+import math
 from dataclasses import dataclass
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from eonprotect import rsa, topology
 from eonprotect.rsa import candidate_paths
+from eonprotect.sim import Scenario, Simulation
 from eonprotect.spectrum import SpectrumBitmap, _run_mask, first_fit, is_feasible
 from eonprotect.topology import (
     JitteredAvailability, Link, NetworkGraph, UniformAvailability, build_nsfnet,
@@ -482,7 +484,11 @@ def test_best_only_keeps_a_longer_path_that_can_win(fallbacks):
 
 def test_best_only_never_stops_with_every_availability_one(fallbacks):
     g = ladder()
-    assert set(g.link_index().stop_above) == {1 + 1e-12}
+    # With the triangle a-b-c every pair, a-b included, has a walk of
+    # exactly 5 hops, one per vertex, so each hop level 0..5 is reached.
+    stop_above = g.link_index().stop_above
+    assert stop_above["a"]["b"] == (1 + 1e-12,) * 6
+    assert {b for row in stop_above.values() for bs in row.values() for b in bs} == {1 + 1e-12}
     # a-b, then b-c as well, made busy between rounds.
     for busy in (None, "a-b", "b-c"):
         if busy:
@@ -520,6 +526,109 @@ def test_best_only_breaks_ties_on_the_vertex_walk(data):
     best = candidate_paths(g, s, d, 1, k, best_only=True)
     assert walks(best) == ([min(walks(full))] if full else [])
     assert walks(best) == walks(full)[:1]
+
+
+@st.composite
+def small_graphs(draw):
+    """Up to 5 vertices, any links (not always connected), availabilities
+    that differ per link or are all equal."""
+    n = draw(st.integers(2, 5))
+    names = [str(i) for i in range(n)]
+    pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    availability = st.floats(0.5, 1.0, exclude_min=True)
+    equal = draw(availability)
+    uniform = draw(st.booleans())
+    g = NetworkGraph(slot_count=4)
+    for vx in names:
+        g.add_vertex(vx)
+    for u, v in chosen:
+        g.add_link(u, v, 100, availability=equal if uniform else draw(availability))
+    return g
+
+
+def walk_maxima(g: NetworkGraph) -> dict[tuple[str, str, int], float]:
+    """Highest availability of the s-d walks of exactly j hops, j = 0..n,
+    by (s, d, j), from every walk listed one by one; absent if none."""
+    n = len(g.vertices)
+    best = {}
+
+    def extend(s, u, avail, j):
+        key = (s, u, j)
+        best[key] = max(best.get(key, 0.0), avail)
+        if j < n:
+            for v, link in g.neighbors(u):
+                extend(s, v, avail * link.availability, j + 1)
+
+    for s in g.vertices:
+        extend(s, s, 1.0, 0)
+    return best
+
+
+def simple_paths(g: NetworkGraph, s: str, d: str) -> list[tuple[int, ...]]:
+    """Link indices of every simple s-d path, listed one by one."""
+    index = g.link_index()
+    out = []
+
+    def extend(u, seen, path):
+        if u == d:
+            out.append(path)
+            return
+        for v, link in g.neighbors(u):
+            if v not in seen:
+                extend(v, seen | {v}, path + (index.position[link.id],))
+
+    extend(s, {s}, ())
+    return out
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(small_graphs())
+def test_pair_bound_covers_every_longer_path(g):
+    index = g.link_index()
+    n = len(g.vertices)
+    a_max = max((link.availability for link in g.links.values()), default=1.0)
+    walks_of = walk_maxima(g)
+    for s in g.vertices:
+        for d in g.vertices:
+            bounds = index.stop_above[s][d]
+            assert len(bounds) == n + 1
+            paths = simple_paths(g, s, d)
+            for h, bound in enumerate(bounds):
+                # No s-d path of h hops or more is above it ...
+                for path in paths:
+                    if len(path) >= h:
+                        assert rsa._availability(index.links, path) <= bound
+                # ... nor is it above the old bound of every pair, a_max**h,
+                # rounded as the recurrence rounds it ...
+                assert bound <= math.prod([a_max] * h) * (1 + 1e-12)
+                # ... and it is the best s-d walk of h to n hops, 0 when no
+                # walk has that many.
+                reached = [walks_of[s, d, j] for j in range(h, n + 1) if (s, d, j) in walks_of]
+                if reached:
+                    assert bound == pytest.approx(max(reached) * (1 + 1e-12), rel=1e-14)
+                else:
+                    assert bound == 0.0
+
+
+def global_bounds(vertices, links):
+    """The bounds every pair shared before: a_max**h with the same slack."""
+    a_max = max((link.availability for link in links), default=1.0)
+    row = tuple([a_max**h * (1 + 1e-12) for h in range(len(vertices) + 1)])
+    return {s: dict.fromkeys(vertices, row) for s in vertices}
+
+
+@pytest.mark.parametrize("params", [
+    # The benchmark's cycles and route-only settings, one shorter run each.
+    dict(mode="dcycles", avg_link_availability=0.99, a_th=0.999, load_erlang=20, n_requests=1_200),
+    dict(mode="none", avg_link_availability=0.999, a_th=0.99, load_erlang=15, n_requests=4_000),
+], ids=["cycles", "route-only"])
+def test_pair_bounds_change_only_the_fallbacks(params, fallbacks, monkeypatch):
+    report = Simulation(Scenario(seed=1, **params)).run()
+    pair_fallbacks = len(fallbacks)
+    monkeypatch.setattr(topology, "_walk_bounds", global_bounds)
+    assert Simulation(Scenario(seed=1, **params)).run() == report
+    assert len(fallbacks) - pair_fallbacks > pair_fallbacks
 
 
 def test_structure_change_resets_index():

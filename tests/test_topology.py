@@ -166,7 +166,7 @@ class TestIsConnected:
         g = load_topology(TRIANGLE)
         assert g.is_connected()
         g.links["a-b"].availability = 0.999
-        assert g.link_index().stop_above[1] == pytest.approx(0.999, abs=1e-9)
+        assert g.link_index().stop_above["a"]["b"][1] == pytest.approx(0.999, abs=1e-9)
 
 
 class TestJitterPolicy:
