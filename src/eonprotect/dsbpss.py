@@ -16,10 +16,11 @@ that slot to use.  So link ``b`` owns the ``slot_count``-bit field at its
 position, and a backup path is one packed mask, ``BackupPath.packed``: its
 block's slots in the field of each of its links.  ``provision_backups``
 builds that mask once, while it picks the backup, and the claim and the
-release both use it.  Sharers are pairwise disjoint, so for each
-(b, f, slot) at most one WP crosses ``f``, and one bit records the claim
-without loss.  A second claim on a set bit is a sharing conflict.  From the
-claims:
+release both use it.  A ``BackupPath`` keeps the ``CandidatePath`` it was
+picked from, and its vertex walk and links are read off that only when
+asked for.  Sharers are pairwise disjoint, so for each (b, f, slot) at
+most one WP crosses ``f``, and one bit records the claim without loss.
+A second claim on a set bit is a sharing conflict.  From the claims:
 
 - the backup slots reserved on every link are the OR of all claims, kept
   packed as ``held``;
@@ -57,12 +58,10 @@ claim before it changes anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .rsa import CandidatePath, LightpathRequest, candidate_paths
 from .spectrum import SlotBlock, allocate, release, run_steps
 from .availability import ava_dsbpss_update
-from .topology import Link, NetworkGraph
+from .topology import NetworkGraph
 
 
 class UnknownClaimError(Exception):
@@ -73,19 +72,31 @@ class SharingConflictError(Exception):
     """A backup slot would be claimed for two WPs that one failure hits together."""
 
 
-@dataclass(frozen=True)
 class BackupPath:
-    """One backup of a working path, with the packed mask it is claimed by.
+    """One backup of a working path: a slotted record of its id, the
+    ``CandidatePath`` it was picked from, its block and the packed mask it
+    is claimed by.
 
     ``packed`` holds ``block``'s slots in the ``slot_count``-bit field of
-    each link of ``links``, at the link's ``LinkIndex.position``.
+    each link of ``path``, at the link's ``LinkIndex.position``.  The vertex
+    walk and links are the candidate's, worked out on each read.
     """
 
-    id: str
-    vertices: tuple[str, ...]
-    links: tuple[Link, ...]
-    block: SlotBlock
-    packed: int
+    __slots__ = ("id", "path", "block", "packed")
+
+    def __init__(self, id: str, path: CandidatePath, block: SlotBlock, packed: int) -> None:
+        self.id = id
+        self.path = path
+        self.block = block
+        self.packed = packed
+
+    @property
+    def vertices(self) -> tuple[str, ...]:
+        return self.path.vertices
+
+    @property
+    def links(self) -> tuple:
+        return self.path.links
 
 
 def _split(g: NetworkGraph, packed: int) -> dict[int, int]:
@@ -149,15 +160,14 @@ class BackupRegistry:
         working link and packs as ``BackupPath.packed``."""
         if not result.backup_paths:
             return []
-        position = g.link_index().position
         wp = 0
         for li in result.path.link_indices:
             wp |= 1 << li
         options = []
         for bp in result.backup_paths:
             needs = 0
-            for link in bp.links:
-                needs |= 1 << position[link.id]
+            for li in bp.path.link_indices:
+                needs |= 1 << li
             options.append((wp, needs, bp.packed))
         return options
 
@@ -240,9 +250,9 @@ def provision_backups(
     ([], the working path's availability) is returned.  The candidates are
     walked once, in the search's ranking; each is re-intersected on the
     search bits, which lose the slots of every backup taken so far, and
-    takes first fit from what is left, or is skipped when nothing is.  The
-    ``BackupPath``s (vertex walk, links, id) are built only once the
-    threshold is met and the slots are claimed.
+    takes first fit from what is left, or is skipped when nothing is.  Each
+    ``BackupPath`` (id, the candidate it was picked from, block and packed
+    mask) is built only once the threshold is met and the slots are claimed.
     ``BackupRegistry.claim`` raises ``AllocationConflictError``, and nothing
     is reserved, if a slot the backups newly hold is not free on its link.
     """
@@ -290,7 +300,7 @@ def provision_backups(
     if packed:
         reg.claim(g, wp, packed)
     backups = [
-        BackupPath(f"{wp_id}/bp{i}", chosen.vertices, chosen.links, block, own)
+        BackupPath(f"{wp_id}/bp{i}", chosen, block, own)
         for i, (chosen, block, own) in enumerate(picked, 1)
     ]
     return backups, a_pp

@@ -375,8 +375,9 @@ class NoProtection:
       ``LinkIndex.position``, that the option stands in for, ``needs`` the
       mask of the links that must be up for it to work, and ``pack`` its
       slots in the ``slot_count``-bit field of each of those links (the
-      layout of ``dsbpss.BackupPath.packed``).  It is built only when asked
-      for (fault injection, tests), never on the arrival path;
+      layout of ``dsbpss.BackupPath.packed``, which ``provision_backups``
+      packs while it picks the backup).  The options are built only when
+      asked for (fault injection, tests), never on the arrival path;
     - ``reserved`` counts the slots the mode holds over all links.
     """
 

@@ -1,6 +1,7 @@
 import pytest
 
 from eonprotect import rsa
+from eonprotect.dsbpss import BackupPath
 
 ACCEPTANCE_LABELS = {
     "test_availability_calculus_vs_oracle": "availability calculus vs Monte-Carlo oracle (1 % family-wise, <60 s)",
@@ -26,6 +27,23 @@ def fallbacks(monkeypatch):
     pruned_bfs = rsa._pruned_bfs
     monkeypatch.setattr(rsa, "_pruned_bfs", spy)
     return calls
+
+
+def hand_backup(g, bp_id, walk, block):
+    """A backup over the vertex walk ``walk`` on ``g`` at ``block``, found
+    and packed as ``provision_backups`` finds and packs one."""
+    index = g.link_index()
+    path = tuple(
+        index.position[g.link_between(u, v).id] for u, v in zip(walk, walk[1:])
+    )
+    packed = 0
+    for li in path:
+        packed |= block.mask() << li * g.slot_count
+    found = rsa.CandidatePath(
+        index.links, walk[0], path, 1 << block.start, block.length,
+        rsa._availability(index.links, path),
+    )
+    return BackupPath(bp_id, found, block, packed)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 import eonprotect
 from eonprotect.availability import ava_dsbpss_update
 from eonprotect.dsbpss import (
-    BackupPath,
     BackupRegistry,
     SharingConflictError,
     UnknownClaimError,
@@ -19,13 +18,17 @@ from eonprotect.dsbpss import (
     provision_backups,
     release_wp,
 )
-from eonprotect.rsa import LightpathRequest, candidate_paths, rsacs_with_protection
+from eonprotect.rsa import (
+    CandidatePath, LightpathRequest, candidate_paths, rsacs_with_protection,
+)
 from eonprotect.sim import Scenario, Simulation
 from eonprotect.spectrum import (
     AllocationConflictError, DoubleFreeError, SlotBlock, SpectrumBitmap, allocate,
     first_fit, is_feasible, release,
 )
 from eonprotect.topology import NetworkGraph
+
+from conftest import hand_backup
 
 W1 = frozenset({"A-B", "B-C", "C-D"})
 
@@ -243,8 +246,7 @@ class TestCanShare:
         g = six_node_net()
         reg = BackupRegistry()
         block = SlotBlock(0, 3)
-        links = (g.links["E-F"],)
-        backup = BackupPath("w1/bp1", ("E", "F"), links, block, _pack(g, links, block))
+        backup = hand_backup(g, "w1/bp1", ("E", "F"), block)
         reg.claim(g, at(g, W1), packed_on(g, "E-F", block.mask()))
         # The claim takes the slots on the link.
         assert g.links["E-F"].bitmap.is_busy(block)
@@ -323,8 +325,7 @@ class TestPositionsNotInIdOrder:
         g = reversed_six_node_net()
         reg = BackupRegistry()
         block = SlotBlock(0, 3)
-        links = (g.links["E-F"],)
-        backup = BackupPath("w1/bp1", ("E", "F"), links, block, _pack(g, links, block))
+        backup = hand_backup(g, "w1/bp1", ("E", "F"), block)
         reg.claim(g, at(g, {"B-C"}), backup.packed)
         before = self.state(reg, g)
         with pytest.raises(UnknownClaimError) as err:
@@ -338,13 +339,12 @@ class TestPositionsNotInIdOrder:
         g = reversed_six_node_net()
         reg, ref = BackupRegistry(), ReferenceRegistry()
         held = [
-            ({"A-B", "B-C", "C-D"}, ("A-F", "E-F", "D-E"), SlotBlock(0, 3)),
-            ({"B-E"}, ("B-F", "E-F"), SlotBlock(1, 2)),
-            ({"C-D"}, ("B-C",), SlotBlock(5, 4)),
+            ({"A-B", "B-C", "C-D"}, ("A", "F", "E", "D"), SlotBlock(0, 3)),
+            ({"B-E"}, ("B", "F", "E"), SlotBlock(1, 2)),
+            ({"C-D"}, ("B", "C"), SlotBlock(5, 4)),
         ]
-        for wp_links, on, block in held:
-            links = tuple(g.links[lid] for lid in on)
-            backup = BackupPath("bp", (), links, block, _pack(g, links, block))
+        for wp_links, walk, block in held:
+            backup = hand_backup(g, "bp", walk, block)
             reg.claim(g, at(g, wp_links), backup.packed)
             reference_claim_backups(ref, wp_links, [backup])
         assert unpacked_claims(reg, g) == ref.claims
@@ -569,6 +569,25 @@ class TestOptions:
         assert reg.options(g, res) == []
 
 
+@pytest.mark.parametrize("mode", ["dsbpss", "none"])
+def test_arrivals_and_departures_read_no_walk_or_link_tuple(mode, monkeypatch):
+    # A backup keeps the candidate its search found; provisioning and
+    # release work on link positions and never ask it for its vertex walk
+    # or its Link tuple.
+    reads = {"vertices": 0, "links": 0}
+    for name in reads:
+        def counted(self, name=name, read=getattr(CandidatePath, name).fget):
+            reads[name] += 1
+            return read(self)
+        monkeypatch.setattr(CandidatePath, name, property(counted))
+    report = Simulation(Scenario(
+        load_erlang=20, a_th=0.99, mode=mode, avg_link_availability=0.9,
+        n_requests=1200, seed=6,
+    )).run()
+    assert (report.protected_count > 0) is (mode == "dsbpss")
+    assert reads == {"vertices": 0, "links": 0}
+
+
 class TestRelease:
     def build_shared_state(self):
         g = six_node_net()
@@ -702,9 +721,10 @@ class TestRelease:
         reg = BackupRegistry()
         wp = (3,)
         backups = [
-            BackupPath("w/bp1", (), (first, second), low, _pack(g, (first, second), low)),
-            BackupPath("w/bp2", (), (last,), high, _pack(g, (last,), high)),
+            hand_backup(g, "w/bp1", ("A", "B", "C"), low),
+            hand_backup(g, "w/bp2", ("B", "F"), high),
         ]
+        assert [bp.links for bp in backups] == [(first, second), (last,)]
         reg.claim(g, wp, backups[0].packed | backups[1].packed)
         kept_mask = 0
         if kept is not None:
@@ -971,10 +991,9 @@ def reference_provision_backups(g, lr, best_path, reg, wp_id, a_th):
         block = first_fit(live, lr.slots_needed)
         for li in positions:
             bits[li] &= ~block.mask()
-        backups.append(BackupPath(
-            f"{wp_id}/bp{len(backups) + 1}", chosen.vertices, chosen.links, block,
-            _pack(g, chosen.links, block),
-        ))
+        backups.append(
+            hand_backup(g, f"{wp_id}/bp{len(backups) + 1}", chosen.vertices, block)
+        )
         a_pp = ava_dsbpss_update(a_pp, chosen.availability)
     reference_claim_backups(reg, wp_links, backups)
     # Shared backup slots are set busy again: a plain bit write.
@@ -1024,12 +1043,7 @@ def outcome(call, *args):
 
 def on_graph(g, backups):
     """The same backups over the links of another copy of the graph."""
-    return [
-        BackupPath(
-            bp.id, bp.vertices, tuple(g.links[link.id] for link in bp.links), bp.block, bp.packed
-        )
-        for bp in backups
-    ]
+    return [hand_backup(g, bp.id, bp.vertices, bp.block) for bp in backups]
 
 
 # ``small_nets`` adds links in id order; the reversed six-node net does not.
@@ -1116,9 +1130,7 @@ def test_packed_registry_matches_per_link_reference(g, data):
                 block = SlotBlock(data.draw(st.integers(0, g.slot_count - length)), length)
                 if not link.bitmap.is_free(block):
                     continue
-                backups = [BackupPath(
-                    "fresh", (link.u, link.v), (link,), block, _pack(g, (link,), block)
-                )]
+                backups = [hand_backup(g, "fresh", (link.u, link.v), block)]
             if not backups:
                 continue
             packed = 0

@@ -11,7 +11,6 @@ import pytest
 from eonprotect import dcycles, dsbpss
 from eonprotect import sim as sim_module
 from eonprotect.availability import ProtectedPath, monte_carlo_availability
-from eonprotect.dsbpss import BackupPath
 from eonprotect.rsa import (
     CandidatePath,
     LightpathRequest,
@@ -30,6 +29,8 @@ from eonprotect.sim import (
     run,
 )
 from eonprotect.spectrum import SlotBlock, demand_to_slots
+
+from conftest import hand_backup
 
 
 def small_scenario(**overrides):
@@ -526,23 +527,15 @@ class TestInjectSingleFailuresMatchesReference:
         """
         g = sim.graph
         index = g.link_index()
-
-        def links(vertices):
-            return tuple(g.link_between(a, b) for a, b in zip(vertices, vertices[1:]))
-
         full = (1 << g.slot_count) - 1
-        on_wp = tuple(index.position[link.id] for link in links(wp))
+        on_wp = tuple(index.position[g.link_between(a, b).id] for a, b in zip(wp, wp[1:]))
         # With every slot free, a window of ``length`` starts at any slot
         # up to slot_count - length.
         run = full >> length - 1
         path = CandidatePath(
             index.links, wp[0], on_wp, run, length, _availability(index.links, on_wp)
         )
-        block = SlotBlock(start, length)
-        packed = 0
-        for link in links(bp):
-            packed |= block.mask() << index.position[link.id] * g.slot_count
-        backup = BackupPath(f"{cid}/bp1", bp, links(bp), block, packed)
+        backup = hand_backup(g, f"{cid}/bp1", bp, SlotBlock(start, length))
         result = ProvisionResult(
             blocked=False, path=path, block=SlotBlock(0, length),
             needs_protection=True, protected=True, backup_paths=[backup],
