@@ -183,6 +183,9 @@ class LinkIndex:
     vertex_bit: dict[str, int]
     # vertex -> (neighbour, neighbour's vertex bit, link index), by neighbour name
     neighbors: dict[str, tuple[tuple[str, int, int], ...]]
+    # u -> v -> index of the link joining them, both ways round; no entry
+    # for a pair that no link joins
+    between: dict[str, dict[str, int]] = field(repr=False, compare=False)
     # s -> d -> bound by hop count 0..len(vertex_bit)
     stop_above: dict[str, dict[str, tuple[float, ...]]] = field(repr=False, compare=False)
     # (s, d, k) -> tuple of link-index tuples, filled by ``rsa`` on first
@@ -256,15 +259,13 @@ class NetworkGraph:
                 adjacent[link.v].append((link.u, vertex_bit[link.u], i))
             # Neighbour names are distinct, so a tuple sort is a name sort.
             neighbors = {vx: tuple(sorted(out)) for vx, out in adjacent.items()}
+            between = {vx: {w: li for w, _, li in out} for vx, out in neighbors.items()}
             self._index = LinkIndex(
-                tuple(self.links.values()), position, vertex_bit, neighbors,
+                tuple(self.links.values()), position, vertex_bit, neighbors, between,
                 _walk_bounds(self.vertices, self.links.values()),
                 _path_table(tuple(neighbors.items())),
             )
         return self._index
-
-    def link_between(self, u: str, v: str) -> Link | None:
-        return self.links.get(link_id(u, v))
 
     def neighbors(self, u: str) -> list[tuple[str, Link]]:
         """Adjacent (vertex, link) pairs, sorted by vertex name, read off the

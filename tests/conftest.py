@@ -33,9 +33,7 @@ def hand_backup(g, bp_id, walk, block):
     """A backup over the vertex walk ``walk`` on ``g`` at ``block``, found
     and packed as ``provision_backups`` finds and packs one."""
     index = g.link_index()
-    path = tuple(
-        index.position[g.link_between(u, v).id] for u, v in zip(walk, walk[1:])
-    )
+    path = tuple(index.between[u][v] for u, v in zip(walk, walk[1:]))
     packed = 0
     for li in path:
         packed |= block.mask() << li * g.slot_count
@@ -44,6 +42,17 @@ def hand_backup(g, bp_id, walk, block):
         rsa._availability(index.links, path),
     )
     return BackupPath(bp_id, found, block, packed)
+
+
+def reference_arcs(cycle, link):
+    """Link ids of the backup arcs ``cycle`` offers ``link``, read off its
+    vertex order and its ring by link id: the complement of an on-cycle
+    link, both arcs between a straddler's endpoints."""
+    ring = list(cycle.blocks)
+    if link.id in ring:
+        return [[lid for lid in ring if lid != link.id]]
+    i, j = sorted((cycle.vertex_order.index(link.u), cycle.vertex_order.index(link.v)))
+    return [ring[i:j], ring[j:] + ring[:i]]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -211,10 +211,11 @@ def _assert_protected_paths_restorable(sim):
                     for bp in result.backup_paths
                 ), (conn.id, failed)
         if result.protected_links:
+            position = sim.graph.link_index().position
             for cid, lid in result.protected_links:
                 cycle = sim.cycles.cycles[cid]
-                assert lid in cycle.protected
-                assert cycle.protected[lid] == conn.id
+                assert position[lid] in cycle.protected
+                assert cycle.protected[position[lid]] == conn.id
 
 
 def test_single_fault_restorability_soundness():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from eonprotect import dcycles
+from eonprotect import dcycles, topology
 from eonprotect.availability import parallel_availability
 from eonprotect.dcycles import (
     DCycleSet,
@@ -31,7 +31,9 @@ from eonprotect.spectrum import (
     AllocationConflictError, DoubleFreeError, SlotBlock, SpectrumBitmap, allocate, first_fit,
     is_feasible, release,
 )
-from eonprotect.topology import NetworkGraph
+from eonprotect.topology import NetworkGraph, link_id
+
+from conftest import reference_arcs
 
 MESH24 = (Path(__file__).parent / "data" / "mesh24.topo").read_text()
 
@@ -69,11 +71,36 @@ def give_back(g, block, *link_ids):
     release(g.link_index().links, _on(g, block, link_ids))
 
 
+def pos(g, lid):
+    """The position of link ``lid``."""
+    return g.link_index().position[lid]
+
+
+def check(cs, g, link, demand):
+    """``check_cycles`` for ``link``, named by its position and endpoint bits."""
+    bit = g.link_index().vertex_bit
+    return check_cycles(cs, pos(g, link.id), bit[link.u] | bit[link.v], demand)
+
+
+def by_id(cycle, ring):
+    """A ring of ``cycle`` (link position -> block) keyed by link id."""
+    return {cycle.table[li].id: block for li, block in ring.items()}
+
+
+def vertex_mask_of(g, vertices):
+    """The OR of the vertex bits of ``vertices``."""
+    bit = g.link_index().vertex_bit
+    mask = 0
+    for vx in vertices:
+        mask |= bit[vx]
+    return mask
+
+
 def cycle_fields(cycle):
-    """The ring (vertex order, blocks in ring order), its vertex set and the
+    """The ring (vertex order, blocks in ring order), its vertex mask and the
     protected map."""
     return (
-        cycle.vertex_order, list(cycle.blocks.items()), cycle.vertex_set,
+        cycle.vertex_order, list(cycle.ring.items()), cycle.vertex_mask,
         dict(cycle.protected),
     )
 
@@ -97,13 +124,12 @@ def square(avails):
 
 def hand_path(g, vertices):
     """The working path through ``vertices``, a 2-slot block allocated on it."""
-    links = tuple(g.link_between(u, v) for u, v in zip(vertices, vertices[1:]))
-    common = SpectrumBitmap(g.slot_count)
-    for link in links:
-        common.bits &= link.bitmap.bits
-    take(g, first_fit(common, 2), *(link.id for link in links))
     index = g.link_index()
-    path = tuple(index.position[link.id] for link in links)
+    path = tuple(index.between[u][v] for u, v in zip(vertices, vertices[1:]))
+    common = SpectrumBitmap(g.slot_count)
+    for li in path:
+        common.bits &= index.links[li].bitmap.bits
+    take(g, first_fit(common, 2), *(index.links[li].id for li in path))
     # Its run mask for the 2-slot demand, as the search found it.
     run = common.bits & common.bits >> 1
     return CandidatePath(
@@ -158,20 +184,20 @@ class TestCheckCycles:
     def test_straddler_within_double_capacity(self):
         chord = self.g.links["B-F"]
         assert reference_is_straddling(self.cycle, chord)
-        assert check_cycles(self.cs, chord, 2) is self.cycle
-        assert check_cycles(self.cs, chord, 4) is self.cycle
-        assert check_cycles(self.cs, chord, 5) is None
+        assert check(self.cs, self.g, chord, 2) is self.cycle
+        assert check(self.cs, self.g, chord, 4) is self.cycle
+        assert check(self.cs, self.g, chord, 5) is None
 
     def test_on_cycle_within_capacity(self):
         edge = self.g.links["A-B"]
         assert edge.id in self.cycle.blocks
-        assert check_cycles(self.cs, edge, 2) is self.cycle
-        assert check_cycles(self.cs, edge, 3) is None
+        assert check(self.cs, self.g, edge, 2) is self.cycle
+        assert check(self.cs, self.g, edge, 3) is None
 
     def test_already_protected_link_not_offered(self):
         edge = self.g.links["A-B"]
-        self.cycle.protected[edge.id] = "w0"
-        assert check_cycles(self.cs, edge, 1) is None
+        self.cycle.protected[pos(self.g, edge.id)] = "w0"
+        assert check(self.cs, self.g, edge, 1) is None
 
     def test_straddling_preferred_over_on_cycle(self):
         # A second cycle carrying B-F on-cycle; the straddling cycle must win
@@ -181,10 +207,10 @@ class TestCheckCycles:
         on = _build_cycle(cs, g, ["A", "B", "F"], 2, [])
         straddle = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2, [])
         assert on.id < straddle.id
-        assert check_cycles(cs, g.links["B-F"], 2) is straddle
+        assert check(cs, g, g.links["B-F"], 2) is straddle
 
     def test_off_cycle_link_never_matches(self):
-        assert check_cycles(self.cs, self.g.links["C-D"], 1) is None
+        assert check(self.cs, self.g, self.g.links["C-D"], 1) is None
 
 
 class TestArcsAndBackupAvailability:
@@ -192,23 +218,23 @@ class TestArcsAndBackupAvailability:
         g = pentagon_with_chord(avail=0.9)
         cs = DCycleSet()
         cycle = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2, [])
-        edge = g.links["A-B"]
-        (arc,) = cycle.arcs(edge, g)
-        assert {l.id for l in arc} == {"B-C", "C-E", "E-F", "A-F"}
-        assert cycle.backup_availability(edge, g) == pytest.approx(0.9**4, abs=1e-12)
+        edge = pos(g, "A-B")
+        (arc,) = cycle.arcs(edge)
+        assert {g.link_index().links[li].id for li in arc} == {"B-C", "C-E", "E-F", "A-F"}
+        assert cycle.backup_availability(edge) == pytest.approx(0.9**4, abs=1e-12)
 
     def test_straddler_uses_both_arcs_in_parallel(self):
         g = pentagon_with_chord(avail=0.9)
         cs = DCycleSet()
         cycle = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2, [])
-        chord = g.links["B-F"]
-        arcs = cycle.arcs(chord, g)
-        arc_ids = sorted(frozenset(l.id for l in arc) for arc in arcs)
+        chord = pos(g, "B-F")
+        arcs = cycle.arcs(chord)
+        arc_ids = sorted(frozenset(g.link_index().links[li].id for li in arc) for arc in arcs)
         assert arc_ids == sorted(
             [frozenset({"B-C", "C-E", "E-F"}), frozenset({"A-B", "A-F"})]
         )
         expect = parallel_availability([0.9**3, 0.9**2])
-        assert cycle.backup_availability(chord, g) == pytest.approx(expect, abs=1e-12)
+        assert cycle.backup_availability(chord) == pytest.approx(expect, abs=1e-12)
 
 
 class TestOptions:
@@ -278,7 +304,7 @@ class TestFindCycleFor:
     def test_triangle_builds_cycle_through_all_vertices(self):
         g = triangle()
         cs = DCycleSet()
-        cycle = find_cycle_for(g, g.links["a-b"], 2, cs, k=5, replaced=[])
+        cycle = find_cycle_for(g, pos(g, "a-b"), 2, cs, k=5, replaced=[])
         assert cycle is not None
         assert set(cycle.blocks) == {"a-b", "a-c", "b-c"}
         for lid in cycle.blocks:
@@ -289,7 +315,7 @@ class TestFindCycleFor:
         for u, v in (("a", "b"), ("a", "c"), ("c", "b"), ("a", "d"), ("d", "b")):
             g.add_link(u, v, 1, availability=0.99)
         cs = DCycleSet()
-        cycle = find_cycle_for(g, g.links["a-b"], 2, cs, k=5, replaced=[])
+        cycle = find_cycle_for(g, pos(g, "a-b"), 2, cs, k=5, replaced=[])
         assert cycle is not None
         assert reference_is_straddling(cycle, g.links["a-b"])
         assert set(cycle.blocks) == {"a-c", "b-c", "b-d", "a-d"}
@@ -300,9 +326,9 @@ class TestFindCycleFor:
         g = pentagon_with_chord()
         cs = DCycleSet()
         cycle = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2, [])
-        cycle.protected["A-B"] = "w0"
+        cycle.protected[pos(g, "A-B")] = "w0"
         new_link = g.links["D-E"]
-        got = find_cycle_for(g, new_link, 2, cs, k=5, replaced=[])
+        got = find_cycle_for(g, pos(g, new_link.id), 2, cs, k=5, replaced=[])
         assert got is cycle
         assert got.vertex_order == ("A", "B", "C", "D", "E", "F")
         assert new_link.id in got.blocks
@@ -320,7 +346,7 @@ class TestFindCycleFor:
         g.add_link("a", "b", 1, availability=0.9)
         g.add_link("b", "c", 1, availability=0.9)
         cs = DCycleSet()
-        assert find_cycle_for(g, g.links["a-b"], 1, cs, k=5, replaced=[]) is None
+        assert find_cycle_for(g, pos(g, "a-b"), 1, cs, k=5, replaced=[]) is None
 
 
 def provision(g, cs, wp_id, s, d, slots, a_th):
@@ -352,7 +378,7 @@ class TestProvisionCycles:
         # Only w2's working slots were added; the cycle is reused as-is.
         assert g.busy_slot_count() == busy_after_first + 2
         cycle = list(cs.cycles.values())[0]
-        assert set(cycle.protected) == {"a-b", "b-c"}
+        assert set(cycle.protected) == {pos(g, "a-b"), pos(g, "b-c")}
 
     def test_unprotectable_weakest_link_rolls_back(self):
         g = NetworkGraph(slot_count=8)
@@ -438,7 +464,7 @@ class TestProvisionCycles:
         cs = DCycleSet()
         path = hand_path(g, ["D", "E", "F", "G"])
         ring = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2, [])
-        ring.protected["A-B"] = "w0"
+        ring.protected[pos(g, "A-B")] = "w0"
         before = snapshot(cs, g)
         orders = []
         real_extend = dcycles._try_extend
@@ -495,7 +521,7 @@ class TestReleaseAndDismantle:
         busy = g.busy_slot_count()
         release_wp(cs, "w1", r1.protected_links, g)
         assert len(cs.cycles) == 1
-        assert set(list(cs.cycles.values())[0].protected) == {"b-c"}
+        assert set(list(cs.cycles.values())[0].protected) == {pos(g, "b-c")}
         assert g.busy_slot_count() == busy
 
     def test_release_all_round_trips_bitmaps(self):
@@ -530,7 +556,8 @@ class TestReleaseAndDismantle:
         ((cid, lid),) = r1.protected_links
         before = copy.deepcopy(cs.cycles)
         bits = {l: link.bitmap.bits for l, link in g.links.items()}
-        for granted in ([(cid, "b-c")], [(cid + 1, lid)], [(cid, "a-c")]):
+        # "x-y" names no link of the graph.
+        for granted in ([(cid, "b-c")], [(cid + 1, lid)], [(cid, "a-c")], [(cid, "x-y")]):
             with pytest.raises(UnknownGrantError):
                 release_wp(cs, "w1", granted, g)
         # w2 may not release w1's entry, not even beside one of its own.
@@ -568,7 +595,8 @@ class TestCheckedRingWrites:
         cs = DCycleSet()
         provision(g, cs, "w1", "a", "b", 2, a_th=0.99)
         (cycle,) = cs.cycles.values()
-        lid = next(iter(cycle.blocks))
+        li = next(iter(cycle.ring))
+        lid = g.link_index().links[li].id
         taken = SlotBlock(8, 2)
         take(g, taken, lid)
         bits = {l: link.bitmap.bits for l, link in g.links.items()}
@@ -576,7 +604,7 @@ class TestCheckedRingWrites:
         # The ring moves the block of one link onto the taken slots: the
         # block it drops there must stay reserved.
         with pytest.raises(AllocationConflictError, match=f"^slots 0x300 on {lid} not free$"):
-            _set_ring(g, cs, cycle, cycle.vertex_order, {**cycle.blocks, lid: taken})
+            _set_ring(g, cs, cycle, cycle.vertex_order, {**cycle.ring, li: taken})
         assert {l: link.bitmap.bits for l, link in g.links.items()} == bits
         assert cycle.blocks == blocks and cycle.vertex_order == order
         assert cs.reserved == reserved
@@ -588,7 +616,7 @@ class TestCheckedRingWrites:
         (cycle,) = cs.cycles.values()
         # A second cycle that w1 alone holds, emptied after the first.
         other = _build_cycle(cs, g, ["a", "b", "c"], 2, [])
-        other.protected["b-c"] = "w1"
+        other.protected[pos(g, "b-c")] = "w1"
         granted = res.protected_links + [(other.id, "b-c")]
         lid, block = next(iter(other.blocks.items()))
         # A plain bit write frees one slot of the block behind the ledger.
@@ -611,7 +639,8 @@ class TestCheckedRingWrites:
         cs = DCycleSet()
         provision(g, cs, "w1", "a", "b", 2, a_th=0.99)
         (cycle,) = cs.cycles.values()
-        lid, block = next(iter(cycle.blocks.items()))
+        li, block = next(iter(cycle.ring.items()))
+        lid = g.link_index().links[li].id
         g.links[lid].bitmap.bits |= 1 << block.start
         before = snapshot(cs, g)
         # The ring moves the block of that link to free slots: they are
@@ -619,7 +648,7 @@ class TestCheckedRingWrites:
         # new slots must be free again.
         moved = SlotBlock(8, 2)
         with pytest.raises(DoubleFreeError):
-            _set_ring(g, cs, cycle, cycle.vertex_order, {**cycle.blocks, lid: moved})
+            _set_ring(g, cs, cycle, cycle.vertex_order, {**cycle.ring, li: moved})
         assert snapshot(cs, g) == before
         assert g.links[lid].bitmap.is_free(moved)
 
@@ -629,12 +658,12 @@ class TestCycleWellFormedness:
         g = pentagon_with_chord()
         cs = DCycleSet()
         _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2, [])
-        cycle = find_cycle_for(g, g.links["D-E"], 2, cs, k=5, replaced=[])
+        cycle = find_cycle_for(g, pos(g, "D-E"), 2, cs, k=5, replaced=[])
         assert len(set(cycle.vertex_order)) == len(cycle.vertex_order)
         # Key t of the ring joins vertex t and vertex t+1 mod n.
         order = cycle.vertex_order
         assert list(cycle.blocks) == [
-            g.link_between(u, v).id for u, v in zip(order, order[1:] + order[:1])
+            link_id(u, v) for u, v in zip(order, order[1:] + order[:1])
         ]
         # Each cycle vertex touches exactly two cycle links.
         degree = {}
@@ -651,8 +680,8 @@ class TestCycleSetOrder:
         cs = DCycleSet()
         ring = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2, [])
         other = _build_cycle(cs, g, ["A", "B", "F"], 2, [])
-        ring.protected["A-B"] = "w0"
-        other.protected["B-F"] = "w0"
+        ring.protected[pos(g, "A-B")] = "w0"
+        other.protected[pos(g, "B-F")] = "w0"
         before = cycle_fields(ring)
         # D-E is protected by extending the ring through D; A_th = 1 is
         # out of reach, so the extension is rolled back.
@@ -685,7 +714,7 @@ def reference_is_straddling(cycle, link):
 
 
 def reference_admits(cycle, link, demand):
-    if link.id in cycle.protected:
+    if link.id in {cycle.table[li].id for li in cycle.protected}:
         return False
     if reference_is_straddling(cycle, link):
         return demand <= 2 * cycle.capacity_slots
@@ -745,15 +774,12 @@ def reference_try_extend(g, link, demand, cs):
         n = len(order)
         ui = order.index(u)
         for wi in ((ui - 1) % n, (ui + 1) % n):
-            bridge = g.link_between(v, order[wi])
+            bridge = g.links.get(link_id(v, order[wi]))
             if bridge is None or not is_feasible(bridge.bitmap, cap):
                 continue
             new_order = list(order)
             new_order.insert(ui if wi == (ui - 1) % n else ui + 1, v)
-            ring = [
-                g.link_between(a, b).id
-                for a, b in zip(new_order, new_order[1:] + new_order[:1])
-            ]
+            ring = [link_id(a, b) for a, b in zip(new_order, new_order[1:] + new_order[:1])]
             blocks = {
                 lid: cycle.blocks.get(lid) or first_fit(g.links[lid].bitmap, cap)
                 for lid in ring
@@ -762,46 +788,47 @@ def reference_try_extend(g, link, demand, cs):
     return None
 
 
-def straddles_in_check_cycles(cs, cycle, link):
+def straddles_in_check_cycles(cs, g, cycle, link):
     """``check_cycles`` offers ``cycle`` for ``link`` up to twice the cycle's
     capacity, as it does for a straddler alone, and no further."""
     cap = cycle.capacity_slots
     return (
-        check_cycles(cs, link, 2 * cap) is cycle
-        and check_cycles(cs, link, 2 * cap + 1) is None
+        check(cs, g, link, 2 * cap) is cycle
+        and check(cs, g, link, 2 * cap + 1) is None
     )
 
 
 def fresh_backup_availability(cycle, link, g):
-    arc_avails = [math.prod(l.availability for l in arc) for arc in cycle.arcs(link, g)]
+    arcs = reference_arcs(cycle, link)
+    arc_avails = [math.prod(g.links[lid].availability for lid in arc) for arc in arcs]
     if len(arc_avails) == 1:
         return arc_avails[0]
     return parallel_availability(arc_avails)
 
 
 class TestDerivedCycleState:
-    """The vertex set and the arc cache follow every change of the ring."""
+    """The vertex mask and the arc cache follow every change of the ring."""
 
     def test_covers_after_build_extend_and_rollback(self):
         g = pentagon_with_chord()
         cs = DCycleSet()
         cycle = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2, [])
         cd = g.links["C-D"]
-        assert cycle.vertex_set == frozenset(cycle.vertex_order)
-        assert straddles_in_check_cycles(cs, cycle, g.links["B-F"])
-        assert all(check_cycles(cs, cd, demand) is None for demand in range(1, 6))
-        cycle.protected["A-B"] = "w0"
+        assert cycle.vertex_mask == vertex_mask_of(g, cycle.vertex_order)
+        assert straddles_in_check_cycles(cs, g, cycle, g.links["B-F"])
+        assert all(check(cs, g, cd, demand) is None for demand in range(1, 6))
+        cycle.protected[pos(g, "A-B")] = "w0"
         extended = []
-        assert _try_extend(g, g.links["D-E"], 2, cs, extended) is cycle
+        assert _try_extend(g, pos(g, "D-E"), 2, cs, extended) is cycle
         assert cycle.vertex_order == ("A", "B", "C", "D", "E", "F")
-        assert cycle.vertex_set == frozenset(cycle.vertex_order)
-        assert straddles_in_check_cycles(cs, cycle, g.links["C-E"])
+        assert cycle.vertex_mask == vertex_mask_of(g, cycle.vertex_order)
+        assert straddles_in_check_cycles(cs, g, cycle, g.links["C-E"])
         _rollback(g, cs, [], extended)
         assert cs.cycles[cycle.id] is cycle
         assert cycle.vertex_order == ("A", "B", "C", "E", "F")
-        assert cycle.vertex_set == frozenset(cycle.vertex_order)
-        assert straddles_in_check_cycles(cs, cycle, g.links["B-F"])
-        assert all(check_cycles(cs, cd, demand) is None for demand in range(1, 6))
+        assert cycle.vertex_mask == vertex_mask_of(g, cycle.vertex_order)
+        assert straddles_in_check_cycles(cs, g, cycle, g.links["B-F"])
+        assert all(check(cs, g, cd, demand) is None for demand in range(1, 6))
 
     def test_arc_cache_cleared_by_extension_and_rollback(self):
         g = pentagon_with_chord()
@@ -811,18 +838,20 @@ class TestDerivedCycleState:
         cycle = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2, [])
         edge, chord = g.links["A-B"], g.links["B-F"]
         for link in (edge, chord):
-            assert cycle.backup_availability(link, g) == fresh_backup_availability(cycle, link, g)
-        assert set(cycle.arc_avail) == {"A-B", "B-F"}
+            got = cycle.backup_availability(pos(g, link.id))
+            assert got == fresh_backup_availability(cycle, link, g)
+        assert set(cycle.arc_avail) == {pos(g, "A-B"), pos(g, "B-F")}
         extended = []
-        assert _try_extend(g, g.links["D-E"], 2, cs, extended) is cycle
+        assert _try_extend(g, pos(g, "D-E"), 2, cs, extended) is cycle
         assert cycle.arc_avail == {}
-        arc = cycle.backup_availability(edge, g)
+        arc = cycle.backup_availability(pos(g, "A-B"))
         assert arc == fresh_backup_availability(cycle, edge, g)
         assert arc == math.prod(g.links[lid].availability for lid in list(cycle.blocks)[1:])
-        assert set(cycle.arc_avail) == {"A-B"}
+        assert set(cycle.arc_avail) == {pos(g, "A-B")}
         _rollback(g, cs, [], extended)
         assert cs.cycles[cycle.id] is cycle and cycle.arc_avail == {}
-        assert cycle.backup_availability(edge, g) == fresh_backup_availability(cycle, edge, g)
+        got = cycle.backup_availability(pos(g, "A-B"))
+        assert got == fresh_backup_availability(cycle, edge, g)
 
     def test_reserved_follows_build_extend_rollback_and_release(self):
         g = pentagon_with_chord()
@@ -830,9 +859,9 @@ class TestDerivedCycleState:
         busy = g.busy_slot_count
         cycle = _build_cycle(cs, g, ["A", "B", "C", "E", "F"], 2, [])
         assert cs.reserved == busy() == 10
-        cycle.protected["A-B"] = "w0"
+        cycle.protected[pos(g, "A-B")] = "w0"
         extended = []
-        _try_extend(g, g.links["D-E"], 2, cs, extended)
+        _try_extend(g, pos(g, "D-E"), 2, cs, extended)
         assert cs.reserved == busy() == 12
         _rollback(g, cs, [], extended)
         assert cs.reserved == busy() == 10
@@ -863,7 +892,7 @@ class TestAgainstReference:
             top = 2 * max(c.capacity_slots for c in cs.cycles.values()) + 1
             for link in g.links.values():
                 for demand in range(1, top + 1):
-                    got = check_cycles(cs, link, demand)
+                    got = check(cs, g, link, demand)
                     assert got is reference_check_cycles(cs, link, demand)
                     hits += got is not None
                     straddlers += got is not None and reference_is_straddling(got, link)
@@ -872,7 +901,7 @@ class TestAgainstReference:
     def test_covers_match_reference(self, paused):
         for cs, g, _ in paused:
             for cycle in cs.cycles.values():
-                assert cycle.vertex_set == frozenset(cycle.vertex_order)
+                assert cycle.vertex_mask == vertex_mask_of(g, cycle.vertex_order)
 
     def test_try_extend_matches_reference(self, paused):
         extensions = misses = 0
@@ -883,7 +912,7 @@ class TestAgainstReference:
             for link, demand in itertools.product(g.links.values(), range(1, top + 1)):
                 want = reference_try_extend(g, link, demand, cs)
                 extended = []
-                got = _try_extend(g, link, demand, cs, extended)
+                got = _try_extend(g, pos(g, link.id), demand, cs, extended)
                 if want is None:
                     assert got is None and extended == []
                     misses += 1
@@ -892,9 +921,9 @@ class TestAgainstReference:
                     assert got is cs.cycles[cid]
                     assert got.vertex_order == new_order
                     assert list(got.blocks.items()) == list(new_blocks.items())
-                    ((cycle, old_order, old_blocks),) = extended
+                    ((cycle, old_order, old_ring),) = extended
                     assert cycle is got and old_order == order
-                    assert list(old_blocks.items()) == list(blocks.items())
+                    assert list(by_id(cycle, old_ring).items()) == list(blocks.items())
                     # Undone in place, so every case starts from the paused state.
                     _rollback(g, cs, [], extended)
                     extensions += 1
@@ -905,8 +934,9 @@ class TestAgainstReference:
         cached = 0
         for cs, g, _ in paused:
             for cycle in cs.cycles.values():
-                for lid, a_bp in cycle.arc_avail.items():
-                    assert a_bp == fresh_backup_availability(cycle, g.links[lid], g)
+                for li, a_bp in cycle.arc_avail.items():
+                    link = g.link_index().links[li]
+                    assert a_bp == fresh_backup_availability(cycle, link, g)
                     cached += 1
         assert cached
 
@@ -930,6 +960,31 @@ class TestAgainstReference:
         assert released
 
 
+def test_arrivals_and_departures_build_no_link_id_or_link_tuple(monkeypatch):
+    # Cycles name links by position: once the graph is built, protecting
+    # and releasing neither builds a link-id string nor asks a candidate
+    # path for its Link tuple.
+    sim = Simulation(Scenario(
+        load_erlang=20, a_th=0.999, mode="dcycles", avg_link_availability=0.99,
+        n_requests=1200, seed=1,
+    ))
+    calls = {"link_id": 0, "links": 0}
+
+    def counted_link_id(u, v, real=topology.link_id):
+        calls["link_id"] += 1
+        return real(u, v)
+
+    def counted_links(self, read=CandidatePath.links.fget):
+        calls["links"] += 1
+        return read(self)
+
+    monkeypatch.setattr(topology, "link_id", counted_link_id)
+    monkeypatch.setattr(CandidatePath, "links", property(counted_links))
+    report = sim.run()
+    assert report.protected_count > 0
+    assert calls == {"link_id": 0, "links": 0}
+
+
 class TestRollbackRestoresState:
     """A failed protection attempt leaves every cycle and link as it found them.
 
@@ -946,8 +1001,8 @@ class TestRollbackRestoresState:
         extensions = Counter()
         real_extend = dcycles._try_extend
 
-        def spy(g, link, demand, cs, extended):
-            cycle = real_extend(g, link, demand, cs, extended)
+        def spy(g, li, demand, cs, extended):
+            cycle = real_extend(g, li, demand, cs, extended)
             if cycle is not None and cycle.id in live_before:
                 granted_first = "probe" in cycle.protected.values()
                 extensions["granted first" if granted_first else "plain"] += 1

@@ -136,7 +136,8 @@ def search_cases(draw):
         link = g.add_link(names[i], names[j], 100, availability=a)
         link.bitmap.bits = draw(free)
     # Ties need two shortest paths, so uniform graphs take unlinked endpoints.
-    apart = [(u, v) for u in names for v in names if u != v and not g.link_between(u, v)]
+    between = g.link_index().between
+    apart = [(u, v) for u in names for v in names if u != v and v not in between[u]]
     if uniform and apart:
         s, d = draw(st.sampled_from(apart))
     else:

@@ -201,7 +201,7 @@ class TestRanking:
         bits = index.free_bits()
         for verts in detours:
             for u, v in zip(verts, verts[1:]):
-                bits[index.position[g.link_between(u, v).id]] = 0
+                bits[index.between[u][v]] = 0
         paths = candidate_paths(g, s, d, 1, len(routes) + fallback, bits)
         assert fallbacks == ([(s, d, len(routes) + 1)] if fallback else [])
         return [p.vertices for p in paths]

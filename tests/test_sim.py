@@ -30,7 +30,7 @@ from eonprotect.sim import (
 )
 from eonprotect.spectrum import SlotBlock, demand_to_slots
 
-from conftest import hand_backup
+from conftest import hand_backup, reference_arcs
 
 
 def small_scenario(**overrides):
@@ -485,11 +485,12 @@ def reference_recovery_slots(sim, conn, failed_link):
                 continue
             cycle = sim.cycles.cycles[cid]
             failed = sim.graph.links[failed_link]
+            blocks = cycle.blocks
             slots = []
-            for arc in cycle.arcs(failed, sim.graph):
-                for link in arc:
-                    block = cycle.blocks[link.id]
-                    slots.extend((link.id, s) for s in range(block.start, block.end))
+            for arc in reference_arcs(cycle, failed):
+                for lid in arc:
+                    block = blocks[lid]
+                    slots.extend((lid, s) for s in range(block.start, block.end))
             return slots
         return None
     return None
@@ -528,7 +529,7 @@ class TestInjectSingleFailuresMatchesReference:
         g = sim.graph
         index = g.link_index()
         full = (1 << g.slot_count) - 1
-        on_wp = tuple(index.position[g.link_between(a, b).id] for a, b in zip(wp, wp[1:]))
+        on_wp = tuple(index.between[a][b] for a, b in zip(wp, wp[1:]))
         # With every slot free, a window of ``length`` starts at any slot
         # up to slot_count - length.
         run = full >> length - 1

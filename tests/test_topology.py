@@ -1,6 +1,8 @@
 """Network graph model, availability policies, and topology file parsing."""
 
+import itertools
 import statistics
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,8 @@ from eonprotect.topology import (
     load_topology,
     remove_links,
 )
+
+MESH24 = (Path(__file__).parent / "data" / "mesh24.topo").read_text()
 
 TRIANGLE = """
 node a
@@ -322,3 +326,33 @@ class TestRemoveLinks:
         index = out.link_index()
         allocate(index.links, {index.position["a-b"]: SlotBlock(0, 4).mask()})
         assert g.links["a-b"].bitmap.bits.bit_count() == g.slot_count
+
+
+class TestLinkIndexBetween:
+    @pytest.mark.parametrize("text", [None, MESH24], ids=["nsfnet", "mesh24"])
+    def test_every_link_both_ways_and_no_other_pair(self, text):
+        if text is None:
+            g = build_nsfnet()
+        else:
+            g = load_topology(text, policy=UniformAvailability(0.99))
+        index = g.link_index()
+        for link in g.links.values():
+            assert index.between[link.u][link.v] == index.position[link.id]
+            assert index.between[link.v][link.u] == index.position[link.id]
+        apart = 0
+        for u, v in itertools.permutations(g.vertices, 2):
+            if link_id(u, v) not in g.links:
+                assert v not in index.between[u]
+                apart += 1
+        assert apart
+
+    @pytest.mark.parametrize("text", [None, MESH24], ids=["nsfnet", "mesh24"])
+    def test_graphs_of_one_structure_share_a_path_table(self, text):
+        def build(a):
+            if text is None:
+                return build_nsfnet(policy=UniformAvailability(a))
+            return load_topology(text, policy=UniformAvailability(a))
+
+        first, second = build(0.99).link_index(), build(0.9).link_index()
+        assert first.paths is second.paths
+        assert first.between == second.between
