@@ -301,7 +301,9 @@ def find_cycle_for(
     cycle with the link straddling (two disjoint alternate routes), and a
     new on-cycle arrangement (one alternate route plus spare slots on the
     link itself).  The ring it replaces, empty for a new cycle, goes to
-    ``replaced``.
+    ``replaced``.  Both route searches read the live bits and leave links
+    out by ``without``: the first leaves out ``li``, the second also every
+    link at the first route's interior vertices.
     """
     cycle = _try_extend(g, li, demand, cs, replaced)
     if cycle is not None:
@@ -309,9 +311,8 @@ def find_cycle_for(
 
     index = g.link_index()
     link = index.links[li]
-    bits = index.free_bits()
-    bits[li] = 0
-    alternates = candidate_paths(g, link.u, link.v, demand, k, bits, best_only=True)
+    without = 1 << li
+    alternates = candidate_paths(g, link.u, link.v, demand, k, without=without, best_only=True)
     if not alternates:
         return None
     walk = alternates[0].vertices
@@ -320,8 +321,8 @@ def find_cycle_for(
     # the first's links among them (it avoids ``link``: two hops or more).
     for vx in walk[1:-1]:
         for _, _, x in index.neighbors[vx]:
-            bits[x] = 0
-    disjoint = candidate_paths(g, link.u, link.v, demand, k, bits, best_only=True)
+            without |= 1 << x
+    disjoint = candidate_paths(g, link.u, link.v, demand, k, without=without, best_only=True)
     if disjoint:
         back = disjoint[0].vertices
         return _build_cycle(cs, g, list(walk) + list(reversed(back[1:-1])), demand, replaced)

@@ -45,7 +45,10 @@ leaves the registry and the links as they were.
 
 A failed protection attempt reserves nothing: ``provision_backups`` picks
 its backups on a private copy of the free bits and claims them only once
-the threshold is met, so there is nothing to roll back.
+the threshold is met, so there is nothing to roll back.  Its backup search
+leaves the working path's links out by their positions (``without`` of
+``rsa.candidate_paths``), so it scans the path table of the graph without
+them.
 
 The registry holds the claims only, not which backups belong to which WP:
 the caller keeps the backups ``provision_backups`` returned and hands them
@@ -247,10 +250,13 @@ def provision_backups(
     working path's links, but not each other's.  They are picked on a
     private copy of the free bits and claimed only once the threshold is
     met, so if the candidates run out first nothing has been reserved and
-    ([], the working path's availability) is returned.  The candidates are
-    walked once, in the search's ranking; each is re-intersected on the
-    search bits, which lose the slots of every backup taken so far, and
-    takes first fit from what is left, or is skipped when nothing is.  Each
+    ([], the working path's availability) is returned.  The search leaves
+    the working path's links out by ``without``; their entries of the
+    search bits keep the slots they may share, and no candidate reads
+    them.  The candidates are walked once, in the search's ranking; each
+    is re-intersected on the search bits, which lose the slots of every
+    backup taken so far, and takes first fit from what is left, or is
+    skipped when nothing is.  Each
     ``BackupPath`` (id, the candidate it was picked from, block and packed
     mask) is built only once the threshold is met and the slots are claimed.
     ``BackupRegistry.claim`` raises ``AllocationConflictError``, and nothing
@@ -259,12 +265,12 @@ def provision_backups(
     wp = best_path.link_indices
     bits = g.link_index().free_bits()
     free_backup_slots(g, bits, reg, wp)
-    # After free_backup_slots, which ORs shareable slots into the working
-    # path's links too: backups avoid those links.
+    # Backups avoid the working path's links.
+    without = 0
     for li in wp:
-        bits[li] = 0
+        without |= 1 << li
     need = lr.slots_needed
-    candidates = candidate_paths(g, lr.s, lr.d, need, lr.k, bits)
+    candidates = candidate_paths(g, lr.s, lr.d, need, lr.k, bits, without=without)
 
     width = g.slot_count
     full = (1 << width) - 1

@@ -5,29 +5,42 @@ graph's int index (``NetworkGraph.link_index``) and returned ranked, best
 first (below).  A link's run mask has bit i set iff slots i..i+n-1 are
 free on it, for a demand of n slots, and the run mask of an AND is the AND
 of the run masks (see ``spectrum``).  A caller may pass per-link free bits
-in place of the live ones, and leaves a link out by putting 0 in its
-entry, so backup and cycle searches need no pruned graph copy.
+in place of the live ones, and leaves links out by ``without``, the mask
+of their ``LinkIndex`` positions, so backup and cycle searches need no
+pruned graph copy.
 
-Most searches need no BFS.  The first search for (s, d, k) stores in the
-graph's index (``LinkIndex.paths``) the s-d simple paths in the order the
-same BFS finds them when no branch is pruned, through the whole hop level
-of the k-th path (``_unpruned_bfs``); every graph of one structure shares
-that table.  A search scans it first: a path there is feasible iff the run
-mask of the AND of its links' free bits, taken once, is non-zero.  A
-search of the live bits reads them off the scanned paths' own links, so a
-search the table answers reads only the links of the paths it scans.
-Pruning drops a branch with all its extensions and never reorders the
-survivors, so the pruned BFS returns the first k feasible paths of the
-unpruned order; when the table holds k feasible paths, they are those.
-The scan stops at the k-th feasible path, at a best-only stop (below) or
-at the table's end; only at the end, short of k, does it fall back.
+Most searches need no BFS.  The first search for (s, d, k, without)
+stores in the graph's index (``LinkIndex.paths``) the s-d simple paths
+that avoid the left-out links, in the order the same BFS finds them when
+no branch is pruned, through the whole hop level of the k-th path
+(``_unpruned_bfs``); every graph of one structure shares that table, and
+``without`` 0 gives the table of the whole graph.  Leaving a link out
+drops the paths over it and reorders none, so the table of a search that
+leaves links out holds its feasible paths in the order of the
+whole-graph table, and more of them before its end.  A search scans it
+first: a path there is feasible iff the run mask of the AND of its links'
+free bits, taken once, is non-zero.  A search of the live bits reads them
+off the scanned paths' own links, so a search the table answers reads
+only the links of the paths it scans.  Pruning drops a branch with all
+its extensions and never reorders the survivors, so the pruned BFS
+returns the first k feasible paths of the unpruned order; when the table
+holds k feasible paths, they are those.  The scan stops at the k-th
+feasible path, at a best-only stop (below) or at the table's end; only
+at the end, short of k, does it fall back.  A table is only an
+accelerator, so its build may stop short of k: at the first hop level
+with more than ``TABLE_FRONTIER`` partial paths, as where leaving links
+out strands s behind a bridge and the build, short of k, would walk
+every simple path from s.  The table then holds every path through the
+hop level the build reached, and a scan of it falls back as at the end
+of any table short of k.
 
-The fallback, the pruned BFS, takes every link's run mask once; a partial
-path is its end vertex, a mask of the vertices it visited, the running AND
-of its links' run masks and the tuple of its link indices, so extending a
-branch costs one ``&``.  A branch is pruned as soon as its links no longer
-share n contiguous free slots, exactly as if contiguity were re-derived
-from the AND of their free bits.
+The fallback, the pruned BFS, takes every link's run mask once, 0 for a
+left-out link, in a list of its own; a partial path is its end vertex, a
+mask of the vertices it visited, the running AND of its links' run masks
+and the tuple of its link indices, so extending a branch costs one
+``&``.  A branch is pruned as soon as its links no longer share n
+contiguous free slots, exactly as if contiguity were re-derived from the
+AND of their free bits.
 
 Every search extends a branch over its end vertex's neighbours in name
 order, so paths of one hop count are found in the order of their vertex
@@ -76,6 +89,12 @@ from .topology import Link, LinkIndex, NetworkGraph
 
 # Protection modes, in the order the CLI and the results schema list them.
 MODES = ("none", "dsbpss", "dcycles")
+
+# A path table's build stops, short of k, at the first hop level with more
+# partial paths than this (see ``_unpruned_bfs``).  No build of a NSFNET
+# or ``tests/data/mesh24.topo`` run comes near: their widest levels hold
+# about 30 and 4 600.
+TABLE_FRONTIER = 1 << 14
 
 
 class LightpathRequest(
@@ -177,6 +196,7 @@ def candidate_paths(
     k: int,
     bits: list[int] | None = None,
     *,
+    without: int = 0,
     best_only: bool = False,
 ) -> list[CandidatePath]:
     """Up to k loop-free paths s->d with >= slots_needed contiguous common
@@ -190,11 +210,17 @@ def candidate_paths(
     only when the scan ends at the table's end with fewer than k feasible
     paths does the pruned BFS run, over every link's run mask.  Each path
     keeps the run mask the search tested it by, from which ``first_block``
-    is read.  ``bits`` replaces the links' live
-    free bits, in ``g.link_index()`` order; a link whose entry is 0 is left
-    out.  Without ``bits``, the table scan reads the scanned paths' links
-    only.  Neither the graph nor ``bits`` is written to.  Raises
-    ``ValueError`` if ``slots_needed`` or ``k`` is below 1.
+    is read.  ``bits`` replaces the links' live free bits, in
+    ``g.link_index()`` order.  Without ``bits``, the table scan reads the
+    scanned paths' links only.  ``without`` is the mask of the
+    ``LinkIndex`` positions of the links the search leaves out: it scans
+    the table of the graph without them, and its fallback gives them a run
+    mask of 0.  Neither the graph nor ``bits`` is written to.  Raises
+    ``ValueError`` if ``slots_needed`` or ``k`` is below 1, or, when the
+    search builds the table for ``without``, if ``without`` is not an int
+    (a bool included), is negative or names a position past the last link.
+    A search that returns before its scan, or finds its table built,
+    does not check it.
 
     ``best_only`` is for a caller that keeps only the best path: the search
     stops at a hop level no unseen path can win from, the first level off
@@ -218,9 +244,12 @@ def candidate_paths(
     # and the highest of those availabilities.
     found = []
     top = 0.0
-    paths = index.paths.get((s, d, k))
+    paths = index.paths.get((s, d, k, without))
     if paths is None:
-        paths = index.paths[s, d, k] = _unpruned_bfs(index, s, d, k)
+        # A negative mask shifts to -1, never to 0.
+        if type(without) is not int or without >> len(table):
+            raise ValueError(f"without must be a mask of link positions, not {without!r}")
+        paths = index.paths[s, d, k, without] = _unpruned_bfs(index, s, d, k, without)
     level = 0
     for path in paths:
         if len(path) != level:
@@ -247,7 +276,11 @@ def candidate_paths(
         # Short of k at the table's end: fall back unless, best-only, no
         # path of the next hop level can win.
         if not (best_only and top > stop_above[level + 1]):
-            runs = index.free_bits() if bits is None else bits
+            runs = index.free_bits() if bits is None else list(bits)
+            while without:
+                low = without & -without
+                runs[low.bit_length() - 1] = 0
+                without ^= low
             for step in steps:
                 runs = [r & r >> step for r in runs]
             found = _pruned_bfs(index, runs, s, d, k, best_only)
@@ -263,24 +296,32 @@ def candidate_paths(
 
 
 def _unpruned_bfs(
-    index: LinkIndex, s: str, d: str, k: int,
+    index: LinkIndex, s: str, d: str, k: int, without: int,
 ) -> tuple[tuple[int, ...], ...]:
-    """Link indices of the s-d simple paths through the hop level of the
-    k-th, in ``_pruned_bfs``'s order with spectrum ignored: the table that
-    ``candidate_paths`` scans."""
+    """Link indices of the s-d simple paths that avoid the link positions in
+    ``without``, through the hop level of the k-th, in ``_pruned_bfs``'s
+    order with spectrum ignored: the table that ``candidate_paths`` scans.
+    Short of k, it stops after the hop level whose partial paths number
+    more than ``TABLE_FRONTIER``, which it does not extend."""
     neighbors = index.neighbors
+    to_d = {u: li for u, li in index.between[d].items() if not without >> li & 1}
     found = []
     frontier = [(s, index.vertex_bit[s], ())]
-    while frontier and len(found) < k:
+    while frontier:
+        # A branch reaches d over one link at most, so the paths of a hop
+        # level come in frontier order; the level that completes k builds
+        # no next frontier.
+        for u, _, path in frontier:
+            if u in to_d:
+                found.append(path + (to_d[u],))
+        if len(found) >= k or len(frontier) > TABLE_FRONTIER:
+            break
         nxt = []
         for u, seen, path in frontier:
             for v, vbit, li in neighbors[u]:
-                if seen & vbit:
+                if seen & vbit or v == d or without >> li & 1:
                     continue
-                if v == d:
-                    found.append(path + (li,))
-                else:
-                    nxt.append((v, seen | vbit, path + (li,)))
+                nxt.append((v, seen | vbit, path + (li,)))
         frontier = nxt
     return tuple(found)
 

@@ -188,8 +188,10 @@ class LinkIndex:
     between: dict[str, dict[str, int]] = field(repr=False, compare=False)
     # s -> d -> bound by hop count 0..len(vertex_bit)
     stop_above: dict[str, dict[str, tuple[float, ...]]] = field(repr=False, compare=False)
-    # (s, d, k) -> tuple of link-index tuples, filled by ``rsa`` on first
-    # use; shared by every index of the same structure
+    # (s, d, k, mask of the left-out link positions) -> tuple of link-index
+    # tuples, filled by ``rsa`` on first use (a build may stop short of k,
+    # see ``rsa.TABLE_FRONTIER``); shared by every index of the same
+    # structure
     paths: dict = field(repr=False, compare=False)
 
     def free_bits(self) -> list[int]:

@@ -1,6 +1,7 @@
 """Dynamic protection cycles: reuse, extension, construction, dismantling."""
 
 import copy
+import inspect
 import itertools
 import math
 from collections import Counter
@@ -983,6 +984,29 @@ def test_arrivals_and_departures_build_no_link_id_or_link_tuple(monkeypatch):
     report = sim.run()
     assert report.protected_count > 0
     assert calls == {"link_id": 0, "links": 0}
+
+
+def test_alternate_route_searches_leave_links_out_by_mask(monkeypatch):
+    # The searches of find_cycle_for read the live bits and leave out the
+    # protected link, then the first route's interior links, by ``without``:
+    # the table they scan holds no path over those links.
+    sim = Simulation(Scenario(
+        load_erlang=20, a_th=0.999, mode="dcycles", avg_link_availability=0.99,
+        n_requests=1200, seed=1,
+    ))
+    signature = inspect.signature(dcycles.candidate_paths)
+    calls = []
+
+    def recorded(*args, real=dcycles.candidate_paths, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append((bound.arguments["bits"], bound.arguments.get("without", 0)))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dcycles, "candidate_paths", recorded)
+    sim.run()
+    assert calls
+    assert [(bits, without) for bits, without in calls if bits is not None or not without] == []
 
 
 class TestRollbackRestoresState:

@@ -1,13 +1,15 @@
 """The int-mask path search and path selection against the code they replaced."""
 
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from eonprotect import rsa, topology
-from eonprotect.rsa import candidate_paths
+from eonprotect.dsbpss import BackupRegistry, provision_backups
+from eonprotect.rsa import LightpathRequest, candidate_paths
 from eonprotect.sim import Scenario, Simulation
 from eonprotect.spectrum import SpectrumBitmap, _run_mask, first_fit, is_feasible
 from eonprotect.topology import (
@@ -167,24 +169,33 @@ def all_free_copy(g: NetworkGraph) -> NetworkGraph:
     return free
 
 
+def leave_out(index, excluded) -> int:
+    """The ``without`` mask of the links named in ``excluded``."""
+    without = 0
+    for lid in excluded:
+        without |= 1 << index.position[lid]
+    return without
+
+
 @settings(deadline=None, derandomize=True, max_examples=400)
 @given(search_cases())
 def test_matches_reference_on_pruned_copy(case):
     g, s, d, searches = case
     index = g.link_index()
     live = index.free_bits()
+    tables = []
     for slots_needed, k, excluded, bits in searches:
-        # Excluded links are left out by zeroing their entries of the bits
-        # passed in; with nothing to leave out, None searches the live bits.
+        without = leave_out(index, excluded)
+        # Excluded links are left out by ``without`` and, in a second pair
+        # of calls, by zeroing their entries of the bits passed in; with
+        # nothing to leave out, None searches the live bits.
         given_bits = None
         if bits is not None or excluded:
             given_bits = list(live if bits is None else bits)
             for lid in excluded:
                 given_bits[index.position[lid]] = 0
         passed = None if given_bits is None else list(given_bits)
-
-        got = candidate_paths(g, s, d, slots_needed, k, given_bits)
-        best_only = candidate_paths(g, s, d, slots_needed, k, given_bits, best_only=True)
+        own_bits = None if bits is None else list(bits)
 
         pruned = remove_links(g, [g.links[lid] for lid in sorted(excluded)])
         if bits is not None:
@@ -193,51 +204,62 @@ def test_matches_reference_on_pruned_copy(case):
         # The first k feasible paths in BFS order, then ranked, ties on
         # (availability, hops) included.
         want = reference_ranked(reference_candidate_paths(pruned, s, d, slots_needed, k))
-        assert summary(got) == summary(want)
-        # A best-only search returns the full list's first path and nothing
-        # else, and is empty only when the full list is.
-        assert summary(best_only) == summary(got[:1])
-        if got:
-            assert (best_only[0].run, best_only[0].first_block) == (got[0].run, got[0].first_block)
-        # The run mask the search keeps, from the table or the pruned search,
-        # is the run mask of the path's common free bits, and the first fit
-        # read off it is the first fit of those bits.
-        for p, ref in zip(got, want):
-            assert p.run == _run_mask(ref.bitmap.bits, slots_needed)
-            assert p.first_block == first_fit(ref.bitmap, slots_needed)
-        # The search writes neither to the graph nor to the caller's bits.
+        for search_bits, mask in ((given_bits, 0), (own_bits, without)):
+            got = candidate_paths(g, s, d, slots_needed, k, search_bits, without=mask)
+            best_only = candidate_paths(
+                g, s, d, slots_needed, k, search_bits, without=mask, best_only=True,
+            )
+            assert summary(got) == summary(want)
+            # A best-only search returns the full list's first path and
+            # nothing else, and is empty only when the full list is.
+            assert summary(best_only) == summary(got[:1])
+            if got:
+                assert (best_only[0].run, best_only[0].first_block) == (got[0].run, got[0].first_block)
+            # The run mask the search keeps, from the table or the pruned
+            # search, is the run mask of the path's common free bits, and
+            # the first fit read off it is the first fit of those bits.
+            for p, ref in zip(got, want):
+                assert p.run == _run_mask(ref.bitmap.bits, slots_needed)
+                assert p.first_block == first_fit(ref.bitmap, slots_needed)
+            # Returned paths hold the graph's own links.
+            assert all(link is g.links[link.id] for p in got for link in p.links)
+            # ... and no per-call list (free bits, run masks), which a live
+            # connection would otherwise keep alive.
+            assert not any(
+                holds_a_list(tuple(getattr(p, name) for name in rsa.CandidatePath.__slots__))
+                for p in got
+            )
+        # The searches write neither to the graph nor to the caller's bits.
         assert index.free_bits() == live
         assert given_bits == passed
-        # Returned paths hold the graph's own links.
-        assert all(link is g.links[link.id] for p in got for link in p.links)
-        # ... and no per-call list (free bits, run masks), which a live
-        # connection would otherwise keep alive.
-        assert not any(
-            holds_a_list(tuple(getattr(p, name) for name in rsa.CandidatePath.__slots__))
-            for p in got
-        )
+        assert own_bits == (None if bits is None else list(bits))
+        tables += [(slots_needed, k, 0, g), (slots_needed, k, without, pruned)]
     assert g.link_index() is index
 
     # Each table holds tuples of ints only, and is the unpruned breadth-first
-    # order through the hop level of the k-th path: the next path, if any,
-    # has more hops.  A table short of k holds every s-d path.  A search
-    # stores the table it builds, unless it returned before the scan.
-    free = all_free_copy(g)
-    for slots_needed, k, _, _ in searches:
-        paths = rsa._unpruned_bfs(index, s, d, k)
-        assert index.paths.get((s, d, k), paths) == paths
+    # order, on the graph without the links it leaves out, through the hop
+    # level of the k-th path: the next path, if any, has more hops.  A table
+    # short of k holds every s-d path, unless its build stopped at a hop
+    # level of more than ``rsa.TABLE_FRONTIER`` partial paths, which no
+    # graph drawn here holds.  A search stores the table it builds, unless
+    # it returned before the scan.
+    for slots_needed, k, without, graph in tables:
+        paths = rsa._unpruned_bfs(index, s, d, k, without)
+        assert index.paths.get((s, d, k, without), paths) == paths
         if slots_needed <= g.slot_count:
-            assert (s, d, k) in index.paths
+            assert (s, d, k, without) in index.paths
         assert type(paths) is tuple
         assert all(
             type(path) is tuple and all(type(li) is int for li in path)
             for path in paths
         )
+        # By link id, as the pruned copy numbers its links apart.
+        by_id = [tuple(index.links[li].id for li in path) for path in paths]
         unpruned = [
-            tuple(index.position[link.id] for link in p.links)
-            for p in reference_candidate_paths(free, s, d, 1, len(paths) + 1)
+            tuple(link.id for link in p.links)
+            for p in reference_candidate_paths(all_free_copy(graph), s, d, 1, len(paths) + 1)
         ]
-        assert tuple(unpruned[:len(paths)]) == paths
+        assert unpruned[:len(paths)] == by_id
         if len(paths) >= k:
             assert len(paths[-1]) == len(paths[k - 1])
         else:
@@ -275,8 +297,20 @@ def walks(paths):
 def test_same_endpoints_find_nothing(fallbacks):
     g = ladder()
     assert candidate_paths(g, "a", "a", 1, 5) == []
-    assert not [key for key in g.link_index().paths if key[:2] == ("a", "a")]
+    assert not [(s, d) for s, d, _, _ in g.link_index().paths if s == d]
     assert fallbacks == []
+
+
+# Not an int (a bool included), negative, or naming a position at or past
+# the ladder's six links.  The mask is checked where its table is built, so
+# each case starts from empty tables.
+@pytest.mark.parametrize("without", [1.0, "1", None, True, False, -1, 1 << 6, 1 << 6 | 1, 1 << 70])
+def test_without_must_be_a_mask_of_link_positions(without, fresh_path_tables):
+    g = ladder()
+    with pytest.raises(ValueError, match="without"):
+        candidate_paths(g, "a", "b", 1, 2, without=without)
+    # Every link of the graph may be left out.
+    assert candidate_paths(g, "a", "b", 1, 2, without=(1 << 6) - 1) == []
 
 
 def test_table_of_every_path_still_falls_back(fallbacks, fresh_path_tables):
@@ -286,7 +320,7 @@ def test_table_of_every_path_still_falls_back(fallbacks, fresh_path_tables):
     assert walks(candidate_paths(g, "a", "b", 1, 5)) == [
         ("a", "b"), ("a", "c", "b"), ("a", "d", "e", "b"),
     ]
-    assert g.link_index().paths["a", "b", 5] == ((0,), (1, 2), (3, 4, 5))
+    assert g.link_index().paths["a", "b", 5, 0] == ((0,), (1, 2), (3, 4, 5))
     g.links["a-b"].bitmap.bits = 0
     assert walks(candidate_paths(g, "a", "b", 1, 5)) == [
         ("a", "c", "b"), ("a", "d", "e", "b"),
@@ -298,7 +332,7 @@ def test_table_hit_answers_search(fallbacks, fresh_path_tables):
     g = ladder()
     # k = 1 stops the table at the one-hop level: a-b alone.
     assert walks(candidate_paths(g, "a", "b", 1, 1)) == [("a", "b")]
-    assert g.link_index().paths["a", "b", 1] == ((0,),)
+    assert g.link_index().paths["a", "b", 1, 0] == ((0,),)
     # Other free bits and demands reuse the table.
     g.links["b-c"].bitmap.bits = 0
     assert walks(candidate_paths(g, "a", "b", 4, 1)) == [("a", "b")]
@@ -416,6 +450,92 @@ def avail_ladder(avails=None) -> NetworkGraph:
     for u, v in LADDER:
         g.add_link(u, v, 100, availability=avails.get(link_id(u, v), 0.99))
     return g
+
+
+def test_backup_search_scans_the_table_without_the_working_path(fallbacks):
+    # WP a-b (0.9) needs two backups to reach 0.999.  The k = 2 table of
+    # the whole graph is a-b, a-c-b: with a-b left out it holds one
+    # feasible path.  Without a-b the table is a-c-b, a-d-e-b, which holds
+    # both backups, so neither the search nor the backup search falls back.
+    g = avail_ladder({"a-b": 0.9})
+    (wp,) = candidate_paths(g, "a", "b", 1, 1)
+    index = g.link_index()
+    without = 1 << index.position["a-b"]
+    left_out = candidate_paths(g, "a", "b", 1, 2, without=without)
+    assert fallbacks == []
+    assert index.paths["a", "b", 2, without] == ((1, 2), (3, 4, 5))
+    # The same search with a-b's entry zeroed scans the whole-graph table
+    # and falls back, to the same paths.
+    bits = index.free_bits()
+    bits[index.position["a-b"]] = 0
+    zeroed = candidate_paths(g, "a", "b", 1, 2, bits)
+    assert index.paths["a", "b", 2, 0] == ((0,), (1, 2))
+    assert fallbacks == [("a", "b", 2)]
+    assert walks(zeroed) == [("a", "c", "b"), ("a", "d", "e", "b")]
+    assert [(p.link_indices, p.run, p.availability) for p in left_out] == [
+        (p.link_indices, p.run, p.availability) for p in zeroed
+    ]
+    backups, a_pp = provision_backups(
+        g, LightpathRequest("a", "b", 1, 2), wp, BackupRegistry(), "w1", 0.999,
+    )
+    assert fallbacks == [("a", "b", 2)]
+    assert [(bp.path.link_indices, bp.block) for bp in backups] == [
+        (p.link_indices, p.first_block) for p in zeroed
+    ]
+    assert a_pp == pytest.approx(1 - 0.1 * (1 - 0.99**2) * (1 - 0.99**3), abs=1e-12)
+
+
+def bridged_clique(m: int) -> NetworkGraph:
+    """``avail_ladder``'s a-b (0.9), a-c and c-b (0.99), and an m-clique
+    x0..x(m-1) that hangs off a by the bridge a-x0, with no free slot on
+    the clique's links."""
+    g = NetworkGraph(slot_count=4)
+    g.add_link("a", "b", 100, availability=0.9)
+    g.add_link("a", "c", 100, availability=0.99)
+    g.add_link("c", "b", 100, availability=0.99)
+    g.add_link("a", "x0", 100)
+    for i in range(m):
+        for j in range(i + 1, m):
+            g.add_link(f"x{i}", f"x{j}", 100).bitmap.bits = 0
+    return g
+
+
+def test_table_build_stops_at_a_wide_level(fallbacks, fresh_path_tables, monkeypatch):
+    # Without the working path a-b, a-c-b is the one a-b path left and
+    # every other branch runs into the 9-clique.  Short of k = 5, the
+    # build of the table without a-b would walk the 109 601 simple paths
+    # from a into the clique, spectrum ignored (17 MB at its peak).  It
+    # stops after the first hop level of more than TABLE_FRONTIER partial
+    # paths instead, and the search falls back to the pruned search, which
+    # drops the clique's full links at once and finds what the search with
+    # a-b's entry zeroed finds.
+    monkeypatch.setattr(rsa, "TABLE_FRONTIER", 256)
+    g = bridged_clique(9)
+    index = g.link_index()
+    (wp,) = candidate_paths(g, "a", "b", 1, 1)
+    without = 1 << index.position["a-b"]
+    tracemalloc.start()
+    try:
+        left_out = candidate_paths(g, "a", "b", 1, 5, without=without)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert index.paths["a", "b", 5, without] == ((1, 2),)
+    assert fallbacks == [("a", "b", 5)]
+    bits = index.free_bits()
+    bits[index.position["a-b"]] = 0
+    zeroed = candidate_paths(g, "a", "b", 1, 5, bits)
+    assert walks(zeroed) == [("a", "c", "b")]
+    assert [(p.link_indices, p.run, p.availability) for p in left_out] == [
+        (p.link_indices, p.run, p.availability) for p in zeroed
+    ]
+    # The backup search hits the cut table and falls back the same way.
+    backups, a_pp = provision_backups(
+        g, LightpathRequest("a", "b", 1, 5), wp, BackupRegistry(), "w1", 0.99,
+    )
+    assert [(bp.path.link_indices, bp.block) for bp in backups] == [((1, 2), zeroed[0].first_block)]
+    assert a_pp == pytest.approx(1 - 0.1 * (1 - 0.99**2), abs=1e-12)
 
 
 def test_best_only_stops_inside_the_table(fallbacks):
@@ -655,7 +775,7 @@ def test_graphs_of_one_structure_share_a_table():
     h = build_nsfnet(slot_count=64, policy=JitteredAvailability(0.99, seed=3))
     candidate_paths(g, g.vertices[0], g.vertices[-1], 1, 3)
     assert h.link_index().paths is g.link_index().paths
-    assert (g.vertices[0], g.vertices[-1], 3) in h.link_index().paths
+    assert (g.vertices[0], g.vertices[-1], 3, 0) in h.link_index().paths
 
 
 def test_other_structures_get_other_tables(fresh_path_tables):
@@ -680,10 +800,10 @@ def test_add_link_after_search_gives_new_table(fresh_path_tables):
     g = ladder()
     candidate_paths(g, "a", "b", 1, 5)
     before = g.link_index().paths
-    assert ("a", "b", 5) in before
+    assert ("a", "b", 5, 0) in before
     g.add_link("c", "d", 100)
     after = g.link_index().paths
-    assert after is not before and ("a", "b", 5) not in after
+    assert after is not before and ("a", "b", 5, 0) not in after
     assert walks(candidate_paths(g, "a", "d", 1, 5))[0] == ("a", "d")
 
 
