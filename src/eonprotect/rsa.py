@@ -75,8 +75,8 @@ availabilities in path order from 1.0.  A returned ``CandidatePath`` is a
 slotted record of those, its link indices and its hop count.  Its
 first-fit block (the lowest set bit of the run mask), vertex walk and link
 tuple are worked out on each read, so a caller that reads one twice keeps
-it in a local.  Provisioning allocates ``first_block`` on the links by
-position, with no bitmap built and no second pass over the slots.
+it in a local.  Provisioning takes the first fit once and allocates it
+over the path's own links table, with no bitmap and no second pass.
 """
 
 from __future__ import annotations
@@ -455,8 +455,9 @@ def rsacs_with_protection(
         return ProvisionResult(blocked=True)
     best = paths[0]
     # The search read the live bits, so its first fit is free on every link.
-    block = best.first_block
-    allocate(g.link_index().links, dict.fromkeys(best.link_indices, block.mask()))
+    low = best.run & -best.run
+    block = SlotBlock(low.bit_length() - 1, best.need)
+    allocate(best._table, dict.fromkeys(best.link_indices, (low << best.need) - low))
 
     result = ProvisionResult(
         blocked=False, path=best, block=block,

@@ -6,23 +6,24 @@ times exponential, endpoints uniform over ordered vertex pairs, and rates
 uniform integers in [1, B] Gbps.  Metrics only count arrivals at or after
 three mean holding times, when the system has warmed up.
 
-The arrivals are a time-ordered list of requests, read in order with an
-index.  They are drawn up front as numpy columns (inter-arrival and holding
-times, rates, sources, destination offsets) and built in bulk from chunked
-Python lists, so the run loop builds nothing.  The heap holds only the
-departures of live connections, as (departure time, connection number,
-conn id).  An arrival goes before a departure at the same time, and
-departures at the same time leave in the order their connections arrived.
+The arrivals are drawn up front as numpy columns (inter-arrival and holding
+times, rates, sources, destination offsets) and built in bulk, from chunked
+Python lists, into a time-ordered list read with an index.  The heap holds
+only the departures of live connections, as (departure time, connection
+number, conn id).  One loop handles both: an arrival goes before a
+departure at the same time, and departures at the same time leave in the
+order their connections arrived.  The clock, the counters and the slot-time
+integrals are locals that a ``finally`` writes back.  Busy slots are
+counters, never recounted from the links: the working slots of live
+connections plus the protection's ``reserved``, which it keeps exact.
+``rsacs_with_protection`` and ``release`` are looked up by their module
+names on each call, where perfbench's timer and tracer wrap them.
 
 The scenario's mode picks one protection object (``rsa.NoProtection``
 states its protocol): ``BackupRegistry`` for ``dsbpss``, ``DCycleSet`` for
 ``dcycles`` and ``NoProtection`` for ``none``.  The engine protects and
 releases through it, and fault injection reads its ``options``, so the
 engine never branches on the mode.
-
-Busy slots are integrated as counters, never recounted from the links: the
-working slots of live connections plus the protection's ``reserved``, which
-it keeps exact as it reserves and frees.
 """
 
 from __future__ import annotations
@@ -227,76 +228,74 @@ class Simulation:
         self._arrivals_done = 0
         self._conn_counter = 0
 
-    def _integrate_to(self, t: float) -> None:
-        lo = max(self._now, self._warm)
-        if t > lo:
-            dt = t - lo
-            reserved = self.protection.reserved
-            self.report.slot_time_used += (self._working_busy + reserved) * dt
-            self.report.protection_slot_time += reserved * dt
-        self._now = t
-
     def run(self, max_arrivals: int | None = None) -> MetricsReport:
-        """Process events; optionally pause after a number of arrivals."""
-        arrivals, departures = self._arrivals, self._departures
-        i = self._arrivals_done
-        n = len(arrivals)
-        # The next arrival's time, read once per arrival.
+        """Handle events in one loop: to the end if ``max_arrivals`` is None,
+        else until that many arrivals in all are done (any other value than an
+        int >= 0 raises ``ValueError`` first).  Locals go back in a ``finally``,
+        so a pause or an exception leaves the state per-event writes would;
+        ``rsacs_with_protection`` and ``release`` are module-name lookups.
+        """
+        if max_arrivals is not None and (type(max_arrivals) is not int or max_arrivals < 0):
+            raise ValueError(f"max_arrivals must be None or an int >= 0, not {max_arrivals!r}")
+        arrivals, departures, n = self._arrivals, self._departures, len(self._arrivals)
+        g, live, report, protection = self.graph, self.live, self.report, self.protection
+        a_th, warm, links = self.scenario.a_th, self._warm, g.link_index().links
+        # With no pause, the arrival index (at most n) never reaches the limit.
+        limit = n + 1 if max_arrivals is None else max_arrivals
+        now, busy, counter = self._now, self._working_busy, self._conn_counter
+        i, used = self._arrivals_done, report.slot_time_used
+        protecting = report.protection_slot_time
         next_s = arrivals[i].arrival_s if i < n else None
-        while max_arrivals is None or i < max_arrivals:
-            if i < n and (not departures or next_s <= departures[0][0]):
-                self._integrate_to(next_s)
-                self._handle_arrival(arrivals[i])
-                self._arrivals_done = i = i + 1
-                next_s = arrivals[i].arrival_s if i < n else None
-            elif departures:
-                t, _, conn_id = heapq.heappop(departures)
-                self._integrate_to(t)
-                self._handle_departure(conn_id)
-            else:
-                break
-        window = max(self._now - self._warm, 0.0)
-        self.report.slot_time_capacity = (
-            self.scenario.slot_count * len(self.graph.links) * window
-        )
-        self.report.validate()
-        return self.report
-
-    def _handle_arrival(self, lr: LightpathRequest) -> None:
-        # Each field read once: a read on the namedtuple is not cheap.
-        slots, arrival_s, holding_s = lr.slots_needed, lr.arrival_s, lr.holding_s
-        counted = arrival_s >= self._warm
-        self._conn_counter += 1
-        conn_id = f"c{self._conn_counter}"
-        result = rsacs_with_protection(
-            self.graph, lr, self.scenario.a_th, self.protection, conn_id
-        )
-        if counted:
-            self.report.arrived += 1
-            self.report.slots_requested += slots
-        if result.blocked:
-            if counted:
-                self.report.blocked += 1
-                self.report.slots_blocked += slots
-            return
-        working = slots * result.path.hops
-        self._working_busy += working
-        if counted and result.needs_protection:
-            self.report.needing_protection += 1
-            if result.protected:
-                self.report.protected_count += 1
-        self.live[conn_id] = Connection(conn_id, lr, result)
-        departure = (arrival_s + holding_s, self._conn_counter, conn_id)
-        heapq.heappush(self._departures, departure)
-
-    def _handle_departure(self, conn_id: str) -> None:
-        conn = self.live.pop(conn_id)
-        result = conn.result
-        links = self.graph.link_index().links
-        release(links, dict.fromkeys(result.path.link_indices, result.block.mask()))
-        working = conn.request.slots_needed * result.path.hops
-        self._working_busy -= working
-        self.protection.release(self.graph, conn_id, result)
+        try:
+            while i < limit:
+                if i < n and (not departures or next_s <= departures[0][0]):
+                    t, conn_id = next_s, None
+                elif departures:
+                    t, _, conn_id = heapq.heappop(departures)
+                else:
+                    break
+                # Busy slot-seconds over the part of (now, t] after the warm-up.
+                lo = now if now > warm else warm
+                if t > lo:
+                    dt = t - lo
+                    reserved = protection.reserved
+                    used += (busy + reserved) * dt
+                    protecting += reserved * dt
+                now = t
+                if conn_id is None:
+                    lr = arrivals[i]
+                    counter += 1
+                    conn_id = f"c{counter}"
+                    result = rsacs_with_protection(g, lr, a_th, protection, conn_id)
+                    slots = lr.slots_needed
+                    if t >= warm:
+                        report.arrived += 1
+                        report.slots_requested += slots
+                        if result.blocked:
+                            report.blocked += 1
+                            report.slots_blocked += slots
+                        elif result.needs_protection:
+                            report.needing_protection += 1
+                            report.protected_count += result.protected
+                    if not result.blocked:
+                        busy += slots * result.path.hops
+                        live[conn_id] = Connection(conn_id, lr, result)
+                        heapq.heappush(departures, (t + lr.holding_s, counter, conn_id))
+                    i += 1
+                    next_s = arrivals[i].arrival_s if i < n else None
+                else:
+                    conn = live.pop(conn_id)
+                    result = conn.result
+                    release(links, dict.fromkeys(result.path.link_indices, result.block.mask()))
+                    busy -= conn.request.slots_needed * result.path.hops
+                    protection.release(g, conn_id, result)
+        finally:
+            self._now, self._working_busy, self._conn_counter = now, busy, counter
+            self._arrivals_done = i
+            report.slot_time_used, report.protection_slot_time = used, protecting
+        report.slot_time_capacity = self.scenario.slot_count * len(g.links) * max(now - warm, 0.0)
+        report.validate()
+        return report
 
 
 def run(sc: Scenario) -> MetricsReport:
