@@ -56,7 +56,9 @@ from dataclasses import dataclass, field
 
 from .availability import ava_dcyc_update, parallel_availability
 from .rsa import CandidatePath, LightpathRequest, candidate_paths
-from .spectrum import DoubleFreeError, SlotBlock, allocate, first_fit, is_feasible, release
+from .spectrum import (
+    DoubleFreeError, SlotBlock, allocate, first_fit, is_feasible, release, run_mask,
+)
 from .topology import LinkIndex, NetworkGraph
 
 
@@ -256,21 +258,30 @@ def _try_extend(
             continue
         order = cycle.vertex_order
         cap = cycle.capacity_slots
-        if demand > cap or not is_feasible(link.bitmap, cap):
+        if demand > cap:
+            continue
+        run = run_mask(link.bitmap.bits, cap)
+        if not run:
             continue
         n = len(order)
         ui = order.index(u)
         for wi in ((ui - 1) % n, (ui + 1) % n):
             bridge = index.between[v].get(order[wi])
-            if bridge is None or not is_feasible(table[bridge].bitmap, cap):
+            if bridge is None:
+                continue
+            bridge_run = run_mask(table[bridge].bitmap.bits, cap)
+            if not bridge_run:
                 continue
             # Every protected link must stay on-cycle or straddling: the
             # displaced edge keeps both endpoints on the cycle, so it does.
             replaced.append((cycle, order, cycle.ring))
             new_order = list(order)
             new_order.insert(ui if wi == (ui - 1) % n else ui + 1, v)
+            # The link and the bridge are the new ring's only new keys; each
+            # takes the first fit of the run mask it was tested by.
+            runs = {li: run, bridge: bridge_run}
             ring = {
-                x: cycle.ring.get(x) or first_fit(table[x].bitmap, cap)
+                x: cycle.ring.get(x) or SlotBlock((runs[x] & -runs[x]).bit_length() - 1, cap)
                 for x in _ring(index, new_order)
             }
             _set_ring(g, cs, cycle, new_order, ring)
@@ -284,7 +295,7 @@ def _build_cycle(
     """A new cycle, first fit on each link; its empty ring goes to ``replaced``."""
     index = g.link_index()
     table = index.links
-    ring = {x: first_fit(table[x].bitmap, capacity) for x in _ring(index, vertex_order)}
+    ring = {x: first_fit(table[x].bitmap.bits, capacity) for x in _ring(index, vertex_order)}
     cycle = DCycle(next(cs._cid), (), {}, capacity, table)
     _set_ring(g, cs, cycle, vertex_order, ring)
     replaced.append((cycle, (), {}))
@@ -327,7 +338,7 @@ def find_cycle_for(
         back = disjoint[0].vertices
         return _build_cycle(cs, g, list(walk) + list(reversed(back[1:-1])), demand, replaced)
 
-    if is_feasible(link.bitmap, demand):
+    if is_feasible(link.bitmap.bits, demand):
         return _build_cycle(cs, g, list(walk), demand, replaced)
     return None
 
@@ -359,27 +370,33 @@ def provision_cycles(
     link id), ...], final availability) on success.  If the next link cannot
     be protected, or every link is and the threshold is still missed, all
     reservations from this call are rolled back and (None, the working
-    path's availability) is returned.
+    path's availability) is returned.  They are rolled back too if a
+    search or a ring write raises, and the exception goes on.
     """
     index = g.link_index()
     table, vertex_bit = index.links, index.vertex_bit
     granted: list[tuple[int, int]] = []
     replaced: list = []
     a_pp = best_path.availability
-    for li in sorted(best_path.link_indices, key=lambda x: (table[x].availability, table[x].id)):
-        if a_pp >= a_th:
-            break
-        link = table[li]
-        ends = vertex_bit[link.u] | vertex_bit[link.v]
-        cycle = check_cycles(cs, li, ends, lr.slots_needed)
-        if cycle is None:
-            cycle = find_cycle_for(g, li, lr.slots_needed, cs, lr.k, replaced)
-        if cycle is None:
-            break
-        cycle.protected[li] = wp_id
-        granted.append((cycle.id, li))
-        a_bp = cycle.backup_availability(li)
-        a_pp, _ = ava_dcyc_update(a_pp, link.availability, a_bp)
+    weakest = sorted(best_path.link_indices, key=lambda x: (table[x].availability, table[x].id))
+    try:
+        for li in weakest:
+            if a_pp >= a_th:
+                break
+            link = table[li]
+            ends = vertex_bit[link.u] | vertex_bit[link.v]
+            cycle = check_cycles(cs, li, ends, lr.slots_needed)
+            if cycle is None:
+                cycle = find_cycle_for(g, li, lr.slots_needed, cs, lr.k, replaced)
+            if cycle is None:
+                break
+            cycle.protected[li] = wp_id
+            granted.append((cycle.id, li))
+            a_bp = cycle.backup_availability(li)
+            a_pp, _ = ava_dcyc_update(a_pp, link.availability, a_bp)
+    except BaseException:
+        _rollback(g, cs, granted, replaced)
+        raise
     if a_pp >= a_th:
         return [(cid, table[li].id) for cid, li in granted], a_pp
     _rollback(g, cs, granted, replaced)

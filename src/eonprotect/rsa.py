@@ -72,11 +72,11 @@ best-only search returns that first-ranked path alone, so it builds one
 Either way the search ends with each feasible path's run mask, the AND of
 its links' run masks, and its availability, the product of its link
 availabilities in path order from 1.0.  A returned ``CandidatePath`` is a
-slotted record of those, its link indices and its hop count.  Its
-first-fit block (the lowest set bit of the run mask), vertex walk and link
-tuple are worked out on each read, so a caller that reads one twice keeps
-it in a local.  Provisioning takes the first fit once and allocates it
-over the path's own links table, with no bitmap and no second pass.
+slotted record of those, its link indices and its hop count.  Its vertex
+walk and link tuple are worked out on each read, so a caller that reads
+one twice keeps it in a local.  Provisioning takes the first fit, the
+lowest set bit of the run mask, once and allocates it over the path's own
+links table, with no bitmap and no second pass.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import itemgetter
 
-from .spectrum import SlotBlock, allocate, run_steps
+from .spectrum import SlotBlock, allocate, release, run_steps
 from .topology import Link, LinkIndex, NetworkGraph
 
 # Protection modes, in the order the CLI and the results schema list them.
@@ -141,7 +141,7 @@ class CandidatePath:
     the demand, the availability the search computed and the hop count,
     plus the graph's links table and the source vertex.  It holds no
     per-call list, so a live connection keeps no search state alive.  Its
-    first-fit block, links and vertex walk are worked out on each read.
+    links and vertex walk are worked out on each read.
     """
 
     __slots__ = (
@@ -159,12 +159,6 @@ class CandidatePath:
         self.need = need
         self.availability = availability
         self.hops = len(path)
-
-    @property
-    def first_block(self) -> SlotBlock:
-        """Lowest-start block of ``need`` slots free on every link."""
-        run = self.run
-        return SlotBlock((run & -run).bit_length() - 1, self.need)
 
     @property
     def links(self) -> tuple[Link, ...]:
@@ -209,8 +203,8 @@ def candidate_paths(
     fits.  The table of s-d paths in the graph's index is scanned first;
     only when the scan ends at the table's end with fewer than k feasible
     paths does the pruned BFS run, over every link's run mask.  Each path
-    keeps the run mask the search tested it by, from which ``first_block``
-    is read.  ``bits`` replaces the links' live free bits, in
+    keeps the run mask the search tested it by; its lowest set bit is the
+    path's first fit.  ``bits`` replaces the links' live free bits, in
     ``g.link_index()`` order.  Without ``bits``, the table scan reads the
     scanned paths' links only.  ``without`` is the mask of the
     ``LinkIndex`` positions of the links the search leaves out: it scans
@@ -407,7 +401,7 @@ class NoProtection:
     - ``protect(g, lr, result, wp_id, a_th)`` tries to lift the working path
       of ``result`` to ``a_th``.  It sets the mode's own field of ``result``
       (``backup_paths`` or ``protected_links``) and ``a_pp_max``, and
-      reserves nothing when the threshold is missed;
+      reserves nothing when the threshold is missed or when it raises;
     - ``release(g, wp_id, result)`` frees what ``protect`` reserved for a
       departing working path;
     - ``options(g, result)`` says what protects the working path of
@@ -445,7 +439,8 @@ def rsacs_with_protection(
 
     ``protection`` is the mode's state (see ``NoProtection``).  The working
     path is kept even when protection cannot reach the threshold; the
-    result records whether the threshold was met.
+    result records whether the threshold was met.  If ``protect`` raises,
+    the working path's slots are freed and the exception goes on.
     """
     if not 0.0 < a_th <= 1.0:
         raise ValueError("a_th must lie in (0, 1]")
@@ -457,7 +452,8 @@ def rsacs_with_protection(
     # The search read the live bits, so its first fit is free on every link.
     low = best.run & -best.run
     block = SlotBlock(low.bit_length() - 1, best.need)
-    allocate(best._table, dict.fromkeys(best.link_indices, (low << best.need) - low))
+    writes = dict.fromkeys(best.link_indices, (low << best.need) - low)
+    allocate(best._table, writes)
 
     result = ProvisionResult(
         blocked=False, path=best, block=block,
@@ -467,6 +463,11 @@ def rsacs_with_protection(
         return result
 
     result.needs_protection = True
-    protection.protect(g, lr, result, wp_id, a_th)
+    try:
+        protection.protect(g, lr, result, wp_id, a_th)
+    except BaseException:
+        # The arrival fails whole: its working path holds no slot either.
+        release(best._table, writes)
+        raise
     result.protected = result.a_pp_max >= a_th
     return result

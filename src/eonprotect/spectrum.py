@@ -1,9 +1,11 @@
 """Slot bitmap arithmetic for flex-grid links.
 
-A bitmap is a fixed-length row of slots where 1 means free and 0 means
-busy.  Bitmaps are stored as Python integers: bit i (LSB side) is slot i,
-which makes intersection a single ``&`` and contiguity checks a handful of
-shift-and-ands regardless of slot count.
+A link's spectrum is a fixed-length row of slots held as one Python
+integer of free bits: bit i (LSB side) is 1 iff slot i is free.  That makes
+intersection a single ``&`` and contiguity checks a handful of
+shift-and-ands regardless of slot count.  ``run_mask``, ``is_feasible`` and
+``first_fit`` take such an int; ``SpectrumBitmap`` only holds a link's bits
+and their slot count.
 
 The run mask of ``bits`` for a demand of ``need`` slots has bit i set iff
 slots i..i+need-1 are all free.  It distributes over intersection,
@@ -63,11 +65,6 @@ class SlotBlock(namedtuple("SlotBlock", "start length")):
         # namedtuple's own _make, which _replace calls, skips __new__.
         return cls(*iterable)
 
-    @property
-    def end(self) -> int:
-        """One past the last slot index."""
-        return self.start + self.length
-
     def mask(self) -> int:
         return ((1 << self.length) - 1) << self.start
 
@@ -85,42 +82,11 @@ class SpectrumBitmap:
         if self.bits < 0 or self.bits >> size:
             raise ValueError("bits do not fit in the declared size")
 
-    @classmethod
-    def from_string(cls, s: str) -> "SpectrumBitmap":
-        """Parse "1101..." with slot 0 leftmost."""
-        bits = 0
-        for i, ch in enumerate(s):
-            if ch == "1":
-                bits |= 1 << i
-            elif ch != "0":
-                raise ValueError(f"bad bitmap character {ch!r}")
-        return cls(len(s), bits)
-
-    def to_string(self) -> str:
-        return "".join("1" if self.bits >> i & 1 else "0" for i in range(self.size))
-
     def copy(self) -> "SpectrumBitmap":
         return SpectrumBitmap(self.size, self.bits)
 
     def busy_count(self) -> int:
         return self.size - self.bits.bit_count()
-
-    def is_free(self, block: SlotBlock) -> bool:
-        m = block.mask()
-        return block.end <= self.size and self.bits & m == m
-
-    def is_busy(self, block: SlotBlock) -> bool:
-        return block.end <= self.size and self.bits & block.mask() == 0
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SpectrumBitmap)
-            and self.size == other.size
-            and self.bits == other.bits
-        )
-
-    def __repr__(self) -> str:
-        return f"SpectrumBitmap({self.to_string()!r})"
 
 
 @cache
@@ -141,31 +107,32 @@ def run_steps(need: int) -> tuple[int, ...]:
     return tuple(steps)
 
 
-def _run_mask(bits: int, need: int) -> int:
+def run_mask(bits: int, need: int) -> int:
     """Run mask of ``bits``: bit i set iff slots i..i+need-1 are all free."""
     for step in run_steps(need):
         bits &= bits >> step
     return bits
 
 
-def is_feasible(bitmap: SpectrumBitmap, need: int) -> bool:
-    """True iff the bitmap holds ``need`` consecutive free slots somewhere."""
+def is_feasible(bits: int, need: int) -> bool:
+    """True iff the free bits ``bits`` hold ``need`` consecutive free slots."""
     if need < 1:
         raise ValueError("need must be >= 1")
-    if need > bitmap.size:
-        return False
-    return _run_mask(bitmap.bits, need) != 0
+    # A need above the slot count leaves no bit, so it is not feasible.
+    # Package callers pass needs of at most ``slot_count``, which keeps
+    # ``run_steps``' memo small.
+    return run_mask(bits, need) != 0
 
 
-def first_fit(bitmap: SpectrumBitmap, need: int) -> SlotBlock:
-    """Lowest-start block of exactly ``need`` free slots."""
+def first_fit(bits: int, need: int) -> SlotBlock:
+    """Lowest-start block of exactly ``need`` slots free in ``bits``."""
     if need < 1:
         raise ValueError("need must be >= 1")
-    m = _run_mask(bitmap.bits, need) if need <= bitmap.size else 0
+    # As in ``is_feasible``, a need above the slot count finds no block.
+    m = run_mask(bits, need)
     if m == 0:
         raise NoFitError(f"no run of {need} free slots")
-    start = (m & -m).bit_length() - 1
-    return SlotBlock(start, need)
+    return SlotBlock((m & -m).bit_length() - 1, need)
 
 
 def demand_to_slots(rate_gbps: float, slot_ghz: float, guard_ghz: float = 0.0) -> int:

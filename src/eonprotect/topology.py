@@ -269,12 +269,6 @@ class NetworkGraph:
             )
         return self._index
 
-    def neighbors(self, u: str) -> list[tuple[str, Link]]:
-        """Adjacent (vertex, link) pairs, sorted by vertex name, read off the
-        index (built if need be)."""
-        index = self.link_index()
-        return [(v, index.links[li]) for v, _, li in index.neighbors[u]]
-
     def is_connected(self) -> bool:
         """Whether every vertex reaches every other; true with no vertex.
 

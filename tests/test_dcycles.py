@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from eonprotect import dcycles, topology
+from eonprotect import dcycles, sim as sim_module, topology
 from eonprotect.availability import parallel_availability
 from eonprotect.dcycles import (
     DCycleSet,
@@ -29,12 +29,13 @@ from eonprotect.rsa import (
 )
 from eonprotect.sim import Scenario, Simulation
 from eonprotect.spectrum import (
-    AllocationConflictError, DoubleFreeError, SlotBlock, SpectrumBitmap, allocate, first_fit,
+    AllocationConflictError, DoubleFreeError, SlotBlock, allocate, first_fit,
     is_feasible, release,
 )
 from eonprotect.topology import NetworkGraph, link_id
 
 from conftest import reference_arcs
+from slots import all_busy, all_free
 
 MESH24 = (Path(__file__).parent / "data" / "mesh24.topo").read_text()
 
@@ -127,12 +128,12 @@ def hand_path(g, vertices):
     """The working path through ``vertices``, a 2-slot block allocated on it."""
     index = g.link_index()
     path = tuple(index.between[u][v] for u, v in zip(vertices, vertices[1:]))
-    common = SpectrumBitmap(g.slot_count)
+    common = (1 << g.slot_count) - 1
     for li in path:
-        common.bits &= index.links[li].bitmap.bits
+        common &= index.links[li].bitmap.bits
     take(g, first_fit(common, 2), *(index.links[li].id for li in path))
     # Its run mask for the 2-slot demand, as the search found it.
-    run = common.bits & common.bits >> 1
+    run = common & common >> 1
     return CandidatePath(
         index.links, vertices[0], path, run, 2, _availability(index.links, path)
     )
@@ -309,7 +310,7 @@ class TestFindCycleFor:
         assert cycle is not None
         assert set(cycle.blocks) == {"a-b", "a-c", "b-c"}
         for lid in cycle.blocks:
-            assert g.links[lid].bitmap.is_busy(cycle.blocks[lid])
+            assert all_busy(g.links[lid].bitmap.bits, cycle.blocks[lid])
 
     def test_new_straddling_cycle_from_two_disjoint_routes(self):
         g = NetworkGraph(slot_count=16)
@@ -340,7 +341,7 @@ class TestFindCycleFor:
         # Previously protected links stay protected on-cycle.
         assert "A-B" in got.blocks
         for lid in got.blocks:
-            assert g.links[lid].bitmap.is_busy(got.blocks[lid])
+            assert all_busy(g.links[lid].bitmap.bits, got.blocks[lid])
 
     def test_bridge_link_yields_none(self):
         g = NetworkGraph(slot_count=8)
@@ -403,7 +404,7 @@ class TestProvisionCycles:
     def test_direct_provision_rollback_restores_bitmaps(self):
         g = triangle(avail=0.95)
         cs = DCycleSet()
-        before = {lid: l.bitmap.copy() for lid, l in g.links.items()}
+        before = {lid: l.bitmap.bits for lid, l in g.links.items()}
         path = rsacs_with_protection(
             g, LightpathRequest("a", "b", 2), 0.5, NoProtection(), "w0"
         ).path
@@ -412,7 +413,7 @@ class TestProvisionCycles:
         assert a_pp == path.availability
         for lid, bmp in before.items():
             if lid != "a-b":
-                assert g.links[lid].bitmap == bmp
+                assert g.links[lid].bitmap.bits == bmp
 
 
     def test_stops_granting_once_the_threshold_is_met(self):
@@ -528,13 +529,13 @@ class TestReleaseAndDismantle:
     def test_release_all_round_trips_bitmaps(self):
         g = triangle(avail=0.95)
         cs = DCycleSet()
-        baseline = {lid: l.bitmap.copy() for lid, l in g.links.items()}
+        baseline = {lid: l.bitmap.bits for lid, l in g.links.items()}
         r1 = provision(g, cs, "w1", "a", "b", 2, a_th=0.99)
         r2 = provision(g, cs, "w2", "b", "c", 2, a_th=0.99)
         for res, wp in ((r1, "w1"), (r2, "w2")):
             give_back(g, res.block, *(link.id for link in res.path.links))
             release_wp(cs, wp, res.protected_links, g)
-        assert {lid: l.bitmap for lid, l in g.links.items()} == baseline
+        assert {lid: l.bitmap.bits for lid, l in g.links.items()} == baseline
 
     def test_release_frees_only_cycles_it_empties(self):
         # An idle cycle that the departing path never held is left alone.
@@ -547,7 +548,7 @@ class TestReleaseAndDismantle:
         assert list(cs.cycles.values()) == [idle]
         assert g.busy_slot_count() == busy - 2 * 3
         for lid in idle.blocks:
-            assert g.links[lid].bitmap.is_busy(idle.blocks[lid])
+            assert all_busy(g.links[lid].bitmap.bits, idle.blocks[lid])
 
     def test_unknown_or_foreign_entry_raises_and_changes_nothing(self):
         g = triangle(avail=0.95)
@@ -651,7 +652,7 @@ class TestCheckedRingWrites:
         with pytest.raises(DoubleFreeError):
             _set_ring(g, cs, cycle, cycle.vertex_order, {**cycle.ring, li: moved})
         assert snapshot(cs, g) == before
-        assert g.links[lid].bitmap.is_free(moved)
+        assert all_free(g.links[lid].bitmap.bits, moved)
 
 
 class TestCycleWellFormedness:
@@ -770,19 +771,19 @@ def reference_try_extend(g, link, demand, cs):
         if u not in order:
             continue
         cap = cycle.capacity_slots
-        if demand > cap or not is_feasible(link.bitmap, cap):
+        if demand > cap or not is_feasible(link.bitmap.bits, cap):
             continue
         n = len(order)
         ui = order.index(u)
         for wi in ((ui - 1) % n, (ui + 1) % n):
             bridge = g.links.get(link_id(v, order[wi]))
-            if bridge is None or not is_feasible(bridge.bitmap, cap):
+            if bridge is None or not is_feasible(bridge.bitmap.bits, cap):
                 continue
             new_order = list(order)
             new_order.insert(ui if wi == (ui - 1) % n else ui + 1, v)
             ring = [link_id(a, b) for a, b in zip(new_order, new_order[1:] + new_order[:1])]
             blocks = {
-                lid: cycle.blocks.get(lid) or first_fit(g.links[lid].bitmap, cap)
+                lid: cycle.blocks.get(lid) or first_fit(g.links[lid].bitmap.bits, cap)
                 for lid in ring
             }
             return cycle.id, order, cycle.blocks, tuple(new_order), blocks
@@ -1055,3 +1056,37 @@ class TestRollbackRestoresState:
         # Extensions of live cycles were undone, some after a grant on the
         # same cycle in the same attempt.
         assert extensions["plain"] and extensions["granted first"]
+
+    def test_an_arrival_that_raises_leaves_nothing_reserved(self, monkeypatch):
+        # The search for a second cycle raises once the call has replaced a
+        # ring: built or extended one for an earlier link of the path.
+        class Boom(Exception):
+            pass
+
+        sim = Simulation(Scenario(
+            load_erlang=20, a_th=0.999, mode="dcycles", avg_link_availability=0.99,
+            n_requests=1000, seed=3,
+        ))
+        sim.run(max_arrivals=300)
+        before = []
+        real_provision, real_find = sim_module.rsacs_with_protection, dcycles.find_cycle_for
+
+        def snapshotting(*args):
+            before.append(snapshot(sim.cycles, sim.graph))
+            return real_provision(*args)
+
+        def raising(g, li, demand, cs, k, replaced):
+            if replaced:
+                raise Boom(len(replaced))
+            return real_find(g, li, demand, cs, k, replaced)
+
+        monkeypatch.setattr(sim_module, "rsacs_with_protection", snapshotting)
+        monkeypatch.setattr(dcycles, "find_cycle_for", raising)
+        with pytest.raises(Boom):
+            sim.run()
+        assert len(before) > 1
+        assert snapshot(sim.cycles, sim.graph) == before[-1]
+        monkeypatch.undo()
+        sim.run()
+        assert not sim.live and sim.cycles.is_empty() and sim.cycles.reserved == 0
+        assert sim.graph.busy_slot_count() == 0

@@ -23,12 +23,13 @@ from eonprotect.rsa import (
 )
 from eonprotect.sim import Scenario, Simulation
 from eonprotect.spectrum import (
-    AllocationConflictError, DoubleFreeError, SlotBlock, SpectrumBitmap, allocate,
+    AllocationConflictError, DoubleFreeError, SlotBlock, allocate,
     first_fit, is_feasible, release,
 )
 from eonprotect.topology import NetworkGraph
 
 from conftest import hand_backup
+from slots import all_busy, all_free, show
 
 W1 = frozenset({"A-B", "B-C", "C-D"})
 
@@ -102,12 +103,9 @@ def rank(p):
     return (-p.availability, p.hops, p.vertices)
 
 
-def search_bitmaps(g, bits):
-    """Per-link search bits (in ``g.link_index()`` order) as bitmaps by link id."""
-    return {
-        lid: SpectrumBitmap(g.slot_count, bits[i])
-        for lid, i in g.link_index().position.items()
-    }
+def search_bits(g, bits):
+    """Per-link search bits (in ``g.link_index()`` order) by link id."""
+    return {lid: bits[i] for lid, i in g.link_index().position.items()}
 
 
 def packed_on(g, link_id, mask):
@@ -202,7 +200,7 @@ def assert_sharers_pairwise_disjoint(wps):
     for wp_id, (_, backups) in wps.items():
         for bp in backups:
             for link in bp.links:
-                for slot in range(bp.block.start, bp.block.end):
+                for slot in range(bp.block.start, bp.block.start + bp.block.length):
                     sharers.setdefault((link.id, slot), set()).add(wp_id)
     for ids in sharers.values():
         ids = sorted(ids)
@@ -249,10 +247,10 @@ class TestCanShare:
         backup = hand_backup(g, "w1/bp1", ("E", "F"), block)
         reg.claim(g, at(g, W1), packed_on(g, "E-F", block.mask()))
         # The claim takes the slots on the link.
-        assert g.links["E-F"].bitmap.is_busy(block)
+        assert all_busy(g.links["E-F"].bitmap.bits, block)
         # The last claim gone, every slot it held is free for anyone.
         release_wp(reg, at(g, W1), [backup], g)
-        assert g.links["E-F"].bitmap.is_free(block)
+        assert all_free(g.links["E-F"].bitmap.bits, block)
         assert reg.is_empty() and reg.held == 0 and reg.reserved == 0
         reg.claim(g, at(g, W1), packed_on(g, "E-F", block.mask()))
         assert unpacked_claims(reg, g) == {"E-F": {lid: block.mask() for lid in W1}}
@@ -274,8 +272,8 @@ class TestFreeBackupSlots:
         reg.claim(g, at(g, W1), packed_on(g, "E-F", block.mask()))
         bits = g.link_index().free_bits()
         free_backup_slots(g, bits, reg, at(g, {"B-E"}))
-        assert search_bitmaps(g, bits)["E-F"].is_free(block)
-        assert g.links["E-F"].bitmap.is_busy(block)
+        assert all_free(search_bits(g, bits)["E-F"], block)
+        assert all_busy(g.links["E-F"].bitmap.bits, block)
 
     def test_conflicting_group_stays_busy(self):
         g = six_node_net()
@@ -284,7 +282,7 @@ class TestFreeBackupSlots:
         reg.claim(g, at(g, {"B-C"}), packed_on(g, "E-F", block.mask()))
         bits = g.link_index().free_bits()
         free_backup_slots(g, bits, reg, at(g, {"B-C", "C-D"}))
-        assert search_bitmaps(g, bits)["E-F"].is_busy(block)
+        assert all_busy(search_bits(g, bits)["E-F"], block)
 
 
 class TestPositionsNotInIdOrder:
@@ -333,7 +331,7 @@ class TestPositionsNotInIdOrder:
         assert str(err.value) == "slots 0x7 on E-F not held for this WP"
         assert self.state(reg, g) == before
         release_wp(reg, at(g, {"B-C"}), [backup], g)
-        assert reg.is_empty() and g.links["E-F"].bitmap.is_free(block)
+        assert reg.is_empty() and all_free(g.links["E-F"].bitmap.bits, block)
 
     def test_free_backup_slots_matches_per_link_reference(self):
         g = reversed_six_node_net()
@@ -416,7 +414,7 @@ class TestProvisioningAndSharing:
         res = provision(g, reg, "w1", "A", "D", 3, a_th=0.92)
         for bp in res.backup_paths:
             for link in bp.links:
-                assert g.links[link.id].bitmap.is_busy(bp.block)
+                assert all_busy(g.links[link.id].bitmap.bits, bp.block)
 
     def test_second_backup_skips_the_window_the_first_took(self):
         # WP a-b; backups a-c-b (0.81, lifting it to 0.981) and a-c-d-b
@@ -432,8 +430,8 @@ class TestProvisioningAndSharing:
             (("a", "c", "b"), SlotBlock(0, 1)),
             (("a", "c", "d", "b"), SlotBlock(1, 1)),
         ]
-        assert g.links["a-c"].bitmap.to_string() == "0011"
-        assert g.links["b-d"].bitmap.to_string() == "1011"
+        assert show(g.links["a-c"].bitmap.bits, g.slot_count) == "0011"
+        assert show(g.links["b-d"].bitmap.bits, g.slot_count) == "1011"
 
     def test_candidate_with_no_window_left_is_skipped(self):
         # WP a-b (0.9), one slot per link.  The ranked backup candidates are
@@ -459,8 +457,8 @@ class TestProvisioningAndSharing:
             (("a", "e", "f", "b"), SlotBlock(0, 1)),
         ]
         assert res.a_pp_max == pytest.approx(1 - 0.1 * (1 - 0.81) * (1 - 0.729), abs=1e-12)
-        assert g.links["c-d"].bitmap.to_string() == "1"
-        assert g.links["b-d"].bitmap.to_string() == "1"
+        assert show(g.links["c-d"].bitmap.bits, g.slot_count) == "1"
+        assert show(g.links["b-d"].bitmap.bits, g.slot_count) == "1"
         assert reg.reserved == 5
 
     def test_backup_search_keeps_every_candidate(self):
@@ -501,7 +499,7 @@ class TestProvisioningAndSharing:
         provision(g, reg, "w1", "A", "D", 3, a_th=0.92)
         claims_before = unpacked_claims(reg, g)
         held_before, reserved_before = unpacked_held(reg, g), reg.reserved
-        bitmaps_before = {lid: l.bitmap.copy() for lid, l in g.links.items()}
+        bitmaps_before = {lid: l.bitmap.bits for lid, l in g.links.items()}
         # Unreachable threshold forces a full rollback for w2, whose first
         # backup shared w1's slots on E-F.
         res = provision(g, reg, "w2", "B", "E", 2, a_th=1.0)
@@ -511,7 +509,7 @@ class TestProvisioningAndSharing:
         working_w2 = {l.id for l in res.path.links}
         for lid, bmp in bitmaps_before.items():
             if lid not in working_w2:
-                assert g.links[lid].bitmap == bmp
+                assert g.links[lid].bitmap.bits == bmp
 
     def test_failed_attempt_claims_nothing(self, monkeypatch):
         g = six_node_net()
@@ -622,7 +620,7 @@ class TestRelease:
         assert reg.is_empty()
         bits = g.link_index().free_bits()
         free_backup_slots(g, bits, reg, at(g, {"A-B"}))
-        assert search_bitmaps(g, bits)["E-F"].bits.bit_count() == g.slot_count
+        assert search_bits(g, bits)["E-F"].bit_count() == g.slot_count
 
     def test_unknown_wp_rejected(self):
         g, reg, wps = self.build_shared_state()
@@ -631,7 +629,7 @@ class TestRelease:
         def state():
             return (
                 unpacked_claims(reg, g), unpacked_held(reg, g), reg.reserved,
-                {lid: link.bitmap.copy() for lid, link in g.links.items()},
+                {lid: link.bitmap.bits for lid, link in g.links.items()},
             )
 
         # w1's backups under w2's links: no claim on A-F for a failure of B-E.
@@ -656,13 +654,13 @@ class TestRelease:
         w1_links, w1_backups = wps["w1"]
         before = (
             unpacked_claims(reg, g), unpacked_held(reg, g), reg.reserved,
-            {lid: link.bitmap.copy() for lid, link in g.links.items()},
+            {lid: link.bitmap.bits for lid, link in g.links.items()},
         )
         with pytest.raises(UnknownClaimError):
             release_wp(reg, at(g, w1_links), w1_backups + w1_backups, g)
         after = (
             unpacked_claims(reg, g), unpacked_held(reg, g), reg.reserved,
-            {lid: link.bitmap.copy() for lid, link in g.links.items()},
+            {lid: link.bitmap.bits for lid, link in g.links.items()},
         )
         assert after == before and reg.reserved == 11
         release_wp(reg, at(g, w1_links), w1_backups, g)
@@ -783,12 +781,12 @@ class TestLedgerChecks:
         reg = BackupRegistry()
         e_f = packed_on(g, "E-F", SlotBlock(0, 3).mask())
         reg.claim(g, at(g, {"B-C"}), e_f)
-        assert g.links["E-F"].bitmap.to_string() == "0001111111111111"
+        assert show(g.links["E-F"].bitmap.bits, g.slot_count) == "0001111111111111"
         # A sharer over a disjoint link: E-F's slots are held already, so
         # shared and left as they are; its D-E slots are new.
         reg.claim(g, at(g, {"A-B"}), e_f | packed_on(g, "D-E", SlotBlock(4, 2).mask()))
-        assert g.links["E-F"].bitmap.to_string() == "0001111111111111"
-        assert g.links["D-E"].bitmap.to_string() == "1111001111111111"
+        assert show(g.links["E-F"].bitmap.bits, g.slot_count) == "0001111111111111"
+        assert show(g.links["D-E"].bitmap.bits, g.slot_count) == "1111001111111111"
         assert reg.reserved == g.busy_slot_count() == 5
         # New slots busy on their link: nothing changes.
         take(g, SlotBlock(8, 1), "A-F")
@@ -985,10 +983,9 @@ def reference_provision_backups(g, lr, best_path, reg, wp_id, a_th):
         common = (1 << g.slot_count) - 1
         for li in positions:
             common &= bits[li]
-        live = SpectrumBitmap(g.slot_count, common)
-        if not is_feasible(live, lr.slots_needed):
+        if not is_feasible(common, lr.slots_needed):
             continue
-        block = first_fit(live, lr.slots_needed)
+        block = first_fit(common, lr.slots_needed)
         for li in positions:
             bits[li] &= ~block.mask()
         backups.append(
@@ -1074,7 +1071,7 @@ def test_packed_registry_matches_per_link_reference(g, data):
             common = (1 << g.slot_count) - 1
             for link in best.links:
                 common &= link.bitmap.bits
-            block = first_fit(SpectrumBitmap(g.slot_count, common), lr.slots_needed)
+            block = first_fit(common, lr.slots_needed)
             take(g, block, *ids(best.links))
             take(ref_g, block, *ids(ref_best.links))
             a_th = data.draw(st.sampled_from((0.9, 0.95, 0.99, 1.0)))
@@ -1128,7 +1125,7 @@ def test_packed_registry_matches_per_link_reference(g, data):
                 link = g.links[data.draw(st.sampled_from(link_ids))]
                 length = data.draw(st.integers(1, g.slot_count))
                 block = SlotBlock(data.draw(st.integers(0, g.slot_count - length)), length)
-                if not link.bitmap.is_free(block):
+                if not all_free(link.bitmap.bits, block):
                     continue
                 backups = [hand_backup(g, "fresh", (link.u, link.v), block)]
             if not backups:

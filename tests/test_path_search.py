@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from dataclasses import dataclass
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,11 +12,28 @@ from eonprotect import rsa, topology
 from eonprotect.dsbpss import BackupRegistry, provision_backups
 from eonprotect.rsa import LightpathRequest, candidate_paths
 from eonprotect.sim import Scenario, Simulation
-from eonprotect.spectrum import SpectrumBitmap, _run_mask, first_fit, is_feasible
+from eonprotect.spectrum import SlotBlock
 from eonprotect.topology import (
     JitteredAvailability, Link, NetworkGraph, UniformAvailability, build_nsfnet,
     link_id, remove_links,
 )
+
+from slots import window_runs
+
+
+def adjacency(g: NetworkGraph) -> dict[str, list[tuple[str, Link]]]:
+    """Each vertex's (neighbour, link) pairs in neighbour-name order, read
+    off ``g.links`` and not off the graph's index."""
+    out = {vx: [] for vx in g.vertices}
+    for link in g.links.values():
+        out[link.u].append((link.v, link))
+        out[link.v].append((link.u, link))
+    return {vx: sorted(pairs, key=lambda pair: pair[0]) for vx, pairs in out.items()}
+
+
+def first_block(p) -> SlotBlock:
+    """The first fit of a ``CandidatePath``: the lowest window of its run mask."""
+    return SlotBlock((p.run & -p.run).bit_length() - 1, p.need)
 
 
 @dataclass(frozen=True)
@@ -24,7 +42,7 @@ class ReferencePath:
 
     vertices: tuple[str, ...]
     links: tuple[Link, ...]
-    bitmap: SpectrumBitmap
+    bits: int
     availability: float
 
     @property
@@ -39,12 +57,14 @@ def reference_candidate_paths(
     slots_needed: int,
     k: int,
 ) -> list[ReferencePath]:
-    """Breadth-first search over vertex tuples and live bitmaps (the old code)."""
+    """Breadth-first search over vertex tuples and live bits (the old code),
+    with its own adjacency and window scan."""
     if s not in g.vertices or d not in g.vertices:
         raise KeyError(f"unknown vertex in request {s}->{d}")
     size = g.slot_count
     if slots_needed > size:
         return []
+    neighbors = adjacency(g)
     all_free = (1 << size) - 1
     found: list[ReferencePath] = []
     # frontier entries: (vertices, links, intersected bits, availability)
@@ -55,19 +75,16 @@ def reference_candidate_paths(
         nxt: list[tuple[tuple[str, ...], tuple[Link, ...], int, float]] = []
         for verts, links, bits, avail in frontier:
             u = verts[-1]
-            for v, link in g.neighbors(u):
+            for v, link in neighbors[u]:
                 if v in verts:
                     continue
                 new_bits = bits & link.bitmap.bits
-                if not is_feasible(SpectrumBitmap(size, new_bits), slots_needed):
+                if not window_runs(new_bits, size, slots_needed):
                     continue
                 new_avail = avail * link.availability
                 if v == d:
                     found.append(
-                        ReferencePath(
-                            verts + (v,), links + (link,),
-                            SpectrumBitmap(size, new_bits), new_avail,
-                        )
+                        ReferencePath(verts + (v,), links + (link,), new_bits, new_avail)
                     )
                     if len(found) == k:
                         return found
@@ -214,13 +231,11 @@ def test_matches_reference_on_pruned_copy(case):
             # nothing else, and is empty only when the full list is.
             assert summary(best_only) == summary(got[:1])
             if got:
-                assert (best_only[0].run, best_only[0].first_block) == (got[0].run, got[0].first_block)
+                assert best_only[0].run == got[0].run
             # The run mask the search keeps, from the table or the pruned
-            # search, is the run mask of the path's common free bits, and
-            # the first fit read off it is the first fit of those bits.
+            # search, is the run mask of the path's common free bits.
             for p, ref in zip(got, want):
-                assert p.run == _run_mask(ref.bitmap.bits, slots_needed)
-                assert p.first_block == first_fit(ref.bitmap, slots_needed)
+                assert p.run == window_runs(ref.bits, g.slot_count, slots_needed)
             # Returned paths hold the graph's own links.
             assert all(link is g.links[link.id] for p in got for link in p.links)
             # ... and no per-call list (free bits, run masks), which a live
@@ -266,6 +281,97 @@ def test_matches_reference_on_pruned_copy(case):
             assert len(unpruned) == len(paths)
         if len(unpruned) > len(paths):
             assert len(unpruned[-1]) > len(paths[-1])
+
+
+def exhaustive_candidate_paths(g, s, d, need, k, bits, without, best_only):
+    """What ``candidate_paths`` returns, as (link positions, run mask,
+    availability) triples, worked out with no pruning, no path table and
+    no package spectrum or adjacency code.
+
+    Every simple s-d path that avoids the positions in ``without`` is listed
+    by plain recursion and kept if the AND of its links' free bits (``bits``
+    or the live ones) holds a window of ``need`` free slots.  The kept paths
+    are ordered by (hops, vertex walk) and cut at k, then stably sorted on
+    the product of their link availabilities in path order, highest first.
+    Best-only keeps the first.
+    """
+    links = list(g.links.values())
+    position = {link.id: i for i, link in enumerate(links)}
+    free = [link.bitmap.bits for link in links] if bits is None else bits
+    neighbors = adjacency(g)
+    walks = []
+
+    def extend(walk, path):
+        if walk[-1] == d:
+            walks.append((len(path), walk, path))
+            return
+        for v, link in neighbors[walk[-1]]:
+            li = position[link.id]
+            if v not in walk and not without >> li & 1:
+                extend(walk + (v,), path + (li,))
+
+    extend((s,), ())
+    found = []
+    for _, _, path in sorted(walks):
+        common = (1 << g.slot_count) - 1
+        avail = 1.0
+        for li in path:
+            common &= free[li]
+            avail *= links[li].availability
+        run = window_runs(common, g.slot_count, need)
+        if run:
+            found.append((path, run, avail))
+    found = sorted(found[:k], key=lambda f: -f[2])
+    return found[:1] if best_only else found
+
+
+@st.composite
+def oracle_cases(draw):
+    # Connected: a random spanning tree, then up to 2n more edges.
+    n = draw(st.integers(4, 9))
+    names = draw(st.permutations([str(i) for i in range(1, n + 1)]))
+    pairs = {tuple(sorted((i, draw(st.integers(0, i - 1))))) for i in range(1, n)}
+    vertex = st.integers(0, n - 1)
+    extra = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    pairs |= {tuple(sorted(p)) for p in extra if p[0] != p[1]}
+    edges = draw(st.permutations(sorted(pairs)))
+    slot_count = draw(st.integers(1, 12))
+    full = (1 << slot_count) - 1
+    # Each slot busy with probability 1/4, so that most searches find paths.
+    free = st.tuples(st.integers(0, full), st.integers(0, full)).map(
+        lambda t: full & ~(t[0] & t[1])
+    )
+    # Equal availabilities make ties, which the walk order breaks.
+    availability = st.floats(0.5, 1.0, exclude_min=True)
+    equal = draw(st.none() | availability)
+    g = NetworkGraph(slot_count=slot_count)
+    for i, j in edges:
+        a = equal if equal is not None else draw(availability)
+        g.add_link(names[i], names[j], 100, availability=a).bitmap.bits = draw(free)
+    s, d = draw(st.permutations(names))[:2]
+    bits = draw(st.none() | st.lists(free, min_size=len(edges), max_size=len(edges)))
+    left_out = st.sampled_from([1 << i for i in range(len(edges))])
+    without = sum(draw(st.sets(left_out, max_size=3)))
+    need = draw(st.integers(1, 3) | st.integers(1, slot_count + 1))
+    return g, s, d, need, draw(st.integers(1, 5)), bits, without, draw(st.booleans())
+
+
+@settings(deadline=None, derandomize=True, max_examples=500)
+@given(oracle_cases())
+def test_matches_exhaustive_oracle(case):
+    g, s, d, need, k, bits, without, best_only = case
+    want = exhaustive_candidate_paths(g, s, d, need, k, bits, without, best_only)
+    index = g.link_index()
+    # The second search builds its table with the cut after the first hop
+    # level of more than one partial path, so its scan falls back.
+    for frontier in (rsa.TABLE_FRONTIER, 1):
+        index.paths.clear()
+        with mock.patch.object(rsa, "TABLE_FRONTIER", frontier):
+            got = candidate_paths(
+                g, s, d, need, k, bits, without=without, best_only=best_only,
+            )
+        assert [(p.link_indices, p.run, p.availability) for p in got] == want
+    index.paths.clear()
 
 
 @pytest.fixture
@@ -480,7 +586,7 @@ def test_backup_search_scans_the_table_without_the_working_path(fallbacks):
     )
     assert fallbacks == [("a", "b", 2)]
     assert [(bp.path.link_indices, bp.block) for bp in backups] == [
-        (p.link_indices, p.first_block) for p in zeroed
+        (p.link_indices, first_block(p)) for p in zeroed
     ]
     assert a_pp == pytest.approx(1 - 0.1 * (1 - 0.99**2) * (1 - 0.99**3), abs=1e-12)
 
@@ -534,7 +640,9 @@ def test_table_build_stops_at_a_wide_level(fallbacks, fresh_path_tables, monkeyp
     backups, a_pp = provision_backups(
         g, LightpathRequest("a", "b", 1, 5), wp, BackupRegistry(), "w1", 0.99,
     )
-    assert [(bp.path.link_indices, bp.block) for bp in backups] == [((1, 2), zeroed[0].first_block)]
+    assert [(bp.path.link_indices, bp.block) for bp in backups] == [
+        ((1, 2), first_block(zeroed[0]))
+    ]
     assert a_pp == pytest.approx(1 - 0.1 * (1 - 0.99**2), abs=1e-12)
 
 
@@ -672,13 +780,14 @@ def walk_maxima(g: NetworkGraph) -> dict[tuple[str, str, int], float]:
     """Highest availability of the s-d walks of exactly j hops, j = 0..n,
     by (s, d, j), from every walk listed one by one; absent if none."""
     n = len(g.vertices)
+    neighbors = adjacency(g)
     best = {}
 
     def extend(s, u, avail, j):
         key = (s, u, j)
         best[key] = max(best.get(key, 0.0), avail)
         if j < n:
-            for v, link in g.neighbors(u):
+            for v, link in neighbors[u]:
                 extend(s, v, avail * link.availability, j + 1)
 
     for s in g.vertices:
@@ -689,13 +798,14 @@ def walk_maxima(g: NetworkGraph) -> dict[tuple[str, str, int], float]:
 def simple_paths(g: NetworkGraph, s: str, d: str) -> list[tuple[int, ...]]:
     """Link indices of every simple s-d path, listed one by one."""
     index = g.link_index()
+    neighbors = adjacency(g)
     out = []
 
     def extend(u, seen, path):
         if u == d:
             out.append(path)
             return
-        for v, link in g.neighbors(u):
+        for v, link in neighbors[u]:
             if v not in seen:
                 extend(v, seen | {v}, path + (index.position[link.id],))
 

@@ -13,12 +13,14 @@ from eonprotect.rsa import (
     candidate_paths,
     rsacs_with_protection,
 )
-from eonprotect.spectrum import SlotBlock, SpectrumBitmap, _run_mask, allocate, first_fit
+from eonprotect.spectrum import SlotBlock, allocate
 from eonprotect.topology import (
     JitteredAvailability,
     NetworkGraph,
     build_nsfnet,
 )
+
+from slots import all_busy, window_runs
 
 
 def take(g, lid, block):
@@ -148,9 +150,9 @@ class TestCandidatePaths:
             p for p in candidate_paths(g, "a", "c", 2, k=3) if p.hops == 2
         ]
         bits = g.links["a-b"].bitmap.bits & g.links["b-c"].bitmap.bits
-        assert path.run == _run_mask(bits, 2)
-        assert path.first_block == first_fit(SpectrumBitmap(g.slot_count, bits), 2)
-        assert path.first_block == SlotBlock(5, 2)
+        assert path.run == window_runs(bits, g.slot_count, 2)
+        # Slots 0-1 are busy on a-b and 3-4 on b-c: the first fit starts at 5.
+        assert path.run & -path.run == 1 << 5
 
     def test_slotted_record_views_agree_with_positions_and_run(self):
         g = build_nsfnet(16, JitteredAvailability(0.99, seed=4))
@@ -164,14 +166,12 @@ class TestCandidatePaths:
             assert p.vertices[0] == "1" and p.vertices[-1] == "10"
             for (u, v), link in zip(zip(p.vertices, p.vertices[1:]), p.links):
                 assert {u, v} == {link.u, link.v}
-            start = (p.run & -p.run).bit_length() - 1
-            assert p.first_block == SlotBlock(start, 3)
             common = (1 << g.slot_count) - 1
             for link in p.links:
                 common &= link.bitmap.bits
-            assert p.first_block == first_fit(SpectrumBitmap(g.slot_count, common), 3)
+            assert p.run == window_runs(common, g.slot_count, 3)
         # The busy slots on 1-2 move the first fit of the paths over it.
-        assert {p.first_block.start for p in paths} == {0, 5}
+        assert {(p.run & -p.run).bit_length() - 1 for p in paths} == {0, 5}
         # The search always passes the availability it computed.
         p = paths[0]
         with pytest.raises(TypeError):
@@ -307,12 +307,24 @@ class TestRsacsWithProtection:
     def test_never_disturbs_existing_allocations(self):
         g = build_nsfnet(16)
         first = rsacs_with_protection(g, LightpathRequest("1", "5", 4), 0.5, NoProtection(), "w1")
-        snapshot = {lid: l.bitmap.copy() for lid, l in g.links.items()}
+        snapshot = {lid: l.bitmap.bits for lid, l in g.links.items()}
         rsacs_with_protection(g, LightpathRequest("2", "9", 4), 0.5, NoProtection(), "w2")
         for link in first.path.links:
-            busy = snapshot[link.id].busy_count()
-            assert g.links[link.id].bitmap.is_busy(first.block)
+            busy = g.slot_count - snapshot[link.id].bit_count()
+            assert all_busy(g.links[link.id].bitmap.bits, first.block)
             assert busy >= 4
+
+    def test_protection_that_raises_leaves_no_slot_taken(self):
+        class Broken(NoProtection):
+            def protect(self, g, lr, result, wp_id, a_th):
+                raise RuntimeError(wp_id)
+
+        g = triangle(avail=0.9)
+        take(g, "a-b", SlotBlock(2, 3))
+        before = g.link_index().free_bits()
+        with pytest.raises(RuntimeError, match="^w1$"):
+            rsacs_with_protection(g, LightpathRequest("a", "b", 2), 0.99, Broken(), "w1")
+        assert g.link_index().free_bits() == before
 
     def test_rejects_bad_arguments(self):
         g = triangle()

@@ -158,6 +158,16 @@ class Boom(Exception):
     pass
 
 
+class LastPopped(dict):
+    """A ``live`` map that keeps the connection it handed out last."""
+
+    last = None
+
+    def pop(self, conn_id):
+        self.last = super().pop(conn_id)
+        return self.last
+
+
 def raising_from(real, n: int):
     """``real``, except that its ``n``-th call and every later one raise
     with the call's number and its connection id or slot writes."""
@@ -178,13 +188,16 @@ def raising_from(real, n: int):
 def test_same_state_as_stepwise_loop_after_an_exception(monkeypatch, mode, mesh, failing):
     # Every working path needs protection at A=0.9 and A_th=0.99, so the
     # 150th protection after the pause raises once its working path holds
-    # slots; the 150th departure raises after the connection left ``live``.
+    # slots, which the arrival gives back; the 150th departure raises after
+    # the connection left ``live``, holding its slots.
     sc = dataclasses.replace(
         scenario(mode, MESH24 if mesh else None), avg_link_availability=0.9, a_th=0.99,
     )
     sim, oracle = Simulation(sc), StepwiseSimulation(sc)
     sim.run(max_arrivals=100)
     oracle.run(max_arrivals=100)
+    for s in (sim, oracle):
+        s.live = LastPopped(s.live)
     if failing == "protect":
         for s in (sim, oracle):
             s.protection.protect = raising_from(s.protection.protect, 150)
@@ -199,12 +212,23 @@ def test_same_state_as_stepwise_loop_after_an_exception(monkeypatch, mode, mesh,
     assert got.value.args == want.value.args
     assert 100 < sim._arrivals_done < N_REQUESTS
     assert state(sim) == state(oracle)
+    lost = {s: s.live.last for s in (sim, oracle)}
     # Both resume from the state the exception left.
     monkeypatch.undo()
     for s in (sim, oracle):
         vars(s.protection).pop("protect", None)
     assert dataclasses.asdict(sim.run()) == dataclasses.asdict(oracle.run())
     assert state(sim) == state(oracle)
+    # Nothing else is left held: every link is free once the connection
+    # whose release raised gives back what it holds.
+    for s in (sim, oracle):
+        if failing == "release":
+            result = lost[s].result
+            links = s.graph.link_index().links
+            release(links, dict.fromkeys(result.path.link_indices, result.block.mask()))
+            s.protection.release(s.graph, lost[s].id, result)
+        assert s.graph.busy_slot_count() == 0
+        assert s.registry.is_empty() and s.cycles.is_empty() and s.protection.reserved == 0
 
 
 class TestMaxArrivals:

@@ -476,7 +476,7 @@ def reference_recovery_slots(sim, conn, failed_link):
                 return [
                     (link.id, s)
                     for link in bp.links
-                    for s in range(bp.block.start, bp.block.end)
+                    for s in range(bp.block.start, bp.block.start + bp.block.length)
                 ]
         return None
     if result.protected_links:
@@ -490,7 +490,7 @@ def reference_recovery_slots(sim, conn, failed_link):
             for arc in reference_arcs(cycle, failed):
                 for lid in arc:
                     block = blocks[lid]
-                    slots.extend((lid, s) for s in range(block.start, block.end))
+                    slots.extend((lid, s) for s in range(block.start, block.start + block.length))
             return slots
         return None
     return None

@@ -30,8 +30,8 @@ def test_no_assert_statements():
 def test_no_cached_property():
     # Before Python 3.12, functools.cached_property takes a lock on every
     # uncached read, and the package supports 3.10 and 3.11.  The
-    # per-arrival records (rsa.CandidatePath, its first_block, links and
-    # vertices views among them) are slotted and hold no cache.
+    # per-arrival records (rsa.CandidatePath, its links and vertices views
+    # among them) are slotted and hold no cache.
     found = [
         f"{path.name}:{node.lineno}"
         for path in SOURCES
@@ -100,4 +100,26 @@ def test_only_spectrum_writes_link_bits():
         for sub in ast.walk(target)
         if isinstance(sub, ast.Attribute) and sub.attr == "bits"
     ]
+    assert found == []
+
+
+def test_bitmaps_are_read_for_their_bits_only():
+    # Outside the modules that define and hold them, link spectrum is read
+    # as the int ``link.bitmap.bits``, never as a ``SpectrumBitmap``.
+    found = []
+    for path in SOURCES:
+        if path.name in ("spectrum.py", "topology.py"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for_bits = {
+            id(node.value)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "bits"
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "bitmap"
+            and id(node) not in for_bits
+        ]
     assert found == []

@@ -20,14 +20,11 @@ from eonprotect.spectrum import (
     first_fit,
     is_feasible,
     release,
+    run_mask,
     run_steps,
-    _run_mask,
 )
 from eonprotect.topology import NetworkGraph
-
-
-def bm(s: str) -> SpectrumBitmap:
-    return SpectrumBitmap.from_string(s)
+from slots import parse, show
 
 
 def brute_force_max_run(bits: str) -> int:
@@ -39,10 +36,8 @@ def brute_force_max_run(bits: str) -> int:
 
 
 class TestSlotBlock:
-    def test_end_and_mask(self):
-        b = SlotBlock(2, 3)
-        assert b.end == 5
-        assert b.mask() == 0b11100
+    def test_mask(self):
+        assert SlotBlock(2, 3).mask() == 0b11100
 
     def test_rejects_bad_blocks(self):
         with pytest.raises(ValueError):
@@ -59,7 +54,7 @@ class TestSlotBlock:
 
     def test_fields(self):
         b = SlotBlock(start=4, length=2)
-        assert (b.start, b.length, b.end, b.mask()) == (4, 2, 6, 0b110000)
+        assert (b.start, b.length, b.mask()) == (4, 2, 0b110000)
         assert b._replace(length=3) == SlotBlock(4, 3)
         assert not hasattr(b, "__dict__")
 
@@ -82,7 +77,7 @@ class TestSlotBlock:
         b = SlotBlock(5, 7)
         for twin in (copy.copy(b), copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
             assert type(twin) is SlotBlock
-            assert twin == b and (twin.start, twin.end) == (5, 12)
+            assert twin == b and (twin.start, twin.length) == (5, 7)
         # Inside a container, as dcycles' ring blocks are copied.
         ring = {"a-b": b, "b-c": SlotBlock(0, 1)}
         assert copy.deepcopy(ring) == ring
@@ -90,8 +85,15 @@ class TestSlotBlock:
 
 class TestBitmap:
     def test_string_round_trip(self):
+        # The tests' slot strings, slot 0 leftmost.
         s = "1101001"
-        assert bm(s).to_string() == s
+        assert parse(s) == 0b1001011
+        assert show(parse(s), len(s)) == s
+        assert show(0b110, 4) == "0110"
+        with pytest.raises(ValueError):
+            parse("10x")
+        with pytest.raises(ValueError):
+            show(0b10000, 4)
 
     def test_default_all_free(self):
         b = SpectrumBitmap(320)
@@ -99,18 +101,9 @@ class TestBitmap:
         assert b.busy_count() == 0
 
     def test_counts(self):
-        b = bm("110100")
+        b = SpectrumBitmap(6, parse("110100"))
         assert b.bits.bit_count() == 3
         assert b.busy_count() == 3
-
-    def test_is_free_is_busy(self):
-        b = bm("110100")
-        assert b.is_free(SlotBlock(0, 2))
-        assert b.is_busy(SlotBlock(4, 2))
-        assert not b.is_free(SlotBlock(0, 3))
-        # Blocks running past the end are neither free nor busy.
-        assert not b.is_free(SlotBlock(5, 3))
-        assert not b.is_busy(SlotBlock(5, 3))
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -118,30 +111,31 @@ class TestBitmap:
         with pytest.raises(ValueError):
             SpectrumBitmap(3, 0b1000)
         with pytest.raises(ValueError):
-            SpectrumBitmap.from_string("10x")
+            SpectrumBitmap(3, -1)
 
 
 class TestIsFeasible:
     def test_run_of_three(self):
-        assert is_feasible(bm("110111"), 3)
+        assert is_feasible(parse("110111"), 3)
 
     def test_max_run_is_three(self):
-        assert not is_feasible(bm("110111"), 4)
+        assert not is_feasible(parse("110111"), 4)
 
     def test_full_bitmap_boundary(self):
-        b = SpectrumBitmap(320)
+        # No run is longer than the slot count of the bits.
+        b = SpectrumBitmap(320).bits
         assert is_feasible(b, 320)
         assert not is_feasible(b, 321)
 
     def test_need_must_be_positive(self):
         with pytest.raises(ValueError):
-            is_feasible(bm("111"), 0)
+            is_feasible(parse("111"), 0)
 
     @given(st.integers(1, 64), st.integers(1, 10))
     def test_matches_brute_force_max_run(self, size, need):
         rng = random.Random(size * 1000 + need)
         s = "".join(rng.choice("01") for _ in range(size))
-        assert is_feasible(bm(s), need) == (brute_force_max_run(s) >= need)
+        assert is_feasible(parse(s), need) == (brute_force_max_run(s) >= need)
 
 
 def reference_run_steps(need: int) -> list[int]:
@@ -157,7 +151,7 @@ def reference_run_steps(need: int) -> list[int]:
     return steps
 
 
-def reference_run_mask(bits: str, need: int) -> int:
+def referencerun_mask(bits: str, need: int) -> int:
     """Bit i set iff slots i..i+need-1 are all free, read off the string."""
     return sum(1 << i for i in range(len(bits)) if bits[i:i + need] == "1" * need)
 
@@ -182,14 +176,14 @@ class TestRunMask:
     @given(run_mask_cases())
     def test_distributes_over_and(self, case):
         size, need, a, b = case
-        assert _run_mask(a & b, need) == _run_mask(a, need) & _run_mask(b, need)
+        assert run_mask(a & b, need) == run_mask(a, need) & run_mask(b, need)
 
     @settings(max_examples=300, deadline=None)
     @given(run_mask_cases())
     def test_bit_i_is_a_free_window_from_i(self, case):
         size, need, a, _ = case
-        text = SpectrumBitmap(size, a).to_string()
-        assert _run_mask(a, need) == reference_run_mask(text, need)
+        text = show(a, size)
+        assert run_mask(a, need) == referencerun_mask(text, need)
 
     def test_every_demand_on_full_width_rows(self):
         rng = random.Random(320)
@@ -200,10 +194,8 @@ class TestRunMask:
         ]
         for need in range(1, 321):
             for a, b in zip(rows, rows[1:] + rows[:1]):
-                assert _run_mask(a, need) == reference_run_mask(
-                    SpectrumBitmap(320, a).to_string(), need
-                )
-                assert _run_mask(a & b, need) == _run_mask(a, need) & _run_mask(b, need)
+                assert run_mask(a, need) == referencerun_mask(show(a, 320), need)
+                assert run_mask(a & b, need) == run_mask(a, need) & run_mask(b, need)
 
     def test_run_steps_unchanged_for_every_demand(self):
         for need in range(1, 321):
@@ -215,24 +207,23 @@ class TestRunMask:
 
 class TestFirstFit:
     def test_lowest_index_wins(self):
-        assert first_fit(bm("011110"), 2) == SlotBlock(1, 2)
+        assert first_fit(parse("011110"), 2) == SlotBlock(1, 2)
 
     def test_single_slot(self):
-        assert first_fit(bm("101"), 1) == SlotBlock(0, 1)
+        assert first_fit(parse("101"), 1) == SlotBlock(0, 1)
 
     def test_no_fit(self):
         with pytest.raises(NoFitError):
-            first_fit(bm("1101"), 3)
+            first_fit(parse("1101"), 3)
 
     @pytest.mark.parametrize("need", [0, -1])
     def test_rejects_need_below_one(self, need):
         with pytest.raises(ValueError, match="^need must be >= 1$"):
-            first_fit(bm("1111"), need)
+            first_fit(parse("1111"), need)
 
     @given(st.integers(0, 2**64 - 1), st.integers(1, 8))
     def test_matches_exhaustive_scan(self, bits, need):
-        b = SpectrumBitmap(64, bits)
-        s = b.to_string()
+        s = show(bits, 64)
         expect = None
         for start in range(64 - need + 1):
             if all(ch == "1" for ch in s[start : start + need]):
@@ -240,9 +231,9 @@ class TestFirstFit:
                 break
         if expect is None:
             with pytest.raises(NoFitError):
-                first_fit(b, need)
+                first_fit(bits, need)
         else:
-            assert first_fit(b, need) == expect
+            assert first_fit(bits, need) == expect
 
 
 class TestDemandToSlots:
@@ -277,8 +268,8 @@ def on_all(links, block: SlotBlock) -> dict[int, int]:
     return dict.fromkeys(range(len(links)), block.mask())
 
 
-def bitmaps(links) -> list[SpectrumBitmap]:
-    return [link.bitmap.copy() for link in links]
+def bitmaps(links) -> list[int]:
+    return [link.bitmap.bits for link in links]
 
 
 class TestAllocateRelease:
@@ -287,7 +278,7 @@ class TestAllocateRelease:
         originals = bitmaps(links)
         block = SlotBlock(4, 5)
         allocate(links, on_all(links, block))
-        assert all(link.bitmap.is_busy(block) for link in links)
+        assert not any(link.bitmap.bits & block.mask() for link in links)
         release(links, on_all(links, block))
         assert bitmaps(links) == originals
 
@@ -300,7 +291,7 @@ class TestAllocateRelease:
     def test_one_mask_per_position(self):
         links = chain(3, 8)
         allocate(links, {0: 0b11, 2: 0b1100})
-        assert [link.bitmap.to_string() for link in links] == [
+        assert [show(link.bitmap.bits, 8) for link in links] == [
             "00111111", "11111111", "11001111",
         ]
         release(links, {2: 0b1100, 0: 0b11})
